@@ -44,12 +44,8 @@ from .experiments import (
     simulate_experiment,
 )
 from .inference import (
-    AttackResult,
-    attack_highest_frequency,
-    attack_last_output,
-    attack_mle,
-    attack_weighted_highest_frequency,
-    evaluate_attacks,
+    attack_guesses_matrix,
+    balanced_subset,
     min_error_rate,
     posterior,
     uniform_prior,
@@ -60,6 +56,7 @@ from .mechanism import (
     RelaxationChain,
     ResponseDistribution,
     chain_likelihood,
+    chain_log_likelihoods,
     kernel_conditional,
     relax_kernel,
     relax_step,

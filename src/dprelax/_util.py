@@ -12,6 +12,11 @@ from .errors import ParameterError
 EPSILON_CAP = 50.0
 
 
+def cap_epsilon(eps: float) -> float:
+    """The exponent-safe stand-in for a privacy parameter; see `EPSILON_CAP`."""
+    return min(eps, EPSILON_CAP)
+
+
 def check_epsilon(eps: float, name: str = "epsilon") -> float:
     eps = float(eps)
     if not math.isfinite(eps) or eps <= 0.0:

@@ -20,7 +20,7 @@ import numpy as np
 
 from ._util import check_count, check_domain_size, check_epsilon, check_value
 from .errors import EnumerationLimitError, ParameterError
-from .mechanism import kernel_tensor, relax_kernel, rr_distribution
+from .mechanism import log_kernel_tensor, relax_kernel, rr_distribution
 from .rappor import RapporParams, eps_noisy_sampling, rappor_params
 
 __all__ = [
@@ -93,9 +93,7 @@ def chain_log_probs(schedule, m: int) -> np.ndarray:
         logp = np.log(first)
     last = np.arange(m)
     for i in range(1, n):
-        tensor = kernel_tensor(relax_kernel(schedule[i - 1], schedule[i], m))
-        with np.errstate(divide="ignore"):
-            log_tensor = np.log(tensor)
+        log_tensor = log_kernel_tensor(relax_kernel(schedule[i - 1], schedule[i], m))
         logp = (logp[:, :, None] + log_tensor[:, last, :]).reshape(m, -1)
         last = np.broadcast_to(np.arange(m), (last.size, m)).reshape(-1)
     return logp
@@ -146,17 +144,16 @@ def audit_step_epsilon(eps_prev: float, eps_next: float, m: int) -> float:
     binary domain this evaluates to eps_prev + eps_next, which can exceed the
     budget even though the composed sequence never does.
     """
-    tensor = kernel_tensor(relax_kernel(eps_prev, eps_next, m))
+    log_tensor = log_kernel_tensor(relax_kernel(eps_prev, eps_next, m))
     worst = 0.0
     for o_prev in range(m):
         for o_next in range(m):
-            col = tensor[:, o_prev, o_next]
-            positive = col > 0.0
-            if not positive.any():
+            logs = log_tensor[:, o_prev, o_next]
+            possible = np.isfinite(logs)
+            if not possible.any():
                 continue
-            if not positive.all():
+            if not possible.all():
                 return math.inf
-            logs = np.log(col)
             worst = max(worst, float(logs.max() - logs.min()))
     return worst
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import EPSILON_CAP, check_count, check_domain_size, check_epsilon, check_value
+from ._util import cap_epsilon, check_count, check_domain_size, check_epsilon, check_value
 from .errors import IllConditionedError, ParameterError
 
 __all__ = [
@@ -82,8 +82,8 @@ def histogram(responses, m: int) -> Histogram:
 
 def _growth(eps: float) -> float:
     """e^eps - 1, raising if it underflows to something unusable."""
-    g = math.expm1(min(eps, EPSILON_CAP))
-    if g <= 0.0 or not math.isfinite((math.exp(min(eps, EPSILON_CAP)) + 1.0) / g):
+    g = math.expm1(cap_epsilon(eps))
+    if g <= 0.0 or not math.isfinite((math.exp(cap_epsilon(eps)) + 1.0) / g):
         raise IllConditionedError(f"epsilon={eps} is too small to debias responses")
     return g
 
@@ -107,7 +107,7 @@ def perturbation_matrix(eps: float, m: int) -> PerturbationMatrix:
     """Channel matrix of the ``eps``-randomized response over ``m`` values."""
     eps = check_epsilon(eps)
     m = check_domain_size(m)
-    big = math.exp(min(eps, EPSILON_CAP))
+    big = math.exp(cap_epsilon(eps))
     p = np.full((m, m), 1.0 / (big + m - 1))
     np.fill_diagonal(p, big / (big + m - 1))
     scale = (big + m - 1) / _growth(eps)
@@ -123,7 +123,7 @@ def response_covariance(eps: float, m: int, x: int) -> np.ndarray:
     eps = check_epsilon(eps)
     m = check_domain_size(m)
     x = check_value(x, m, "x")
-    big = math.exp(min(eps, EPSILON_CAP))
+    big = math.exp(cap_epsilon(eps))
     cov = np.full((m, m), -1.0)
     cov[x, :] = -big
     cov[:, x] = -big
@@ -175,7 +175,7 @@ def variance_binary_estimate(eps: float, n: int) -> float:
     """Variance of the debiased frequency of ones over ``n`` binary responses."""
     eps = check_epsilon(eps)
     n = check_count(n, "n")
-    return math.exp(min(eps, EPSILON_CAP)) / (n * _growth(eps) ** 2)
+    return math.exp(cap_epsilon(eps)) / (n * _growth(eps) ** 2)
 
 
 def discretize_mean(value: float, l: float, h: float, rng: np.random.Generator) -> float:

@@ -28,7 +28,7 @@ here.
 import csv
 import json
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -238,16 +238,7 @@ def _with_seed(config: ExperimentConfig, seed) -> ExperimentConfig:
         return config
     if not 0 <= int(seed) < 2**64:
         raise ConfigError(f"seed: must fit in 64 bits, got {seed}")
-    return ExperimentConfig(
-        name=config.name,
-        m=config.m,
-        counts=config.counts,
-        epsilons=config.epsilons,
-        trials=config.trials,
-        seed=int(seed),
-        eps_alpha=config.eps_alpha,
-        eps_beta=config.eps_beta,
-    )
+    return replace(config, seed=int(seed))
 
 
 def _truth_vector(config: ExperimentConfig) -> np.ndarray:
@@ -256,6 +247,18 @@ def _truth_vector(config: ExperimentConfig) -> np.ndarray:
 
 def _trial_streams(config: ExperimentConfig):
     return np.random.SeedSequence(config.seed).spawn(config.trials)
+
+
+def _sample_outputs(truth, dist0, kernels, rng) -> np.ndarray:
+    """One trial's relaxation chains as an (n_objects, rounds) output matrix.
+
+    Round 1 is a randomized response under ``dist0``; each kernel adds a round.
+    """
+    outputs = np.empty((truth.size, len(kernels) + 1), dtype=np.int64)
+    outputs[:, 0] = sample_rr_batch(truth, dist0, rng)
+    for i, kernel in enumerate(kernels, start=1):
+        outputs[:, i] = relax_step_batch(kernel, truth, outputs[:, i - 1], rng)
+    return outputs
 
 
 def _run_trials(fn, trials: int, threads: int):
@@ -283,10 +286,7 @@ def simulate_experiment(config: ExperimentConfig, seed=None, threads: int = 1) -
 
     def one_trial(t):
         rng = np.random.default_rng(streams[t])
-        outputs = np.empty((truth.size, rounds), dtype=np.int64)
-        outputs[:, 0] = sample_rr_batch(truth, dist0, rng)
-        for i, kernel in enumerate(kernels, start=1):
-            outputs[:, i] = relax_step_batch(kernel, truth, outputs[:, i - 1], rng)
+        outputs = _sample_outputs(truth, dist0, kernels, rng)
         subset = balanced_subset(truth, m, rng)
         est = np.empty((rounds, m))
         errs = np.empty((rounds, len(ATTACK_METHODS)))
@@ -351,10 +351,7 @@ def compare_noisy_sampling(config: ExperimentConfig, seed=None, threads: int = 1
 
     def one_trial(t):
         rng = np.random.default_rng(streams[t])
-        outputs = np.empty((n, rounds), dtype=np.int64)
-        outputs[:, 0] = sample_rr_batch(truth, dist0, rng)
-        for i, kernel in enumerate(kernels, start=1):
-            outputs[:, i] = relax_step_batch(kernel, truth, outputs[:, i - 1], rng)
+        outputs = _sample_outputs(truth, dist0, kernels, rng)
         counts = simulate_noisy_sampling_batch(truth, params, rounds, rng)
         relax_est = np.empty(rounds)
         noisy_est = np.empty(rounds)
@@ -414,8 +411,7 @@ def _write_csv(path, header, rows):
     return path
 
 
-def write_rounds_csv(result: ExperimentResult, path) -> Path:
-    """Full per-round table: estimates, variances, attack errors, floor."""
+def _rounds_table(result: ExperimentResult):
     m = result.config.m
     header = ["round", "epsilon"]
     for j in range(m):
@@ -432,23 +428,19 @@ def write_rounds_csv(result: ExperimentResult, path) -> Path:
             row += [result.err_mean[r, k], result.err_std[r, k]]
         row.append(result.floor[r])
         rows.append(row)
-    return _write_csv(path, header, rows)
+    return header, rows
+
+
+def write_rounds_csv(result: ExperimentResult, path) -> Path:
+    """Full per-round table: estimates, variances, attack errors, floor."""
+    return _write_csv(path, *_rounds_table(result))
 
 
 def write_attacks_csv(result: ExperimentResult, path) -> Path:
-    """Attack-only view of the per-round table."""
-    header = ["round", "epsilon"]
-    for method in ATTACK_METHODS:
-        header += [f"err_{method}_mean", f"err_{method}_std"]
-    header.append("min_error_rate")
-    rows = []
-    for r, eps in enumerate(result.epsilons):
-        row = [r + 1, eps]
-        for k in range(len(ATTACK_METHODS)):
-            row += [result.err_mean[r, k], result.err_std[r, k]]
-        row.append(result.floor[r])
-        rows.append(row)
-    return _write_csv(path, header, rows)
+    """Attack-only view: the per-round table without its ``est_*`` columns."""
+    header, rows = _rounds_table(result)
+    keep = [i for i, name in enumerate(header) if not name.startswith("est_")]
+    return _write_csv(path, [header[i] for i in keep], ([row[i] for i in keep] for row in rows))
 
 
 def write_rappor_csv(comparison: RapporComparison, path) -> Path:

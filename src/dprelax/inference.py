@@ -2,52 +2,29 @@
 
 Four guessing strategies are implemented: take the last output, maximize the
 sequence likelihood, take the most frequent output, and take the output with
-the largest privacy-parameter-weighted count.  Error rates are always computed
-over a balanced subset (equal object count per value) so they are comparable
-with the uniform-prior floor.  Ties break toward the smallest value index
-everywhere.
+the largest privacy-parameter-weighted count.  `attack_guesses_matrix` scores
+a batch of chains; one chain is a one-row batch.  Error rates are always
+computed over a balanced subset (equal object count per value) so they are
+comparable with the uniform-prior floor.  Ties break toward the smallest value
+index everywhere.
 """
-
-from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import EPSILON_CAP, check_domain_size, check_epsilon, check_values
+from ._util import cap_epsilon, check_domain_size, check_epsilon, check_values
 from .errors import ParameterError
-from .mechanism import (
-    RelaxationChain,
-    chain_likelihood,
-    kernel_tensor,
-    relax_kernel,
-    rr_distribution,
-)
+from .mechanism import RelaxationChain, chain_log_likelihoods
 
 __all__ = [
     "ATTACK_METHODS",
-    "AttackResult",
     "uniform_prior",
     "posterior",
-    "attack_last_output",
-    "attack_mle",
-    "attack_highest_frequency",
-    "attack_weighted_highest_frequency",
     "attack_guesses_matrix",
     "min_error_rate",
     "balanced_subset",
-    "evaluate_attacks",
 ]
 
 ATTACK_METHODS = ("last_output", "mle", "highest_frequency", "weighted_highest_frequency")
-
-
-@dataclass(frozen=True)
-class AttackResult:
-    """Guesses of one method plus its error rate on the balanced subset."""
-
-    method: str
-    guesses: np.ndarray
-    error_rate: float
-    eval_indices: np.ndarray
 
 
 def uniform_prior(m: int) -> np.ndarray:
@@ -66,34 +43,12 @@ def _check_prior(prior, m: int) -> np.ndarray:
 def posterior(chain: RelaxationChain, prior) -> np.ndarray:
     """Bayesian belief over the true value given every released output."""
     prior = _check_prior(prior, chain.m)
-    lik = np.array(
-        [chain_likelihood(chain.outputs, chain.schedule, chain.m, x) for x in range(chain.m)]
-    )
+    lik = np.exp(chain_log_likelihoods([chain.outputs], chain.schedule, chain.m)[0])
     weighted = lik * prior
     z = float(weighted.sum())
     if z <= 0.0:
         raise ParameterError("observed sequence has zero probability under the prior support")
     return weighted / z
-
-
-def attack_last_output(chain: RelaxationChain) -> int:
-    return chain.last_output
-
-
-def attack_mle(chain: RelaxationChain) -> int:
-    lik = [chain_likelihood(chain.outputs, chain.schedule, chain.m, x) for x in range(chain.m)]
-    return int(np.argmax(lik))
-
-
-def attack_highest_frequency(chain: RelaxationChain) -> int:
-    counts = np.bincount(np.asarray(chain.outputs), minlength=chain.m)
-    return int(np.argmax(counts))
-
-
-def attack_weighted_highest_frequency(chain: RelaxationChain) -> int:
-    weights = np.zeros(chain.m)
-    np.add.at(weights, np.asarray(chain.outputs), np.asarray(chain.schedule))
-    return int(np.argmax(weights))
 
 
 def attack_guesses_matrix(outputs, schedule, m: int) -> dict:
@@ -102,32 +57,15 @@ def attack_guesses_matrix(outputs, schedule, m: int) -> dict:
     ``outputs`` has shape (n_objects, n_rounds).  Returns a dict keyed by
     method name with one guess per object.
     """
-    m = check_domain_size(m)
-    outputs = check_values(outputs, m, "outputs")
-    if outputs.ndim != 2 or outputs.shape[1] != len(schedule):
-        raise ParameterError("outputs must be (n_objects, n_rounds) matching the schedule")
-    schedule = np.array([check_epsilon(e, "schedule entry") for e in schedule])
-    values = np.arange(m)
-
-    dist = rr_distribution(schedule[0], m)
-    loglik = np.where(
-        outputs[:, 0][:, None] == values,
-        np.log(dist.p_retain),
-        np.log(dist.p_other) if dist.p_other > 0.0 else -np.inf,
-    )
-    for i in range(1, outputs.shape[1]):
-        tensor = kernel_tensor(relax_kernel(schedule[i - 1], schedule[i], m))
-        with np.errstate(divide="ignore"):
-            log_tensor = np.log(tensor)
-        loglik += log_tensor[:, outputs[:, i - 1], outputs[:, i]].T
-
-    onehot = outputs[:, :, None] == values
+    loglik = chain_log_likelihoods(outputs, schedule, m)
+    outputs = np.asarray(outputs, dtype=np.int64)
+    onehot = outputs[:, :, None] == np.arange(m)
     return {
         "last_output": outputs[:, -1].copy(),
         "mle": np.argmax(loglik, axis=1),
         "highest_frequency": np.argmax(onehot.sum(axis=1), axis=1),
         "weighted_highest_frequency": np.argmax(
-            (onehot * schedule[None, :, None]).sum(axis=1), axis=1
+            (onehot * np.asarray(schedule, dtype=float)[None, :, None]).sum(axis=1), axis=1
         ),
     }
 
@@ -136,7 +74,7 @@ def min_error_rate(eps: float, m: int) -> float:
     """Lowest achievable error rate when guessing a uniformly drawn value."""
     eps = check_epsilon(eps)
     m = check_domain_size(m)
-    w = np.exp(-min(eps, EPSILON_CAP))
+    w = np.exp(-cap_epsilon(eps))
     return float((m - 1) * w / (1.0 + (m - 1) * w))
 
 
@@ -160,34 +98,3 @@ def balanced_subset(truth, m: int, rng: np.random.Generator) -> np.ndarray:
             idx = rng.choice(idx, size=quota, replace=False)
         picks.append(np.sort(idx))
     return np.sort(np.concatenate(picks))
-
-
-def evaluate_attacks(chains, truth, schedule, rng: np.random.Generator) -> list:
-    """Run all four methods on a batch of chains and score them balanced.
-
-    Guesses are produced for every object; error rates are computed only over
-    the balanced subset drawn from ``rng``.
-    """
-    chains = list(chains)
-    if not chains:
-        raise ParameterError("need at least one chain")
-    m = chains[0].m
-    schedule = tuple(float(e) for e in schedule)
-    truth = check_values(truth, m, "truth")
-    if truth.shape != (len(chains),):
-        raise ParameterError("truth must hold one value per chain")
-    for i, chain in enumerate(chains):
-        if chain.m != m or chain.schedule != schedule or chain.true_value != int(truth[i]):
-            raise ParameterError(f"chain {i} does not match the declared truth/schedule")
-    outputs = np.array([chain.outputs for chain in chains], dtype=np.int64)
-    subset = balanced_subset(truth, m, rng)
-    guesses = attack_guesses_matrix(outputs, schedule, m)
-    return [
-        AttackResult(
-            method=method,
-            guesses=guesses[method],
-            error_rate=float(np.mean(guesses[method][subset] != truth[subset])),
-            eval_indices=subset,
-        )
-        for method in ATTACK_METHODS
-    ]

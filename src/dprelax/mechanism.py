@@ -19,6 +19,7 @@ import numpy as np
 
 from ._util import (
     EPSILON_CAP,
+    cap_epsilon,
     check_domain_size,
     check_epsilon,
     check_value,
@@ -37,9 +38,11 @@ __all__ = [
     "relax_kernel",
     "kernel_conditional",
     "kernel_tensor",
+    "log_kernel_tensor",
     "start_chain",
     "relax_step",
     "relax_step_batch",
+    "chain_log_likelihoods",
     "chain_likelihood",
 ]
 
@@ -126,7 +129,7 @@ def rr_distribution(eps: float, m: int) -> ResponseDistribution:
     """
     eps = check_epsilon(eps)
     m = check_domain_size(m)
-    w = math.exp(-min(eps, EPSILON_CAP))
+    w = math.exp(-cap_epsilon(eps))
     denom = 1.0 + (m - 1) * w
     return ResponseDistribution(epsilon=eps, m=m, p_retain=1.0 / denom, p_other=w / denom)
 
@@ -164,8 +167,8 @@ def relax_kernel(eps_prev: float, eps_next: float, m: int) -> RelaxKernel:
         raise BudgetDecreaseError(
             f"cannot tighten the guarantee: eps_next={eps_next} < eps_prev={eps_prev}"
         )
-    e1 = min(eps_prev, EPSILON_CAP)
-    e2 = min(eps_next, EPSILON_CAP)
+    e1 = cap_epsilon(eps_prev)
+    e2 = cap_epsilon(eps_next)
     if e1 == e2:
         return RelaxKernel(eps_prev, eps_next, m, 1.0, 0.0, 1.0, 0.0, 0.0, m > 2)
     exp1 = math.exp(e1)
@@ -208,14 +211,10 @@ def kernel_tensor(kernel: RelaxKernel) -> np.ndarray:
     return t
 
 
-def _conditional_entry(kernel: RelaxKernel, x: int, o_prev: int, o_next: int) -> float:
-    if o_prev == x:
-        return kernel.p_aa if o_next == x else kernel.p_ab
-    if o_next == x:
-        return kernel.p_ba
-    if o_next == o_prev:
-        return kernel.p_bb
-    return kernel.p_bc
+def log_kernel_tensor(kernel: RelaxKernel) -> np.ndarray:
+    """Elementwise log of `kernel_tensor`; impossible transitions hold -inf."""
+    with np.errstate(divide="ignore"):
+        return np.log(kernel_tensor(kernel))
 
 
 def relax_step_batch(
@@ -288,25 +287,35 @@ def relax_step(chain: RelaxationChain, eps_next: float, rng: np.random.Generator
     )
 
 
-def chain_likelihood(outputs, schedule, m: int, x: int) -> float:
-    """Probability of observing the full output sequence given true value ``x``.
+def chain_log_likelihoods(outputs, schedule, m: int) -> np.ndarray:
+    """Log-probability of each chain's output sequence given every true value.
 
-    Factorizes as the initial response probability times one kernel entry per
-    relaxation step.  Zero only if the schedule contains a repeated parameter
-    whose deterministic step the sequence contradicts.
+    ``outputs`` has shape (n_objects, n_rounds) under one shared ``schedule``;
+    the result, shape (n_objects, m), sums the initial response's log-probability
+    and one log kernel entry per step (-inf where a repeated parameter's
+    deterministic step is contradicted).
     """
     m = check_domain_size(m)
-    x = check_value(x, m, "x")
-    outputs = [check_value(o, m, "output") for o in outputs]
+    outputs = check_values(outputs, m, "outputs")
+    if outputs.ndim != 2 or not len(schedule) or outputs.shape[1] != len(schedule):
+        raise ParameterError("outputs must be (n_objects, n_rounds) matching a non-empty schedule")
     schedule = [check_epsilon(e, "schedule entry") for e in schedule]
-    if not outputs or len(outputs) != len(schedule):
-        raise ParameterError(
-            f"outputs ({len(outputs)}) and schedule ({len(schedule)}) must be"
-            " non-empty and of equal length"
-        )
+    values = np.arange(m)
+
     dist = rr_distribution(schedule[0], m)
-    prob = dist.p_retain if outputs[0] == x else dist.p_other
-    for i in range(1, len(outputs)):
-        kernel = relax_kernel(schedule[i - 1], schedule[i], m)
-        prob *= _conditional_entry(kernel, x, outputs[i - 1], outputs[i])
-    return prob
+    loglik = np.where(
+        outputs[:, 0][:, None] == values,
+        np.log(dist.p_retain),
+        np.log(dist.p_other) if dist.p_other > 0.0 else -np.inf,
+    )
+    for i in range(1, outputs.shape[1]):
+        log_tensor = log_kernel_tensor(relax_kernel(schedule[i - 1], schedule[i], m))
+        loglik += log_tensor[:, outputs[:, i - 1], outputs[:, i]].T
+    return loglik
+
+
+def chain_likelihood(outputs, schedule, m: int, x: int) -> float:
+    """Probability of the full output sequence given ``x``: a one-row `chain_log_likelihoods`."""
+    m = check_domain_size(m)
+    x = check_value(x, m, "x")
+    return float(np.exp(chain_log_likelihoods([list(outputs)], schedule, m)[0, x]))

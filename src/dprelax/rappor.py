@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import EPSILON_CAP, check_count, check_epsilon
+from ._util import cap_epsilon, check_count, check_epsilon
 from .errors import ParameterError
 from .estimation import estimate_binary
 
@@ -62,8 +62,8 @@ def rappor_params(eps_alpha: float, eps_beta: float) -> RapporParams:
     """Build parameters from the per-stage privacy parameters (both > 0)."""
     eps_alpha = check_epsilon(eps_alpha, "eps_alpha")
     eps_beta = check_epsilon(eps_beta, "eps_beta")
-    alpha = 1.0 / (1.0 + math.exp(-min(eps_alpha, EPSILON_CAP)))
-    beta = 1.0 / (1.0 + math.exp(-min(eps_beta, EPSILON_CAP)))
+    alpha = 1.0 / (1.0 + math.exp(-cap_epsilon(eps_alpha)))
+    beta = 1.0 / (1.0 + math.exp(-cap_epsilon(eps_beta)))
     return RapporParams(eps_alpha=eps_alpha, eps_beta=eps_beta, alpha=alpha, beta=beta)
 
 
@@ -75,8 +75,8 @@ def eps_noisy_sampling(K: int, params: RapporParams) -> float:
     cancellation-free form so saturation approaches the bound cleanly.
     """
     K = check_count(K, "K")
-    a = min(params.eps_alpha, EPSILON_CAP)
-    b = K * min(params.eps_beta, EPSILON_CAP)
+    a = cap_epsilon(params.eps_alpha)
+    b = K * cap_epsilon(params.eps_beta)
     value = min(a, b) + math.log1p(math.exp(-(a + b))) - math.log1p(math.exp(-abs(a - b)))
     # within rounding distance of the bound, the bound is the correctly
     # rounded result; snapping keeps deep saturation flat instead of wobbly
@@ -103,14 +103,11 @@ def noisy_sampling_schedule(eps_alpha: float, eps_beta: float, rounds: int) -> l
 def simulate_noisy_sampling(
     b: int, params: RapporParams, K: int, rng: np.random.Generator
 ) -> NoisyReport:
-    """One client: draw the permanent bit once, then K instantaneous samples."""
+    """One client: a one-row `simulate_noisy_sampling_batch` reporting all K samples."""
     if b not in (0, 1):
         raise ParameterError(f"bit must be 0 or 1, got {b}")
-    K = check_count(K, "K")
-    permanent = b if rng.random() < params.alpha else 1 - b
-    p_one = params.beta if permanent == 1 else 1.0 - params.beta
-    k_ones = int((rng.random(K) < p_one).sum())
-    return NoisyReport(k_ones=k_ones, n_samples=K)
+    counts = simulate_noisy_sampling_batch([b], params, K, rng)
+    return NoisyReport(k_ones=int(counts[0, -1]), n_samples=counts.shape[1])
 
 
 def simulate_noisy_sampling_batch(
@@ -148,7 +145,7 @@ def _unclamped_binary(lam: float, eps: float) -> float:
     # The per-client stage is already debiased and routinely leaves [0, 1],
     # so the second stage applies the same affine map without the range check
     # estimate_binary performs on raw observed frequencies.
-    g = math.expm1(min(check_epsilon(eps), EPSILON_CAP))
+    g = math.expm1(cap_epsilon(check_epsilon(eps)))
     return ((g + 2.0) * lam - 1.0) / g
 
 

@@ -9,7 +9,7 @@ import math
 
 import numpy as np
 
-from dprelax.mechanism import kernel_conditional, rr_distribution
+from dprelax.mechanism import kernel_conditional, relax_kernel, rr_distribution
 
 
 def binary_pa(e1: float, e2: float) -> float:
@@ -54,3 +54,15 @@ def fold_schedule(schedule, m: int, x: int, kernel_fn) -> np.ndarray:
     for e1, e2 in zip(schedule, schedule[1:]):
         vec = fold_marginal(kernel_fn(e1, e2, m), x, vec)
     return vec
+
+
+def sequence_likelihood(outputs, schedule, m: int, x: int) -> float:
+    """Probability of a whole output sequence given ``x``, as a scalar product.
+
+    The initial response probability times one kernel conditional per step.
+    """
+    prob = rr_vector(schedule[0], m, x)[outputs[0]]
+    for i in range(1, len(outputs)):
+        kernel = relax_kernel(schedule[i - 1], schedule[i], m)
+        prob *= kernel_conditional(kernel, x, outputs[i - 1])[outputs[i]]
+    return float(prob)

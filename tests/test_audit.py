@@ -14,8 +14,10 @@ from dprelax.audit import (
     run_standard_audits,
 )
 from dprelax.errors import EnumerationLimitError, ParameterError
-from dprelax.mechanism import chain_likelihood, rr_distribution
+from dprelax.mechanism import rr_distribution
 from dprelax.rappor import eps_noisy_sampling, rappor_params
+
+from oracles import sequence_likelihood
 
 
 class TestEnumerateChainDistribution:
@@ -32,12 +34,12 @@ class TestEnumerateChainDistribution:
         assert sum(table.values()) == pytest.approx(1.0, abs=1e-9)
 
     def test_matches_scalar_likelihood(self):
-        # the enumeration and the per-sequence product are independent routes
+        # the enumeration and the oracle's per-sequence product are independent routes
         schedule = [0.1, 0.5, 1.0]
         for x in range(3):
             table = enumerate_chain_distribution(schedule, 3, x)
             for outputs, prob in table.items():
-                expected = chain_likelihood(list(outputs), schedule, 3, x)
+                expected = sequence_likelihood(outputs, schedule, 3, x)
                 assert prob == pytest.approx(expected, rel=1e-12, abs=1e-300)
 
     def test_total_mass(self):

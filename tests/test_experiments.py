@@ -1,3 +1,4 @@
+import csv
 import json
 from pathlib import Path
 
@@ -129,6 +130,18 @@ class TestSimulateExperiment:
         b = simulate_experiment(cfg, seed=100)
         assert not np.array_equal(a.estimates, b.estimates)
 
+    def test_seed_override_keeps_other_fields(self):
+        cfg = tiny_config()
+        result = compare_noisy_sampling(cfg, seed=2**64 - 1)
+        assert result.config.seed == 2**64 - 1
+        assert (result.config.name, result.config.counts, result.config.eps_alpha) == (
+            cfg.name,
+            cfg.counts,
+            cfg.eps_alpha,
+        )
+        with pytest.raises(ConfigError):
+            simulate_experiment(cfg, seed=2**64)
+
     def test_noiseless_schedule_zero_error(self):
         cfg = tiny_config(schedule={"kind": "list", "epsilons": [50.0, 50.0]})
         result = simulate_experiment(cfg)
@@ -184,6 +197,16 @@ class TestCsvWriters:
         assert header[:2] == ["round", "epsilon"]
         assert "est_mean_0" in header and "est_var_theory_1" in header
         assert "err_mle_mean" in header and header[-1] == "min_error_rate"
+
+    def test_attacks_csv_is_rounds_csv_without_estimates(self, tmp_path):
+        result = simulate_experiment(tiny_config(m=3, counts=[2, 3, 2]))
+        with open(write_rounds_csv(result, tmp_path / "rounds.csv"), newline="") as fh:
+            rounds = list(csv.reader(fh))
+        with open(write_attacks_csv(result, tmp_path / "attacks.csv"), newline="") as fh:
+            attacks = list(csv.reader(fh))
+        keep = [i for i, name in enumerate(rounds[0]) if not name.startswith("est_")]
+        assert len(keep) < len(rounds[0])
+        assert attacks == [[row[i] for i in keep] for row in rounds]
 
     def test_byte_identical_reruns(self, tmp_path):
         cfg = tiny_config(trials=5)

@@ -8,23 +8,25 @@ from dprelax.errors import ParameterError
 from dprelax.inference import (
     ATTACK_METHODS,
     attack_guesses_matrix,
-    attack_highest_frequency,
-    attack_last_output,
-    attack_mle,
-    attack_weighted_highest_frequency,
     balanced_subset,
-    evaluate_attacks,
     min_error_rate,
     posterior,
     uniform_prior,
 )
-from dprelax.mechanism import RelaxationChain, chain_likelihood, start_chain
+from dprelax.mechanism import RelaxationChain, relax_step, start_chain
+
+from oracles import sequence_likelihood
 
 E = math.e
 
 
 def chain(outputs, schedule, m=3, true_value=0):
     return RelaxationChain(true_value=true_value, m=m, schedule=tuple(schedule), outputs=tuple(outputs))
+
+
+def guess(method, outputs, schedule, m=3):
+    """One chain's guess: a one-row call of the batch scorer."""
+    return int(attack_guesses_matrix([outputs], schedule, m)[method][0])
 
 
 class TestPosterior:
@@ -63,60 +65,58 @@ class TestPosterior:
 
 class TestAttackFunctions:
     def test_last_output(self):
-        assert attack_last_output(chain([0, 1, 2], [0.1, 0.5, 1.0])) == 2
-        assert attack_last_output(chain([1], [0.5])) == 1
+        assert guess("last_output", [0, 1, 2], [0.1, 0.5, 1.0]) == 2
+        assert guess("last_output", [1], [0.5]) == 1
 
     def test_mle_single_round_returns_output(self):
         for v in range(3):
-            assert attack_mle(chain([v], [0.7])) == v
+            assert guess("mle", [v], [0.7]) == v
 
     def test_mle_two_round_example(self):
-        c = chain([1, 0], [0.1, 0.5])
-        assert attack_mle(c) == 0
+        assert guess("mle", [1, 0], [0.1, 0.5]) == 0
 
     def test_mle_agrees_with_likelihood_argmax(self):
         sched = (0.2, 0.9)
         for outputs in product(range(3), repeat=2):
-            c = chain(outputs, sched)
-            liks = [chain_likelihood(outputs, sched, 3, x) for x in range(3)]
-            assert attack_mle(c) == int(np.argmax(liks))
+            liks = [sequence_likelihood(outputs, sched, 3, x) for x in range(3)]
+            assert guess("mle", outputs, sched) == int(np.argmax(liks))
 
     def test_mle_equals_last_output_exhaustively(self):
         for m in (2, 3, 4):
             for sched in [(0.1,), (0.1, 0.5), (0.1, 0.5, 2.0)]:
                 for outputs in product(range(m), repeat=len(sched)):
-                    c = RelaxationChain(true_value=0, m=m, schedule=sched, outputs=outputs)
-                    assert attack_mle(c) == attack_last_output(c)
+                    assert guess("mle", outputs, sched, m) == guess("last_output", outputs, sched, m)
 
     def test_highest_frequency(self):
-        assert attack_highest_frequency(chain([1, 1, 0], [0.1, 0.2, 0.3])) == 1
-        assert attack_highest_frequency(chain([0, 1], [0.1, 0.2])) == 0  # tie -> smallest
-        assert attack_highest_frequency(chain([2, 2, 2], [0.1, 0.2, 0.3])) == 2
+        assert guess("highest_frequency", [1, 1, 0], [0.1, 0.2, 0.3]) == 1
+        assert guess("highest_frequency", [0, 1], [0.1, 0.2]) == 0  # tie -> smallest
+        assert guess("highest_frequency", [2, 2, 2], [0.1, 0.2, 0.3]) == 2
 
     def test_weighted_highest_frequency(self):
-        assert attack_weighted_highest_frequency(chain([0, 1], [0.1, 1.0], m=2)) == 1
-        assert attack_weighted_highest_frequency(chain([2, 2], [0.1, 0.5])) == 2
+        assert guess("weighted_highest_frequency", [0, 1], [0.1, 1.0], m=2) == 1
+        assert guess("weighted_highest_frequency", [2, 2], [0.1, 0.5]) == 2
         # weights 2 + 3 = 5 for value 0 beat weight 1 for value 1
-        assert attack_weighted_highest_frequency(chain([1, 0, 0], [1.0, 2.0, 3.0], m=2)) == 0
+        assert guess("weighted_highest_frequency", [1, 0, 0], [1.0, 2.0, 3.0], m=2) == 0
 
     def test_matrix_helper_agrees_with_scalar_attacks(self):
+        # each row of a batch is scored as if it were alone, and the MLE row
+        # matches the oracle's likelihood argmax
         rng = np.random.default_rng(6)
         sched = (0.2, 0.5, 1.0, 1.5)
         chains = []
         for _ in range(60):
             c = start_chain(int(rng.integers(0, 4)), 4, sched[0], rng)
             for eps in sched[1:]:
-                from dprelax.mechanism import relax_step
-
                 c = relax_step(c, eps, rng)
             chains.append(c)
         outputs = np.array([c.outputs for c in chains])
         guesses = attack_guesses_matrix(outputs, sched, 4)
         for i, c in enumerate(chains):
-            assert guesses["last_output"][i] == attack_last_output(c)
-            assert guesses["mle"][i] == attack_mle(c)
-            assert guesses["highest_frequency"][i] == attack_highest_frequency(c)
-            assert guesses["weighted_highest_frequency"][i] == attack_weighted_highest_frequency(c)
+            for method in ATTACK_METHODS:
+                assert guesses[method][i] == guess(method, c.outputs, sched, 4)
+            liks = [sequence_likelihood(c.outputs, sched, 4, x) for x in range(4)]
+            assert guesses["mle"][i] == int(np.argmax(liks))
+            assert guesses["last_output"][i] == c.last_output
 
 
 class TestMinErrorRate:
@@ -156,42 +156,35 @@ class TestBalancedSubset:
 
 
 class TestEvaluateAttacks:
+    """Balanced-subset error rates of `attack_guesses_matrix`, scored as the runner does."""
+
     @staticmethod
-    def _chains(eps, m, truth, rng, rounds=1):
+    def _scored(eps, m, truth, rng, rounds=1):
         chains = []
         for x in truth:
             c = start_chain(int(x), m, eps, rng)
             for _ in range(rounds - 1):
-                from dprelax.mechanism import relax_step
-
                 c = relax_step(c, eps, rng)
             chains.append(c)
-        return chains
+        subset = balanced_subset(truth, m, rng)
+        guesses = attack_guesses_matrix([c.outputs for c in chains], (eps,) * rounds, m)
+        errors = {k: float(np.mean(g[subset] != truth[subset])) for k, g in guesses.items()}
+        return guesses, errors, subset
 
     def test_noiseless_limit_has_zero_error(self):
         rng = np.random.default_rng(1)
         truth = np.repeat([0, 1], [5, 8])
-        chains = self._chains(50.0, 2, truth, rng)
-        results = evaluate_attacks(chains, truth, (50.0,), rng)
-        assert [r.method for r in results] == list(ATTACK_METHODS)
-        for r in results:
-            assert r.error_rate == 0.0
-            assert len(r.eval_indices) == 10
-            assert len(r.guesses) == len(truth)
-
-    def test_mismatched_truth_rejected(self):
-        rng = np.random.default_rng(1)
-        truth = np.array([0, 1])
-        chains = self._chains(1.0, 2, truth, rng)
-        with pytest.raises(ParameterError):
-            evaluate_attacks(chains, np.array([1, 0]), (1.0,), rng)
+        guesses, errors, subset = self._scored(50.0, 2, truth, rng)
+        assert list(guesses) == list(ATTACK_METHODS)
+        assert all(rate == 0.0 for rate in errors.values())
+        assert len(subset) == 10
+        assert all(len(g) == len(truth) for g in guesses.values())
 
     def test_error_rates_respect_floor_statistically(self):
         rng = np.random.default_rng(44)
         truth = np.repeat([0, 1], [300, 300])
-        chains = self._chains(1.0, 2, truth, rng)
-        results = evaluate_attacks(chains, truth, (1.0,), rng)
+        _, errors, _ = self._scored(1.0, 2, truth, rng)
         floor = min_error_rate(1.0, 2)
         slack = 3 * math.sqrt(floor * (1 - floor) / 600)
-        for r in results:
-            assert r.error_rate >= floor - slack
+        for rate in errors.values():
+            assert rate >= floor - slack

@@ -18,7 +18,14 @@ from dprelax.mechanism import (
     start_chain,
 )
 
-from oracles import binary_pa, binary_pb, fold_marginal, poly_kernel_direct, rr_vector
+from oracles import (
+    binary_pa,
+    binary_pb,
+    fold_marginal,
+    poly_kernel_direct,
+    rr_vector,
+    sequence_likelihood,
+)
 
 E = math.e
 GRID = [round(0.1 * i, 1) for i in range(1, 21)]
@@ -304,6 +311,8 @@ class TestChainLikelihood:
         for outputs in product(range(m), repeat=3):
             liks = [chain_likelihood(outputs, schedule, m, x) for x in range(m)]
             for x in range(m):
+                reference = sequence_likelihood(outputs, schedule, m, x)
+                assert liks[x] == pytest.approx(reference, rel=1e-12)
                 for y in range(m):
                     expected = rr_vector(schedule[-1], m, x)[outputs[-1]] / rr_vector(
                         schedule[-1], m, y

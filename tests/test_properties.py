@@ -5,8 +5,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dprelax.estimation import Histogram, estimate_poly, perturbation_matrix
-from dprelax.mechanism import chain_likelihood, kernel_tensor, relax_kernel, rr_distribution
+from dprelax.mechanism import chain_log_likelihoods, kernel_tensor, relax_kernel, rr_distribution
 from dprelax.rappor import eps_noisy_sampling, rappor_params
+
+from oracles import sequence_likelihood
 
 epsilons = st.floats(min_value=1e-3, max_value=10.0, allow_nan=False)
 domains = st.integers(min_value=2, max_value=12)
@@ -89,7 +91,12 @@ def test_likelihood_ratio_collapses_to_last_output(m, data):
     raw = data.draw(st.lists(st.floats(min_value=0.1, max_value=3.0), min_size=n, max_size=n))
     schedule = sorted(raw)
     outputs = data.draw(st.lists(st.integers(min_value=0, max_value=m - 1), min_size=n, max_size=n))
-    liks = [chain_likelihood(outputs, schedule, m, x) for x in range(m)]
+    liks = [sequence_likelihood(outputs, schedule, m, x) for x in range(m)]
+    with np.errstate(divide="ignore"):
+        expected = np.log(liks)
+    np.testing.assert_allclose(
+        chain_log_likelihoods([outputs], schedule, m)[0], expected, rtol=0.0, atol=1e-12
+    )
     if min(liks) == 0.0:
         return  # sequence impossible under a repeated-parameter step
     dist = rr_distribution(schedule[-1], m)
