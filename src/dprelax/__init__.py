@@ -25,6 +25,7 @@ from .estimation import (
     FrequencyEstimate,
     Histogram,
     PerturbationMatrix,
+    decode_histogram,
     discretize_mean,
     estimate_binary,
     estimate_mean,
@@ -46,6 +47,7 @@ from .experiments import (
 from .inference import (
     attack_guesses_matrix,
     balanced_subset,
+    iter_attack_guesses,
     min_error_rate,
     posterior,
     uniform_prior,
@@ -57,6 +59,7 @@ from .mechanism import (
     ResponseDistribution,
     chain_likelihood,
     chain_log_likelihoods,
+    iter_log_likelihoods,
     kernel_conditional,
     relax_kernel,
     relax_step,

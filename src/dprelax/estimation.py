@@ -23,6 +23,7 @@ __all__ = [
     "estimate_binary",
     "perturbation_matrix",
     "estimate_poly",
+    "decode_histogram",
     "response_covariance",
     "frequency_estimate_covariance",
     "variance_binary_estimate",
@@ -150,14 +151,26 @@ def estimate_poly(hist: Histogram, eps: float) -> FrequencyEstimate:
     `frequency_estimate_covariance` for the theoretical value.
     """
     pm = perturbation_matrix(eps, hist.m)
-    n = check_count(hist.n, "n")
-    counts = np.asarray(hist.counts, dtype=float)
-    if np.any(counts < 0) or abs(float(counts.sum()) - n) > 1e-6 * n:
-        raise ParameterError("histogram counts must be non-negative and sum to n")
-    est = pm.inverse @ (counts / n)
+    est = decode_histogram(hist, pm)
+    n = hist.n
     cov_h = n * _mixture_response_covariance(est, pm.epsilon, pm.m)
     cov = pm.inverse @ cov_h @ pm.inverse.T / n**2
     return FrequencyEstimate(estimate=est, covariance=cov, epsilon=pm.epsilon, n=n)
+
+
+def decode_histogram(hist: Histogram, pm: PerturbationMatrix) -> np.ndarray:
+    """Debiased frequencies ``P^-1 @ (counts / n)`` of a histogram, no covariance.
+
+    Runs that decode many histograms at one parameter build ``pm`` once and
+    call this directly; `estimate_poly` decodes through it too.
+    """
+    n = check_count(hist.n, "n")
+    counts = np.asarray(hist.counts, dtype=float)
+    if counts.shape != (pm.m,):
+        raise ParameterError(f"histogram has {counts.size} values, channel has m={pm.m}")
+    if np.any(counts < 0) or abs(float(counts.sum()) - n) > 1e-6 * n:
+        raise ParameterError("histogram counts must be non-negative and sum to n")
+    return pm.inverse @ (counts / n)
 
 
 def frequency_estimate_covariance(freq, eps: float, n: int) -> np.ndarray:

@@ -27,6 +27,8 @@ here.
 
 import csv
 import json
+import math
+from numbers import Integral, Real
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -36,13 +38,20 @@ import numpy as np
 from ._util import check_count
 from .errors import ConfigError
 from .estimation import (
-    estimate_poly,
+    decode_histogram,
     frequency_estimate_covariance,
     histogram,
+    perturbation_matrix,
     variance_binary_estimate,
 )
-from .inference import ATTACK_METHODS, attack_guesses_matrix, balanced_subset, min_error_rate
-from .mechanism import relax_kernel, relax_step_batch, rr_distribution, sample_rr_batch
+from .inference import ATTACK_METHODS, balanced_subset, iter_attack_guesses, min_error_rate
+from .mechanism import (
+    log_kernel_tensor,
+    relax_kernel,
+    relax_step_batch,
+    rr_distribution,
+    sample_rr_batch,
+)
 from .rappor import (
     decode_noisy_sampling_counts,
     noisy_sampling_schedule,
@@ -84,6 +93,57 @@ class ExperimentConfig:
     eps_alpha: float = None
     eps_beta: float = None
 
+    def __post_init__(self):
+        # The same rules as `config_from_dict`, for configs built in code; each
+        # failure names its field.
+        def fail(field, message):
+            _cfg_fail(f"ExperimentConfig.{field}", message)
+
+        def integer(field, value, low):
+            if not isinstance(value, Integral) or isinstance(value, bool) or value < low:
+                fail(field, f"must be an integer >= {low}, got {value!r}")
+            return int(value)
+
+        def positive(field, value):
+            if not isinstance(value, Real) or isinstance(value, bool) or not (
+                math.isfinite(value) and value > 0
+            ):
+                fail(field, f"must be a positive finite number, got {value!r}")
+            return float(value)
+
+        def sequence(field, value):
+            try:
+                return tuple(value)
+            except TypeError:
+                fail(field, f"must be a sequence, got {value!r}")
+
+        if not _is_file_name(self.name):
+            fail("name", "must be a non-empty [A-Za-z0-9_-] string")
+        m = integer("m", self.m, 2)
+        counts = sequence("counts", self.counts)
+        if len(counts) != m:
+            fail("counts", f"must list exactly m={m} counts, got {len(counts)}")
+        counts = tuple(integer(f"counts[{i}]", c, 1) for i, c in enumerate(counts))
+        epsilons = sequence("epsilons", self.epsilons)
+        epsilons = tuple(positive(f"epsilons[{i}]", e) for i, e in enumerate(epsilons))
+        if not epsilons:
+            fail("epsilons", "must be non-empty")
+        if any(b < a for a, b in zip(epsilons, epsilons[1:])):
+            fail("epsilons", "must be non-decreasing")
+        trials = integer("trials", self.trials, 1)
+        seed = self.seed
+        if not isinstance(seed, Integral) or isinstance(seed, bool) or not 0 <= seed < 2**64:
+            fail("seed", f"must be an integer that fits in 64 bits, got {seed!r}")
+        if (self.eps_alpha is None) != (self.eps_beta is None):
+            missing = "eps_alpha" if self.eps_alpha is None else "eps_beta"
+            fail(missing, "eps_alpha and eps_beta must be given together")
+        for field in ("eps_alpha", "eps_beta"):
+            if getattr(self, field) is not None:
+                object.__setattr__(self, field, positive(field, getattr(self, field)))
+        normalized = dict(m=m, counts=counts, epsilons=epsilons, trials=trials, seed=int(seed))
+        for field, value in normalized.items():
+            object.__setattr__(self, field, value)
+
     @property
     def n_objects(self) -> int:
         return sum(self.counts)
@@ -118,6 +178,10 @@ class RapporComparison:
     var_noisy_theory: np.ndarray
     relax_estimates: np.ndarray   # (trials, rounds)
     noisy_estimates: np.ndarray   # (trials, rounds)
+
+
+def _is_file_name(name) -> bool:
+    return isinstance(name, str) and bool(name) and all(c.isalnum() or c in "-_" for c in name)
 
 
 def _cfg_fail(path: str, message: str):
@@ -182,9 +246,7 @@ def config_from_dict(raw: dict, source: str = "config") -> ExperimentConfig:
     if not isinstance(raw, dict):
         _cfg_fail(source, "top-level value must be an object")
     name = raw.get("name", "experiment")
-    if not isinstance(name, str) or not name or not all(
-        c.isalnum() or c in "-_" for c in name
-    ):
+    if not _is_file_name(name):
         _cfg_fail(f"{source}.name", "must be a non-empty [A-Za-z0-9_-] string")
     m = _require(raw, "m", int, source)
     if m < 2:
@@ -236,8 +298,6 @@ def load_config(path) -> ExperimentConfig:
 def _with_seed(config: ExperimentConfig, seed) -> ExperimentConfig:
     if seed is None or seed == config.seed:
         return config
-    if not 0 <= int(seed) < 2**64:
-        raise ConfigError(f"seed: must fit in 64 bits, got {seed}")
     return replace(config, seed=int(seed))
 
 
@@ -274,13 +334,16 @@ def simulate_experiment(config: ExperimentConfig, seed=None, threads: int = 1) -
 
     Per trial and round, the population's outputs are decoded into a frequency
     estimate, and all four inference methods are scored on a balanced subset
-    drawn once per trial.
+    drawn once per trial.  Kernels and channel inverses are built once per
+    run; each trial's rounds are scored in one running pass.
     """
     config = _with_seed(config, seed)
     m, epsilons = config.m, config.epsilons
     rounds = len(epsilons)
     truth = _truth_vector(config)
     kernels = [relax_kernel(a, b, m) for a, b in zip(epsilons, epsilons[1:])]
+    log_kernels = [log_kernel_tensor(k) for k in kernels]
+    channels = [perturbation_matrix(eps, m) for eps in epsilons]
     dist0 = rr_distribution(epsilons[0], m)
     streams = _trial_streams(config)
 
@@ -291,9 +354,9 @@ def simulate_experiment(config: ExperimentConfig, seed=None, threads: int = 1) -
         est = np.empty((rounds, m))
         errs = np.empty((rounds, len(ATTACK_METHODS)))
         agree = True
-        for r in range(rounds):
-            est[r] = estimate_poly(histogram(outputs[:, r], m), epsilons[r]).estimate
-            guesses = attack_guesses_matrix(outputs[:, : r + 1], epsilons[: r + 1], m)
+        scorer = iter_attack_guesses(outputs, epsilons, m, log_kernels)
+        for r, guesses in enumerate(scorer):
+            est[r] = decode_histogram(histogram(outputs[:, r], m), channels[r])
             for k, method in enumerate(ATTACK_METHODS):
                 errs[r, k] = np.mean(guesses[method][subset] != truth[subset])
             agree = agree and np.array_equal(guesses["last_output"], guesses["mle"])
@@ -346,6 +409,7 @@ def compare_noisy_sampling(config: ExperimentConfig, seed=None, threads: int = 1
     truth = _truth_vector(config)
     n = truth.size
     kernels = [relax_kernel(a, b, 2) for a, b in zip(epsilons, epsilons[1:])]
+    channels = [perturbation_matrix(eps, 2) for eps in epsilons]
     dist0 = rr_distribution(epsilons[0], 2)
     streams = _trial_streams(config)
 
@@ -356,7 +420,7 @@ def compare_noisy_sampling(config: ExperimentConfig, seed=None, threads: int = 1
         relax_est = np.empty(rounds)
         noisy_est = np.empty(rounds)
         for r in range(rounds):
-            relax_est[r] = estimate_poly(histogram(outputs[:, r], 2), epsilons[r]).estimate[1]
+            relax_est[r] = decode_histogram(histogram(outputs[:, r], 2), channels[r])[1]
             noisy_est[r] = decode_noisy_sampling_counts(counts[:, r], r + 1, params)
         return relax_est, noisy_est
 

@@ -2,23 +2,27 @@
 
 Four guessing strategies are implemented: take the last output, maximize the
 sequence likelihood, take the most frequent output, and take the output with
-the largest privacy-parameter-weighted count.  `attack_guesses_matrix` scores
-a batch of chains; one chain is a one-row batch.  Error rates are always
+the largest privacy-parameter-weighted count.  `iter_attack_guesses` scores a
+batch of chains after every round in one pass and `attack_guesses_matrix`
+after the last; one chain is a one-row batch.  Error rates are always
 computed over a balanced subset (equal object count per value) so they are
 comparable with the uniform-prior floor.  Ties break toward the smallest value
 index everywhere.
 """
 
+import itertools
+
 import numpy as np
 
 from ._util import cap_epsilon, check_domain_size, check_epsilon, check_values
 from .errors import ParameterError
-from .mechanism import RelaxationChain, chain_log_likelihoods
+from .mechanism import RelaxationChain, chain_log_likelihoods, iter_log_likelihoods
 
 __all__ = [
     "ATTACK_METHODS",
     "uniform_prior",
     "posterior",
+    "iter_attack_guesses",
     "attack_guesses_matrix",
     "min_error_rate",
     "balanced_subset",
@@ -51,23 +55,44 @@ def posterior(chain: RelaxationChain, prior) -> np.ndarray:
     return weighted / z
 
 
+def iter_attack_guesses(outputs, schedule, m: int, log_kernels=None):
+    """All four methods' guesses after each round of a batch of chains, in one pass.
+
+    ``outputs`` has shape (n_objects, n_rounds) under one shared ``schedule``.
+    Yields one dict per round, keyed by method name with one guess per object,
+    scoring the outputs released up to that round.  The log-likelihood, the
+    per-value counts and the parameter-weighted counts are carried from round
+    to round, so scoring every round costs O(n_rounds).  ``log_kernels`` is
+    passed to `iter_log_likelihoods`.
+    """
+    likelihoods = iter_log_likelihoods(outputs, schedule, m, log_kernels)
+    first = next(likelihoods)  # validates the batch before any state is built
+    outputs = np.asarray(outputs, dtype=np.int64)
+    schedule = np.asarray(schedule, dtype=float)
+    rows = np.arange(outputs.shape[0])
+    counts = np.zeros(first.shape, dtype=np.int64)
+    weighted = np.zeros(first.shape)
+    for r, loglik in enumerate(itertools.chain((first,), likelihoods)):
+        last = outputs[:, r]
+        counts[rows, last] += 1
+        weighted[rows, last] += schedule[r]
+        yield {
+            "last_output": last.copy(),
+            "mle": np.argmax(loglik, axis=1),
+            "highest_frequency": np.argmax(counts, axis=1),
+            "weighted_highest_frequency": np.argmax(weighted, axis=1),
+        }
+
+
 def attack_guesses_matrix(outputs, schedule, m: int) -> dict:
     """All four methods' guesses for a batch of chains sharing one schedule.
 
-    ``outputs`` has shape (n_objects, n_rounds).  Returns a dict keyed by
-    method name with one guess per object.
+    The final round of `iter_attack_guesses`: a dict keyed by method name with
+    one guess per object.
     """
-    loglik = chain_log_likelihoods(outputs, schedule, m)
-    outputs = np.asarray(outputs, dtype=np.int64)
-    onehot = outputs[:, :, None] == np.arange(m)
-    return {
-        "last_output": outputs[:, -1].copy(),
-        "mle": np.argmax(loglik, axis=1),
-        "highest_frequency": np.argmax(onehot.sum(axis=1), axis=1),
-        "weighted_highest_frequency": np.argmax(
-            (onehot * np.asarray(schedule, dtype=float)[None, :, None]).sum(axis=1), axis=1
-        ),
-    }
+    for guesses in iter_attack_guesses(outputs, schedule, m):
+        pass
+    return guesses
 
 
 def min_error_rate(eps: float, m: int) -> float:

@@ -42,6 +42,7 @@ __all__ = [
     "start_chain",
     "relax_step",
     "relax_step_batch",
+    "iter_log_likelihoods",
     "chain_log_likelihoods",
     "chain_likelihood",
 ]
@@ -287,30 +288,51 @@ def relax_step(chain: RelaxationChain, eps_next: float, rng: np.random.Generator
     )
 
 
-def chain_log_likelihoods(outputs, schedule, m: int) -> np.ndarray:
-    """Log-probability of each chain's output sequence given every true value.
+def iter_log_likelihoods(outputs, schedule, m: int, log_kernels=None):
+    """Running log-probability of each chain's outputs so far, given every true value.
 
-    ``outputs`` has shape (n_objects, n_rounds) under one shared ``schedule``;
-    the result, shape (n_objects, m), sums the initial response's log-probability
-    and one log kernel entry per step (-inf where a repeated parameter's
-    deterministic step is contradicted).
+    ``outputs`` has shape (n_objects, n_rounds) under one shared ``schedule``.
+    Yields one (n_objects, m) array per round: the initial response's
+    log-probability, then one log kernel entry added per step (-inf where a
+    repeated parameter's deterministic step is contradicted).  By
+    collusion-proofness the likelihood is a running product, so R rounds cost
+    O(R).  The same array is updated in place; copy a round to keep it.
+
+    ``log_kernels`` holds the `log_kernel_tensor` of every step, for callers
+    that score many batches under one schedule; by default each is built once
+    when its step is reached.  Validation runs when iteration starts.
     """
     m = check_domain_size(m)
     outputs = check_values(outputs, m, "outputs")
     if outputs.ndim != 2 or not len(schedule) or outputs.shape[1] != len(schedule):
         raise ParameterError("outputs must be (n_objects, n_rounds) matching a non-empty schedule")
     schedule = [check_epsilon(e, "schedule entry") for e in schedule]
-    values = np.arange(m)
+    if log_kernels is not None and len(log_kernels) != len(schedule) - 1:
+        raise ParameterError("log_kernels must hold one tensor per relaxation step")
 
     dist = rr_distribution(schedule[0], m)
     loglik = np.where(
-        outputs[:, 0][:, None] == values,
+        outputs[:, 0][:, None] == np.arange(m),
         np.log(dist.p_retain),
-        np.log(dist.p_other) if dist.p_other > 0.0 else -np.inf,
+        np.log(dist.p_other),
     )
+    yield loglik
     for i in range(1, outputs.shape[1]):
-        log_tensor = log_kernel_tensor(relax_kernel(schedule[i - 1], schedule[i], m))
+        if log_kernels is None:
+            log_tensor = log_kernel_tensor(relax_kernel(schedule[i - 1], schedule[i], m))
+        else:
+            log_tensor = log_kernels[i - 1]
         loglik += log_tensor[:, outputs[:, i - 1], outputs[:, i]].T
+        yield loglik
+
+
+def chain_log_likelihoods(outputs, schedule, m: int) -> np.ndarray:
+    """Log-probability of each chain's full output sequence given every true value.
+
+    The final state of `iter_log_likelihoods`: shape (n_objects, m).
+    """
+    for loglik in iter_log_likelihoods(outputs, schedule, m):
+        pass
     return loglik
 
 

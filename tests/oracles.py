@@ -66,3 +66,34 @@ def sequence_likelihood(outputs, schedule, m: int, x: int) -> float:
         kernel = relax_kernel(schedule[i - 1], schedule[i], m)
         prob *= kernel_conditional(kernel, x, outputs[i - 1])[outputs[i]]
     return float(prob)
+
+
+def prefix_log_likelihoods(outputs, schedule, m: int) -> np.ndarray:
+    """Log of `sequence_likelihood` for every row and true value; -inf where it is 0."""
+    probs = np.array(
+        [[sequence_likelihood(row, schedule, m, x) for x in range(m)] for row in outputs]
+    )
+    with np.errstate(divide="ignore"):
+        return np.log(probs)
+
+
+def attack_guesses(outputs, schedule, m: int) -> dict:
+    """The four attacks' guesses for every row, scored from scratch in plain Python.
+
+    Counts and weights are tallied per row in round order; every argmax takes
+    the smallest value among the maximizers.
+    """
+    loglik = prefix_log_likelihoods(outputs, schedule, m)
+    methods = ("last_output", "mle", "highest_frequency", "weighted_highest_frequency")
+    guesses = {method: [] for method in methods}
+    for row, ll in zip(outputs, loglik):
+        counts = [0] * m
+        weights = [0.0] * m
+        for o, eps in zip(row, schedule):
+            counts[o] += 1
+            weights[o] += eps
+        guesses["last_output"].append(row[-1])
+        guesses["mle"].append(min(x for x in range(m) if ll[x] == max(ll)))
+        guesses["highest_frequency"].append(counts.index(max(counts)))
+        guesses["weighted_highest_frequency"].append(weights.index(max(weights)))
+    return {method: np.array(g, dtype=np.int64) for method, g in guesses.items()}

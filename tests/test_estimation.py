@@ -7,6 +7,7 @@ import pytest
 from dprelax.errors import IllConditionedError, ParameterError
 from dprelax.estimation import (
     Histogram,
+    decode_histogram,
     discretize_mean,
     estimate_binary,
     estimate_mean,
@@ -144,6 +145,17 @@ class TestEstimatePoly:
     def test_count_mismatch_rejected(self):
         with pytest.raises(ParameterError):
             estimate_poly(Histogram(counts=np.array([1.0, 2.0]), n=10), 1.0)
+
+    def test_decode_is_estimate_poly_without_covariance(self):
+        rng = np.random.default_rng(5)
+        for m, eps in ((2, 0.3), (4, 1.0), (7, 60.0)):
+            hist = histogram(rng.integers(0, m, size=301), m)
+            decoded = decode_histogram(hist, perturbation_matrix(eps, m))
+            assert np.array_equal(decoded, estimate_poly(hist, eps).estimate)
+
+    def test_decode_rejects_a_channel_of_another_size(self):
+        with pytest.raises(ParameterError):
+            decode_histogram(histogram([0, 1, 2], 3), perturbation_matrix(1.0, 4))
 
 
 class TestResponseCovariance:

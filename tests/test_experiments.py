@@ -1,12 +1,15 @@
 import csv
 import json
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from dprelax import mechanism
 from dprelax.errors import ConfigError
 from dprelax.experiments import (
+    ExperimentConfig,
     compare_noisy_sampling,
     config_from_dict,
     kernel_table_rows,
@@ -104,6 +107,47 @@ class TestConfigValidation:
         assert load_config(path) == tiny_config()
 
 
+DIRECT = dict(name="direct", m=3, counts=(2, 3, 4), epsilons=(0.5, 1.0), trials=2, seed=1)
+
+# test id -> (fields overriding DIRECT, field the error must name)
+BAD_FIELDS = {
+    "zero-trials": ({"trials": 0}, "trials"),
+    "counts-not-m": ({"counts": (2, 3)}, "counts"),
+    "no-epsilons": ({"epsilons": ()}, "epsilons"),
+    "negative-seed": ({"seed": -1}, "seed"),
+    "seed-over-64-bits": ({"seed": 2**64}, "seed"),
+    "m-below-2": ({"m": 1, "counts": (2,)}, "m"),
+    "zero-count": ({"counts": (2, 0, 4)}, r"counts\[1\]"),
+    "decreasing-epsilons": ({"epsilons": (1.0, 0.5)}, "epsilons"),
+    "infinite-epsilon": ({"epsilons": (0.5, float("inf"))}, r"epsilons\[1\]"),
+    "bad-name": ({"name": "bad name!"}, "name"),
+    "alpha-without-beta": ({"eps_alpha": 1.0}, "eps_beta"),
+}
+
+
+class TestDirectConstruction:
+    """`ExperimentConfig` built in code is validated like the JSON path."""
+
+    @pytest.mark.parametrize("case", list(BAD_FIELDS))
+    def test_bad_field_is_named(self, case):
+        overrides, field = BAD_FIELDS[case]
+        with pytest.raises(ConfigError, match=rf"ExperimentConfig\.{field}:"):
+            ExperimentConfig(**dict(DIRECT, **overrides))
+
+    def test_normalized_like_json_path(self):
+        direct = ExperimentConfig(
+            name="tiny",
+            m=2,
+            counts=[3, 4],
+            epsilons=list(tiny_config().epsilons),
+            trials=4,
+            seed=99,
+            eps_alpha=1,
+            eps_beta=0.5,
+        )
+        assert direct == tiny_config()
+
+
 class TestSimulateExperiment:
     def test_shapes_and_aggregates(self):
         result = simulate_experiment(tiny_config())
@@ -141,6 +185,28 @@ class TestSimulateExperiment:
         )
         with pytest.raises(ConfigError):
             simulate_experiment(cfg, seed=2**64)
+
+    def test_kernel_builds_grow_linearly_in_rounds(self, monkeypatch):
+        # each run builds its step kernels once, not once per scored prefix
+        calls = {"relax_kernel": 0, "kernel_tensor": 0}
+        for name in calls:
+            original = getattr(mechanism, name)
+
+            def counted(*args, _name=name, _original=original, **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+
+            for module_name, module in list(sys.modules.items()):
+                if module_name.startswith("dprelax") and getattr(module, name, None) is original:
+                    monkeypatch.setattr(module, name, counted)
+        trials = 3
+        for rounds in (8, 16):
+            calls.update(relax_kernel=0, kernel_tensor=0)
+            epsilons = tuple(0.1 * k for k in range(1, rounds + 1))
+            config = ExperimentConfig(**dict(DIRECT, epsilons=epsilons, trials=trials))
+            simulate_experiment(config)
+            bound = (trials + 1) * (rounds - 1)
+            assert calls["relax_kernel"] <= bound and calls["kernel_tensor"] <= bound, calls
 
     def test_noiseless_schedule_zero_error(self):
         cfg = tiny_config(schedule={"kind": "list", "epsilons": [50.0, 50.0]})

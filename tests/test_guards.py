@@ -1,7 +1,8 @@
 """Guards against silent drift: frozen CSV digests and the benchmark's traced names.
 
-The digests were recorded from the CLI before the likelihood and sampling
-paths were consolidated; any change to a single output byte fails here.
+`GOLDEN` was recorded from the CLI before the likelihood and sampling paths
+were consolidated, `DEEP_GOLDEN` before attack scoring became one running pass
+per trial; any change to a single output byte fails here.
 """
 
 import hashlib
@@ -28,6 +29,26 @@ GOLDEN = {
     "audit_report.csv": "7123ae1a14965fc1ed1ce0e737a8c1bf05308e8ffd1071d4c4a00b75a00da15a",
 }
 
+# sha256 of `simulate` / `attack-eval` on a 50-round, m=5 linear schedule: long
+# schedules are where a different summation order of the weighted counts would
+# flip an argmax.
+DEEP_CONFIG = {
+    "name": "deep",
+    "m": 5,
+    "counts": [10, 12, 14, 16, 18],
+    "schedule": {"kind": "linear", "start": 0.1, "stop": 5.0, "stride": 0.1},
+    "trials": TRIALS,
+    "seed": 20240917,
+}
+DEEP_GOLDEN = {
+    "deep_rounds.csv": "9064940129580229bfafc1b5753658c2ae313163bb4b20d0848f7926a0ee9054",
+    "deep_attacks.csv": "6052d47d88fdad3729dc055077fe2b6f44487161e9652f16fc4079f878b61ebb",
+}
+
+
+def _digests(out, names):
+    return {name: hashlib.sha256((Path(out) / name).read_bytes()).hexdigest() for name in names}
+
 
 def _config_at_trials(tmp_path, name):
     raw = json.loads((ROOT / "configs" / f"{name}.json").read_text())
@@ -52,10 +73,19 @@ def test_cli_outputs_match_golden_digests(tmp_path, capsys, threads):
     assert cli.main(["kernel-table", "--out", out]) == 0
     assert cli.main(["audit", "--out", out]) == 0
     capsys.readouterr()
-    got = {
-        name: hashlib.sha256((Path(out) / name).read_bytes()).hexdigest() for name in GOLDEN
-    }
-    assert got == GOLDEN
+    assert _digests(out, GOLDEN) == GOLDEN
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_deep_schedule_outputs_match_golden_digests(tmp_path, capsys, threads):
+    config = tmp_path / "deep.json"
+    config.write_text(json.dumps(DEEP_CONFIG))
+    out = str(tmp_path / "out")
+    for command in ("simulate", "attack-eval"):
+        argv = [command, "--config", str(config), "--out", out, "--threads", threads]
+        assert cli.main(argv) == 0
+    capsys.readouterr()
+    assert _digests(out, DEEP_GOLDEN) == DEEP_GOLDEN
 
 
 def test_benchmark_traced_names_resolve():

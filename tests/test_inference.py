@@ -9,13 +9,22 @@ from dprelax.inference import (
     ATTACK_METHODS,
     attack_guesses_matrix,
     balanced_subset,
+    iter_attack_guesses,
     min_error_rate,
     posterior,
     uniform_prior,
 )
-from dprelax.mechanism import RelaxationChain, relax_step, start_chain
+from dprelax.mechanism import (
+    EPSILON_CAP,
+    RelaxationChain,
+    iter_log_likelihoods,
+    log_kernel_tensor,
+    relax_kernel,
+    relax_step,
+    start_chain,
+)
 
-from oracles import sequence_likelihood
+from oracles import attack_guesses, prefix_log_likelihoods, sequence_likelihood
 
 E = math.e
 
@@ -117,6 +126,96 @@ class TestAttackFunctions:
             liks = [sequence_likelihood(c.outputs, sched, 4, x) for x in range(4)]
             assert guesses["mle"][i] == int(np.argmax(liks))
             assert guesses["last_output"][i] == c.last_output
+
+
+def _sampled_chains(m, schedule, count, seed):
+    rng = np.random.default_rng(seed)
+    rows = []
+    for _ in range(count):
+        c = start_chain(int(rng.integers(0, m)), m, schedule[0], rng)
+        for eps in schedule[1:]:
+            c = relax_step(c, eps, rng)
+        rows.append(c.outputs)
+    return np.array(rows)
+
+
+def _every_sequence(m, rounds):
+    """Every output sequence, the impossible ones (-inf likelihood) included."""
+    return np.array(list(product(range(m), repeat=rounds)))
+
+
+class TestRunningEngine:
+    """The running scorer against a from-scratch evaluation of every prefix."""
+
+    CASES = {
+        "repeated-eps": (3, (0.3, 0.3, 0.8, 0.8, 1.5)),
+        "at-and-above-cap": (3, (1.0, EPSILON_CAP, EPSILON_CAP + 10.0, 2 * EPSILON_CAP)),
+        "binary": (2, (0.1, 0.5, 0.5, 2.0, 2.0)),
+        "weighted-ties": (3, (0.5, 0.5, 1.0, 1.0)),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_every_prefix_matches_oracle(self, case):
+        m, schedule = self.CASES[case]
+        outputs = np.concatenate(
+            [_every_sequence(m, len(schedule)), _sampled_chains(m, schedule, 20, seed=len(case))]
+        )
+        running = zip(
+            iter_log_likelihoods(outputs, schedule, m), iter_attack_guesses(outputs, schedule, m)
+        )
+        seen_infinite = False
+        for r, (loglik, guesses) in enumerate(running):
+            prefix, sched = outputs[:, : r + 1], schedule[: r + 1]
+            expected = prefix_log_likelihoods(prefix, sched, m)
+            finite = np.isfinite(expected)
+            seen_infinite |= not finite.all()
+            assert np.array_equal(np.isfinite(loglik), finite)
+            assert np.all(loglik[~finite] == -np.inf)
+            np.testing.assert_allclose(loglik[finite], expected[finite], rtol=0.0, atol=1e-12)
+            oracle = attack_guesses(prefix, sched, m)
+            for method in ATTACK_METHODS:
+                assert np.array_equal(guesses[method], oracle[method]), (method, r)
+        if case != "weighted-ties":
+            assert seen_infinite  # the identity kernel was exercised
+
+    def test_long_sampled_schedule_matches_oracle(self):
+        schedule = tuple(0.1 * k for k in range(1, 13))
+        outputs = _sampled_chains(5, schedule, 40, seed=11)
+        for r, guesses in enumerate(iter_attack_guesses(outputs, schedule, 5)):
+            oracle = attack_guesses(outputs[:, : r + 1], schedule[: r + 1], 5)
+            for method in ATTACK_METHODS:
+                assert np.array_equal(guesses[method], oracle[method]), (method, r)
+
+    def test_weighted_ties_break_toward_smallest_index(self):
+        outputs = np.array([[2, 2, 1], [0, 2, 1], [1, 1, 0]])
+        # weights (value: total): row 0 {1: 1.0, 2: 1.0}, row 1 {0: .5, 1: 1.0, 2: .5},
+        # row 2 {0: 1.0, 1: 1.0}
+        guesses = list(iter_attack_guesses(outputs, (0.5, 0.5, 1.0), 3))[-1]
+        assert guesses["weighted_highest_frequency"].tolist() == [1, 1, 0]
+        assert guesses["highest_frequency"].tolist() == [2, 0, 1]
+        # 0.1 + 0.2 rounds above 0.3: rows 0 and 2 have no tie at this schedule
+        guesses = list(iter_attack_guesses(outputs, (0.1, 0.2, 0.3), 3))[-1]
+        assert guesses["weighted_highest_frequency"].tolist() == [2, 1, 1]
+
+    def test_precomputed_kernels_give_identical_states(self):
+        schedule = (0.2, 0.2, 0.7, 1.3, 60.0)
+        outputs = _sampled_chains(4, schedule, 30, seed=3)
+        log_kernels = [
+            log_kernel_tensor(relax_kernel(a, b, 4)) for a, b in zip(schedule, schedule[1:])
+        ]
+        built = [g.copy() for g in iter_log_likelihoods(outputs, schedule, 4)]
+        given = [g.copy() for g in iter_log_likelihoods(outputs, schedule, 4, log_kernels)]
+        assert all(np.array_equal(a, b) for a, b in zip(built, given))
+        with pytest.raises(ParameterError):
+            next(iter_log_likelihoods(outputs, schedule, 4, log_kernels[:-1]))
+
+    def test_matrix_is_final_round(self):
+        schedule = (0.4, 0.9, 0.9, 2.0)
+        outputs = _sampled_chains(3, schedule, 25, seed=8)
+        final = list(iter_attack_guesses(outputs, schedule, 3))[-1]
+        whole = attack_guesses_matrix(outputs, schedule, 3)
+        for method in ATTACK_METHODS:
+            assert np.array_equal(final[method], whole[method])
 
 
 class TestMinErrorRate:
