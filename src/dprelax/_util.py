@@ -32,6 +32,8 @@ def check_domain_size(m: int, name: str = "m") -> int:
 
 
 def check_value(x: int, m: int, name: str = "value") -> int:
+    if not isinstance(x, (int, np.integer)) and not float(x).is_integer():
+        raise ParameterError(f"{name} must be an integer, got {x}")
     x = int(x)
     if not 0 <= x < m:
         raise ParameterError(f"{name} must be in [0, {m}), got {x}")
@@ -39,7 +41,14 @@ def check_value(x: int, m: int, name: str = "value") -> int:
 
 
 def check_values(values, m: int, name: str = "values") -> np.ndarray:
-    values = np.asarray(values, dtype=np.int64)
+    given = np.asarray(values)
+    if given.dtype.kind in "biu":  # integer input: no integrality check to pay for
+        values = given.astype(np.int64, copy=False)
+    else:
+        with np.errstate(invalid="ignore"):
+            values = given.astype(np.int64)
+        if not np.array_equal(values, given):
+            raise ParameterError(f"{name} must all be integers")
     if values.size and (values.min() < 0 or values.max() >= m):
         raise ParameterError(f"{name} must all be in [0, {m})")
     return values

@@ -20,7 +20,7 @@ import numpy as np
 
 from ._util import check_count, check_domain_size, check_epsilon, check_value
 from .errors import EnumerationLimitError, ParameterError
-from .mechanism import log_kernel_tensor, relax_kernel, rr_distribution
+from .mechanism import _step_kernel, rr_distribution
 from .rappor import RapporParams, eps_noisy_sampling, rappor_params
 
 __all__ = [
@@ -93,7 +93,7 @@ def chain_log_probs(schedule, m: int) -> np.ndarray:
         logp = np.log(first)
     last = np.arange(m)
     for i in range(1, n):
-        log_tensor = log_kernel_tensor(relax_kernel(schedule[i - 1], schedule[i], m))
+        _, log_tensor = _step_kernel(schedule[i - 1], schedule[i], m)
         logp = (logp[:, :, None] + log_tensor[:, last, :]).reshape(m, -1)
         last = np.broadcast_to(np.arange(m), (last.size, m)).reshape(-1)
     return logp
@@ -144,7 +144,7 @@ def audit_step_epsilon(eps_prev: float, eps_next: float, m: int) -> float:
     binary domain this evaluates to eps_prev + eps_next, which can exceed the
     budget even though the composed sequence never does.
     """
-    log_tensor = log_kernel_tensor(relax_kernel(eps_prev, eps_next, m))
+    _, log_tensor = _step_kernel(eps_prev, eps_next, m)
     worst = 0.0
     for o_prev in range(m):
         for o_next in range(m):

@@ -12,7 +12,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import cap_epsilon, check_count, check_domain_size, check_epsilon, check_value
+from ._util import (
+    cap_epsilon,
+    check_count,
+    check_domain_size,
+    check_epsilon,
+    check_value,
+    check_values,
+)
 from .errors import IllConditionedError, ParameterError
 
 __all__ = [
@@ -72,11 +79,9 @@ class FrequencyEstimate:
 def histogram(responses, m: int) -> Histogram:
     """Tally responses (integers in [0, m)) into a Histogram."""
     m = check_domain_size(m)
-    responses = np.asarray(responses, dtype=np.int64)
+    responses = check_values(responses, m, "responses")
     if responses.size == 0:
         raise ParameterError("responses must be non-empty")
-    if responses.min() < 0 or responses.max() >= m:
-        raise ParameterError(f"responses must all be in [0, {m})")
     counts = np.bincount(responses, minlength=m)
     return Histogram(counts=counts, n=int(responses.size))
 

@@ -46,7 +46,7 @@ from .estimation import (
 )
 from .inference import ATTACK_METHODS, balanced_subset, iter_attack_guesses, min_error_rate
 from .mechanism import (
-    log_kernel_tensor,
+    _step_kernel,
     relax_kernel,
     relax_step_batch,
     rr_distribution,
@@ -334,15 +334,15 @@ def simulate_experiment(config: ExperimentConfig, seed=None, threads: int = 1) -
 
     Per trial and round, the population's outputs are decoded into a frequency
     estimate, and all four inference methods are scored on a balanced subset
-    drawn once per trial.  Kernels and channel inverses are built once per
-    run; each trial's rounds are scored in one running pass.
+    drawn once per trial.  Step kernels come from the mechanism's step memo
+    and channel inverses are built once per run; each trial's rounds are
+    scored in one running pass.
     """
     config = _with_seed(config, seed)
     m, epsilons = config.m, config.epsilons
     rounds = len(epsilons)
     truth = _truth_vector(config)
-    kernels = [relax_kernel(a, b, m) for a, b in zip(epsilons, epsilons[1:])]
-    log_kernels = [log_kernel_tensor(k) for k in kernels]
+    kernels = [_step_kernel(a, b, m)[0] for a, b in zip(epsilons, epsilons[1:])]
     channels = [perturbation_matrix(eps, m) for eps in epsilons]
     dist0 = rr_distribution(epsilons[0], m)
     streams = _trial_streams(config)
@@ -354,7 +354,7 @@ def simulate_experiment(config: ExperimentConfig, seed=None, threads: int = 1) -
         est = np.empty((rounds, m))
         errs = np.empty((rounds, len(ATTACK_METHODS)))
         agree = True
-        scorer = iter_attack_guesses(outputs, epsilons, m, log_kernels)
+        scorer = iter_attack_guesses(outputs, epsilons, m)
         for r, guesses in enumerate(scorer):
             est[r] = decode_histogram(histogram(outputs[:, r], m), channels[r])
             for k, method in enumerate(ATTACK_METHODS):
@@ -408,7 +408,7 @@ def compare_noisy_sampling(config: ExperimentConfig, seed=None, threads: int = 1
     rounds = len(epsilons)
     truth = _truth_vector(config)
     n = truth.size
-    kernels = [relax_kernel(a, b, 2) for a, b in zip(epsilons, epsilons[1:])]
+    kernels = [_step_kernel(a, b, 2)[0] for a, b in zip(epsilons, epsilons[1:])]
     channels = [perturbation_matrix(eps, 2) for eps in epsilons]
     dist0 = rr_distribution(epsilons[0], 2)
     streams = _trial_streams(config)

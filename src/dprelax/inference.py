@@ -11,6 +11,7 @@ index everywhere.
 """
 
 import itertools
+import math
 
 import numpy as np
 
@@ -39,7 +40,10 @@ def _check_prior(prior, m: int) -> np.ndarray:
     prior = np.asarray(prior, dtype=float)
     if prior.shape != (m,):
         raise ParameterError(f"prior must have shape ({m},), got {prior.shape}")
-    if np.any(prior < 0.0) or abs(float(prior.sum()) - 1.0) > 1e-12:
+    total = float(prior.sum())
+    if not math.isfinite(total):  # a NaN or infinite entry makes the sum non-finite
+        raise ParameterError("prior must be finite, non-negative and sum to 1")
+    if np.any(prior < 0.0) or abs(total - 1.0) > 1e-12:
         raise ParameterError("prior must be non-negative and sum to 1")
     return prior
 
@@ -55,17 +59,18 @@ def posterior(chain: RelaxationChain, prior) -> np.ndarray:
     return weighted / z
 
 
-def iter_attack_guesses(outputs, schedule, m: int, log_kernels=None):
+def iter_attack_guesses(outputs, schedule, m: int):
     """All four methods' guesses after each round of a batch of chains, in one pass.
 
     ``outputs`` has shape (n_objects, n_rounds) under one shared ``schedule``.
     Yields one dict per round, keyed by method name with one guess per object,
     scoring the outputs released up to that round.  The log-likelihood, the
     per-value counts and the parameter-weighted counts are carried from round
-    to round, so scoring every round costs O(n_rounds).  ``log_kernels`` is
-    passed to `iter_log_likelihoods`.
+    to round, so scoring every round costs O(n_rounds); each step's log kernel
+    comes from the step memo behind `iter_log_likelihoods`, so trials scored
+    under one schedule share it.
     """
-    likelihoods = iter_log_likelihoods(outputs, schedule, m, log_kernels)
+    likelihoods = iter_log_likelihoods(outputs, schedule, m)
     first = next(likelihoods)  # validates the batch before any state is built
     outputs = np.asarray(outputs, dtype=np.int64)
     schedule = np.asarray(schedule, dtype=float)

@@ -8,10 +8,14 @@ whose marginal law is exactly the weaker randomized response while the whole
 output sequence still leaks no more than the latest parameter allows.
 
 All sampling takes an explicit ``numpy.random.Generator``; every function here
-is pure and thread-safe.  Kernels are plain values: build them once per
-(eps_prev, eps_next, m) and reuse them.
+is pure and thread-safe.  Kernels are plain values.  Every step the library
+takes or scores gets its kernel and log tensor from one bounded per-process
+memo keyed by the validated (eps_prev, eps_next, m), so a step is built once
+and reused by every later release, posterior, run and audit that reaches it;
+`relax_kernel`, `kernel_tensor` and `log_kernel_tensor` still build afresh.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -154,13 +158,7 @@ def sample_rr(x: int, dist: ResponseDistribution, rng: np.random.Generator) -> i
     return int(sample_rr_batch(np.array([x], dtype=np.int64), dist, rng)[0])
 
 
-def relax_kernel(eps_prev: float, eps_next: float, m: int) -> RelaxKernel:
-    """Transition kernel relaxing an ``eps_prev`` response to ``eps_next``.
-
-    ``eps_next == eps_prev`` yields the identity kernel (the step repeats the
-    previous output).  ``eps_next < eps_prev`` is rejected: the guarantee can
-    only be relaxed, never tightened.
-    """
+def _check_step(eps_prev: float, eps_next: float, m: int):
     eps_prev = check_epsilon(eps_prev, "eps_prev")
     eps_next = check_epsilon(eps_next, "eps_next")
     m = check_domain_size(m)
@@ -168,6 +166,17 @@ def relax_kernel(eps_prev: float, eps_next: float, m: int) -> RelaxKernel:
         raise BudgetDecreaseError(
             f"cannot tighten the guarantee: eps_next={eps_next} < eps_prev={eps_prev}"
         )
+    return eps_prev, eps_next, m
+
+
+def relax_kernel(eps_prev: float, eps_next: float, m: int) -> RelaxKernel:
+    """Transition kernel relaxing an ``eps_prev`` response to ``eps_next``.
+
+    ``eps_next == eps_prev`` yields the identity kernel (the step repeats the
+    previous output).  ``eps_next < eps_prev`` is rejected: the guarantee can
+    only be relaxed, never tightened.
+    """
+    eps_prev, eps_next, m = _check_step(eps_prev, eps_next, m)
     e1 = cap_epsilon(eps_prev)
     e2 = cap_epsilon(eps_next)
     if e1 == e2:
@@ -216,6 +225,28 @@ def log_kernel_tensor(kernel: RelaxKernel) -> np.ndarray:
     """Elementwise log of `kernel_tensor`; impossible transitions hold -inf."""
     with np.errstate(divide="ignore"):
         return np.log(kernel_tensor(kernel))
+
+
+# 128 entries hold every step of a 50-round schedule; at m = 10 a full memo
+# retains about 1 MB.  Longer schedules stay linear in rounds: a run then
+# rebuilds each step once per trial.
+@functools.lru_cache(maxsize=128)
+def _built_step_kernel(eps_prev: float, eps_next: float, m: int):
+    kernel = relax_kernel(eps_prev, eps_next, m)
+    log_tensor = log_kernel_tensor(kernel)
+    log_tensor.setflags(write=False)  # one array is shared by every caller
+    return kernel, log_tensor
+
+
+def _step_kernel(eps_prev: float, eps_next: float, m: int):
+    """The memoized (`relax_kernel`, read-only `log_kernel_tensor`) of one step.
+
+    Arguments are validated before the lookup, so unhashable or invalid input
+    raises `ParameterError` and a decreasing step `BudgetDecreaseError` on
+    every call; errors are never cached.  The key is the uncapped ε, so the
+    kernel's ``eps_next`` is exactly what the caller passed.
+    """
+    return _built_step_kernel(*_check_step(eps_prev, eps_next, m))
 
 
 def relax_step_batch(
@@ -271,7 +302,7 @@ def start_chain(true_value: int, m: int, eps: float, rng: np.random.Generator) -
 
 def relax_step(chain: RelaxationChain, eps_next: float, rng: np.random.Generator) -> RelaxationChain:
     """Relax the chain's guarantee to ``eps_next`` and append the sampled output."""
-    kernel = relax_kernel(chain.last_epsilon, eps_next, chain.m)
+    kernel, _ = _step_kernel(chain.last_epsilon, eps_next, chain.m)
     o = int(
         relax_step_batch(
             kernel,
@@ -288,7 +319,7 @@ def relax_step(chain: RelaxationChain, eps_next: float, rng: np.random.Generator
     )
 
 
-def iter_log_likelihoods(outputs, schedule, m: int, log_kernels=None):
+def iter_log_likelihoods(outputs, schedule, m: int):
     """Running log-probability of each chain's outputs so far, given every true value.
 
     ``outputs`` has shape (n_objects, n_rounds) under one shared ``schedule``.
@@ -298,17 +329,15 @@ def iter_log_likelihoods(outputs, schedule, m: int, log_kernels=None):
     collusion-proofness the likelihood is a running product, so R rounds cost
     O(R).  The same array is updated in place; copy a round to keep it.
 
-    ``log_kernels`` holds the `log_kernel_tensor` of every step, for callers
-    that score many batches under one schedule; by default each is built once
-    when its step is reached.  Validation runs when iteration starts.
+    Each step's log tensor comes from the module's step memo, so batches and
+    posteriors scored under one schedule build each step once per process.
+    Validation runs when iteration starts.
     """
     m = check_domain_size(m)
     outputs = check_values(outputs, m, "outputs")
     if outputs.ndim != 2 or not len(schedule) or outputs.shape[1] != len(schedule):
         raise ParameterError("outputs must be (n_objects, n_rounds) matching a non-empty schedule")
     schedule = [check_epsilon(e, "schedule entry") for e in schedule]
-    if log_kernels is not None and len(log_kernels) != len(schedule) - 1:
-        raise ParameterError("log_kernels must hold one tensor per relaxation step")
 
     dist = rr_distribution(schedule[0], m)
     loglik = np.where(
@@ -318,10 +347,7 @@ def iter_log_likelihoods(outputs, schedule, m: int, log_kernels=None):
     )
     yield loglik
     for i in range(1, outputs.shape[1]):
-        if log_kernels is None:
-            log_tensor = log_kernel_tensor(relax_kernel(schedule[i - 1], schedule[i], m))
-        else:
-            log_tensor = log_kernels[i - 1]
+        _, log_tensor = _step_kernel(schedule[i - 1], schedule[i], m)
         loglik += log_tensor[:, outputs[:, i - 1], outputs[:, i]].T
         yield loglik
 

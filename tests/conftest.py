@@ -1,0 +1,32 @@
+import sys
+
+import pytest
+
+from dprelax import mechanism
+
+
+@pytest.fixture(autouse=True)
+def _cold_step_memo():
+    """Every test starts and ends with an empty step-kernel memo, so call
+    counts do not depend on which tests ran before."""
+    mechanism._built_step_kernel.cache_clear()
+    yield
+    mechanism._built_step_kernel.cache_clear()
+
+
+@pytest.fixture
+def kernel_builds(monkeypatch):
+    """Counts calls of `relax_kernel` and `kernel_tensor` made through any
+    ``dprelax`` module; the test resets the returned dict as it needs."""
+    calls = {"relax_kernel": 0, "kernel_tensor": 0}
+    for name in calls:
+        original = getattr(mechanism, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        for module_name, module in list(sys.modules.items()):
+            if module_name.startswith("dprelax") and getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, counted)
+    return calls

@@ -153,6 +153,13 @@ class TestEstimatePoly:
             decoded = decode_histogram(hist, perturbation_matrix(eps, m))
             assert np.array_equal(decoded, estimate_poly(hist, eps).estimate)
 
+    def test_histogram_rejects_non_integral_responses(self):
+        with pytest.raises(ParameterError, match="responses"):
+            histogram([0.5, 1.9], 3)
+        with pytest.raises(ParameterError, match="responses"):
+            histogram([0, 3], 3)
+        assert histogram(np.array([0.0, 2.0, 2.0]), 3).counts.tolist() == [1, 0, 2]
+
     def test_decode_rejects_a_channel_of_another_size(self):
         with pytest.raises(ParameterError):
             decode_histogram(histogram([0, 1, 2], 3), perturbation_matrix(1.0, 4))

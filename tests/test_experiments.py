@@ -1,12 +1,10 @@
 import csv
 import json
-import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from dprelax import mechanism
 from dprelax.errors import ConfigError
 from dprelax.experiments import (
     ExperimentConfig,
@@ -186,19 +184,9 @@ class TestSimulateExperiment:
         with pytest.raises(ConfigError):
             simulate_experiment(cfg, seed=2**64)
 
-    def test_kernel_builds_grow_linearly_in_rounds(self, monkeypatch):
+    def test_kernel_builds_grow_linearly_in_rounds(self, kernel_builds):
         # each run builds its step kernels once, not once per scored prefix
-        calls = {"relax_kernel": 0, "kernel_tensor": 0}
-        for name in calls:
-            original = getattr(mechanism, name)
-
-            def counted(*args, _name=name, _original=original, **kwargs):
-                calls[_name] += 1
-                return _original(*args, **kwargs)
-
-            for module_name, module in list(sys.modules.items()):
-                if module_name.startswith("dprelax") and getattr(module, name, None) is original:
-                    monkeypatch.setattr(module, name, counted)
+        calls = kernel_builds
         trials = 3
         for rounds in (8, 16):
             calls.update(relax_kernel=0, kernel_tensor=0)

@@ -4,6 +4,7 @@ from itertools import product
 import numpy as np
 import pytest
 
+from dprelax import mechanism
 from dprelax.errors import ParameterError
 from dprelax.inference import (
     ATTACK_METHODS,
@@ -21,6 +22,7 @@ from dprelax.mechanism import (
     log_kernel_tensor,
     relax_kernel,
     relax_step,
+    rr_distribution,
     start_chain,
 )
 
@@ -70,6 +72,23 @@ class TestPosterior:
             posterior(c, np.array([0.7, 0.7]))
         with pytest.raises(ParameterError):
             posterior(c, np.array([1.5, -0.5]))
+        for bad in ([math.nan, 0.5, 0.5], [math.inf, 0.0]):
+            with pytest.raises(ParameterError, match="finite"):
+                posterior(chain([0], [1.0], m=len(bad)), bad)
+
+    def test_online_posteriors_build_each_step_once(self, kernel_builds):
+        # a posterior after every release re-scores the chain from its start,
+        # but each step's kernel is built once per process
+        m, schedule = 5, tuple(round(0.1 * k, 1) for k in range(1, 11))
+        rng = np.random.default_rng(12)
+        for x in range(200):
+            c = start_chain(x % m, m, schedule[0], rng)
+            posterior(c, uniform_prior(m))
+            for eps in schedule[1:]:
+                c = relax_step(c, eps, rng)
+                posterior(c, uniform_prior(m))
+        steps = len(schedule) - 1
+        assert kernel_builds == {"relax_kernel": steps, "kernel_tensor": steps}
 
 
 class TestAttackFunctions:
@@ -197,17 +216,23 @@ class TestRunningEngine:
         guesses = list(iter_attack_guesses(outputs, (0.1, 0.2, 0.3), 3))[-1]
         assert guesses["weighted_highest_frequency"].tolist() == [2, 1, 1]
 
-    def test_precomputed_kernels_give_identical_states(self):
+    def test_memoized_states_equal_a_freshly_built_loop(self):
         schedule = (0.2, 0.2, 0.7, 1.3, 60.0)
         outputs = _sampled_chains(4, schedule, 30, seed=3)
-        log_kernels = [
-            log_kernel_tensor(relax_kernel(a, b, 4)) for a, b in zip(schedule, schedule[1:])
-        ]
-        built = [g.copy() for g in iter_log_likelihoods(outputs, schedule, 4)]
-        given = [g.copy() for g in iter_log_likelihoods(outputs, schedule, 4, log_kernels)]
-        assert all(np.array_equal(a, b) for a, b in zip(built, given))
-        with pytest.raises(ParameterError):
-            next(iter_log_likelihoods(outputs, schedule, 4, log_kernels[:-1]))
+        dist = rr_distribution(schedule[0], 4)
+        loglik = np.where(
+            outputs[:, :1] == np.arange(4), np.log(dist.p_retain), np.log(dist.p_other)
+        )
+        fresh = [loglik.copy()]
+        for i in range(1, len(schedule)):
+            log_tensor = log_kernel_tensor(relax_kernel(schedule[i - 1], schedule[i], 4))
+            loglik += log_tensor[:, outputs[:, i - 1], outputs[:, i]].T
+            fresh.append(loglik.copy())
+        mechanism._built_step_kernel.cache_clear()  # sampling filled it
+        for _ in range(2):  # a cold memo, then a warm one
+            memoized = [g.copy() for g in iter_log_likelihoods(outputs, schedule, 4)]
+            assert len(memoized) == len(fresh)
+            assert all(np.array_equal(a, b) for a, b in zip(memoized, fresh))
 
     def test_matrix_is_final_round(self):
         schedule = (0.4, 0.9, 0.9, 2.0)

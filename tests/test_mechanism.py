@@ -3,12 +3,16 @@ import math
 import numpy as np
 import pytest
 
+from dprelax import mechanism
 from dprelax.errors import BudgetDecreaseError, ParameterError
 from dprelax.mechanism import (
+    EPSILON_CAP,
     RelaxationChain,
     chain_likelihood,
+    iter_log_likelihoods,
     kernel_conditional,
     kernel_tensor,
+    log_kernel_tensor,
     relax_kernel,
     relax_step,
     relax_step_batch,
@@ -70,6 +74,17 @@ class TestRRDistribution:
 
 
 class TestSampleRR:
+    def test_non_integral_values_rejected(self):
+        rng = np.random.default_rng(0)
+        dist = rr_distribution(1.0, 3)
+        with pytest.raises(ParameterError, match="values"):
+            sample_rr_batch([1.5, 0.2], dist, rng)
+        with pytest.raises(ParameterError, match="values"):
+            sample_rr_batch([np.nan], dist, rng)
+        with pytest.raises(ParameterError, match="x"):
+            sample_rr(1.7, dist, rng)
+        assert sample_rr_batch(np.array([2.0, 0.0]), dist, rng).dtype == np.int64
+
     def test_noiseless_limit(self):
         rng = np.random.default_rng(3)
         dist = rr_distribution(50.0, 2)
@@ -278,6 +293,12 @@ class TestRelaxStep:
         with pytest.raises(BudgetDecreaseError):
             relax_step(chain, 0.5, rng)
 
+    def test_non_integral_true_value_rejected(self):
+        rng = np.random.default_rng(0)
+        with pytest.raises(ParameterError, match="true_value|x"):
+            start_chain(1.7, 3, 0.5, rng)
+        assert start_chain(np.float64(1.0), 3, 0.5, rng).true_value == 1
+
     def test_deterministic_given_seed(self):
         def run(seed):
             rng = np.random.default_rng(seed)
@@ -359,3 +380,140 @@ class TestRelaxationChain:
         chain = RelaxationChain(true_value=1, m=3, schedule=(0.1, 0.4), outputs=(2, 1))
         assert chain.last_output == 1
         assert chain.last_epsilon == 0.4
+
+
+class _FixedUniforms:
+    """A stand-in generator whose ``random`` returns the given uniforms."""
+
+    def __init__(self, u):
+        self.u = np.asarray(u, dtype=float)
+
+    def random(self, shape):
+        assert shape == self.u.shape
+        return self.u
+
+
+def _candidates(x, o_prev, m):
+    """The inverse-CDF candidate order of `relax_step_batch`'s docstring."""
+    first = [x] if o_prev == x else [x, o_prev]
+    return first + [v for v in range(m) if v not in first]
+
+
+class TestRelaxStepBatchLaw:
+    """`relax_step_batch` draws from `kernel_tensor` for every (x, o_prev) class."""
+
+    @pytest.mark.parametrize("m", [2, 3, 5])
+    def test_chi_square_against_tensor(self, m):
+        kernel = relax_kernel(0.4, 1.1, m)
+        tensor = kernel_tensor(kernel)
+        draws = 20_000
+        pairs = [(x, o) for x in range(m) for o in range(m)]
+        truth = np.repeat([x for x, _ in pairs], draws)
+        prev = np.repeat([o for _, o in pairs], draws)
+        out = relax_step_batch(kernel, truth, prev, np.random.default_rng(4000 + m))
+        pair_index = np.repeat(np.arange(len(pairs)), draws)
+        counts = np.bincount(pair_index * m + out, minlength=len(pairs) * m).reshape(-1, m)
+        expected = np.array([tensor[x, o] for x, o in pairs]) * draws
+        assert np.all(expected > 5.0)  # the chi-square approximation holds per cell
+        stat = float(((counts - expected) ** 2 / expected).sum())
+        dof = len(pairs) * (m - 1)
+        # Wilson-Hilferty upper quantile at z = 5 (p < 1e-6)
+        bound = dof * (1 - 2 / (9 * dof) + 5 * math.sqrt(2 / (9 * dof))) ** 3
+        assert stat < bound, (stat, bound)
+
+    @pytest.mark.parametrize("m", [2, 3, 5])
+    def test_inverse_cdf_boundaries_land_in_named_candidates(self, m):
+        kernel = relax_kernel(0.4, 1.1, m)
+        tensor = kernel_tensor(kernel)
+        below_one = np.nextafter(1.0, 0.0)
+        for x in range(m):
+            for o_prev in range(m):
+                cand = _candidates(x, o_prev, m)
+                if o_prev == x:
+                    named = {0.0: cand[0], kernel.p_aa: cand[1], below_one: cand[-1]}
+                else:
+                    # with m = 2 the previous output is the last candidate
+                    named = {
+                        0.0: x,
+                        kernel.p_ba: o_prev,
+                        kernel.p_ba + kernel.p_bb: cand[min(2, m - 1)],
+                        below_one: cand[-1],
+                    }
+                u = list(named)
+                got = relax_step_batch(
+                    kernel, [x] * len(u), [o_prev] * len(u), _FixedUniforms(u)
+                )
+                assert got.tolist() == list(named.values()), (x, o_prev, u)
+                assert np.all(tensor[x, o_prev, got] > 0.0)
+
+
+class TestStepMemo:
+    """The per-process memo behind `relax_step`, likelihoods, runs and audits."""
+
+    CASES = [
+        (0.3, 0.8, 3),
+        (0.3, 0.8, 2),
+        (0.5, 0.5, 4),  # repeated ε: the identity kernel, -inf entries
+        (1.0, EPSILON_CAP + 25.0, 3),
+        (EPSILON_CAP + 1.0, EPSILON_CAP + 9.0, 2),
+    ]
+
+    @pytest.mark.parametrize("eps_prev, eps_next, m", CASES)
+    def test_cached_step_equals_a_fresh_build(self, eps_prev, eps_next, m):
+        fresh_kernel = relax_kernel(eps_prev, eps_next, m)
+        fresh = log_kernel_tensor(fresh_kernel)
+        for _ in range(2):  # the miss, then the hit
+            kernel, cached = mechanism._step_kernel(eps_prev, eps_next, m)
+            assert kernel == fresh_kernel
+            assert cached.dtype == fresh.dtype and np.array_equal(cached, fresh)
+        if eps_prev == eps_next:
+            assert np.isneginf(cached).any()
+
+    def test_cached_tensor_is_read_only(self):
+        _, cached = mechanism._step_kernel(0.2, 0.6, 3)
+        with pytest.raises(ValueError):
+            cached[0, 0, 0] = 0.0
+        # the public builders still hand out fresh, writable arrays
+        assert log_kernel_tensor(relax_kernel(0.2, 0.6, 3)).flags.writeable
+
+    def test_schedule_keeps_the_uncapped_epsilon(self):
+        rng = np.random.default_rng(5)
+        chain = start_chain(0, 3, 1.0, rng)
+        for eps in (EPSILON_CAP + 10.0, EPSILON_CAP + 20.0):
+            # same capped kernel entries, distinct memo keys
+            chain = relax_step(chain, eps, rng)
+        assert chain.schedule == (1.0, EPSILON_CAP + 10.0, EPSILON_CAP + 20.0)
+        other = relax_step(start_chain(0, 3, 1.0, rng), EPSILON_CAP + 20.0, rng)
+        assert other.schedule == (1.0, EPSILON_CAP + 20.0)
+        assert mechanism._step_kernel(1.0, EPSILON_CAP + 10.0, 3)[0].eps_next == EPSILON_CAP + 10.0
+
+    def test_unhashable_epsilon_is_validated_before_the_lookup(self):
+        rng = np.random.default_rng(6)
+        chain = relax_step(start_chain(1, 3, 0.4, rng), np.array(0.9), rng)
+        assert chain.schedule == (0.4, 0.9)
+        assert type(chain.schedule[-1]) is float
+
+    def test_invalid_and_decreasing_steps_raise_every_call(self):
+        rng = np.random.default_rng(7)
+        chain = start_chain(0, 3, 1.0, rng)
+        outputs = np.zeros((2, 2), dtype=np.int64)
+        for _ in range(2):
+            with pytest.raises(BudgetDecreaseError):
+                relax_step(chain, 0.5, rng)
+            with pytest.raises(BudgetDecreaseError):
+                list(iter_log_likelihoods(outputs, (1.0, 0.5), 3))
+            for bad in (math.nan, math.inf, -1.0, 0.0):
+                with pytest.raises(ParameterError):
+                    relax_step(chain, bad, rng)
+                with pytest.raises(ParameterError):
+                    mechanism._step_kernel(bad, 1.0, 3)
+            with pytest.raises(ParameterError):
+                mechanism._step_kernel(0.5, 1.0, 1)
+        assert mechanism._built_step_kernel.cache_info().currsize == 0
+
+    def test_memo_is_bounded(self):
+        info = mechanism._built_step_kernel.cache_info()
+        assert info.maxsize is not None and info.maxsize >= 128
+        for k in range(info.maxsize + 10):
+            mechanism._step_kernel(0.1, 0.2 + 0.01 * k, 2)
+        assert mechanism._built_step_kernel.cache_info().currsize == info.maxsize
