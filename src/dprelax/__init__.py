@@ -64,17 +64,13 @@ from .mechanism import (
     relax_kernel,
     relax_step,
     rr_distribution,
-    sample_rr,
     start_chain,
 )
 from .rappor import (
-    NoisyReport,
     RapporParams,
-    decode_noisy_sampling,
     eps_noisy_sampling,
     noisy_sampling_schedule,
     rappor_params,
-    simulate_noisy_sampling,
     variance_noisy_sampling,
 )
 

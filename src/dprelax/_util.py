@@ -1,10 +1,13 @@
-"""Argument validation helpers used by every module."""
+"""Argument validation helpers used by every module.
+
+Each input rule lives here once; public functions apply it once per call.
+"""
 
 import math
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import BudgetDecreaseError, ParameterError
 
 # Exponentials are evaluated at most at (twice) this value. Beyond it the
 # retain probability is 1.0 in double precision anyway, so larger inputs are
@@ -24,17 +27,42 @@ def check_epsilon(eps: float, name: str = "epsilon") -> float:
     return eps
 
 
+def check_schedule(schedule, name: str = "schedule") -> tuple:
+    """A relaxation schedule as a tuple of floats: non-empty, each entry
+    positive and finite, non-decreasing (else `BudgetDecreaseError`)."""
+    checked = []
+    last = 0.0
+    for eps in map(float, schedule):
+        if not 0.0 < eps < math.inf:  # NaN fails both comparisons
+            raise ParameterError(f"{name}[{len(checked)}] must be positive and finite, got {eps}")
+        if eps < last:
+            raise BudgetDecreaseError(f"{name} must be non-decreasing: {eps} follows {last}")
+        checked.append(eps)
+        last = eps
+    if not checked:
+        raise ParameterError(f"{name} must be non-empty")
+    return tuple(checked)
+
+
+def _check_integer(x, name: str) -> int:
+    if not isinstance(x, (int, np.integer)) and not float(x).is_integer():
+        raise ParameterError(f"{name} must be an integer, got {x}")
+    return int(x)
+
+
+def check_count(n: int, name: str = "n", minimum: int = 1) -> int:
+    n = _check_integer(n, name)
+    if n < minimum:
+        raise ParameterError(f"{name} must be at least {minimum}, got {n}")
+    return n
+
+
 def check_domain_size(m: int, name: str = "m") -> int:
-    m = int(m)
-    if m < 2:
-        raise ParameterError(f"{name} must be at least 2, got {m}")
-    return m
+    return check_count(m, name, minimum=2)
 
 
 def check_value(x: int, m: int, name: str = "value") -> int:
-    if not isinstance(x, (int, np.integer)) and not float(x).is_integer():
-        raise ParameterError(f"{name} must be an integer, got {x}")
-    x = int(x)
+    x = _check_integer(x, name)
     if not 0 <= x < m:
         raise ParameterError(f"{name} must be in [0, {m}), got {x}")
     return x
@@ -52,10 +80,3 @@ def check_values(values, m: int, name: str = "values") -> np.ndarray:
     if values.size and (values.min() < 0 or values.max() >= m):
         raise ParameterError(f"{name} must all be in [0, {m})")
     return values
-
-
-def check_count(n: int, name: str = "n", minimum: int = 1) -> int:
-    n = int(n)
-    if n < minimum:
-        raise ParameterError(f"{name} must be at least {minimum}, got {n}")
-    return n

@@ -18,9 +18,9 @@ from itertools import combinations_with_replacement, product
 
 import numpy as np
 
-from ._util import check_count, check_domain_size, check_epsilon, check_value
-from .errors import EnumerationLimitError, ParameterError
-from .mechanism import _step_kernel, rr_distribution
+from ._util import check_count, check_domain_size, check_schedule, check_value
+from .errors import EnumerationLimitError
+from .mechanism import _built_step_kernel, _step_kernel, rr_distribution
 from .rappor import RapporParams, eps_noisy_sampling, rappor_params
 
 __all__ = [
@@ -63,15 +63,6 @@ class AuditCheck:
     passed: bool
 
 
-def _checked_schedule(schedule) -> list:
-    schedule = [check_epsilon(e, "schedule entry") for e in schedule]
-    if not schedule:
-        raise ParameterError("schedule must be non-empty")
-    if any(b < a for a, b in zip(schedule, schedule[1:])):
-        raise ParameterError("schedule must be non-decreasing")
-    return schedule
-
-
 def chain_log_probs(schedule, m: int) -> np.ndarray:
     """Log joint probability of every output sequence, for every input.
 
@@ -79,7 +70,7 @@ def chain_log_probs(schedule, m: int) -> np.ndarray:
     given true value x.  Sequences are ordered lexicographically with the
     first output varying slowest; impossible sequences hold -inf.
     """
-    schedule = _checked_schedule(schedule)
+    schedule = check_schedule(schedule)
     m = check_domain_size(m)
     n = len(schedule)
     if m**n > MAX_SEQUENCES:
@@ -93,7 +84,7 @@ def chain_log_probs(schedule, m: int) -> np.ndarray:
         logp = np.log(first)
     last = np.arange(m)
     for i in range(1, n):
-        _, log_tensor = _step_kernel(schedule[i - 1], schedule[i], m)
+        _, log_tensor = _built_step_kernel(schedule[i - 1], schedule[i], m)
         logp = (logp[:, :, None] + log_tensor[:, last, :]).reshape(m, -1)
         last = np.broadcast_to(np.arange(m), (last.size, m)).reshape(-1)
     return logp

@@ -46,7 +46,7 @@ from .estimation import (
 )
 from .inference import ATTACK_METHODS, balanced_subset, iter_attack_guesses, min_error_rate
 from .mechanism import (
-    _step_kernel,
+    _built_step_kernel,
     relax_kernel,
     relax_step_batch,
     rr_distribution,
@@ -94,8 +94,8 @@ class ExperimentConfig:
     eps_beta: float = None
 
     def __post_init__(self):
-        # The same rules as `config_from_dict`, for configs built in code; each
-        # failure names its field.
+        # The value rules of every config, also those `config_from_dict`
+        # reads from JSON; each failure names its field.
         def fail(field, message):
             _cfg_fail(f"ExperimentConfig.{field}", message)
 
@@ -105,11 +105,7 @@ class ExperimentConfig:
             return int(value)
 
         def positive(field, value):
-            if not isinstance(value, Real) or isinstance(value, bool) or not (
-                math.isfinite(value) and value > 0
-            ):
-                fail(field, f"must be a positive finite number, got {value!r}")
-            return float(value)
+            return _positive(f"ExperimentConfig.{field}", value)
 
         def sequence(field, value):
             try:
@@ -117,7 +113,8 @@ class ExperimentConfig:
             except TypeError:
                 fail(field, f"must be a sequence, got {value!r}")
 
-        if not _is_file_name(self.name):
+        name = self.name
+        if not (isinstance(name, str) and name and all(c.isalnum() or c in "-_" for c in name)):
             fail("name", "must be a non-empty [A-Za-z0-9_-] string")
         m = integer("m", self.m, 2)
         counts = sequence("counts", self.counts)
@@ -180,12 +177,16 @@ class RapporComparison:
     noisy_estimates: np.ndarray   # (trials, rounds)
 
 
-def _is_file_name(name) -> bool:
-    return isinstance(name, str) and bool(name) and all(c.isalnum() or c in "-_" for c in name)
-
-
 def _cfg_fail(path: str, message: str):
     raise ConfigError(f"{path}: {message}")
+
+
+def _positive(path: str, value) -> float:
+    if not isinstance(value, Real) or isinstance(value, bool) or not (
+        math.isfinite(value) and value > 0
+    ):
+        _cfg_fail(path, f"must be a positive finite number, got {value!r}")
+    return float(value)
 
 
 def _require(raw: dict, key: str, kind, path: str):
@@ -200,41 +201,25 @@ def _require(raw: dict, key: str, kind, path: str):
 
 
 def _build_schedule(raw: dict, path: str):
+    # A list is checked by `ExperimentConfig`; the generated kinds need their
+    # parameters checked here, before the schedule is built from them.
+    def positive(key):
+        return _positive(f"{path}.{key}", _require(raw, key, float, path))
+
     kind = _require(raw, "kind", str, path)
     if kind == "list":
-        epsilons = _require(raw, "epsilons", list, path)
-        if not epsilons:
-            _cfg_fail(f"{path}.epsilons", "must be non-empty")
-        out = []
-        for i, e in enumerate(epsilons):
-            if not isinstance(e, (int, float)) or isinstance(e, bool) or not e > 0:
-                _cfg_fail(f"{path}.epsilons[{i}]", "must be a positive number")
-            out.append(float(e))
-        if any(b < a for a, b in zip(out, out[1:])):
-            _cfg_fail(f"{path}.epsilons", "must be non-decreasing")
-        return tuple(out), None, None
+        return _require(raw, "epsilons", list, path), None, None
     if kind == "linear":
-        start = _require(raw, "start", float, path)
-        stop = _require(raw, "stop", float, path)
-        stride = _require(raw, "stride", float, path)
-        if start <= 0:
-            _cfg_fail(f"{path}.start", "must be positive")
+        start, stop, stride = positive("start"), positive("stop"), positive("stride")
         if stop < start:
             _cfg_fail(f"{path}.stop", "must be >= start")
-        if stride <= 0:
-            _cfg_fail(f"{path}.stride", "must be positive")
-        rounds = int(np.floor((stop - start) / stride + 1e-9)) + 1
-        if rounds > 100_000:
-            _cfg_fail(f"{path}.stride", f"produces {rounds} rounds (limit 100000)")
-        return tuple(start + i * stride for i in range(rounds)), None, None
+        steps = (stop - start) / stride + 1e-9
+        if steps >= 100_000:
+            _cfg_fail(f"{path}.stride", "produces more rounds than the limit of 100000")
+        return tuple(start + i * stride for i in range(int(steps) + 1)), None, None
     if kind == "noisy-sampling":
-        eps_alpha = _require(raw, "eps_alpha", float, path)
-        eps_beta = _require(raw, "eps_beta", float, path)
+        eps_alpha, eps_beta = positive("eps_alpha"), positive("eps_beta")
         rounds = _require(raw, "rounds", int, path)
-        if eps_alpha <= 0:
-            _cfg_fail(f"{path}.eps_alpha", "must be positive")
-        if eps_beta <= 0:
-            _cfg_fail(f"{path}.eps_beta", "must be positive")
         if rounds < 1:
             _cfg_fail(f"{path}.rounds", "must be at least 1")
         return tuple(noisy_sampling_schedule(eps_alpha, eps_beta, rounds)), eps_alpha, eps_beta
@@ -242,43 +227,37 @@ def _build_schedule(raw: dict, path: str):
 
 
 def config_from_dict(raw: dict, source: str = "config") -> ExperimentConfig:
-    """Validate a parsed JSON object into an ExperimentConfig."""
+    """Validate a parsed JSON object into an ExperimentConfig.
+
+    Checks the JSON shape here (required keys, JSON types, unknown keys,
+    schedule kinds) and leaves the value rules to `ExperimentConfig`; its
+    errors are renamed from ``ExperimentConfig.<field>`` to the field's path
+    in the file.
+    """
     if not isinstance(raw, dict):
         _cfg_fail(source, "top-level value must be an object")
-    name = raw.get("name", "experiment")
-    if not _is_file_name(name):
-        _cfg_fail(f"{source}.name", "must be a non-empty [A-Za-z0-9_-] string")
-    m = _require(raw, "m", int, source)
-    if m < 2:
-        _cfg_fail(f"{source}.m", "must be at least 2")
-    counts = _require(raw, "counts", list, source)
-    if len(counts) != m:
-        _cfg_fail(f"{source}.counts", f"must list exactly m={m} counts")
-    for i, c in enumerate(counts):
-        if not isinstance(c, int) or isinstance(c, bool) or c < 1:
-            _cfg_fail(f"{source}.counts[{i}]", "must be an integer >= 1")
-    schedule_raw = _require(raw, "schedule", dict, source)
-    epsilons, eps_alpha, eps_beta = _build_schedule(schedule_raw, f"{source}.schedule")
-    trials = _require(raw, "trials", int, source)
-    if trials < 1:
-        _cfg_fail(f"{source}.trials", "must be at least 1")
-    seed = _require(raw, "seed", int, source)
-    if not 0 <= seed < 2**64:
-        _cfg_fail(f"{source}.seed", "must fit in 64 bits")
-    known = {"name", "m", "counts", "schedule", "trials", "seed"}
+    fields = {
+        key: _require(raw, key, kind, source)
+        for key, kind in (("m", int), ("counts", list), ("trials", int), ("seed", int))
+    }
+    schedule = _require(raw, "schedule", dict, source)
+    epsilons, eps_alpha, eps_beta = _build_schedule(schedule, f"{source}.schedule")
+    known = {"name", "schedule", *fields}
     for key in raw:
         if key not in known:
             _cfg_fail(f"{source}.{key}", "unknown field")
-    return ExperimentConfig(
-        name=name,
-        m=m,
-        counts=tuple(counts),
-        epsilons=epsilons,
-        trials=trials,
-        seed=seed,
-        eps_alpha=eps_alpha,
-        eps_beta=eps_beta,
-    )
+    try:
+        return ExperimentConfig(
+            name=raw.get("name", "experiment"),
+            epsilons=epsilons,
+            eps_alpha=eps_alpha,
+            eps_beta=eps_beta,
+            **fields,
+        )
+    except ConfigError as exc:
+        field = str(exc).removeprefix("ExperimentConfig.")
+        where = "schedule." if field.startswith("epsilons") else ""
+        raise ConfigError(f"{source}.{where}{field}") from None
 
 
 def load_config(path) -> ExperimentConfig:
@@ -342,7 +321,7 @@ def simulate_experiment(config: ExperimentConfig, seed=None, threads: int = 1) -
     m, epsilons = config.m, config.epsilons
     rounds = len(epsilons)
     truth = _truth_vector(config)
-    kernels = [_step_kernel(a, b, m)[0] for a, b in zip(epsilons, epsilons[1:])]
+    kernels = [_built_step_kernel(a, b, m)[0] for a, b in zip(epsilons, epsilons[1:])]
     channels = [perturbation_matrix(eps, m) for eps in epsilons]
     dist0 = rr_distribution(epsilons[0], m)
     streams = _trial_streams(config)
@@ -408,7 +387,7 @@ def compare_noisy_sampling(config: ExperimentConfig, seed=None, threads: int = 1
     rounds = len(epsilons)
     truth = _truth_vector(config)
     n = truth.size
-    kernels = [_step_kernel(a, b, 2)[0] for a, b in zip(epsilons, epsilons[1:])]
+    kernels = [_built_step_kernel(a, b, 2)[0] for a, b in zip(epsilons, epsilons[1:])]
     channels = [perturbation_matrix(eps, 2) for eps in epsilons]
     dist0 = rr_distribution(epsilons[0], 2)
     streams = _trial_streams(config)

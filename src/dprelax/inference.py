@@ -33,7 +33,8 @@ ATTACK_METHODS = ("last_output", "mle", "highest_frequency", "weighted_highest_f
 
 
 def uniform_prior(m: int) -> np.ndarray:
-    return np.full(check_domain_size(m), 1.0 / m)
+    m = check_domain_size(m)
+    return np.full(m, 1.0 / m)
 
 
 def _check_prior(prior, m: int) -> np.ndarray:

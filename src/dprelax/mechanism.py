@@ -26,10 +26,11 @@ from ._util import (
     cap_epsilon,
     check_domain_size,
     check_epsilon,
+    check_schedule,
     check_value,
     check_values,
 )
-from .errors import BudgetDecreaseError, ParameterError
+from .errors import ParameterError
 
 __all__ = [
     "EPSILON_CAP",
@@ -37,7 +38,6 @@ __all__ = [
     "RelaxKernel",
     "RelaxationChain",
     "rr_distribution",
-    "sample_rr",
     "sample_rr_batch",
     "relax_kernel",
     "kernel_conditional",
@@ -103,15 +103,12 @@ class RelaxationChain:
         m = check_domain_size(self.m)
         object.__setattr__(self, "m", m)
         object.__setattr__(self, "true_value", check_value(self.true_value, m, "true_value"))
-        schedule = tuple(check_epsilon(e, "schedule entry") for e in self.schedule)
+        schedule = check_schedule(self.schedule)
         outputs = tuple(check_value(o, m, "output") for o in self.outputs)
-        if not schedule or len(schedule) != len(outputs):
+        if len(schedule) != len(outputs):
             raise ParameterError(
-                f"schedule ({len(schedule)}) and outputs ({len(outputs)}) must"
-                " be non-empty and of equal length"
+                f"schedule ({len(schedule)}) and outputs ({len(outputs)}) must be of equal length"
             )
-        if any(b < a for a, b in zip(schedule, schedule[1:])):
-            raise ParameterError("schedule must be non-decreasing")
         object.__setattr__(self, "schedule", schedule)
         object.__setattr__(self, "outputs", outputs)
 
@@ -152,21 +149,9 @@ def sample_rr_batch(values, dist: ResponseDistribution, rng: np.random.Generator
     return np.where(keep, values, others)
 
 
-def sample_rr(x: int, dist: ResponseDistribution, rng: np.random.Generator) -> int:
-    """Randomized response for a single value."""
-    x = check_value(x, dist.m, "x")
-    return int(sample_rr_batch(np.array([x], dtype=np.int64), dist, rng)[0])
-
-
 def _check_step(eps_prev: float, eps_next: float, m: int):
-    eps_prev = check_epsilon(eps_prev, "eps_prev")
-    eps_next = check_epsilon(eps_next, "eps_next")
-    m = check_domain_size(m)
-    if eps_next < eps_prev:
-        raise BudgetDecreaseError(
-            f"cannot tighten the guarantee: eps_next={eps_next} < eps_prev={eps_prev}"
-        )
-    return eps_prev, eps_next, m
+    # a step is a two-entry schedule
+    return (*check_schedule((eps_prev, eps_next), "(eps_prev, eps_next)"), check_domain_size(m))
 
 
 def relax_kernel(eps_prev: float, eps_next: float, m: int) -> RelaxKernel:
@@ -239,12 +224,13 @@ def _built_step_kernel(eps_prev: float, eps_next: float, m: int):
 
 
 def _step_kernel(eps_prev: float, eps_next: float, m: int):
-    """The memoized (`relax_kernel`, read-only `log_kernel_tensor`) of one step.
+    """The memoized (`relax_kernel`, read-only `log_kernel_tensor`) of one unvalidated step.
 
     Arguments are validated before the lookup, so unhashable or invalid input
     raises `ParameterError` and a decreasing step `BudgetDecreaseError` on
     every call; errors are never cached.  The key is the uncapped ε, so the
-    kernel's ``eps_next`` is exactly what the caller passed.
+    kernel's ``eps_next`` is exactly what the caller passed.  Code that has
+    validated a whole schedule and ``m`` reads `_built_step_kernel` directly.
     """
     return _built_step_kernel(*_check_step(eps_prev, eps_next, m))
 
@@ -296,8 +282,9 @@ def relax_step_batch(
 def start_chain(true_value: int, m: int, eps: float, rng: np.random.Generator) -> RelaxationChain:
     """Apply the initial randomized response and open a relaxation chain."""
     dist = rr_distribution(eps, m)
-    o1 = sample_rr(true_value, dist, rng)
-    return RelaxationChain(true_value=true_value, m=m, schedule=(dist.epsilon,), outputs=(o1,))
+    x = check_value(true_value, dist.m, "true_value")
+    o1 = int(sample_rr_batch(np.array([x], dtype=np.int64), dist, rng)[0])
+    return RelaxationChain(true_value=x, m=dist.m, schedule=(dist.epsilon,), outputs=(o1,))
 
 
 def relax_step(chain: RelaxationChain, eps_next: float, rng: np.random.Generator) -> RelaxationChain:
@@ -331,13 +318,13 @@ def iter_log_likelihoods(outputs, schedule, m: int):
 
     Each step's log tensor comes from the module's step memo, so batches and
     posteriors scored under one schedule build each step once per process.
-    Validation runs when iteration starts.
+    Validation runs once, when iteration starts.
     """
     m = check_domain_size(m)
     outputs = check_values(outputs, m, "outputs")
-    if outputs.ndim != 2 or not len(schedule) or outputs.shape[1] != len(schedule):
-        raise ParameterError("outputs must be (n_objects, n_rounds) matching a non-empty schedule")
-    schedule = [check_epsilon(e, "schedule entry") for e in schedule]
+    schedule = check_schedule(schedule)
+    if outputs.ndim != 2 or outputs.shape[1] != len(schedule):
+        raise ParameterError("outputs must be (n_objects, n_rounds) matching the schedule")
 
     dist = rr_distribution(schedule[0], m)
     loglik = np.where(
@@ -347,7 +334,7 @@ def iter_log_likelihoods(outputs, schedule, m: int):
     )
     yield loglik
     for i in range(1, outputs.shape[1]):
-        _, log_tensor = _step_kernel(schedule[i - 1], schedule[i], m)
+        _, log_tensor = _built_step_kernel(schedule[i - 1], schedule[i], m)
         loglik += log_tensor[:, outputs[:, i - 1], outputs[:, i]].T
         yield loglik
 
@@ -364,6 +351,5 @@ def chain_log_likelihoods(outputs, schedule, m: int) -> np.ndarray:
 
 def chain_likelihood(outputs, schedule, m: int, x: int) -> float:
     """Probability of the full output sequence given ``x``: a one-row `chain_log_likelihoods`."""
-    m = check_domain_size(m)
-    x = check_value(x, m, "x")
-    return float(np.exp(chain_log_likelihoods([list(outputs)], schedule, m)[0, x]))
+    loglik = chain_log_likelihoods([list(outputs)], schedule, m)[0]
+    return float(np.exp(loglik[check_value(x, loglik.size, "x")]))

@@ -5,7 +5,9 @@ alpha) and then reports many independent re-perturbations of that stored bit
 ("noisy sampling", retain probability beta).  Only the symmetric case is
 implemented, where a noisy sample keeps the stored bit with the same
 probability regardless of its value; bits are treated independently, so no
-Bloom-filter machinery appears here.
+Bloom-filter machinery appears here.  Clients are simulated as a batch
+(`simulate_noisy_sampling_batch`) and decoded from their one-bit counts
+(`decode_noisy_sampling_counts`); one client is a one-row batch.
 
 Parameters are specified through the per-stage privacy parameters, with
 ``alpha = e^eps_alpha / (e^eps_alpha + 1)`` and likewise for beta.
@@ -16,19 +18,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import cap_epsilon, check_count, check_epsilon
+from ._util import cap_epsilon, check_count, check_epsilon, check_values
 from .errors import ParameterError
 from .estimation import estimate_binary
 
 __all__ = [
     "RapporParams",
-    "NoisyReport",
     "rappor_params",
     "eps_noisy_sampling",
     "noisy_sampling_schedule",
-    "simulate_noisy_sampling",
     "simulate_noisy_sampling_batch",
-    "decode_noisy_sampling",
     "decode_noisy_sampling_counts",
     "variance_noisy_sampling",
 ]
@@ -42,20 +41,6 @@ class RapporParams:
     eps_beta: float
     alpha: float
     beta: float
-
-
-@dataclass(frozen=True)
-class NoisyReport:
-    """Number of one-bits among a client's noisy samples."""
-
-    k_ones: int
-    n_samples: int
-
-    def __post_init__(self):
-        if not 0 <= self.k_ones <= self.n_samples:
-            raise ParameterError(
-                f"k_ones must be in [0, {self.n_samples}], got {self.k_ones}"
-            )
 
 
 def rappor_params(eps_alpha: float, eps_beta: float) -> RapporParams:
@@ -100,16 +85,6 @@ def noisy_sampling_schedule(eps_alpha: float, eps_beta: float, rounds: int) -> l
     return schedule
 
 
-def simulate_noisy_sampling(
-    b: int, params: RapporParams, K: int, rng: np.random.Generator
-) -> NoisyReport:
-    """One client: a one-row `simulate_noisy_sampling_batch` reporting all K samples."""
-    if b not in (0, 1):
-        raise ParameterError(f"bit must be 0 or 1, got {b}")
-    counts = simulate_noisy_sampling_batch([b], params, K, rng)
-    return NoisyReport(k_ones=int(counts[0, -1]), n_samples=counts.shape[1])
-
-
 def simulate_noisy_sampling_batch(
     bits, params: RapporParams, K: int, rng: np.random.Generator
 ) -> np.ndarray:
@@ -119,9 +94,7 @@ def simulate_noisy_sampling_batch(
     simulation serves every report length up to K.
     """
     K = check_count(K, "K")
-    bits = np.asarray(bits, dtype=np.int64)
-    if bits.size and (bits.min() < 0 or bits.max() > 1):
-        raise ParameterError("bits must all be 0 or 1")
+    bits = check_values(bits, 2, "bits")
     keep = rng.random(bits.shape) < params.alpha
     permanent = np.where(keep, bits, 1 - bits)
     p_one = np.where(permanent == 1, params.beta, 1.0 - params.beta)
@@ -147,18 +120,6 @@ def _unclamped_binary(lam: float, eps: float) -> float:
     # estimate_binary performs on raw observed frequencies.
     g = math.expm1(cap_epsilon(check_epsilon(eps)))
     return ((g + 2.0) * lam - 1.0) / g
-
-
-def decode_noisy_sampling(reports, params: RapporParams) -> float:
-    """Estimate the frequency of original one-bits from client reports."""
-    reports = list(reports)
-    if not reports:
-        raise ParameterError("need at least one report")
-    K = reports[0].n_samples
-    if any(r.n_samples != K for r in reports):
-        raise ParameterError("all reports must share the same number of samples")
-    counts = np.array([r.k_ones for r in reports], dtype=float)
-    return decode_noisy_sampling_counts(counts, K, params)
 
 
 def variance_noisy_sampling(params: RapporParams, N: int, K: int) -> float:

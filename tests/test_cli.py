@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 
@@ -79,6 +80,16 @@ def test_invalid_config_exits_2(tmp_path, capsys):
     bad.write_text(json.dumps({**CONFIG, "counts": [1]}))
     assert cli.main(["simulate", "--config", str(bad)]) == 2
     assert "counts" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", [math.inf, math.nan])
+@pytest.mark.parametrize("field", ["start", "stop", "stride"])
+def test_non_finite_linear_schedule_exits_2(tmp_path, capsys, field, value):
+    schedule = {"kind": "linear", "start": 0.1, "stop": 1.0, "stride": 0.1, field: value}
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({**CONFIG, "schedule": schedule}))  # Infinity / NaN tokens
+    assert cli.main(["simulate", "--config", str(bad), "--out", str(tmp_path)]) == 2
+    assert f"bad.json.schedule.{field}:" in capsys.readouterr().err
 
 
 def test_compare_rappor_wrong_schedule_exits_2(tmp_path, capsys):

@@ -1,10 +1,14 @@
-"""Guards against silent drift: frozen CSV digests and the benchmark's traced names.
+"""Guards against silent drift: frozen CSV digests, the benchmark's traced
+names, the package's exports and the README's quick start.
 
 `GOLDEN` was recorded from the CLI before the likelihood and sampling paths
 were consolidated, `DEEP_GOLDEN` before attack scoring became one running pass
-per trial; any change to a single output byte fails here.
+per trial; any change to a single output byte fails here.  A deleted API
+cannot stay exported or documented: every exported name must resolve and the
+README's quick start must run.
 """
 
+import ast
 import hashlib
 import importlib
 import importlib.util
@@ -98,3 +102,32 @@ def test_benchmark_traced_names_resolve():
         if not callable(getattr(importlib.import_module(f"dprelax.{module}"), name, None))
     ]
     assert not missing
+
+
+def test_exported_names_resolve():
+    import dprelax
+
+    package = ROOT / "src" / "dprelax"
+    missing = []
+    for path in sorted(package.glob("*.py")):
+        name = "dprelax" if path.stem == "__init__" else f"dprelax.{path.stem}"
+        module = importlib.import_module(name)
+        missing += [f"{name}.{n}" for n in getattr(module, "__all__", ()) if not hasattr(module, n)]
+    # every name the package re-exports is also in its defining module's __all__
+    for node in ast.walk(ast.parse((package / "__init__.py").read_text())):
+        if isinstance(node, ast.ImportFrom):
+            source = importlib.import_module(f"dprelax.{node.module}")
+            public = getattr(source, "__all__", [a.name for a in node.names])
+            missing += [
+                f"dprelax.{a.name}"
+                for a in node.names
+                if a.name not in public or not hasattr(dprelax, a.name)
+            ]
+    assert not missing
+
+
+def test_readme_quick_start_runs():
+    readme = (ROOT / "README.md").read_text()
+    section = readme.split("## Library quick start", 1)[1]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(code, "README.md", "exec"), {})

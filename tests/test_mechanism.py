@@ -17,7 +17,6 @@ from dprelax.mechanism import (
     relax_step,
     relax_step_batch,
     rr_distribution,
-    sample_rr,
     sample_rr_batch,
     start_chain,
 )
@@ -81,14 +80,14 @@ class TestSampleRR:
             sample_rr_batch([1.5, 0.2], dist, rng)
         with pytest.raises(ParameterError, match="values"):
             sample_rr_batch([np.nan], dist, rng)
-        with pytest.raises(ParameterError, match="x"):
-            sample_rr(1.7, dist, rng)
+        with pytest.raises(ParameterError, match="values"):
+            sample_rr_batch([1.7], dist, rng)
         assert sample_rr_batch(np.array([2.0, 0.0]), dist, rng).dtype == np.int64
 
     def test_noiseless_limit(self):
         rng = np.random.default_rng(3)
         dist = rr_distribution(50.0, 2)
-        hits = sum(sample_rr(0, dist, rng) == 0 for _ in range(10_000))
+        hits = sum(int(sample_rr_batch([0], dist, rng)[0]) == 0 for _ in range(10_000))
         assert hits / 10_000 > 0.999
 
     def test_binary_retain_frequency(self):
@@ -109,7 +108,9 @@ class TestSampleRR:
     def test_out_of_range(self):
         dist = rr_distribution(1.0, 3)
         with pytest.raises(ParameterError):
-            sample_rr(3, dist, np.random.default_rng(0))
+            sample_rr_batch([3], dist, np.random.default_rng(0))
+        with pytest.raises(ParameterError, match="true_value"):
+            start_chain(3, 3, 1.0, np.random.default_rng(0))
 
     def test_deterministic_given_seed(self):
         dist = rr_distribution(0.5, 4)

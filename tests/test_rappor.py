@@ -6,14 +6,11 @@ import pytest
 from dprelax.errors import ParameterError
 from dprelax.estimation import estimate_binary, variance_binary_estimate
 from dprelax.rappor import (
-    NoisyReport,
     RapporParams,
-    decode_noisy_sampling,
     decode_noisy_sampling_counts,
     eps_noisy_sampling,
     noisy_sampling_schedule,
     rappor_params,
-    simulate_noisy_sampling,
     simulate_noisy_sampling_batch,
     variance_noisy_sampling,
 )
@@ -32,10 +29,6 @@ class TestParams:
             rappor_params(0.0, 0.5)
         with pytest.raises(ParameterError):
             rappor_params(1.0, -1.0)
-
-    def test_report_validation(self):
-        with pytest.raises(ParameterError):
-            NoisyReport(k_ones=5, n_samples=4)
 
 
 class TestEpsNoisySampling:
@@ -68,8 +61,8 @@ class TestSimulate:
         params = rappor_params(50.0, 50.0)
         rng = np.random.default_rng(2)
         for bit in (0, 1):
-            report = simulate_noisy_sampling(bit, params, 12, rng)
-            assert report.k_ones == 12 * bit
+            counts = simulate_noisy_sampling_batch([bit], params, 12, rng)
+            assert counts.shape == (1, 12) and counts[0, -1] == 12 * bit
 
     def test_mean_sample_frequency(self):
         rng = np.random.default_rng(17)
@@ -98,26 +91,24 @@ class TestSimulate:
             assert max(ratios) == pytest.approx(ratios[K], abs=1e-12)
             assert ratios[0] == pytest.approx(ratios[K], abs=1e-12)
 
-    def test_scalar_and_batch_share_the_draw_pattern(self):
-        # one client simulated either way from the same generator state must
-        # produce the same report
-        for seed in (0, 9, 31):
-            scalar = simulate_noisy_sampling(1, PARAMS, 7, np.random.default_rng(seed))
-            batch = simulate_noisy_sampling_batch(
-                np.array([1]), PARAMS, 7, np.random.default_rng(seed)
-            )
-            assert scalar.k_ones == int(batch[0, -1])
-
     def test_bad_bit(self):
-        with pytest.raises(ParameterError):
-            simulate_noisy_sampling(2, PARAMS, 3, np.random.default_rng(0))
+        with pytest.raises(ParameterError, match="bits"):
+            simulate_noisy_sampling_batch([2], PARAMS, 3, np.random.default_rng(0))
+
+    def test_fractional_bits_rejected(self):
+        with pytest.raises(ParameterError, match="bits"):
+            simulate_noisy_sampling_batch([0.7, 1.2], PARAMS, 3, np.random.default_rng(0))
+        exact = simulate_noisy_sampling_batch([0.0, 1.0], PARAMS, 3, np.random.default_rng(4))
+        assert np.array_equal(
+            exact, simulate_noisy_sampling_batch([0, 1], PARAMS, 3, np.random.default_rng(4))
+        )
 
 
 class TestDecode:
     def test_noiseless_limit(self):
         params = rappor_params(50.0, 50.0)
-        reports = [NoisyReport(k_ones=4, n_samples=4) for _ in range(10)]
-        assert decode_noisy_sampling(reports, params) == pytest.approx(1.0, abs=1e-9)
+        counts = np.full(10, 4)
+        assert decode_noisy_sampling_counts(counts, 4, params) == pytest.approx(1.0, abs=1e-9)
 
     def test_exact_expectation_is_unbiased(self):
         # push exact per-stage expectations through both decode stages
@@ -146,23 +137,14 @@ class TestDecode:
 
     def test_single_scalar_count(self):
         one_report = decode_noisy_sampling_counts(6, 10, PARAMS)
-        via_list = decode_noisy_sampling([NoisyReport(6, 10)], PARAMS)
-        assert one_report == via_list
-
-    def test_report_list_matches_count_array(self):
-        rng = np.random.default_rng(5)
-        reports = [simulate_noisy_sampling(1, PARAMS, 6, rng) for _ in range(50)]
-        counts = np.array([r.k_ones for r in reports], dtype=float)
-        assert decode_noisy_sampling(reports, PARAMS) == decode_noisy_sampling_counts(
-            counts, 6, PARAMS
-        )
+        one_row = decode_noisy_sampling_counts([6], 10, PARAMS)
+        assert one_report == one_row
 
     def test_validation(self):
         with pytest.raises(ParameterError):
-            decode_noisy_sampling([], PARAMS)
-        mixed = [NoisyReport(1, 2), NoisyReport(1, 3)]
+            decode_noisy_sampling_counts([], 4, PARAMS)
         with pytest.raises(ParameterError):
-            decode_noisy_sampling(mixed, PARAMS)
+            decode_noisy_sampling_counts([1, 5], 4, PARAMS)
 
 
 class TestVarianceNoisySampling:
