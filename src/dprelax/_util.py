@@ -20,8 +20,16 @@ def cap_epsilon(eps: float) -> float:
     return min(eps, EPSILON_CAP)
 
 
+def as_float(x) -> float:
+    """``float(x)``, with a number beyond double range (a large Python int) read as ±inf."""
+    try:
+        return float(x)
+    except OverflowError:
+        return math.inf if x > 0 else -math.inf
+
+
 def check_epsilon(eps: float, name: str = "epsilon") -> float:
-    eps = float(eps)
+    eps = as_float(eps)
     if not math.isfinite(eps) or eps <= 0.0:
         raise ParameterError(f"{name} must be positive and finite, got {eps}")
     return eps
@@ -32,7 +40,7 @@ def check_schedule(schedule, name: str = "schedule") -> tuple:
     positive and finite, non-decreasing (else `BudgetDecreaseError`)."""
     checked = []
     last = 0.0
-    for eps in map(float, schedule):
+    for eps in map(as_float, schedule):
         if not 0.0 < eps < math.inf:  # NaN fails both comparisons
             raise ParameterError(f"{name}[{len(checked)}] must be positive and finite, got {eps}")
         if eps < last:

@@ -46,7 +46,14 @@ def _add_run_flags(sub):
     sub.add_argument("--config", required=True, help="path to the JSON experiment config")
     sub.add_argument("--seed", type=int, default=None, help="override the config's master seed")
     sub.add_argument("--out", default=".", help="output directory (default: current)")
-    sub.add_argument("--threads", type=int, default=1, help="worker threads over trials")
+    sub.add_argument(
+        "--threads",
+        type=int,
+        default=1,
+        metavar="N",
+        help="split trials across N threads; output is byte-identical for any N, "
+        "and it helps only when objects x rounds per trial is large",
+    )
 
 
 def _cmd_kernel_table(args) -> int:

@@ -35,7 +35,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ._util import check_count
+from ._util import as_float, check_count
 from .errors import ConfigError
 from .estimation import (
     decode_histogram,
@@ -182,22 +182,31 @@ def _cfg_fail(path: str, message: str):
 
 
 def _positive(path: str, value) -> float:
-    if not isinstance(value, Real) or isinstance(value, bool) or not (
-        math.isfinite(value) and value > 0
-    ):
-        _cfg_fail(path, f"must be a positive finite number, got {value!r}")
-    return float(value)
+    number = math.nan
+    if isinstance(value, Real) and not isinstance(value, bool):
+        number = as_float(value)
+    if not 0.0 < number < math.inf:  # NaN fails both comparisons
+        shown = number if math.isinf(number) else repr(value)  # no 400-digit integers
+        _cfg_fail(path, f"must be a positive finite number, got {shown}")
+    return number
 
 
 def _require(raw: dict, key: str, kind, path: str):
     if key not in raw:
         _cfg_fail(f"{path}.{key}", "missing required field")
     value = raw[key]
-    if kind is float and isinstance(value, int) and not isinstance(value, bool):
-        value = float(value)
-    if not isinstance(value, kind) or isinstance(value, bool):
+    accepted = (int, float) if kind is float else kind  # `_positive` converts an int
+    if not isinstance(value, accepted) or isinstance(value, bool):
         _cfg_fail(f"{path}.{key}", f"expected {kind.__name__}, got {type(value).__name__}")
     return value
+
+
+# The keys each schedule kind reads besides "kind"; any other key is refused.
+_SCHEDULE_KEYS = {
+    "list": ("epsilons",),
+    "linear": ("start", "stop", "stride"),
+    "noisy-sampling": ("eps_alpha", "eps_beta", "rounds"),
+}
 
 
 def _build_schedule(raw: dict, path: str):
@@ -207,6 +216,11 @@ def _build_schedule(raw: dict, path: str):
         return _positive(f"{path}.{key}", _require(raw, key, float, path))
 
     kind = _require(raw, "kind", str, path)
+    if kind not in _SCHEDULE_KEYS:
+        _cfg_fail(f"{path}.kind", f"unknown schedule kind {kind!r}")
+    for key in raw:
+        if key != "kind" and key not in _SCHEDULE_KEYS[kind]:
+            _cfg_fail(f"{path}.{key}", f"unknown field for schedule kind {kind!r}")
     if kind == "list":
         return _require(raw, "epsilons", list, path), None, None
     if kind == "linear":
@@ -217,13 +231,11 @@ def _build_schedule(raw: dict, path: str):
         if steps >= 100_000:
             _cfg_fail(f"{path}.stride", "produces more rounds than the limit of 100000")
         return tuple(start + i * stride for i in range(int(steps) + 1)), None, None
-    if kind == "noisy-sampling":
-        eps_alpha, eps_beta = positive("eps_alpha"), positive("eps_beta")
-        rounds = _require(raw, "rounds", int, path)
-        if rounds < 1:
-            _cfg_fail(f"{path}.rounds", "must be at least 1")
-        return tuple(noisy_sampling_schedule(eps_alpha, eps_beta, rounds)), eps_alpha, eps_beta
-    _cfg_fail(f"{path}.kind", f"unknown schedule kind {kind!r}")
+    eps_alpha, eps_beta = positive("eps_alpha"), positive("eps_beta")
+    rounds = _require(raw, "rounds", int, path)
+    if rounds < 1:
+        _cfg_fail(f"{path}.rounds", "must be at least 1")
+    return tuple(noisy_sampling_schedule(eps_alpha, eps_beta, rounds)), eps_alpha, eps_beta
 
 
 def config_from_dict(raw: dict, source: str = "config") -> ExperimentConfig:
@@ -271,6 +283,8 @@ def load_config(path) -> ExperimentConfig:
         raw = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
+    except ValueError as exc:  # an integer literal longer than Python's digit limit
+        raise ConfigError(f"{path}: {exc}") from exc
     return config_from_dict(raw, source=str(path))
 
 

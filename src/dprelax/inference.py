@@ -17,7 +17,7 @@ import numpy as np
 
 from ._util import cap_epsilon, check_domain_size, check_epsilon, check_values
 from .errors import ParameterError
-from .mechanism import RelaxationChain, chain_log_likelihoods, iter_log_likelihoods
+from .mechanism import RelaxationChain, _check_chain, iter_log_likelihoods
 
 __all__ = [
     "ATTACK_METHODS",
@@ -50,9 +50,14 @@ def _check_prior(prior, m: int) -> np.ndarray:
 
 
 def posterior(chain: RelaxationChain, prior) -> np.ndarray:
-    """Bayesian belief over the true value given every released output."""
+    """Bayesian belief over the true value given every released output.
+
+    Reads the log-likelihood the chain carries, so a posterior after every
+    release costs O(1) in the chain length.
+    """
+    _check_chain(chain)
     prior = _check_prior(prior, chain.m)
-    lik = np.exp(chain_log_likelihoods([chain.outputs], chain.schedule, chain.m)[0])
+    lik = np.exp(chain._log_likelihood)
     weighted = lik * prior
     z = float(weighted.sum())
     if z <= 0.0:

@@ -11,13 +11,15 @@ All sampling takes an explicit ``numpy.random.Generator``; every function here
 is pure and thread-safe.  Kernels are plain values.  Every step the library
 takes or scores gets its kernel and log tensor from one bounded per-process
 memo keyed by the validated (eps_prev, eps_next, m), so a step is built once
-and reused by every later release, posterior, run and audit that reaches it;
-`relax_kernel`, `kernel_tensor` and `log_kernel_tensor` still build afresh.
+and reused by every later release, likelihood, run and audit that reaches it;
+`relax_kernel`, `kernel_tensor` and `log_kernel_tensor` still build afresh.  A
+`RelaxationChain` carries its running log-likelihood, so extending one chain
+and scoring it never re-walk its earlier outputs.
 """
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -91,13 +93,18 @@ class RelaxationChain:
 
     The schedule holds the privacy parameter of every release, first entry
     being the initial randomized response.  Chains are immutable values;
-    `relax_step` returns an extended copy.
+    `relax_step` returns an extended copy.  Each chain also carries the
+    read-only (m,) log-likelihood of its outputs under every true value, so
+    extending it and scoring it are O(1) in the chain length; the carried
+    array takes no part in ``==``, ``hash`` or ``repr``.  A chain built
+    directly is validated in full and scored once by `chain_log_likelihoods`.
     """
 
     true_value: int
     m: int
     schedule: tuple
     outputs: tuple
+    _log_likelihood: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         m = check_domain_size(self.m)
@@ -111,6 +118,30 @@ class RelaxationChain:
             )
         object.__setattr__(self, "schedule", schedule)
         object.__setattr__(self, "outputs", outputs)
+        loglik = chain_log_likelihoods([outputs], schedule, m)[0]
+        loglik.setflags(write=False)
+        object.__setattr__(self, "_log_likelihood", loglik)
+
+    @classmethod
+    def _trusted(cls, true_value, m, schedule, outputs, log_likelihood):
+        # Builds a chain from parts already checked (a validated prefix, an ε
+        # passed through `_step_kernel`, a sampled output) without
+        # re-validating or re-scoring them.
+        chain = object.__new__(cls)
+        log_likelihood.setflags(write=False)
+        chain.__dict__.update(
+            true_value=true_value,
+            m=m,
+            schedule=schedule,
+            outputs=outputs,
+            _log_likelihood=log_likelihood,
+        )
+        return chain
+
+    def __reduce__(self):
+        # copies and unpickled chains go through `__post_init__`, so their
+        # carried array is rebuilt read-only
+        return type(self), (self.true_value, self.m, self.schedule, self.outputs)
 
     @property
     def last_output(self) -> int:
@@ -119,6 +150,11 @@ class RelaxationChain:
     @property
     def last_epsilon(self) -> float:
         return self.schedule[-1]
+
+
+def _check_chain(chain) -> None:
+    if not isinstance(chain, RelaxationChain):
+        raise ParameterError(f"chain must be a RelaxationChain, got {type(chain).__name__}")
 
 
 def rr_distribution(eps: float, m: int) -> ResponseDistribution:
@@ -252,6 +288,12 @@ def relax_step_batch(
     prev_outputs = check_values(prev_outputs, m, "prev_outputs")
     if true_values.shape != prev_outputs.shape:
         raise ParameterError("true_values and prev_outputs must have the same shape")
+    return _draw_step(kernel, true_values, prev_outputs, rng)
+
+
+def _draw_step(kernel: RelaxKernel, true_values, prev_outputs, rng) -> np.ndarray:
+    # The sampler of `relax_step_batch`, for int64 arrays of one shape in [0, m).
+    m = kernel.m
     u = rng.random(true_values.shape)
 
     # Previous output equals the true value: [p_aa at x][p_ab each other value].
@@ -279,30 +321,49 @@ def relax_step_batch(
     return np.where(prev_outputs == true_values, branch_same, branch_diff)
 
 
+def _initial_log_likelihood(first_outputs: np.ndarray, dist: ResponseDistribution) -> np.ndarray:
+    # (n,) first outputs -> (n, m) log-probability of each under every true value
+    return np.where(
+        first_outputs[:, None] == np.arange(dist.m),
+        np.log(dist.p_retain),
+        np.log(dist.p_other),
+    )
+
+
 def start_chain(true_value: int, m: int, eps: float, rng: np.random.Generator) -> RelaxationChain:
     """Apply the initial randomized response and open a relaxation chain."""
     dist = rr_distribution(eps, m)
     x = check_value(true_value, dist.m, "true_value")
-    o1 = int(sample_rr_batch(np.array([x], dtype=np.int64), dist, rng)[0])
-    return RelaxationChain(true_value=x, m=dist.m, schedule=(dist.epsilon,), outputs=(o1,))
+    first = sample_rr_batch(np.array([x], dtype=np.int64), dist, rng)
+    return RelaxationChain._trusted(
+        x, dist.m, (dist.epsilon,), (int(first[0]),), _initial_log_likelihood(first, dist)[0]
+    )
 
 
 def relax_step(chain: RelaxationChain, eps_next: float, rng: np.random.Generator) -> RelaxationChain:
-    """Relax the chain's guarantee to ``eps_next`` and append the sampled output."""
-    kernel, _ = _step_kernel(chain.last_epsilon, eps_next, chain.m)
+    """Relax the chain's guarantee to ``eps_next`` and append the sampled output.
+
+    Only the new step is checked and scored: the extended chain carries the
+    previous log-likelihood plus one log-kernel entry, so a release costs
+    O(1) in the chain length.
+    """
+    _check_chain(chain)
+    kernel, log_tensor = _step_kernel(chain.last_epsilon, eps_next, chain.m)
+    o_prev = chain.last_output
     o = int(
-        relax_step_batch(
+        _draw_step(
             kernel,
             np.array([chain.true_value], dtype=np.int64),
-            np.array([chain.last_output], dtype=np.int64),
+            np.array([o_prev], dtype=np.int64),
             rng,
         )[0]
     )
-    return RelaxationChain(
-        true_value=chain.true_value,
-        m=chain.m,
-        schedule=chain.schedule + (kernel.eps_next,),
-        outputs=chain.outputs + (o,),
+    return RelaxationChain._trusted(
+        chain.true_value,
+        chain.m,
+        chain.schedule + (kernel.eps_next,),
+        chain.outputs + (o,),
+        chain._log_likelihood + log_tensor[:, o_prev, o],
     )
 
 
@@ -326,12 +387,7 @@ def iter_log_likelihoods(outputs, schedule, m: int):
     if outputs.ndim != 2 or outputs.shape[1] != len(schedule):
         raise ParameterError("outputs must be (n_objects, n_rounds) matching the schedule")
 
-    dist = rr_distribution(schedule[0], m)
-    loglik = np.where(
-        outputs[:, 0][:, None] == np.arange(m),
-        np.log(dist.p_retain),
-        np.log(dist.p_other),
-    )
+    loglik = _initial_log_likelihood(outputs[:, 0], rr_distribution(schedule[0], m))
     yield loglik
     for i in range(1, outputs.shape[1]):
         _, log_tensor = _built_step_kernel(schedule[i - 1], schedule[i], m)

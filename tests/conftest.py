@@ -15,18 +15,29 @@ def _cold_step_memo():
 
 
 @pytest.fixture
-def kernel_builds(monkeypatch):
-    """Counts calls of `relax_kernel` and `kernel_tensor` made through any
-    ``dprelax`` module; the test resets the returned dict as it needs."""
-    calls = {"relax_kernel": 0, "kernel_tensor": 0}
-    for name in calls:
-        original = getattr(mechanism, name)
+def count_calls(monkeypatch):
+    """Returns ``count(names)``: it counts calls of each named ``mechanism``
+    function made through any ``dprelax`` module, in a dict the test resets as
+    it needs."""
 
-        def counted(*args, _name=name, _original=original, **kwargs):
-            calls[_name] += 1
-            return _original(*args, **kwargs)
+    def count(names):
+        calls = dict.fromkeys(names, 0)
+        for name in names:
+            original = getattr(mechanism, name)
 
-        for module_name, module in list(sys.modules.items()):
-            if module_name.startswith("dprelax") and getattr(module, name, None) is original:
-                monkeypatch.setattr(module, name, counted)
-    return calls
+            def counted(*args, _name=name, _original=original, **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+
+            for module_name, module in list(sys.modules.items()):
+                if module_name.startswith("dprelax") and getattr(module, name, None) is original:
+                    monkeypatch.setattr(module, name, counted)
+        return calls
+
+    return count
+
+
+@pytest.fixture
+def kernel_builds(count_calls):
+    """Counts calls of `relax_kernel` and `kernel_tensor`."""
+    return count_calls(("relax_kernel", "kernel_tensor"))

@@ -92,6 +92,21 @@ def test_non_finite_linear_schedule_exits_2(tmp_path, capsys, field, value):
     assert f"bad.json.schedule.{field}:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "schedule, field",
+    [
+        ({"kind": "list", "epsilons": [10**400]}, "epsilons[0]"),
+        ({"kind": "linear", "start": 0.1, "stop": 10**400, "stride": 0.1}, "stop"),
+    ],
+    ids=["list", "linear-stop"],
+)
+def test_number_beyond_double_range_exits_2(tmp_path, capsys, schedule, field):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({**CONFIG, "schedule": schedule}))  # a 401-digit integer
+    assert cli.main(["simulate", "--config", str(bad), "--out", str(tmp_path)]) == 2
+    assert f"bad.json.schedule.{field}:" in capsys.readouterr().err
+
+
 def test_compare_rappor_wrong_schedule_exits_2(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text(

@@ -99,6 +99,43 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match=r"bad\.json:2:"):
             load_config(bad)
 
+    @pytest.mark.parametrize(
+        "schedule, field",
+        [
+            ({"kind": "list", "epsilons": [10**400]}, r"epsilons\[0\]"),
+            ({"kind": "linear", "start": 10**400, "stop": 1.0, "stride": 0.1}, "start"),
+            ({"kind": "linear", "start": 0.1, "stop": 10**400, "stride": 0.1}, "stop"),
+            ({"kind": "linear", "start": 0.1, "stop": 1.0, "stride": 10**400}, "stride"),
+            ({"kind": "noisy-sampling", "eps_alpha": 10**400, "eps_beta": 0.5, "rounds": 2}, "eps_alpha"),
+            ({"kind": "noisy-sampling", "eps_alpha": 1.0, "eps_beta": -(10**400), "rounds": 2}, "eps_beta"),
+        ],
+        ids=["list", "start", "stop", "stride", "eps_alpha", "negative-eps_beta"],
+    )
+    def test_number_beyond_double_range_is_named(self, schedule, field):
+        with pytest.raises(ConfigError, match=rf"^config\.schedule\.{field}: .*got -?inf$"):
+            tiny_config(schedule=schedule)
+
+    @pytest.mark.parametrize(
+        "schedule, key",
+        [
+            ({"kind": "list", "epsilons": [0.5, 1.0], "stride": 0.1}, "stride"),
+            ({"kind": "linear", "start": 0.1, "stop": 1.0, "stride": 0.1, "epsilons": [1.0]}, "epsilons"),
+            ({"kind": "noisy-sampling", "eps_alpha": 1.0, "eps_beta": 0.5, "rounds": 2, "stop": 1}, "stop"),
+        ],
+        ids=["list", "linear", "noisy-sampling"],
+    )
+    def test_unknown_schedule_key_is_named(self, schedule, key):
+        with pytest.raises(ConfigError, match=rf"^config\.schedule\.{key}: unknown field"):
+            tiny_config(schedule=schedule)
+
+    def test_integer_beyond_digit_limit_is_a_config_error(self, tmp_path):
+        # json.loads raises a plain ValueError for an integer literal this long
+        path = tmp_path / "long.json"
+        text = json.dumps({**TINY, "schedule": {"kind": "list", "epsilons": [0.5]}})
+        path.write_text(text.replace("0.5", "1" + "0" * 5000))
+        with pytest.raises(ConfigError, match=r"long\.json: .*digits"):
+            load_config(path)
+
     def test_load_roundtrip(self, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(TINY))
@@ -118,6 +155,8 @@ BAD_FIELDS = {
     "zero-count": ({"counts": (2, 0, 4)}, r"counts\[1\]"),
     "decreasing-epsilons": ({"epsilons": (1.0, 0.5)}, "epsilons"),
     "infinite-epsilon": ({"epsilons": (0.5, float("inf"))}, r"epsilons\[1\]"),
+    "epsilon-beyond-double": ({"epsilons": (0.5, 10**400)}, r"epsilons\[1\]"),
+    "alpha-beyond-double": ({"eps_alpha": 10**400, "eps_beta": 0.5}, "eps_alpha"),
     "bad-name": ({"name": "bad name!"}, "name"),
     "alpha-without-beta": ({"eps_alpha": 1.0}, "eps_beta"),
 }

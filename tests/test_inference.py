@@ -1,4 +1,7 @@
+import copy
+import hashlib
 import math
+import pickle
 from itertools import product
 
 import numpy as np
@@ -18,6 +21,7 @@ from dprelax.inference import (
 from dprelax.mechanism import (
     EPSILON_CAP,
     RelaxationChain,
+    chain_log_likelihoods,
     iter_log_likelihoods,
     log_kernel_tensor,
     relax_kernel,
@@ -77,8 +81,8 @@ class TestPosterior:
                 posterior(chain([0], [1.0], m=len(bad)), bad)
 
     def test_online_posteriors_build_each_step_once(self, kernel_builds):
-        # a posterior after every release re-scores the chain from its start,
-        # but each step's kernel is built once per process
+        # each step's kernel is built once per process, however many chains
+        # and posteriors reach it
         m, schedule = 5, tuple(round(0.1 * k, 1) for k in range(1, 11))
         rng = np.random.default_rng(12)
         for x in range(200):
@@ -89,6 +93,105 @@ class TestPosterior:
                 posterior(c, uniform_prior(m))
         steps = len(schedule) - 1
         assert kernel_builds == {"relax_kernel": steps, "kernel_tensor": steps}
+
+
+def _online_pass(objects, schedule, m, seed):
+    """Relax ``objects`` chains release by release with a posterior after each;
+    returns every chain state, posterior and last output in release order."""
+    rng = np.random.default_rng(seed)
+    chains, posteriors = [], []
+    for x in range(objects):
+        c = start_chain(x % m, m, schedule[0], rng)
+        for eps in (None, *schedule[1:]):
+            if eps is not None:
+                c = relax_step(c, eps, rng)
+            chains.append(c)
+            posteriors.append(posterior(c, uniform_prior(m)))
+    outputs = np.array([c.last_output for c in chains], dtype=np.int64)
+    return chains, np.array(posteriors), outputs
+
+
+class TestOnlineRelease:
+    """`start_chain`/`relax_step` carry each chain's log-likelihood forward."""
+
+    SCHEDULE = tuple(round(0.1 * k, 1) for k in range(1, 11))
+    # sha256 of the float64 posteriors and int64 outputs of `_online_pass(200,
+    # SCHEDULE, 5, seed=12)`, recorded while `posterior` still re-scored
+    # every chain from its first output.
+    GOLDEN = (
+        "31a8147bd7a1caf779e4654be299ac079001089bc28869aedb87671c954dfbf6",
+        "d9464199991667f73b64ebb81a9c33192b5f569d06d18040baee0524ead05011",
+    )
+
+    def test_online_pass_matches_golden_digests(self):
+        _, posteriors, outputs = _online_pass(200, self.SCHEDULE, 5, seed=12)
+        digests = tuple(hashlib.sha256(a.tobytes()).hexdigest() for a in (posteriors, outputs))
+        assert digests == self.GOLDEN
+
+    def test_carried_likelihood_equals_rescoring(self):
+        cases = [
+            (5, self.SCHEDULE),
+            (2, (0.1, 0.5, 0.5, 2.0, 2.0)),
+            (3, (0.3, 0.3, 1.0, EPSILON_CAP, EPSILON_CAP + 10.0, 2 * EPSILON_CAP)),
+        ]
+        chains = []
+        for m, schedule in cases:
+            chains += _online_pass(20, schedule, m, seed=m)[0]
+        # a directly built chain that a repeated ε makes impossible (-inf for
+        # every value), then extended online
+        rng = np.random.default_rng(4)
+        impossible = RelaxationChain(true_value=0, m=3, schedule=(1.0, 1.0), outputs=(0, 1))
+        chains += [impossible, relax_step(impossible, 2.0, rng)]
+        for c in chains:
+            rescored = chain_log_likelihoods([c.outputs], c.schedule, c.m)[0]
+            assert np.array_equal(c._log_likelihood, rescored)
+        assert np.all(chains[-1]._log_likelihood == -np.inf)
+
+    def test_work_per_release_does_not_grow_with_rounds(self, count_calls):
+        calls = count_calls(("iter_log_likelihoods", "check_schedule"))
+        objects = 20
+        for rounds in (10, 40):
+            schedule = tuple(0.1 * k for k in range(1, rounds + 1))
+            steps = rounds - 1
+            mechanism._built_step_kernel.cache_clear()
+            # a cold memo validates each step once more, as it builds its kernel
+            for memo_builds in (steps, 0):
+                calls.update(iter_log_likelihoods=0, check_schedule=0)
+                _online_pass(objects, schedule, 4, seed=rounds)
+                assert calls["iter_log_likelihoods"] == 0  # no release re-scores its chain
+                assert calls["check_schedule"] == objects * steps + memo_builds  # one per relax_step
+
+    def test_carried_likelihood_is_read_only(self):
+        rng = np.random.default_rng(5)
+        started = start_chain(1, 3, 0.5, rng)
+        extended = relax_step(started, 1.0, rng)
+        copies = (copy.copy(extended), copy.deepcopy(extended), pickle.loads(pickle.dumps(extended)))
+        for c in (started, extended, chain([0, 2], [0.5, 1.0]), *copies):
+            with pytest.raises(ValueError):
+                c._log_likelihood[0] = 0.0
+        for c in copies:
+            assert c == extended
+            assert np.array_equal(c._log_likelihood, extended._log_likelihood)
+
+    def test_equality_hash_and_repr_ignore_the_carried_likelihood(self):
+        rng = np.random.default_rng(6)
+        online = relax_step(start_chain(1, 3, 0.5, rng), 1.0, rng)
+        fields = (1, 3, (0.5, 1.0), online.outputs)
+        direct = RelaxationChain(*fields)
+        assert online == direct
+        assert hash(online) == hash(direct) == hash(fields)
+        assert repr(online) == repr(direct) == (
+            f"RelaxationChain(true_value=1, m=3, schedule=(0.5, 1.0), outputs={online.outputs!r})"
+        )
+        other = (online.outputs[0], (online.outputs[1] + 1) % 3)
+        assert online != RelaxationChain(1, 3, (0.5, 1.0), other)
+
+    @pytest.mark.parametrize("not_a_chain", [None, (0, 3, (0.5,), (0,)), "chain"])
+    def test_non_chain_is_rejected(self, not_a_chain):
+        with pytest.raises(ParameterError, match="RelaxationChain"):
+            relax_step(not_a_chain, 1.0, np.random.default_rng(0))
+        with pytest.raises(ParameterError, match="RelaxationChain"):
+            posterior(not_a_chain, uniform_prior(3))
 
 
 class TestAttackFunctions:

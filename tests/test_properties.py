@@ -5,10 +5,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dprelax.estimation import Histogram, estimate_poly, perturbation_matrix
-from dprelax.mechanism import chain_log_likelihoods, kernel_tensor, relax_kernel, rr_distribution
+from dprelax.mechanism import (
+    EPSILON_CAP,
+    chain_log_likelihoods,
+    kernel_tensor,
+    relax_kernel,
+    relax_step,
+    rr_distribution,
+    start_chain,
+)
 from dprelax.rappor import eps_noisy_sampling, rappor_params
 
-from oracles import sequence_likelihood
+from oracles import prefix_log_likelihoods, sequence_likelihood
 
 epsilons = st.floats(min_value=1e-3, max_value=10.0, allow_nan=False)
 domains = st.integers(min_value=2, max_value=12)
@@ -105,3 +113,33 @@ def test_likelihood_ratio_collapses_to_last_output(m, data):
             px = dist.p_retain if outputs[-1] == x else dist.p_other
             py = dist.p_retain if outputs[-1] == y else dist.p_other
             assert abs(liks[x] / liks[y] - px / py) <= 1e-9 * (px / py)
+
+
+# ordinary parameters mixed with ones at and above the cap, where the kernel
+# saturates; repeats give identity steps
+online_epsilons = st.one_of(
+    epsilons, st.sampled_from([0.5, EPSILON_CAP, EPSILON_CAP + 10.0, 4 * EPSILON_CAP])
+)
+
+
+@settings(deadline=None)
+@given(
+    m=st.integers(min_value=2, max_value=4),
+    raw=st.lists(online_epsilons, min_size=1, max_size=6),
+    repeat=st.booleans(),
+    true_value=st.integers(min_value=0, max_value=3),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_online_likelihood_matches_oracle(m, raw, repeat, true_value, seed):
+    schedule = sorted(raw + raw[:1] if repeat else raw)
+    rng = np.random.default_rng(seed)
+    chain = start_chain(true_value % m, m, schedule[0], rng)
+    for r, eps in enumerate(schedule):
+        if r:
+            chain = relax_step(chain, eps, rng)
+        expected = prefix_log_likelihoods([chain.outputs], chain.schedule, m)[0]
+        carried = chain._log_likelihood
+        finite = np.isfinite(expected)
+        assert np.array_equal(np.isfinite(carried), finite)
+        assert np.all(carried[~finite] == -np.inf)
+        assert np.all(np.abs(carried[finite] - expected[finite]) <= 1e-12)

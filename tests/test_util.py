@@ -9,7 +9,13 @@ from dprelax.audit import chain_log_probs
 from dprelax.errors import BudgetDecreaseError, ParameterError
 from dprelax.estimation import histogram
 from dprelax.inference import uniform_prior
-from dprelax.mechanism import RelaxationChain, iter_log_likelihoods, rr_distribution
+from dprelax.mechanism import (
+    RelaxationChain,
+    iter_log_likelihoods,
+    relax_step,
+    rr_distribution,
+    start_chain,
+)
 from dprelax.rappor import rappor_params, simulate_noisy_sampling_batch, variance_noisy_sampling
 
 PARAMS = rappor_params(1.0, 0.5)
@@ -59,3 +65,24 @@ def test_bad_schedule_is_rejected(caller, case):
     schedule, error = BAD_SCHEDULES[case]
     with pytest.raises(error, match="schedule"):
         SCHEDULE_CALLERS[caller](schedule)
+
+
+# test id -> (call with a number beyond double range, argument the error must name)
+BEYOND_DOUBLE = {
+    "rr_distribution": (lambda: rr_distribution(10**400, 2), "epsilon"),
+    "rr_distribution-negative": (lambda: rr_distribution(-(10**400), 2), "epsilon"),
+    "relax_step": (
+        lambda: relax_step(
+            start_chain(0, 2, 0.5, np.random.default_rng(0)), 10**400, np.random.default_rng(0)
+        ),
+        r"\(eps_prev, eps_next\)\[1\]",
+    ),
+    "RelaxationChain": (lambda: RelaxationChain(0, 2, (10**400,), (0,)), r"schedule\[0\]"),
+}
+
+
+@pytest.mark.parametrize("call", list(BEYOND_DOUBLE))
+def test_number_beyond_double_range_is_rejected(call):
+    fn, name = BEYOND_DOUBLE[call]
+    with pytest.raises(ParameterError, match=rf"^{name} must be positive and finite, got -?inf$"):
+        fn()
