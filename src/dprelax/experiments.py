@@ -44,7 +44,7 @@ from .estimation import (
     perturbation_matrix,
     variance_binary_estimate,
 )
-from .inference import ATTACK_METHODS, balanced_subset, iter_attack_guesses, min_error_rate
+from .inference import ATTACK_METHODS, _running_guesses, balanced_subset, min_error_rate
 from .mechanism import (
     _built_step_kernel,
     relax_kernel,
@@ -78,6 +78,9 @@ __all__ = [
 
 DEFAULT_TABLE_EPSILONS = (0.1, 0.5, 1.0, 2.0, 10.0)
 DEFAULT_TABLE_DOMAINS = tuple(range(3, 11))
+# The longest schedule a config may give; a longer one is refused before it
+# is built.
+MAX_ROUNDS = 100_000
 
 
 @dataclass(frozen=True)
@@ -122,6 +125,8 @@ class ExperimentConfig:
             fail("counts", f"must list exactly m={m} counts, got {len(counts)}")
         counts = tuple(integer(f"counts[{i}]", c, 1) for i, c in enumerate(counts))
         epsilons = sequence("epsilons", self.epsilons)
+        if len(epsilons) > MAX_ROUNDS:
+            fail("epsilons", f"must have at most {MAX_ROUNDS} rounds, got {len(epsilons)}")
         epsilons = tuple(positive(f"epsilons[{i}]", e) for i, e in enumerate(epsilons))
         if not epsilons:
             fail("epsilons", "must be non-empty")
@@ -228,13 +233,13 @@ def _build_schedule(raw: dict, path: str):
         if stop < start:
             _cfg_fail(f"{path}.stop", "must be >= start")
         steps = (stop - start) / stride + 1e-9
-        if steps >= 100_000:
-            _cfg_fail(f"{path}.stride", "produces more rounds than the limit of 100000")
+        if steps >= MAX_ROUNDS:
+            _cfg_fail(f"{path}.stride", f"produces more rounds than the limit of {MAX_ROUNDS}")
         return tuple(start + i * stride for i in range(int(steps) + 1)), None, None
     eps_alpha, eps_beta = positive("eps_alpha"), positive("eps_beta")
     rounds = _require(raw, "rounds", int, path)
-    if rounds < 1:
-        _cfg_fail(f"{path}.rounds", "must be at least 1")
+    if not 1 <= rounds <= MAX_ROUNDS:
+        _cfg_fail(f"{path}.rounds", f"must be in [1, {MAX_ROUNDS}], got {rounds}")
     return tuple(noisy_sampling_schedule(eps_alpha, eps_beta, rounds)), eps_alpha, eps_beta
 
 
@@ -302,16 +307,32 @@ def _trial_streams(config: ExperimentConfig):
     return np.random.SeedSequence(config.seed).spawn(config.trials)
 
 
-def _sample_outputs(truth, dist0, kernels, rng) -> np.ndarray:
-    """One trial's relaxation chains as an (n_objects, rounds) output matrix.
+def _trial_generators(stream: np.random.SeedSequence, draws: int):
+    """A trial's generator, and a copy of it ``draws`` outputs ahead.
 
-    Round 1 is a randomized response under ``dist0``; each kernel adds a round.
+    The relaxation rounds draw exactly one double, so one PCG64 output, per
+    object and round; a copy advanced by ``n_objects * rounds`` therefore
+    starts where the trial's draws after its rounds start, and can make them
+    before the rounds are streamed.
     """
-    outputs = np.empty((truth.size, len(kernels) + 1), dtype=np.int64)
-    outputs[:, 0] = sample_rr_batch(truth, dist0, rng)
-    for i, kernel in enumerate(kernels, start=1):
-        outputs[:, i] = relax_step_batch(kernel, truth, outputs[:, i - 1], rng)
-    return outputs
+    ahead = np.random.default_rng(stream)
+    ahead.bit_generator.advance(draws)
+    return np.random.default_rng(stream), ahead
+
+
+def _sample_rounds(truth, epsilons: tuple, m: int, rng):
+    """One trial's relaxation chains, yielded as one (n_objects,) output column per round.
+
+    Round 1 is a randomized response at ``epsilons[0]``; each later round
+    relaxes the previous column, with the step kernel fetched from the step
+    memo as the round comes up.  Only the previous column is kept.
+    """
+    out = sample_rr_batch(truth, rr_distribution(epsilons[0], m), rng)
+    yield out
+    for eps_prev, eps_next in zip(epsilons, epsilons[1:]):
+        kernel, _ = _built_step_kernel(eps_prev, eps_next, m)
+        out = relax_step_batch(kernel, truth, out, rng)
+        yield out
 
 
 def _run_trials(fn, trials: int, threads: int):
@@ -327,32 +348,35 @@ def simulate_experiment(config: ExperimentConfig, seed=None, threads: int = 1) -
 
     Per trial and round, the population's outputs are decoded into a frequency
     estimate, and all four inference methods are scored on a balanced subset
-    drawn once per trial.  Step kernels come from the mechanism's step memo
-    and channel inverses are built once per run; each trial's rounds are
-    scored in one running pass.
+    drawn once per trial.  Each round is sampled, decoded and scored as it
+    comes, so a trial's chains take only the previous round's outputs and the
+    running attack state: O(n_objects * m) memory whatever the number of
+    rounds.  The subset is drawn first, from a copy of the trial's generator
+    moved past the rounds' draws, so results equal those of sampling every
+    round before drawing the subset.
     """
     config = _with_seed(config, seed)
     m, epsilons = config.m, config.epsilons
     rounds = len(epsilons)
     truth = _truth_vector(config)
-    kernels = [_built_step_kernel(a, b, m)[0] for a, b in zip(epsilons, epsilons[1:])]
     channels = [perturbation_matrix(eps, m) for eps in epsilons]
-    dist0 = rr_distribution(epsilons[0], m)
     streams = _trial_streams(config)
 
     def one_trial(t):
-        rng = np.random.default_rng(streams[t])
-        outputs = _sample_outputs(truth, dist0, kernels, rng)
-        subset = balanced_subset(truth, m, rng)
+        rng, ahead = _trial_generators(streams[t], truth.size * rounds)
+        subset = balanced_subset(truth, m, ahead)
+        truth_subset = truth[subset]
         est = np.empty((rounds, m))
         errs = np.empty((rounds, len(ATTACK_METHODS)))
         agree = True
-        scorer = iter_attack_guesses(outputs, epsilons, m)
-        for r, guesses in enumerate(scorer):
-            est[r] = decode_histogram(histogram(outputs[:, r], m), channels[r])
+        columns = _sample_rounds(truth, epsilons, m, rng)
+        for r, guesses in enumerate(_running_guesses(columns, epsilons, m, truth.size)):
+            last = guesses["last_output"]
+            est[r] = decode_histogram(histogram(last, m), channels[r])
             for k, method in enumerate(ATTACK_METHODS):
-                errs[r, k] = np.mean(guesses[method][subset] != truth[subset])
-            agree = agree and np.array_equal(guesses["last_output"], guesses["mle"])
+                wrong = np.count_nonzero(guesses[method][subset] != truth_subset)
+                errs[r, k] = wrong / subset.size
+            agree = agree and np.array_equal(last, guesses["mle"])
         return est, errs, agree
 
     results = _run_trials(one_trial, config.trials, threads)
@@ -389,7 +413,9 @@ def compare_noisy_sampling(config: ExperimentConfig, seed=None, threads: int = 1
     Requires a binary domain and a noisy-sampling schedule so both pipelines
     sit at the same privacy parameter after every round.  Round k decodes the
     relaxation outputs at eps_ns(k) and the first k noisy samples of each
-    client.
+    client.  The relaxation rounds are streamed like `simulate_experiment`'s;
+    each trial's noisy samples are drawn first, from a copy of its generator
+    moved past the rounds' draws.
     """
     config = _with_seed(config, seed)
     if config.m != 2:
@@ -401,19 +427,16 @@ def compare_noisy_sampling(config: ExperimentConfig, seed=None, threads: int = 1
     rounds = len(epsilons)
     truth = _truth_vector(config)
     n = truth.size
-    kernels = [_built_step_kernel(a, b, 2)[0] for a, b in zip(epsilons, epsilons[1:])]
     channels = [perturbation_matrix(eps, 2) for eps in epsilons]
-    dist0 = rr_distribution(epsilons[0], 2)
     streams = _trial_streams(config)
 
     def one_trial(t):
-        rng = np.random.default_rng(streams[t])
-        outputs = _sample_outputs(truth, dist0, kernels, rng)
-        counts = simulate_noisy_sampling_batch(truth, params, rounds, rng)
+        rng, ahead = _trial_generators(streams[t], n * rounds)
+        counts = simulate_noisy_sampling_batch(truth, params, rounds, ahead)
         relax_est = np.empty(rounds)
         noisy_est = np.empty(rounds)
-        for r in range(rounds):
-            relax_est[r] = decode_histogram(histogram(outputs[:, r], 2), channels[r])[1]
+        for r, out in enumerate(_sample_rounds(truth, epsilons, 2, rng)):
+            relax_est[r] = decode_histogram(histogram(out, 2), channels[r])[1]
             noisy_est[r] = decode_noisy_sampling_counts(counts[:, r], r + 1, params)
         return relax_est, noisy_est
 

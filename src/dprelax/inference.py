@@ -4,20 +4,26 @@ Four guessing strategies are implemented: take the last output, maximize the
 sequence likelihood, take the most frequent output, and take the output with
 the largest privacy-parameter-weighted count.  `iter_attack_guesses` scores a
 batch of chains after every round in one pass and `attack_guesses_matrix`
-after the last; one chain is a one-row batch.  Error rates are always
-computed over a balanced subset (equal object count per value) so they are
-comparable with the uniform-prior floor.  Ties break toward the smallest value
-index everywhere.
+after the last; one chain is a one-row batch.  The pass takes one output
+column per round, so the experiment runner feeds it each round as it is
+sampled and never holds a whole (objects, rounds) matrix.  Error rates are
+always computed over a balanced subset (equal object count per value) so they
+are comparable with the uniform-prior floor.  Ties break toward the smallest
+value index everywhere.
 """
 
-import itertools
 import math
 
 import numpy as np
 
 from ._util import cap_epsilon, check_domain_size, check_epsilon, check_values
 from .errors import ParameterError
-from .mechanism import RelaxationChain, _check_chain, iter_log_likelihoods
+from .mechanism import (
+    RelaxationChain,
+    _check_batch,
+    _check_chain,
+    _running_log_likelihoods,
+)
 
 __all__ = [
     "ATTACK_METHODS",
@@ -70,29 +76,53 @@ def iter_attack_guesses(outputs, schedule, m: int):
 
     ``outputs`` has shape (n_objects, n_rounds) under one shared ``schedule``.
     Yields one dict per round, keyed by method name with one guess per object,
-    scoring the outputs released up to that round.  The log-likelihood, the
-    per-value counts and the parameter-weighted counts are carried from round
-    to round, so scoring every round costs O(n_rounds); each step's log kernel
-    comes from the step memo behind `iter_log_likelihoods`, so trials scored
-    under one schedule share it.
+    scoring the outputs released up to that round.  The matrix's columns are
+    fed one per round to the same running update that `experiments` feeds its
+    freshly sampled rounds, so scoring every round costs O(n_rounds).
+    Validation runs once, when iteration starts.
     """
-    likelihoods = iter_log_likelihoods(outputs, schedule, m)
-    first = next(likelihoods)  # validates the batch before any state is built
-    outputs = np.asarray(outputs, dtype=np.int64)
-    schedule = np.asarray(schedule, dtype=float)
-    rows = np.arange(outputs.shape[0])
-    counts = np.zeros(first.shape, dtype=np.int64)
-    weighted = np.zeros(first.shape)
-    for r, loglik in enumerate(itertools.chain((first,), likelihoods)):
-        last = outputs[:, r]
-        counts[rows, last] += 1
-        weighted[rows, last] += schedule[r]
+    outputs, schedule, m = _check_batch(outputs, schedule, m)
+    yield from _running_guesses(outputs.T, schedule, m, outputs.shape[0])
+
+
+def _running_guesses(columns, schedule: tuple, m: int, n: int):
+    # The per-round update behind `iter_attack_guesses`, for a validated
+    # schedule and m: takes one (n,) int64 output column in [0, m) per round,
+    # as it comes.  The log-likelihood, the per-value counts and the
+    # parameter-weighted counts (flat, row-major (n, m)) are carried from
+    # round to round, and so is each count's best value per row.
+    offsets = np.arange(n) * m
+    counts = np.zeros(n * m, dtype=np.int64)
+    weighted = np.zeros(n * m)
+    top_count = top_weighted = np.zeros(n, dtype=np.int64)
+    best_count, best_weighted = np.zeros(n, dtype=np.int64), np.zeros(n)
+    for eps, (last, loglik) in zip(schedule, _running_log_likelihoods(columns, schedule, m)):
+        grown = offsets + last
+        count = counts[grown] + 1
+        counts[grown] = count
+        weight = weighted[grown] + eps
+        weighted[grown] = weight
+        top_count, best_count = _running_argmax(count, last, top_count, best_count)
+        top_weighted, best_weighted = _running_argmax(weight, last, top_weighted, best_weighted)
         yield {
             "last_output": last.copy(),
+            # over every object and value: `lo_mle_identical` compares the
+            # whole population
             "mle": np.argmax(loglik, axis=1),
-            "highest_frequency": np.argmax(counts, axis=1),
-            "weighted_highest_frequency": np.argmax(weighted, axis=1),
+            "highest_frequency": top_count.copy(),
+            "weighted_highest_frequency": top_weighted.copy(),
         }
+
+
+def _running_argmax(value, grown, top, best):
+    """Each row's argmax and maximum after only entry ``grown`` changed, to
+    ``value``, given the argmax ``top`` and maximum ``best`` before.
+
+    Entries never shrink, so this is exactly `np.argmax` over the whole row: a
+    grown entry that ties the maximum takes over only from a larger index.
+    """
+    take = (value > best) | ((value == best) & (grown < top))
+    return np.where(take, grown, top), np.where(take, value, best)
 
 
 def attack_guesses_matrix(outputs, schedule, m: int) -> dict:

@@ -254,9 +254,11 @@ def log_kernel_tensor(kernel: RelaxKernel) -> np.ndarray:
 @functools.lru_cache(maxsize=128)
 def _built_step_kernel(eps_prev: float, eps_next: float, m: int):
     kernel = relax_kernel(eps_prev, eps_next, m)
-    log_tensor = log_kernel_tensor(kernel)
-    log_tensor.setflags(write=False)  # one array is shared by every caller
-    return kernel, log_tensor
+    # Indexed [x, o_prev, o_next] like `log_kernel_tensor`, but stored x-last,
+    # so a batch's step gathers each object's (m,) entries as one contiguous row.
+    x_last = np.ascontiguousarray(log_kernel_tensor(kernel).transpose(1, 2, 0))
+    x_last.setflags(write=False)  # one array is shared by every caller
+    return kernel, x_last.transpose(2, 0, 1)
 
 
 def _step_kernel(eps_prev: float, eps_next: float, m: int):
@@ -367,6 +369,34 @@ def relax_step(chain: RelaxationChain, eps_next: float, rng: np.random.Generator
     )
 
 
+def _check_batch(outputs, schedule, m: int):
+    # A batch of chains as (int64 (n_objects, n_rounds) outputs, schedule tuple, m).
+    m = check_domain_size(m)
+    outputs = check_values(outputs, m, "outputs")
+    schedule = check_schedule(schedule)
+    if outputs.ndim != 2 or outputs.shape[1] != len(schedule):
+        raise ParameterError("outputs must be (n_objects, n_rounds) matching the schedule")
+    return outputs, schedule, m
+
+
+def _running_log_likelihoods(columns, schedule: tuple, m: int):
+    # The likelihood recurrence, for a validated schedule and m.  Takes one
+    # (n_objects,) int64 output column in [0, m) per round, as it comes, and
+    # yields each column with the running (n_objects, m) log-likelihood after
+    # it, updated in place; only the previous column is kept.
+    columns = iter(columns)
+    prev = next(columns)
+    loglik = _initial_log_likelihood(prev, rr_distribution(schedule[0], m))
+    yield prev, loglik
+    for eps_prev, eps_next, out in zip(schedule, schedule[1:], columns):
+        _, log_tensor = _built_step_kernel(eps_prev, eps_next, m)
+        # row o_prev * m + o_next: the step's (m,) entries over the true value
+        steps = log_tensor.transpose(1, 2, 0).reshape(m * m, m)
+        loglik += np.take(steps, prev * m + out, axis=0)
+        yield out, loglik
+        prev = out
+
+
 def iter_log_likelihoods(outputs, schedule, m: int):
     """Running log-probability of each chain's outputs so far, given every true value.
 
@@ -381,17 +411,8 @@ def iter_log_likelihoods(outputs, schedule, m: int):
     posteriors scored under one schedule build each step once per process.
     Validation runs once, when iteration starts.
     """
-    m = check_domain_size(m)
-    outputs = check_values(outputs, m, "outputs")
-    schedule = check_schedule(schedule)
-    if outputs.ndim != 2 or outputs.shape[1] != len(schedule):
-        raise ParameterError("outputs must be (n_objects, n_rounds) matching the schedule")
-
-    loglik = _initial_log_likelihood(outputs[:, 0], rr_distribution(schedule[0], m))
-    yield loglik
-    for i in range(1, outputs.shape[1]):
-        _, log_tensor = _built_step_kernel(schedule[i - 1], schedule[i], m)
-        loglik += log_tensor[:, outputs[:, i - 1], outputs[:, i]].T
+    outputs, schedule, m = _check_batch(outputs, schedule, m)
+    for _, loglik in _running_log_likelihoods(outputs.T, schedule, m):
         yield loglik
 
 

@@ -107,6 +107,25 @@ def test_number_beyond_double_range_exits_2(tmp_path, capsys, schedule, field):
     assert f"bad.json.schedule.{field}:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "schedule, field",
+    [
+        ({"kind": "noisy-sampling", "eps_alpha": 1.0, "eps_beta": 0.5, "rounds": 100_001}, "rounds"),
+        ({"kind": "list", "epsilons": [0.5] * 100_001}, "epsilons"),
+    ],
+    ids=["noisy-sampling", "list"],
+)
+def test_too_many_rounds_exits_2(tmp_path, capsys, monkeypatch, schedule, field):
+    def never(*args, **kwargs):
+        raise AssertionError("a refused config must not be run")
+
+    monkeypatch.setattr(cli, "simulate_experiment", never)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({**CONFIG, "schedule": schedule}))
+    assert cli.main(["simulate", "--config", str(bad), "--out", str(tmp_path)]) == 2
+    assert f"bad.json.schedule.{field}:" in capsys.readouterr().err
+
+
 def test_compare_rappor_wrong_schedule_exits_2(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text(

@@ -1,5 +1,6 @@
 import csv
 import json
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -81,6 +82,23 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="limit"):
             tiny_config(schedule={"kind": "linear", "start": 0.1, "stop": 1.0, "stride": 1e-9})
 
+    @pytest.mark.parametrize(
+        "schedule, field",
+        [
+            ({"kind": "noisy-sampling", "eps_alpha": 1.0, "eps_beta": 0.5, "rounds": 100_001}, "rounds"),
+            ({"kind": "list", "epsilons": [0.5] * 100_001}, "epsilons"),
+            ({"kind": "linear", "start": 1e-5, "stop": 1.00001, "stride": 1e-5}, "stride"),
+        ],
+        ids=["noisy-sampling", "list", "linear"],
+    )
+    def test_round_limit_is_named(self, schedule, field):
+        with pytest.raises(ConfigError, match=rf"^config\.schedule\.{field}: .*100000"):
+            tiny_config(schedule=schedule)
+
+    def test_round_limit_is_inclusive(self):
+        schedule = {"kind": "noisy-sampling", "eps_alpha": 1.0, "eps_beta": 0.5, "rounds": 100_000}
+        assert len(tiny_config(schedule=schedule).epsilons) == 100_000
+
     def test_unknown_field_rejected(self):
         with pytest.raises(ConfigError, match=r"config\.typo"):
             tiny_config(typo=1)
@@ -155,6 +173,7 @@ BAD_FIELDS = {
     "zero-count": ({"counts": (2, 0, 4)}, r"counts\[1\]"),
     "decreasing-epsilons": ({"epsilons": (1.0, 0.5)}, "epsilons"),
     "infinite-epsilon": ({"epsilons": (0.5, float("inf"))}, r"epsilons\[1\]"),
+    "too-many-rounds": ({"epsilons": (0.5,) * 100_001}, "epsilons"),
     "epsilon-beyond-double": ({"epsilons": (0.5, 10**400)}, r"epsilons\[1\]"),
     "alpha-beyond-double": ({"eps_alpha": 10**400, "eps_beta": 0.5}, "eps_alpha"),
     "bad-name": ({"name": "bad name!"}, "name"),
@@ -234,6 +253,20 @@ class TestSimulateExperiment:
             simulate_experiment(config)
             bound = (trials + 1) * (rounds - 1)
             assert calls["relax_kernel"] <= bound and calls["kernel_tensor"] <= bound, calls
+
+    def test_memory_does_not_grow_with_rounds(self):
+        # each round is scored as it is sampled: no (n_objects, rounds) matrix
+        n, peaks = 3000, {}
+        for rounds in (100, 1000):
+            epsilons = tuple(0.01 * k for k in range(1, rounds + 1))
+            config = ExperimentConfig(**dict(DIRECT, counts=(n // 3,) * 3, epsilons=epsilons, trials=1))
+            tracemalloc.start()
+            try:
+                simulate_experiment(config)
+                peaks[rounds] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks[1000] - peaks[100] < n * 1000 * 8 / 10, peaks
 
     def test_noiseless_schedule_zero_error(self):
         cfg = tiny_config(schedule={"kind": "list", "epsilons": [50.0, 50.0]})

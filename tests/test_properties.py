@@ -5,18 +5,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dprelax.estimation import Histogram, estimate_poly, perturbation_matrix
+from dprelax.inference import iter_attack_guesses
 from dprelax.mechanism import (
     EPSILON_CAP,
     chain_log_likelihoods,
+    iter_log_likelihoods,
     kernel_tensor,
     relax_kernel,
     relax_step,
+    relax_step_batch,
     rr_distribution,
+    sample_rr_batch,
     start_chain,
 )
 from dprelax.rappor import eps_noisy_sampling, rappor_params
 
-from oracles import prefix_log_likelihoods, sequence_likelihood
+from oracles import attack_guesses, prefix_log_likelihoods, sequence_likelihood
 
 epsilons = st.floats(min_value=1e-3, max_value=10.0, allow_nan=False)
 domains = st.integers(min_value=2, max_value=12)
@@ -115,6 +119,14 @@ def test_likelihood_ratio_collapses_to_last_output(m, data):
             assert abs(liks[x] / liks[y] - px / py) <= 1e-9 * (px / py)
 
 
+def _assert_log_close(actual, expected):
+    # 1e-12 in log space, with -inf (an impossible sequence) at the same places
+    finite = np.isfinite(expected)
+    assert np.array_equal(np.isfinite(actual), finite)
+    assert np.all(actual[~finite] == -np.inf)
+    assert np.all(np.abs(actual[finite] - expected[finite]) <= 1e-12)
+
+
 # ordinary parameters mixed with ones at and above the cap, where the kernel
 # saturates; repeats give identity steps
 online_epsilons = st.one_of(
@@ -138,8 +150,57 @@ def test_online_likelihood_matches_oracle(m, raw, repeat, true_value, seed):
         if r:
             chain = relax_step(chain, eps, rng)
         expected = prefix_log_likelihoods([chain.outputs], chain.schedule, m)[0]
-        carried = chain._log_likelihood
-        finite = np.isfinite(expected)
-        assert np.array_equal(np.isfinite(carried), finite)
-        assert np.all(carried[~finite] == -np.inf)
-        assert np.all(np.abs(carried[finite] - expected[finite]) <= 1e-12)
+        _assert_log_close(chain._log_likelihood, expected)
+
+
+def _tied_rows(schedule, a, b, c):
+    """Two output rows that tie values ``a`` and ``b``.
+
+    The first alternates a, b, so their counts tie after every even round.
+    The second alternates a, b within each run of equal parameters (an odd
+    run's last round goes to ``c``), so a and b gain the same parameters in
+    the same order and their weighted counts tie bit for bit.
+    """
+    alternating = [(a, b)[r % 2] for r in range(len(schedule))]
+    by_run, start = [], 0
+    for r, eps in enumerate(schedule):
+        if r + 1 == len(schedule) or schedule[r + 1] != eps:
+            run = r + 1 - start
+            by_run += [(a, b)[i % 2] for i in range(run - run % 2)] + [c] * (run % 2)
+            start = r + 1
+    return [alternating, by_run]
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    m=st.integers(min_value=2, max_value=5),
+    raw=st.lists(online_epsilons, min_size=1, max_size=5),
+    data=st.data(),
+)
+def test_batch_scorer_matches_oracle(m, raw, data):
+    # repeats of drawn parameters give identity steps and weighted-count ties
+    schedule = sorted(raw + data.draw(st.lists(st.sampled_from(raw), max_size=8 - len(raw))))
+    rng = np.random.default_rng(data.draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    truth = rng.integers(0, m, size=6)
+    column = sample_rr_batch(truth, rr_distribution(schedule[0], m), rng)
+    sampled = [column]
+    for eps_prev, eps_next in zip(schedule, schedule[1:]):
+        column = relax_step_batch(relax_kernel(eps_prev, eps_next, m), truth, column, rng)
+        sampled.append(column)
+    rows = np.array(sampled).T.tolist()
+    value = st.integers(min_value=0, max_value=m - 1)
+    ties = st.tuples(value, value, value).filter(lambda t: t[0] != t[1])
+    for a, b, c in data.draw(st.lists(ties, min_size=1, max_size=3)):
+        rows += _tied_rows(schedule, a, b, c)
+    outputs = np.array(rows)
+
+    running = zip(
+        iter_log_likelihoods(outputs, schedule, m), iter_attack_guesses(outputs, schedule, m)
+    )
+    for r, (loglik, guesses) in enumerate(running):
+        prefix, sched = outputs[:, : r + 1], schedule[: r + 1]
+        _assert_log_close(loglik, prefix_log_likelihoods(prefix, sched, m))
+        oracle = attack_guesses(prefix, sched, m)
+        assert list(guesses) == list(oracle)
+        for method, expected in oracle.items():
+            assert np.array_equal(guesses[method], expected), (method, r)
