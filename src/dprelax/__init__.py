@@ -60,7 +60,6 @@ from .mechanism import (
     chain_likelihood,
     chain_log_likelihoods,
     iter_log_likelihoods,
-    kernel_conditional,
     relax_kernel,
     relax_step,
     rr_distribution,

@@ -20,7 +20,7 @@ import numpy as np
 
 from ._util import check_count, check_domain_size, check_schedule, check_value
 from .errors import EnumerationLimitError
-from .mechanism import _built_step_kernel, _step_kernel, rr_distribution
+from .mechanism import relax_kernel, rr_distribution
 from .rappor import RapporParams, eps_noisy_sampling, rappor_params
 
 __all__ = [
@@ -84,8 +84,8 @@ def chain_log_probs(schedule, m: int) -> np.ndarray:
         logp = np.log(first)
     last = np.arange(m)
     for i in range(1, n):
-        _, log_tensor = _built_step_kernel(schedule[i - 1], schedule[i], m)
-        logp = (logp[:, :, None] + log_tensor[:, last, :]).reshape(m, -1)
+        log_table = relax_kernel(schedule[i - 1], schedule[i], m).log_table
+        logp = (logp[:, :, None] + log_table[:, last, :]).reshape(m, -1)
         last = np.broadcast_to(np.arange(m), (last.size, m)).reshape(-1)
     return logp
 
@@ -135,11 +135,11 @@ def audit_step_epsilon(eps_prev: float, eps_next: float, m: int) -> float:
     binary domain this evaluates to eps_prev + eps_next, which can exceed the
     budget even though the composed sequence never does.
     """
-    _, log_tensor = _step_kernel(eps_prev, eps_next, m)
+    log_table = relax_kernel(eps_prev, eps_next, m).log_table
     worst = 0.0
     for o_prev in range(m):
         for o_next in range(m):
-            logs = log_tensor[:, o_prev, o_next]
+            logs = log_table[:, o_prev, o_next]
             possible = np.isfinite(logs)
             if not possible.any():
                 continue

@@ -86,12 +86,20 @@ def histogram(responses, m: int) -> Histogram:
     return Histogram(counts=counts, n=int(responses.size))
 
 
+# The smallest privacy parameter any estimator accepts.  A variance grows as
+# eps**-2 and `estimate_poly`'s plug-in covariance as eps**-3, so they leave
+# double range below about 1e-154 and 1e-103; at 1e-100 the largest entry of
+# either, for m up to 1000, is about 1e291.
+MIN_EPSILON = 1e-100
+
+
 def _growth(eps: float) -> float:
-    """e^eps - 1, raising if it underflows to something unusable."""
-    g = math.expm1(cap_epsilon(eps))
-    if g <= 0.0 or not math.isfinite((math.exp(cap_epsilon(eps)) + 1.0) / g):
-        raise IllConditionedError(f"epsilon={eps} is too small to debias responses")
-    return g
+    """e^eps - 1, refusing an eps below `MIN_EPSILON` with `IllConditionedError`."""
+    if eps < MIN_EPSILON:
+        raise IllConditionedError(
+            f"epsilon={eps} is below {MIN_EPSILON}: too small to debias responses"
+        )
+    return math.expm1(cap_epsilon(eps))
 
 
 def estimate_binary(lambda_b, eps: float):
@@ -117,8 +125,6 @@ def perturbation_matrix(eps: float, m: int) -> PerturbationMatrix:
     p = np.full((m, m), 1.0 / (big + m - 1))
     np.fill_diagonal(p, big / (big + m - 1))
     scale = (big + m - 1) / _growth(eps)
-    if not math.isfinite(scale):
-        raise IllConditionedError(f"epsilon={eps} makes the channel numerically singular")
     inv = np.full((m, m), -scale / (big + m - 1))
     np.fill_diagonal(inv, scale * (1.0 - 1.0 / (big + m - 1)))
     return PerturbationMatrix(epsilon=eps, m=m, matrix=p, inverse=inv)

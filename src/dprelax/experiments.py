@@ -46,7 +46,7 @@ from .estimation import (
 )
 from .inference import ATTACK_METHODS, _running_guesses, balanced_subset, min_error_rate
 from .mechanism import (
-    _built_step_kernel,
+    MAX_DOMAIN,
     relax_kernel,
     relax_step_batch,
     rr_distribution,
@@ -120,6 +120,8 @@ class ExperimentConfig:
         if not (isinstance(name, str) and name and all(c.isalnum() or c in "-_" for c in name)):
             fail("name", "must be a non-empty [A-Za-z0-9_-] string")
         m = integer("m", self.m, 2)
+        if m > MAX_DOMAIN:
+            fail("m", f"must be at most {MAX_DOMAIN}, got {m}")
         counts = sequence("counts", self.counts)
         if len(counts) != m:
             fail("counts", f"must list exactly m={m} counts, got {len(counts)}")
@@ -330,8 +332,7 @@ def _sample_rounds(truth, epsilons: tuple, m: int, rng):
     out = sample_rr_batch(truth, rr_distribution(epsilons[0], m), rng)
     yield out
     for eps_prev, eps_next in zip(epsilons, epsilons[1:]):
-        kernel, _ = _built_step_kernel(eps_prev, eps_next, m)
-        out = relax_step_batch(kernel, truth, out, rng)
+        out = relax_step_batch(relax_kernel(eps_prev, eps_next, m), truth, out, rng)
         yield out
 
 

@@ -8,13 +8,13 @@ whose marginal law is exactly the weaker randomized response while the whole
 output sequence still leaks no more than the latest parameter allows.
 
 All sampling takes an explicit ``numpy.random.Generator``; every function here
-is pure and thread-safe.  Kernels are plain values.  Every step the library
-takes or scores gets its kernel and log tensor from one bounded per-process
-memo keyed by the validated (eps_prev, eps_next, m), so a step is built once
-and reused by every later release, likelihood, run and audit that reaches it;
-`relax_kernel`, `kernel_tensor` and `log_kernel_tensor` still build afresh.  A
-`RelaxationChain` carries its running log-likelihood, so extending one chain
-and scoring it never re-walk its earlier outputs.
+is pure and thread-safe.  Kernels are plain values, and `relax_kernel` is the
+only way the library gets one: it validates its arguments, then returns the
+kernel from one bounded per-process memo keyed by (eps_prev, eps_next, m).  A
+kernel builds its read-only log table on first use and keeps it, so a step is
+built once and reused by every later release, likelihood, run and audit that
+reaches it.  A `RelaxationChain` carries its running log-likelihood, so
+extending one chain and scoring it never re-walk its earlier outputs.
 """
 
 import functools
@@ -34,6 +34,11 @@ from ._util import (
 )
 from .errors import ParameterError
 
+# The largest domain a step's log table may have.  One table holds m**3
+# doubles, and building it briefly takes twice that, so 64 values mean a
+# 2 MiB table and at most 256 MiB for a full memo of 128 steps.
+MAX_DOMAIN = 64
+
 __all__ = [
     "EPSILON_CAP",
     "ResponseDistribution",
@@ -42,9 +47,7 @@ __all__ = [
     "rr_distribution",
     "sample_rr_batch",
     "relax_kernel",
-    "kernel_conditional",
     "kernel_tensor",
-    "log_kernel_tensor",
     "start_chain",
     "relax_step",
     "relax_step_batch",
@@ -86,6 +89,29 @@ class RelaxKernel:
     p_bc: float
     has_third_class: bool
 
+    @functools.cached_property
+    def log_table(self) -> np.ndarray:
+        """Read-only elementwise log of `kernel_tensor`, indexed ``[x, o_prev, o_next]``.
+
+        Impossible transitions hold -inf.  Built on first use and kept with
+        the kernel, so every caller of a memoized step shares one array; it
+        is stored x-last, so a batch's step gathers each object's (m,)
+        entries as one contiguous row.  Refused above ``MAX_DOMAIN`` values.
+        """
+        if self.m > MAX_DOMAIN:
+            raise ParameterError(
+                f"m={self.m} exceeds {MAX_DOMAIN}, the largest domain with a step table"
+            )
+        x_last = np.ascontiguousarray(kernel_tensor(self).transpose(1, 2, 0))
+        with np.errstate(divide="ignore"):
+            np.log(x_last, out=x_last)
+        x_last.setflags(write=False)
+        return x_last.transpose(2, 0, 1)
+
+    def __getstate__(self):
+        # copies and unpickled kernels rebuild their table read-only on first use
+        return {k: v for k, v in self.__dict__.items() if k != "log_table"}
+
 
 @dataclass(frozen=True)
 class RelaxationChain:
@@ -125,7 +151,7 @@ class RelaxationChain:
     @classmethod
     def _trusted(cls, true_value, m, schedule, outputs, log_likelihood):
         # Builds a chain from parts already checked (a validated prefix, an ε
-        # passed through `_step_kernel`, a sampled output) without
+        # passed through `relax_kernel`, a sampled output) without
         # re-validating or re-scoring them.
         chain = object.__new__(cls)
         log_likelihood.setflags(write=False)
@@ -185,19 +211,30 @@ def sample_rr_batch(values, dist: ResponseDistribution, rng: np.random.Generator
     return np.where(keep, values, others)
 
 
-def _check_step(eps_prev: float, eps_next: float, m: int):
-    # a step is a two-entry schedule
-    return (*check_schedule((eps_prev, eps_next), "(eps_prev, eps_next)"), check_domain_size(m))
-
-
 def relax_kernel(eps_prev: float, eps_next: float, m: int) -> RelaxKernel:
     """Transition kernel relaxing an ``eps_prev`` response to ``eps_next``.
 
     ``eps_next == eps_prev`` yields the identity kernel (the step repeats the
     previous output).  ``eps_next < eps_prev`` is rejected: the guarantee can
     only be relaxed, never tightened.
+
+    Arguments are converted and validated on every call, before the memo is
+    consulted: invalid input raises `ParameterError`, a decreasing step
+    `BudgetDecreaseError`, and no error is cached.  The kernel then comes
+    from the module's step memo: a repeat call returns the identical frozen
+    kernel, and with it the log table it has built.  The key is the uncapped
+    ε, so ``eps_next`` is exactly what the caller passed.
     """
-    eps_prev, eps_next, m = _check_step(eps_prev, eps_next, m)
+    eps_prev, eps_next = check_schedule((eps_prev, eps_next), "(eps_prev, eps_next)")
+    return _relax_kernel(eps_prev, eps_next, check_domain_size(m))
+
+
+# 128 entries hold every step of a 50-round schedule; `MAX_DOMAIN` bounds what
+# their tables retain.  Longer schedules stay linear in rounds: a run then
+# rebuilds each step once per trial.
+@functools.lru_cache(maxsize=128)
+def _relax_kernel(eps_prev: float, eps_next: float, m: int) -> RelaxKernel:
+    # `relax_kernel`'s memoized body, for a validated step and m
     e1 = cap_epsilon(eps_prev)
     e2 = cap_epsilon(eps_next)
     if e1 == e2:
@@ -214,22 +251,6 @@ def relax_kernel(eps_prev: float, eps_next: float, m: int) -> RelaxKernel:
     return RelaxKernel(eps_prev, eps_next, m, p_aa, p_ba, p_bb, q_ab, p_bc, m > 2)
 
 
-def kernel_conditional(kernel: RelaxKernel, x: int, o_prev: int) -> np.ndarray:
-    """Distribution of the next output given true value ``x`` and previous output."""
-    m = kernel.m
-    x = check_value(x, m, "x")
-    o_prev = check_value(o_prev, m, "o_prev")
-    probs = np.empty(m)
-    if o_prev == x:
-        probs.fill(kernel.p_ab)
-        probs[x] = kernel.p_aa
-    else:
-        probs.fill(kernel.p_bc)
-        probs[x] = kernel.p_ba
-        probs[o_prev] = kernel.p_bb
-    return probs
-
-
 def kernel_tensor(kernel: RelaxKernel) -> np.ndarray:
     """All conditionals of a kernel as an array indexed ``[x, o_prev, o_next]``."""
     m = kernel.m
@@ -240,37 +261,6 @@ def kernel_tensor(kernel: RelaxKernel) -> np.ndarray:
     t[ar, ar, :] = kernel.p_ab
     t[ar, ar, ar] = kernel.p_aa
     return t
-
-
-def log_kernel_tensor(kernel: RelaxKernel) -> np.ndarray:
-    """Elementwise log of `kernel_tensor`; impossible transitions hold -inf."""
-    with np.errstate(divide="ignore"):
-        return np.log(kernel_tensor(kernel))
-
-
-# 128 entries hold every step of a 50-round schedule; at m = 10 a full memo
-# retains about 1 MB.  Longer schedules stay linear in rounds: a run then
-# rebuilds each step once per trial.
-@functools.lru_cache(maxsize=128)
-def _built_step_kernel(eps_prev: float, eps_next: float, m: int):
-    kernel = relax_kernel(eps_prev, eps_next, m)
-    # Indexed [x, o_prev, o_next] like `log_kernel_tensor`, but stored x-last,
-    # so a batch's step gathers each object's (m,) entries as one contiguous row.
-    x_last = np.ascontiguousarray(log_kernel_tensor(kernel).transpose(1, 2, 0))
-    x_last.setflags(write=False)  # one array is shared by every caller
-    return kernel, x_last.transpose(2, 0, 1)
-
-
-def _step_kernel(eps_prev: float, eps_next: float, m: int):
-    """The memoized (`relax_kernel`, read-only `log_kernel_tensor`) of one unvalidated step.
-
-    Arguments are validated before the lookup, so unhashable or invalid input
-    raises `ParameterError` and a decreasing step `BudgetDecreaseError` on
-    every call; errors are never cached.  The key is the uncapped ε, so the
-    kernel's ``eps_next`` is exactly what the caller passed.  Code that has
-    validated a whole schedule and ``m`` reads `_built_step_kernel` directly.
-    """
-    return _built_step_kernel(*_check_step(eps_prev, eps_next, m))
 
 
 def relax_step_batch(
@@ -350,7 +340,8 @@ def relax_step(chain: RelaxationChain, eps_next: float, rng: np.random.Generator
     O(1) in the chain length.
     """
     _check_chain(chain)
-    kernel, log_tensor = _step_kernel(chain.last_epsilon, eps_next, chain.m)
+    kernel = relax_kernel(chain.last_epsilon, eps_next, chain.m)
+    log_table = kernel.log_table  # before the draw: a refused table consumes no randomness
     o_prev = chain.last_output
     o = int(
         _draw_step(
@@ -365,7 +356,7 @@ def relax_step(chain: RelaxationChain, eps_next: float, rng: np.random.Generator
         chain.m,
         chain.schedule + (kernel.eps_next,),
         chain.outputs + (o,),
-        chain._log_likelihood + log_tensor[:, o_prev, o],
+        chain._log_likelihood + log_table[:, o_prev, o],
     )
 
 
@@ -389,9 +380,9 @@ def _running_log_likelihoods(columns, schedule: tuple, m: int):
     loglik = _initial_log_likelihood(prev, rr_distribution(schedule[0], m))
     yield prev, loglik
     for eps_prev, eps_next, out in zip(schedule, schedule[1:], columns):
-        _, log_tensor = _built_step_kernel(eps_prev, eps_next, m)
+        log_table = _relax_kernel(eps_prev, eps_next, m).log_table
         # row o_prev * m + o_next: the step's (m,) entries over the true value
-        steps = log_tensor.transpose(1, 2, 0).reshape(m * m, m)
+        steps = log_table.transpose(1, 2, 0).reshape(m * m, m)
         loglik += np.take(steps, prev * m + out, axis=0)
         yield out, loglik
         prev = out
@@ -407,7 +398,7 @@ def iter_log_likelihoods(outputs, schedule, m: int):
     collusion-proofness the likelihood is a running product, so R rounds cost
     O(R).  The same array is updated in place; copy a round to keep it.
 
-    Each step's log tensor comes from the module's step memo, so batches and
+    Each step's log table comes from the module's step memo, so batches and
     posteriors scored under one schedule build each step once per process.
     Validation runs once, when iteration starts.
     """

@@ -20,7 +20,7 @@ import numpy as np
 
 from ._util import cap_epsilon, check_count, check_epsilon, check_values
 from .errors import ParameterError
-from .estimation import estimate_binary
+from .estimation import _growth, estimate_binary
 
 __all__ = [
     "RapporParams",
@@ -118,7 +118,7 @@ def _unclamped_binary(lam: float, eps: float) -> float:
     # The per-client stage is already debiased and routinely leaves [0, 1],
     # so the second stage applies the same affine map without the range check
     # estimate_binary performs on raw observed frequencies.
-    g = math.expm1(cap_epsilon(check_epsilon(eps)))
+    g = _growth(check_epsilon(eps))
     return ((g + 2.0) * lam - 1.0) / g
 
 

@@ -9,7 +9,7 @@ import math
 
 import numpy as np
 
-from dprelax.mechanism import kernel_conditional, relax_kernel, rr_distribution
+from dprelax.mechanism import relax_kernel, rr_distribution
 
 
 def binary_pa(e1: float, e2: float) -> float:
@@ -38,6 +38,22 @@ def rr_vector(eps: float, m: int, x: int) -> np.ndarray:
     vec = np.full(m, dist.p_other)
     vec[x] = dist.p_retain
     return vec
+
+
+def kernel_conditional(kernel, x: int, o_prev: int) -> np.ndarray:
+    """Distribution of the next output given true value ``x`` and previous output,
+    spelled out entry by entry from the kernel's named probabilities."""
+    probs = np.empty(kernel.m)
+    for o_next in range(kernel.m):
+        if o_prev == x:
+            probs[o_next] = kernel.p_aa if o_next == x else kernel.p_ab
+        elif o_next == x:
+            probs[o_next] = kernel.p_ba
+        elif o_next == o_prev:
+            probs[o_next] = kernel.p_bb
+        else:
+            probs[o_next] = kernel.p_bc
+    return probs
 
 
 def fold_marginal(kernel, x: int, prev_vector: np.ndarray) -> np.ndarray:

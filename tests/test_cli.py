@@ -126,6 +126,25 @@ def test_too_many_rounds_exits_2(tmp_path, capsys, monkeypatch, schedule, field)
     assert f"bad.json.schedule.{field}:" in capsys.readouterr().err
 
 
+def test_domain_above_limit_exits_2(tmp_path, capsys, monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("a refused config must not be run")
+
+    monkeypatch.setattr(cli, "simulate_experiment", never)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({**CONFIG, "m": 65, "counts": [1] * 65}))
+    assert cli.main(["simulate", "--config", str(bad), "--out", str(tmp_path)]) == 2
+    assert "bad.json.m:" in capsys.readouterr().err
+
+
+def test_epsilon_too_small_to_debias_exits_2(tmp_path, capsys):
+    bad = tmp_path / "tiny.json"
+    bad.write_text(json.dumps({**CONFIG, "schedule": {"kind": "list", "epsilons": [1e-200, 1.0]}}))
+    assert cli.main(["simulate", "--config", str(bad), "--out", str(tmp_path)]) == 2
+    assert "too small to debias" in capsys.readouterr().err
+    assert not list(tmp_path.glob("*.csv"))
+
+
 def test_compare_rappor_wrong_schedule_exits_2(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text(

@@ -1,4 +1,5 @@
 import math
+import warnings
 from itertools import product
 
 import numpy as np
@@ -8,6 +9,7 @@ from dprelax.errors import IllConditionedError, ParameterError
 from dprelax.estimation import (
     Histogram,
     decode_histogram,
+    MIN_EPSILON,
     discretize_mean,
     estimate_binary,
     estimate_mean,
@@ -19,6 +21,7 @@ from dprelax.estimation import (
     variance_binary_estimate,
 )
 from dprelax.mechanism import rr_distribution, sample_rr_batch
+from dprelax.rappor import decode_noisy_sampling_counts, rappor_params
 
 E = math.e
 
@@ -198,6 +201,37 @@ class TestVarianceBinaryEstimate:
 
     def test_vanishes_for_huge_population(self):
         assert variance_binary_estimate(1.0, 10**12) < 1e-11
+
+
+# Every estimator, as a function of the privacy parameter it debiases with.
+ESTIMATORS = {
+    "estimate_binary": lambda eps: estimate_binary(0.5, eps),
+    "perturbation_matrix": lambda eps: perturbation_matrix(eps, 3).inverse,
+    "estimate_poly": lambda eps: estimate_poly(histogram([0, 0, 1], 64), eps).covariance,
+    "frequency_estimate_covariance": lambda eps: frequency_estimate_covariance([0.5] * 2, eps, 1),
+    "variance_binary_estimate": lambda eps: variance_binary_estimate(eps, 6),
+    "estimate_mean": lambda eps: estimate_mean(0.5, eps, -1.0, 3.0),
+    "decode_noisy_sampling_counts": lambda eps: decode_noisy_sampling_counts(
+        [0, 1], 1, rappor_params(eps, 1.0)
+    ),
+}
+
+
+class TestEpsilonThreshold:
+    """One threshold, `MIN_EPSILON`, below which every estimator refuses ε."""
+
+    @pytest.mark.parametrize("name", list(ESTIMATORS))
+    def test_refused_just_below(self, name):
+        for eps in (math.nextafter(MIN_EPSILON, 0.0), 1e-170, 5e-324):
+            with pytest.raises(IllConditionedError, match="too small to debias"):
+                ESTIMATORS[name](eps)
+
+    @pytest.mark.parametrize("name", list(ESTIMATORS))
+    def test_finite_at_and_just_above(self, name):
+        for eps in (MIN_EPSILON, math.nextafter(MIN_EPSILON, 1.0)):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")  # no overflow on the way
+                assert np.all(np.isfinite(ESTIMATORS[name](eps)))
 
 
 class TestDiscretizeMean:

@@ -104,6 +104,24 @@ def test_benchmark_traced_names_resolve():
     assert not missing
 
 
+def test_only_inference_reaches_into_mechanism():
+    # The step memo and the kernel layer's other private names are known to
+    # `mechanism` alone; `inference` shares its batch checks and recurrence.
+    offenders = []
+    for path in sorted((ROOT / "src" / "dprelax").glob("*.py")):
+        if path.stem in ("mechanism", "inference"):
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and node.module in ("mechanism", "dprelax.mechanism"):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+                names = [node.attr] if node.value.id == "mechanism" else []
+            else:
+                continue
+            offenders += [f"{path.name}: {name}" for name in names if name.startswith("_")]
+    assert not offenders
+
+
 def test_exported_names_resolve():
     import dprelax
 

@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -10,9 +12,7 @@ from dprelax.mechanism import (
     RelaxationChain,
     chain_likelihood,
     iter_log_likelihoods,
-    kernel_conditional,
     kernel_tensor,
-    log_kernel_tensor,
     relax_kernel,
     relax_step,
     relax_step_batch,
@@ -25,6 +25,7 @@ from oracles import (
     binary_pa,
     binary_pb,
     fold_marginal,
+    kernel_conditional,
     poly_kernel_direct,
     rr_vector,
     sequence_likelihood,
@@ -201,29 +202,28 @@ class TestRelaxKernel:
 
 
 class TestKernelConditional:
+    """One conditional ``[x, o_prev]`` of the kernel's tensor and log table."""
+
     def test_identity_is_one_hot(self):
         k = relax_kernel(1.0, 1.0, 4)
         for x in range(4):
             for o_prev in range(4):
                 expected = np.zeros(4)
                 expected[o_prev] = 1.0
-                assert np.array_equal(kernel_conditional(k, x, o_prev), expected)
+                assert np.array_equal(kernel_tensor(k)[x, o_prev], expected)
+                assert np.array_equal(np.exp(k.log_table[x, o_prev]), expected)
 
     def test_three_level_example(self):
         k = relax_kernel(0.1, 0.5, 3)
-        vec = kernel_conditional(k, 0, 1)
-        np.testing.assert_allclose(
-            vec,
-            [0.3786066137331542, 0.3917568670677096, 0.2296365191991362],
-            atol=1e-12,
-        )
+        expected = [0.3786066137331542, 0.3917568670677096, 0.2296365191991362]
+        np.testing.assert_allclose(kernel_tensor(k)[0, 1], expected, atol=1e-12)
+        np.testing.assert_allclose(np.exp(k.log_table[0, 1]), expected, atol=1e-12)
 
     def test_binary_example(self):
         k = relax_kernel(1.0, 2.0, 2)
-        vec = kernel_conditional(k, 0, 1)
-        np.testing.assert_allclose(
-            vec, [1.0 - 0.3560857401120277, 0.3560857401120277], atol=1e-12
-        )
+        expected = [1.0 - 0.3560857401120277, 0.3560857401120277]
+        np.testing.assert_allclose(kernel_tensor(k)[0, 1], expected, atol=1e-12)
+        np.testing.assert_allclose(np.exp(k.log_table[0, 1]), expected, atol=1e-12)
 
     def test_row_stochastic_on_grid(self):
         for m in range(2, 11):
@@ -234,19 +234,18 @@ class TestKernelConditional:
                 assert tensor.min() >= 0.0
 
     def test_tensor_agrees_with_conditional(self):
+        # against the oracle's entry-by-entry conditional, for the tensor and
+        # the log table alike
         for m in (2, 3, 6):
-            k = relax_kernel(0.3, 1.7, m)
-            tensor = kernel_tensor(k)
-            for x in range(m):
-                for o_prev in range(m):
-                    assert np.array_equal(tensor[x, o_prev], kernel_conditional(k, x, o_prev))
-
-    def test_index_errors(self):
-        k = relax_kernel(0.5, 1.0, 3)
-        with pytest.raises(ParameterError):
-            kernel_conditional(k, 3, 0)
-        with pytest.raises(ParameterError):
-            kernel_conditional(k, 0, -1)
+            for eps_prev, eps_next in ((0.3, 1.7), (0.9, 0.9)):
+                k = relax_kernel(eps_prev, eps_next, m)
+                tensor = kernel_tensor(k)
+                for x in range(m):
+                    for o_prev in range(m):
+                        expected = kernel_conditional(k, x, o_prev)
+                        assert np.array_equal(tensor[x, o_prev], expected)
+                        with np.errstate(divide="ignore"):
+                            assert np.array_equal(k.log_table[x, o_prev], np.log(expected))
 
 
 class TestMarginalInvariance:
@@ -449,7 +448,7 @@ class TestRelaxStepBatchLaw:
 
 
 class TestStepMemo:
-    """The per-process memo behind `relax_step`, likelihoods, runs and audits."""
+    """`relax_kernel`'s per-process memo, behind every step the library takes or scores."""
 
     CASES = [
         (0.3, 0.8, 3),
@@ -461,21 +460,33 @@ class TestStepMemo:
 
     @pytest.mark.parametrize("eps_prev, eps_next, m", CASES)
     def test_cached_step_equals_a_fresh_build(self, eps_prev, eps_next, m):
-        fresh_kernel = relax_kernel(eps_prev, eps_next, m)
-        fresh = log_kernel_tensor(fresh_kernel)
-        for _ in range(2):  # the miss, then the hit
-            kernel, cached = mechanism._step_kernel(eps_prev, eps_next, m)
-            assert kernel == fresh_kernel
-            assert cached.dtype == fresh.dtype and np.array_equal(cached, fresh)
+        fresh_kernel = mechanism._relax_kernel.__wrapped__(eps_prev, eps_next, m)
+        with np.errstate(divide="ignore"):
+            fresh = np.log(kernel_tensor(fresh_kernel))
+        kernels = [relax_kernel(eps_prev, eps_next, m) for _ in range(2)]  # a miss, then a hit
+        assert kernels[0] is kernels[1] and kernels[0] == fresh_kernel
+        cached = kernels[0].log_table
+        assert cached.dtype == fresh.dtype and np.array_equal(cached, fresh)
         if eps_prev == eps_next:
             assert np.isneginf(cached).any()
 
-    def test_cached_tensor_is_read_only(self):
-        _, cached = mechanism._step_kernel(0.2, 0.6, 3)
+    def test_cached_tensor_is_read_only(self, kernel_builds):
+        kernel = relax_kernel(0.2, 0.6, 3)
+        assert kernel_builds == {"kernel_tensor": 0}  # no table until one is asked for
+        cached = kernel.log_table
         with pytest.raises(ValueError):
             cached[0, 0, 0] = 0.0
-        # the public builders still hand out fresh, writable arrays
-        assert log_kernel_tensor(relax_kernel(0.2, 0.6, 3)).flags.writeable
+        assert relax_kernel(0.2, 0.6, 3).log_table is cached
+        assert kernel_builds == {"kernel_tensor": 1}  # built once per memoized step
+        # a copy rebuilds its own table, read-only as well
+        copies = (copy.copy(kernel), copy.deepcopy(kernel), pickle.loads(pickle.dumps(kernel)))
+        for copied in copies:
+            assert copied == kernel
+            with pytest.raises(ValueError):
+                copied.log_table[0, 0, 0] = 0.0
+            assert np.array_equal(copied.log_table, cached)
+        # the public builder still hands out fresh, writable arrays
+        assert kernel_tensor(kernel).flags.writeable
 
     def test_schedule_keeps_the_uncapped_epsilon(self):
         rng = np.random.default_rng(5)
@@ -486,13 +497,16 @@ class TestStepMemo:
         assert chain.schedule == (1.0, EPSILON_CAP + 10.0, EPSILON_CAP + 20.0)
         other = relax_step(start_chain(0, 3, 1.0, rng), EPSILON_CAP + 20.0, rng)
         assert other.schedule == (1.0, EPSILON_CAP + 20.0)
-        assert mechanism._step_kernel(1.0, EPSILON_CAP + 10.0, 3)[0].eps_next == EPSILON_CAP + 10.0
+        assert relax_kernel(1.0, EPSILON_CAP + 10.0, 3).eps_next == EPSILON_CAP + 10.0
 
     def test_unhashable_epsilon_is_validated_before_the_lookup(self):
         rng = np.random.default_rng(6)
         chain = relax_step(start_chain(1, 3, 0.4, rng), np.array(0.9), rng)
         assert chain.schedule == (0.4, 0.9)
         assert type(chain.schedule[-1]) is float
+        kernel = relax_kernel(np.array(0.4), np.array(0.9), np.int64(3))
+        assert kernel is relax_kernel(0.4, 0.9, 3)
+        assert (type(kernel.eps_prev), type(kernel.m)) == (float, int)
 
     def test_invalid_and_decreasing_steps_raise_every_call(self):
         rng = np.random.default_rng(7)
@@ -502,19 +516,51 @@ class TestStepMemo:
             with pytest.raises(BudgetDecreaseError):
                 relax_step(chain, 0.5, rng)
             with pytest.raises(BudgetDecreaseError):
+                relax_kernel(1.0, 0.5, 3)
+            with pytest.raises(BudgetDecreaseError):
                 list(iter_log_likelihoods(outputs, (1.0, 0.5), 3))
-            for bad in (math.nan, math.inf, -1.0, 0.0):
+            for bad in (math.nan, math.inf, -1.0, 0.0, np.array(math.nan)):
                 with pytest.raises(ParameterError):
                     relax_step(chain, bad, rng)
                 with pytest.raises(ParameterError):
-                    mechanism._step_kernel(bad, 1.0, 3)
+                    relax_kernel(bad, 1.0, 3)
             with pytest.raises(ParameterError):
-                mechanism._step_kernel(0.5, 1.0, 1)
-        assert mechanism._built_step_kernel.cache_info().currsize == 0
+                relax_kernel(0.5, 1.0, 1)
+        assert mechanism._relax_kernel.cache_info().currsize == 0
 
     def test_memo_is_bounded(self):
-        info = mechanism._built_step_kernel.cache_info()
+        info = mechanism._relax_kernel.cache_info()
         assert info.maxsize is not None and info.maxsize >= 128
         for k in range(info.maxsize + 10):
-            mechanism._step_kernel(0.1, 0.2 + 0.01 * k, 2)
-        assert mechanism._built_step_kernel.cache_info().currsize == info.maxsize
+            relax_kernel(0.1, 0.2 + 0.01 * k, 2)
+        assert mechanism._relax_kernel.cache_info().currsize == info.maxsize
+
+    def test_scalar_kernel_of_a_large_domain_builds_no_table(self, monkeypatch):
+        # `relax_kernel` and the kernel table stay unbounded in m: they read
+        # only the named entries, never the m**3 table
+        def no_table(kernel):
+            raise AssertionError("kernel_tensor called")
+
+        from dprelax.experiments import kernel_table_rows
+
+        monkeypatch.setattr(mechanism, "kernel_tensor", no_table)
+        kernel = relax_kernel(0.1, 0.2, 1000)
+        assert kernel.m == 1000 and 0.0 < kernel.p_aa < 1.0
+        assert "log_table" not in vars(kernel)
+        row = (1000, 0.1, 0.2, kernel.p_aa, kernel.p_bb, kernel.p_ba)
+        assert kernel_table_rows((0.1, 0.2), (1000,)) == [row]
+
+    def test_domain_above_the_limit_has_no_table(self, monkeypatch):
+        limit = mechanism.MAX_DOMAIN
+        assert relax_kernel(0.1, 0.2, limit).log_table.shape == (limit,) * 3
+        monkeypatch.setattr(mechanism, "kernel_tensor", None)  # a build would fail
+        kernel = relax_kernel(0.1, 0.2, limit + 1)
+        for _ in range(2):
+            with pytest.raises(ParameterError, match=f"m={limit + 1}"):
+                kernel.log_table
+        rng = np.random.default_rng(8)
+        chain = start_chain(0, limit + 1, 0.1, rng)
+        state = rng.bit_generator.state
+        with pytest.raises(ParameterError, match=f"m={limit + 1}"):
+            relax_step(chain, 0.2, rng)
+        assert rng.bit_generator.state == state  # refused before any draw

@@ -4,7 +4,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dprelax.estimation import Histogram, estimate_poly, perturbation_matrix
+from dprelax.estimation import MIN_EPSILON, Histogram, estimate_poly, perturbation_matrix
 from dprelax.inference import iter_attack_guesses
 from dprelax.mechanism import (
     EPSILON_CAP,
@@ -128,9 +128,12 @@ def _assert_log_close(actual, expected):
 
 
 # ordinary parameters mixed with ones at and above the cap, where the kernel
-# saturates; repeats give identity steps
+# saturates, and at the estimators' smallest ε; repeats give identity steps
 online_epsilons = st.one_of(
-    epsilons, st.sampled_from([0.5, EPSILON_CAP, EPSILON_CAP + 10.0, 4 * EPSILON_CAP])
+    epsilons,
+    st.sampled_from(
+        [MIN_EPSILON, 2 * MIN_EPSILON, 0.5, EPSILON_CAP, EPSILON_CAP + 10.0, 4 * EPSILON_CAP]
+    ),
 )
 
 
