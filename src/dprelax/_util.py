@@ -20,16 +20,24 @@ def cap_epsilon(eps: float) -> float:
     return min(eps, EPSILON_CAP)
 
 
-def as_float(x) -> float:
-    """``float(x)``, with a number beyond double range (a large Python int) read as ±inf."""
-    try:
-        return float(x)
-    except OverflowError:
-        return math.inf if x > 0 else -math.inf
+def as_float(x, name: str) -> float:
+    """``float(x)`` of a real number, with one beyond double range (a large
+    Python int) read as ±inf; a string, or anything ``float`` refuses, raises
+    `ParameterError` naming the argument."""
+    if type(x) is float:  # the common case, kept cheap
+        return x
+    if not isinstance(x, (str, bytes, bytearray)):
+        try:
+            return float(x)
+        except OverflowError:
+            return math.inf if x > 0 else -math.inf
+        except (TypeError, ValueError):
+            pass
+    raise ParameterError(f"{name} must be a real number, got {x!r}")
 
 
 def check_epsilon(eps: float, name: str = "epsilon") -> float:
-    eps = as_float(eps)
+    eps = as_float(eps, name)
     if not math.isfinite(eps) or eps <= 0.0:
         raise ParameterError(f"{name} must be positive and finite, got {eps}")
     return eps
@@ -40,9 +48,10 @@ def check_schedule(schedule, name: str = "schedule") -> tuple:
     positive and finite, non-decreasing (else `BudgetDecreaseError`)."""
     checked = []
     last = 0.0
-    for eps in map(as_float, schedule):
+    for i, eps in enumerate(schedule):
+        eps = as_float(eps, f"{name}[{i}]")
         if not 0.0 < eps < math.inf:  # NaN fails both comparisons
-            raise ParameterError(f"{name}[{len(checked)}] must be positive and finite, got {eps}")
+            raise ParameterError(f"{name}[{i}] must be positive and finite, got {eps}")
         if eps < last:
             raise BudgetDecreaseError(f"{name} must be non-decreasing: {eps} follows {last}")
         checked.append(eps)
@@ -53,7 +62,7 @@ def check_schedule(schedule, name: str = "schedule") -> tuple:
 
 
 def _check_integer(x, name: str) -> int:
-    if not isinstance(x, (int, np.integer)) and not float(x).is_integer():
+    if not isinstance(x, (int, np.integer)) and not as_float(x, name).is_integer():
         raise ParameterError(f"{name} must be an integer, got {x}")
     return int(x)
 

@@ -1,12 +1,16 @@
 """Command-line entry point.
 
 Subcommands: ``kernel-table``, ``simulate``, ``compare-rappor``,
-``attack-eval``, ``audit``.  Exit codes: 0 on success, 2 on validation
-errors, 3 when an audit check fails.
+``attack-eval``, ``audit``.  The three run commands share one handler: it
+loads the config, applies ``--seed`` as ``dataclasses.replace(config,
+seed=N)``, runs the command's runner and writes its CSV.  Exit codes: 0 on
+success, 2 on validation errors (any `DPRelaxError`) and on I/O errors, 3
+when an audit check fails.
 """
 
 import argparse
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from .audit import run_standard_audits
@@ -28,21 +32,15 @@ EXIT_VALIDATION = 2
 EXIT_AUDIT_FAILED = 3
 
 
-def _parse_floats(text: str) -> list:
+def _parse_list(text: str, kind, flag: str) -> list:
     try:
-        return [float(v) for v in text.split(",") if v.strip()]
+        return [kind(v) for v in text.split(",") if v.strip()]
     except ValueError as exc:
-        raise ConfigError(f"--epsilons: {exc}") from exc
+        raise ConfigError(f"{flag}: {exc}") from exc
 
 
-def _parse_ints(text: str) -> list:
-    try:
-        return [int(v) for v in text.split(",") if v.strip()]
-    except ValueError as exc:
-        raise ConfigError(f"--domains: {exc}") from exc
-
-
-def _add_run_flags(sub):
+def _add_run_flags(sub, run, write, suffix: str):
+    # a run command's flags, and the runner, CSV writer and file suffix of `_cmd_run`
     sub.add_argument("--config", required=True, help="path to the JSON experiment config")
     sub.add_argument("--seed", type=int, default=None, help="override the config's master seed")
     sub.add_argument("--out", default=".", help="output directory (default: current)")
@@ -54,36 +52,25 @@ def _add_run_flags(sub):
         help="split trials across N threads; output is byte-identical for any N, "
         "and it helps only when objects x rounds per trial is large",
     )
+    sub.set_defaults(func=_cmd_run, run=run, write=write, suffix=suffix)
 
 
 def _cmd_kernel_table(args) -> int:
-    rows = kernel_table_rows(_parse_floats(args.epsilons), _parse_ints(args.domains))
+    rows = kernel_table_rows(
+        _parse_list(args.epsilons, float, "--epsilons"), _parse_list(args.domains, int, "--domains")
+    )
     path = write_kernel_table_csv(rows, Path(args.out) / "kernel_table.csv")
     print(path)
     return EXIT_OK
 
 
-def _cmd_simulate(args) -> int:
+def _cmd_run(args) -> int:
+    # simulate, attack-eval and compare-rappor: run the config, write its CSV
     config = load_config(args.config)
-    result = simulate_experiment(config, seed=args.seed, threads=args.threads)
-    path = write_rounds_csv(result, Path(args.out) / f"{config.name}_rounds.csv")
-    print(path)
-    return EXIT_OK
-
-
-def _cmd_attack_eval(args) -> int:
-    config = load_config(args.config)
-    result = simulate_experiment(config, seed=args.seed, threads=args.threads)
-    path = write_attacks_csv(result, Path(args.out) / f"{config.name}_attacks.csv")
-    print(path)
-    return EXIT_OK
-
-
-def _cmd_compare_rappor(args) -> int:
-    config = load_config(args.config)
-    comparison = compare_noisy_sampling(config, seed=args.seed, threads=args.threads)
-    path = write_rappor_csv(comparison, Path(args.out) / f"{config.name}_rappor.csv")
-    print(path)
+    if args.seed is not None:
+        config = replace(config, seed=args.seed)
+    result = args.run(config, threads=args.threads)
+    print(args.write(result, Path(args.out) / f"{config.name}_{args.suffix}.csv"))
     return EXIT_OK
 
 
@@ -115,17 +102,16 @@ def _build_parser() -> argparse.ArgumentParser:
     table.add_argument("--out", default=".", help="output directory")
     table.set_defaults(func=_cmd_kernel_table)
 
+    # The runners and writers are read from this module's globals when the
+    # parser is built, so one replaced after import is the one that runs.
     simulate = sub.add_parser("simulate", help="run a relaxation experiment")
-    _add_run_flags(simulate)
-    simulate.set_defaults(func=_cmd_simulate)
+    _add_run_flags(simulate, simulate_experiment, write_rounds_csv, "rounds")
 
     attacks = sub.add_parser("attack-eval", help="run an experiment, emit attack errors only")
-    _add_run_flags(attacks)
-    attacks.set_defaults(func=_cmd_attack_eval)
+    _add_run_flags(attacks, simulate_experiment, write_attacks_csv, "attacks")
 
     rappor = sub.add_parser("compare-rappor", help="relaxation vs noisy sampling variance")
-    _add_run_flags(rappor)
-    rappor.set_defaults(func=_cmd_compare_rappor)
+    _add_run_flags(rappor, compare_noisy_sampling, write_rappor_csv, "rappor")
 
     audit = sub.add_parser("audit", help="run the exhaustive audit battery")
     audit.add_argument("--out", default=None, help="also write audit_report.csv here")
@@ -138,10 +124,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, DPRelaxError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except OSError as exc:
+    except (DPRelaxError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
 

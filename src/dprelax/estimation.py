@@ -112,9 +112,14 @@ def estimate_binary(lambda_b, eps: float):
     lam = np.asarray(lambda_b, dtype=float)
     if np.any(lam < 0.0) or np.any(lam > 1.0):
         raise ParameterError("observed frequency must be in [0, 1]")
-    g = _growth(eps)
-    out = ((g + 2.0) * lam - 1.0) / g
+    out = _debias_binary(lam, eps)
     return float(out) if np.ndim(lambda_b) == 0 else out
+
+
+def _debias_binary(lam, eps: float):
+    # The affine map of `estimate_binary`, for a validated eps and unchecked lam.
+    g = _growth(eps)
+    return ((g + 2.0) * lam - 1.0) / g
 
 
 def perturbation_matrix(eps: float, m: int) -> PerturbationMatrix:

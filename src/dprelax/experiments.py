@@ -17,7 +17,8 @@ with three schedule kinds::
     {"kind": "linear",         "start": 0.1, "stop": 1.0, "stride": 0.1}
     {"kind": "noisy-sampling", "eps_alpha": 1.0, "eps_beta": 0.5, "rounds": 10}
 
-Reproducibility contract: a run is a pure function of (config, seed).  Each
+Reproducibility contract: a run is a pure function of its config, seed
+included (`dataclasses.replace` runs a config under another seed).  Each
 trial draws from its own stream split off the master seed, trials are reduced
 in index order, and floats are serialized with 17 significant digits, so
 outputs are byte-identical for any ``threads`` setting.  All theoretical
@@ -30,7 +31,7 @@ import json
 import math
 from numbers import Integral, Real
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -191,7 +192,7 @@ def _cfg_fail(path: str, message: str):
 def _positive(path: str, value) -> float:
     number = math.nan
     if isinstance(value, Real) and not isinstance(value, bool):
-        number = as_float(value)
+        number = as_float(value, path)
     if not 0.0 < number < math.inf:  # NaN fails both comparisons
         shown = number if math.isinf(number) else repr(value)  # no 400-digit integers
         _cfg_fail(path, f"must be a positive finite number, got {shown}")
@@ -295,12 +296,6 @@ def load_config(path) -> ExperimentConfig:
     return config_from_dict(raw, source=str(path))
 
 
-def _with_seed(config: ExperimentConfig, seed) -> ExperimentConfig:
-    if seed is None or seed == config.seed:
-        return config
-    return replace(config, seed=int(seed))
-
-
 def _truth_vector(config: ExperimentConfig) -> np.ndarray:
     return np.repeat(np.arange(config.m, dtype=np.int64), config.counts)
 
@@ -344,7 +339,7 @@ def _run_trials(fn, trials: int, threads: int):
         return list(pool.map(fn, range(trials)))
 
 
-def simulate_experiment(config: ExperimentConfig, seed=None, threads: int = 1) -> ExperimentResult:
+def simulate_experiment(config: ExperimentConfig, threads: int = 1) -> ExperimentResult:
     """Run the relaxation experiment: estimates plus attack error rates per round.
 
     Per trial and round, the population's outputs are decoded into a frequency
@@ -356,7 +351,6 @@ def simulate_experiment(config: ExperimentConfig, seed=None, threads: int = 1) -
     moved past the rounds' draws, so results equal those of sampling every
     round before drawing the subset.
     """
-    config = _with_seed(config, seed)
     m, epsilons = config.m, config.epsilons
     rounds = len(epsilons)
     truth = _truth_vector(config)
@@ -408,7 +402,7 @@ def simulate_experiment(config: ExperimentConfig, seed=None, threads: int = 1) -
     )
 
 
-def compare_noisy_sampling(config: ExperimentConfig, seed=None, threads: int = 1) -> RapporComparison:
+def compare_noisy_sampling(config: ExperimentConfig, threads: int = 1) -> RapporComparison:
     """Head-to-head variance of relaxation vs repeated noisy sampling.
 
     Requires a binary domain and a noisy-sampling schedule so both pipelines
@@ -418,7 +412,6 @@ def compare_noisy_sampling(config: ExperimentConfig, seed=None, threads: int = 1
     each trial's noisy samples are drawn first, from a copy of its generator
     moved past the rounds' draws.
     """
-    config = _with_seed(config, seed)
     if config.m != 2:
         raise ConfigError("compare-rappor: m must be 2 (per-bit comparison)")
     if config.eps_alpha is None:

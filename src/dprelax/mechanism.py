@@ -76,7 +76,7 @@ class RelaxKernel:
     the previous output when it differs from the true value, and ``c`` is any
     remaining value.  ``p_ab`` and ``p_bc`` follow from the named entries by
     symmetry; ``p_bc`` does not exist for m = 2 (there is no third class), in
-    which case it is stored as 0.0 and ``has_third_class`` is False.
+    which case it is stored as 0.0.
     """
 
     eps_prev: float
@@ -87,7 +87,6 @@ class RelaxKernel:
     p_bb: float
     p_ab: float
     p_bc: float
-    has_third_class: bool
 
     @functools.cached_property
     def log_table(self) -> np.ndarray:
@@ -238,7 +237,7 @@ def _relax_kernel(eps_prev: float, eps_next: float, m: int) -> RelaxKernel:
     e1 = cap_epsilon(eps_prev)
     e2 = cap_epsilon(eps_next)
     if e1 == e2:
-        return RelaxKernel(eps_prev, eps_next, m, 1.0, 0.0, 1.0, 0.0, 0.0, m > 2)
+        return RelaxKernel(eps_prev, eps_next, m, 1.0, 0.0, 1.0, 0.0, 0.0)
     exp1 = math.exp(e1)
     denom = math.expm1(e2) * (math.exp(e2) + m - 1)
     # q_ab = (1 - p_aa) / (m - 1); every other entry is a scaled copy of it
@@ -248,7 +247,7 @@ def _relax_kernel(eps_prev: float, eps_next: float, m: int) -> RelaxKernel:
     p_ba = math.exp(e1 + e2) * q_ab
     p_bb = (exp1 * math.expm1(e2) + (m - 1) * math.expm1(e1)) / denom
     p_bc = exp1 * q_ab if m > 2 else 0.0
-    return RelaxKernel(eps_prev, eps_next, m, p_aa, p_ba, p_bb, q_ab, p_bc, m > 2)
+    return RelaxKernel(eps_prev, eps_next, m, p_aa, p_ba, p_bb, q_ab, p_bc)
 
 
 def kernel_tensor(kernel: RelaxKernel) -> np.ndarray:
@@ -298,7 +297,7 @@ def _draw_step(kernel: RelaxKernel, true_values, prev_outputs, rng) -> np.ndarra
 
     # Previous output differs: [p_ba at x][p_bb at o_prev][p_bc each remaining].
     stay_level = kernel.p_ba + kernel.p_bb
-    if kernel.has_third_class and kernel.p_bc > 0.0:
+    if kernel.p_bc > 0.0:  # 0.0 at m = 2, where no third value exists
         idx = np.clip((u - stay_level) / kernel.p_bc, 0.0, m - 3).astype(np.int64)
         lo = np.minimum(true_values, prev_outputs)
         hi = np.maximum(true_values, prev_outputs)

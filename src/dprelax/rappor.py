@@ -9,8 +9,10 @@ Bloom-filter machinery appears here.  Clients are simulated as a batch
 (`simulate_noisy_sampling_batch`) and decoded from their one-bit counts
 (`decode_noisy_sampling_counts`); one client is a one-row batch.
 
-Parameters are specified through the per-stage privacy parameters, with
-``alpha = e^eps_alpha / (e^eps_alpha + 1)`` and likewise for beta.
+Parameters are specified through the per-stage privacy parameters: alpha is
+the retain probability of the binary randomized response at ``eps_alpha``
+(`mechanism.rr_distribution`, ``e^eps_alpha / (e^eps_alpha + 1)``), and
+likewise for beta.
 """
 
 import math
@@ -20,7 +22,8 @@ import numpy as np
 
 from ._util import cap_epsilon, check_count, check_epsilon, check_values
 from .errors import ParameterError
-from .estimation import _growth, estimate_binary
+from .estimation import _debias_binary, estimate_binary
+from .mechanism import rr_distribution
 
 __all__ = [
     "RapporParams",
@@ -47,8 +50,8 @@ def rappor_params(eps_alpha: float, eps_beta: float) -> RapporParams:
     """Build parameters from the per-stage privacy parameters (both > 0)."""
     eps_alpha = check_epsilon(eps_alpha, "eps_alpha")
     eps_beta = check_epsilon(eps_beta, "eps_beta")
-    alpha = 1.0 / (1.0 + math.exp(-cap_epsilon(eps_alpha)))
-    beta = 1.0 / (1.0 + math.exp(-cap_epsilon(eps_beta)))
+    alpha = rr_distribution(eps_alpha, 2).p_retain
+    beta = rr_distribution(eps_beta, 2).p_retain
     return RapporParams(eps_alpha=eps_alpha, eps_beta=eps_beta, alpha=alpha, beta=beta)
 
 
@@ -111,15 +114,10 @@ def decode_noisy_sampling_counts(k_ones, K: int, params: RapporParams) -> float:
     if np.any(k_ones < 0) or np.any(k_ones > K):
         raise ParameterError(f"counts must be in [0, {K}]")
     per_client = estimate_binary(k_ones / K, params.eps_beta)
-    return _unclamped_binary(float(per_client.mean()), params.eps_alpha)
-
-
-def _unclamped_binary(lam: float, eps: float) -> float:
     # The per-client stage is already debiased and routinely leaves [0, 1],
-    # so the second stage applies the same affine map without the range check
-    # estimate_binary performs on raw observed frequencies.
-    g = _growth(check_epsilon(eps))
-    return ((g + 2.0) * lam - 1.0) / g
+    # so the second stage applies estimate_binary's affine map without the
+    # range check it performs on raw observed frequencies.
+    return _debias_binary(float(per_client.mean()), check_epsilon(params.eps_alpha, "eps_alpha"))
 
 
 def variance_noisy_sampling(params: RapporParams, N: int, K: int) -> float:

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from dprelax.audit import (
+    _worst_log_ratio,
     audit_composition_ldp,
     audit_noisy_sampling_epsilon,
     audit_step_epsilon,
@@ -14,10 +15,10 @@ from dprelax.audit import (
     run_standard_audits,
 )
 from dprelax.errors import EnumerationLimitError, ParameterError
-from dprelax.mechanism import rr_distribution
+from dprelax.mechanism import EPSILON_CAP, relax_kernel, rr_distribution
 from dprelax.rappor import eps_noisy_sampling, rappor_params
 
-from oracles import sequence_likelihood
+from oracles import kernel_conditional, sequence_likelihood
 
 
 class TestEnumerateChainDistribution:
@@ -97,7 +98,40 @@ class TestCompositionAudit:
                     assert report.attained
 
 
+class TestWorstLogRatio:
+    # rows are inputs, columns outcomes; a zero probability is a -inf log
+    def test_column_impossible_for_every_input_is_ignored(self):
+        with np.errstate(divide="ignore"):
+            logp = np.log([[0.5, 0.0, 0.5], [0.25, 0.0, 0.75]])
+        assert _worst_log_ratio(logp) == pytest.approx(math.log(2.0), abs=1e-15)
+
+    def test_mixed_support_is_unbounded(self):
+        with np.errstate(divide="ignore"):
+            logp = np.log([[0.5, 0.1, 0.4], [0.25, 0.0, 0.75]])
+        assert _worst_log_ratio(logp) == math.inf
+
+
 class TestStepEpsilon:
+    @pytest.mark.parametrize("m", [2, 3, 4, 5])
+    def test_matches_brute_force_over_output_pairs(self, m):
+        for eps_prev, eps_next in [
+            (0.3, 2.0),
+            (0.7, 0.7),
+            (1.0, EPSILON_CAP + 10.0),
+            (EPSILON_CAP + 1.0, EPSILON_CAP + 10.0),
+        ]:
+            kernel = relax_kernel(eps_prev, eps_next, m)
+            worst = 0.0
+            for o_prev, o_next in product(range(m), repeat=2):
+                probs = [kernel_conditional(kernel, x, o_prev)[o_next] for x in range(m)]
+                if max(probs) == 0.0:
+                    continue
+                assert min(probs) > 0.0  # the relaxation never has mixed support
+                logs = [math.log(p) for p in probs]
+                worst = max(worst, max(logs) - min(logs))
+            got = audit_step_epsilon(eps_prev, eps_next, m)
+            assert got == pytest.approx(worst, abs=1e-12), (eps_prev, eps_next)
+
     def test_binary_sum_of_parameters(self):
         assert audit_step_epsilon(1.0, 2.0, 2) == pytest.approx(3.0, abs=1e-10)
 

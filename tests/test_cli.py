@@ -1,10 +1,19 @@
 import json
 import math
+from dataclasses import replace
 
 import pytest
 
 from dprelax import cli
 from dprelax.audit import AuditCheck
+from dprelax.experiments import (
+    compare_noisy_sampling,
+    load_config,
+    simulate_experiment,
+    write_attacks_csv,
+    write_rappor_csv,
+    write_rounds_csv,
+)
 
 CONFIG = {
     "name": "clismoke",
@@ -68,6 +77,44 @@ def test_simulate_seed_and_threads_flags(tmp_path, config_path):
     assert (out_a / "clismoke_rounds.csv").read_bytes() == (
         out_b / "clismoke_rounds.csv"
     ).read_bytes()
+
+
+@pytest.mark.parametrize(
+    "command, run, write, suffix",
+    [
+        ("simulate", simulate_experiment, write_rounds_csv, "rounds"),
+        ("attack-eval", simulate_experiment, write_attacks_csv, "attacks"),
+        ("compare-rappor", compare_noisy_sampling, write_rappor_csv, "rappor"),
+    ],
+    ids=["simulate", "attack-eval", "compare-rappor"],
+)
+def test_seed_flag_runs_the_config_under_that_seed(
+    tmp_path, config_path, command, run, write, suffix
+):
+    argv = [command, "--config", str(config_path), "--out", str(tmp_path / "cli")]
+    assert cli.main(argv + ["--seed", "123"]) == 0
+    got = (tmp_path / "cli" / f"clismoke_{suffix}.csv").read_bytes()
+    config = load_config(config_path)
+    expected = write(run(replace(config, seed=123)), tmp_path / "lib.csv").read_bytes()
+    assert got == expected
+    assert write(run(config), tmp_path / "default.csv").read_bytes() != expected
+
+
+@pytest.mark.parametrize(
+    "flag, value", [("--epsilons", "0.1,x"), ("--domains", "3,4.5")], ids=["epsilons", "domains"]
+)
+def test_kernel_table_parse_error_exits_2(tmp_path, capsys, flag, value):
+    assert cli.main(["kernel-table", flag, value, "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {flag}: ")
+    assert not list(tmp_path.iterdir())
+
+
+def test_out_naming_a_file_exits_2(tmp_path, capsys, config_path):
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    assert cli.main(["simulate", "--config", str(config_path), "--out", str(taken)]) == 2
+    assert "error:" in capsys.readouterr().err
+    assert taken.read_text() == ""
 
 
 def test_missing_config_exits_2(tmp_path, capsys):

@@ -1,6 +1,7 @@
 import csv
 import json
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -103,6 +104,20 @@ class TestConfigValidation:
     def test_round_limit_is_inclusive(self):
         schedule = {"kind": "noisy-sampling", "eps_alpha": 1.0, "eps_beta": 0.5, "rounds": 100_000}
         assert len(tiny_config(schedule=schedule).epsilons) == 100_000
+
+    def test_field_of_wrong_json_type_is_named(self):
+        with pytest.raises(ConfigError, match=r"^config\.m: expected int, got str$"):
+            tiny_config(m="3")
+
+    def test_linear_schedule_stop_below_start(self):
+        with pytest.raises(ConfigError, match=r"^config\.schedule\.stop: must be >= start$"):
+            tiny_config(schedule={"kind": "linear", "start": 1.0, "stop": 0.5, "stride": 0.1})
+
+    def test_top_level_must_be_an_object(self, tmp_path):
+        path = tmp_path / "list.json"
+        path.write_text(json.dumps([TINY]))
+        with pytest.raises(ConfigError, match=r"list\.json: top-level value must be an object$"):
+            load_config(path)
 
     def test_unknown_field_rejected(self):
         with pytest.raises(ConfigError, match=r"config\.typo"):
@@ -233,12 +248,12 @@ class TestSimulateExperiment:
     def test_seed_override_changes_results(self):
         cfg = tiny_config()
         a = simulate_experiment(cfg)
-        b = simulate_experiment(cfg, seed=100)
+        b = simulate_experiment(replace(cfg, seed=100))
         assert not np.array_equal(a.estimates, b.estimates)
 
     def test_seed_override_keeps_other_fields(self):
         cfg = tiny_config()
-        result = compare_noisy_sampling(cfg, seed=2**64 - 1)
+        result = compare_noisy_sampling(replace(cfg, seed=2**64 - 1))
         assert result.config.seed == 2**64 - 1
         assert (result.config.name, result.config.counts, result.config.eps_alpha) == (
             cfg.name,
@@ -246,7 +261,7 @@ class TestSimulateExperiment:
             cfg.eps_alpha,
         )
         with pytest.raises(ConfigError):
-            simulate_experiment(cfg, seed=2**64)
+            replace(cfg, seed=2**64)
 
     def test_kernel_builds_grow_linearly_in_rounds(self, kernel_builds):
         # each run builds its step kernels once, not once per scored prefix

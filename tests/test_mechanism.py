@@ -287,6 +287,13 @@ class TestRelaxStep:
             out = relax_step_batch(relax_kernel(e1, e2, 2), truth, out, rng)
         assert np.mean(out == 1) == pytest.approx(folded[1], abs=0.006)
 
+    def test_batch_shape_mismatch_rejected(self):
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        with pytest.raises(ParameterError, match="same shape"):
+            relax_step_batch(relax_kernel(0.5, 1.0, 3), [0, 1, 2], [0, 1], rng)
+        assert rng.bit_generator.state == state
+
     def test_budget_decrease_rejected(self):
         rng = np.random.default_rng(0)
         chain = start_chain(0, 2, 1.0, rng)

@@ -12,6 +12,7 @@ from dprelax.inference import uniform_prior
 from dprelax.mechanism import (
     RelaxationChain,
     iter_log_likelihoods,
+    relax_kernel,
     relax_step,
     rr_distribution,
     start_chain,
@@ -85,4 +86,24 @@ BEYOND_DOUBLE = {
 def test_number_beyond_double_range_is_rejected(call):
     fn, name = BEYOND_DOUBLE[call]
     with pytest.raises(ParameterError, match=rf"^{name} must be positive and finite, got -?inf$"):
+        fn()
+
+
+# test id -> (call with an argument that is not a real number, argument the error must name)
+NON_NUMBERS = {
+    "rr_distribution": (lambda: rr_distribution("abc", 3), "epsilon"),
+    "rr_distribution-m": (lambda: rr_distribution(0.5, "3"), "m"),
+    "relax_kernel-string": (lambda: relax_kernel("0.5", 1.0, 3), r"\(eps_prev, eps_next\)\[0\]"),
+    "relax_kernel-list": (lambda: relax_kernel([1.0], 2.0, 3), r"\(eps_prev, eps_next\)\[0\]"),
+    "iter_log_likelihoods": (
+        lambda: next(iter_log_likelihoods(np.zeros((2, 2), dtype=np.int64), (0.5, b"1"), 3)),
+        r"schedule\[1\]",
+    ),
+}
+
+
+@pytest.mark.parametrize("call", list(NON_NUMBERS))
+def test_non_number_is_rejected(call):
+    fn, name = NON_NUMBERS[call]
+    with pytest.raises(ParameterError, match=rf"^{name} must be a real number, got "):
         fn()
