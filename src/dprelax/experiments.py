@@ -24,6 +24,13 @@ in index order, and floats are serialized with 17 significant digits, so
 outputs are byte-identical for any ``threads`` setting.  All theoretical
 columns come from `estimation` / `rappor` / `inference`; nothing is re-derived
 here.
+
+Trials run in blocks: consecutive trials, up to `BLOCK_OBJECTS` objects in
+all, are tiled into one population, so each round of a block is one sampler
+call, one scoring update and one histogram count for all of its trials.  Every
+trial still draws its doubles from its own stream, in the order it would
+alone, so a block's results equal those of its trials run one by one.
+``threads`` splits the blocks.
 """
 
 import csv
@@ -39,9 +46,9 @@ import numpy as np
 from ._util import as_float, check_count
 from .errors import ConfigError
 from .estimation import (
+    Histogram,
     decode_histogram,
     frequency_estimate_covariance,
-    histogram,
     perturbation_matrix,
     variance_binary_estimate,
 )
@@ -82,6 +89,11 @@ DEFAULT_TABLE_DOMAINS = tuple(range(3, 11))
 # The longest schedule a config may give; a longer one is refused before it
 # is built.
 MAX_ROUNDS = 100_000
+# The objects a block of trials tiles into one population; a trial larger than
+# this runs alone.  Blocks cut the numpy calls per trial-round on small
+# populations; at 8192 objects a block's arrays add under 2 MB to a shipped
+# config's peak RSS, where 32768 would add about 10 MB for no further speed.
+BLOCK_OBJECTS = 8192
 
 
 @dataclass(frozen=True)
@@ -243,7 +255,14 @@ def _build_schedule(raw: dict, path: str):
     rounds = _require(raw, "rounds", int, path)
     if not 1 <= rounds <= MAX_ROUNDS:
         _cfg_fail(f"{path}.rounds", f"must be in [1, {MAX_ROUNDS}], got {rounds}")
-    return tuple(noisy_sampling_schedule(eps_alpha, eps_beta, rounds)), eps_alpha, eps_beta
+    schedule = tuple(noisy_sampling_schedule(eps_alpha, eps_beta, rounds))
+    if not schedule[0] > 0.0:  # the schedule is non-decreasing: its first entry is its least
+        _cfg_fail(
+            f"{path}.eps_alpha",
+            f"{eps_alpha!r} is too small for the matched schedule: its first round's "
+            f"privacy parameter rounds to {schedule[0]}",
+        )
+    return schedule, eps_alpha, eps_beta
 
 
 def config_from_dict(raw: dict, source: str = "config") -> ExperimentConfig:
@@ -300,8 +319,12 @@ def _truth_vector(config: ExperimentConfig) -> np.ndarray:
     return np.repeat(np.arange(config.m, dtype=np.int64), config.counts)
 
 
-def _trial_streams(config: ExperimentConfig):
-    return np.random.SeedSequence(config.seed).spawn(config.trials)
+def _trial_blocks(config: ExperimentConfig) -> list:
+    """Each trial's stream, split off the master seed, in blocks of consecutive
+    trials: as many as fit in `BLOCK_OBJECTS` objects, and at least one."""
+    streams = np.random.SeedSequence(config.seed).spawn(config.trials)
+    size = max(1, min(config.trials, BLOCK_OBJECTS // config.n_objects))
+    return [streams[i : i + size] for i in range(0, config.trials, size)]
 
 
 def _trial_generators(stream: np.random.SeedSequence, draws: int):
@@ -317,8 +340,28 @@ def _trial_generators(stream: np.random.SeedSequence, draws: int):
     return np.random.default_rng(stream), ahead
 
 
+class _BlockStreams:
+    """A block's trial generators, drawn from as one over the tiled population.
+
+    ``random(shape)`` fills row i of a (trials, n_objects) array from trial
+    i's generator, so each trial draws, round by round, exactly the doubles it
+    draws when run alone.
+    """
+
+    def __init__(self, generators: list, n: int):
+        self._generators = generators
+        self._n = n
+
+    def random(self, shape):
+        u = np.empty((len(self._generators), self._n))
+        for row, rng in zip(u, self._generators):
+            rng.random(out=row)
+        return u.reshape(shape)
+
+
 def _sample_rounds(truth, epsilons: tuple, m: int, rng):
-    """One trial's relaxation chains, yielded as one (n_objects,) output column per round.
+    """The relaxation chains of one trial, or of a block's trials tiled into one
+    population, yielded as one output column per round.
 
     Round 1 is a randomized response at ``epsilons[0]``; each later round
     relaxes the previous column, with the step kernel fetched from the step
@@ -331,12 +374,36 @@ def _sample_rounds(truth, epsilons: tuple, m: int, rng):
         yield out
 
 
-def _run_trials(fn, trials: int, threads: int):
+def _block_rounds(truth, epsilons: tuple, m: int, streams: list, draw_ahead):
+    """A block's draws made ahead of its rounds, and the rounds themselves.
+
+    ``draw_ahead`` is called in trial order with each trial's generator moved
+    past the trial's rounds (`_trial_generators`); its results come first.
+    The rounds are `_sample_rounds` over the block's trials tiled into one
+    population: one (trials * n_objects,) column per round, trial-major.
+    """
+    generators, drawn = [], []
+    for stream in streams:
+        rng, ahead = _trial_generators(stream, truth.size * len(epsilons))
+        drawn.append(draw_ahead(ahead))
+        generators.append(rng)
+    rng = _BlockStreams(generators, truth.size)
+    return drawn, _sample_rounds(np.tile(truth, len(streams)), epsilons, m, rng)
+
+
+def _block_counts(column: np.ndarray, offsets: np.ndarray, m: int) -> np.ndarray:
+    """Every trial's histogram counts, (trials, m), of one round's trial-major
+    column, from one `np.bincount`; ``offsets`` moves trial i's values to the
+    bins [i * m, (i + 1) * m)."""
+    return np.bincount(column + offsets, minlength=offsets[-1] + m).reshape(-1, m)
+
+
+def _run_blocks(fn, blocks: list, threads: int) -> list:
     threads = check_count(threads, "threads")
     if threads == 1:
-        return [fn(t) for t in range(trials)]
+        return [fn(block) for block in blocks]
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, range(trials)))
+        return list(pool.map(fn, blocks))
 
 
 def simulate_experiment(config: ExperimentConfig, threads: int = 1) -> ExperimentResult:
@@ -350,34 +417,52 @@ def simulate_experiment(config: ExperimentConfig, threads: int = 1) -> Experimen
     rounds.  The subset is drawn first, from a copy of the trial's generator
     moved past the rounds' draws, so results equal those of sampling every
     round before drawing the subset.
+
+    Trials run in blocks of up to `BLOCK_OBJECTS` objects (see the module
+    docstring): a block's round is sampled, scored and counted over all of its
+    trials at once, and each method's guesses on every trial's subset are one
+    gather.  Results do not depend on how trials fall into blocks.
     """
     m, epsilons = config.m, config.epsilons
     rounds = len(epsilons)
     truth = _truth_vector(config)
-    channels = [perturbation_matrix(eps, m) for eps in epsilons]
-    streams = _trial_streams(config)
+    n = truth.size
+    # decode channels are built as their rounds come; building the first,
+    # whose parameter is the schedule's least, refuses one too small to
+    # debias before any sampling
+    perturbation_matrix(epsilons[0], m)
 
-    def one_trial(t):
-        rng, ahead = _trial_generators(streams[t], truth.size * rounds)
-        subset = balanced_subset(truth, m, ahead)
-        truth_subset = truth[subset]
-        est = np.empty((rounds, m))
-        errs = np.empty((rounds, len(ATTACK_METHODS)))
-        agree = True
-        columns = _sample_rounds(truth, epsilons, m, rng)
-        for r, guesses in enumerate(_running_guesses(columns, epsilons, m, truth.size)):
+    def run_block(streams):
+        trials = len(streams)
+        subsets, columns = _block_rounds(
+            truth, epsilons, m, streams, lambda ahead: balanced_subset(truth, m, ahead)
+        )
+        size = subsets[0].size  # m * min(counts), the same for every trial
+        # every trial's subset, as indices into the tiled population
+        picks = np.concatenate([subset + i * n for i, subset in enumerate(subsets)])
+        truth_picked = truth[np.concatenate(subsets)]
+        offsets = np.repeat(np.arange(0, trials * m, m), n)
+        est = np.empty((trials, rounds, m))
+        errs = np.empty((trials, rounds, len(ATTACK_METHODS)))
+        agree = np.ones(trials, dtype=bool)
+        for r, guesses in enumerate(_running_guesses(columns, epsilons, m, trials * n)):
             last = guesses["last_output"]
-            est[r] = decode_histogram(histogram(last, m), channels[r])
+            pm = perturbation_matrix(epsilons[r], m)
+            for i, counts in enumerate(_block_counts(last, offsets, m)):
+                est[i, r] = decode_histogram(Histogram(counts=counts, n=n), pm)
             for k, method in enumerate(ATTACK_METHODS):
-                wrong = np.count_nonzero(guesses[method][subset] != truth_subset)
-                errs[r, k] = wrong / subset.size
-            agree = agree and np.array_equal(last, guesses["mle"])
+                wrong = guesses[method][picks] != truth_picked
+                # a count per slice: with ``axis=1`` one (1, 5000) block takes
+                # four times as long, and eight trials of 625 no less
+                for i in range(trials):
+                    errs[i, r, k] = np.count_nonzero(wrong[i * size : (i + 1) * size]) / size
+            agree &= (last == guesses["mle"]).reshape(trials, n).all(axis=1)
         return est, errs, agree
 
-    results = _run_trials(one_trial, config.trials, threads)
-    estimates = np.stack([r[0] for r in results])
-    errors = np.stack([r[1] for r in results])
-    lo_mle_identical = all(r[2] for r in results)
+    results = _run_blocks(run_block, _trial_blocks(config), threads)
+    estimates = np.concatenate([r[0] for r in results])
+    errors = np.concatenate([r[1] for r in results])
+    lo_mle_identical = all(r[2].all() for r in results)
 
     true_freq = np.asarray(config.counts, dtype=float) / config.n_objects
     var_theory = np.stack(
@@ -408,9 +493,10 @@ def compare_noisy_sampling(config: ExperimentConfig, threads: int = 1) -> Rappor
     Requires a binary domain and a noisy-sampling schedule so both pipelines
     sit at the same privacy parameter after every round.  Round k decodes the
     relaxation outputs at eps_ns(k) and the first k noisy samples of each
-    client.  The relaxation rounds are streamed like `simulate_experiment`'s;
-    each trial's noisy samples are drawn first, from a copy of its generator
-    moved past the rounds' draws.
+    client.  The relaxation rounds are streamed in trial blocks like
+    `simulate_experiment`'s; each trial's noisy samples are drawn first, from
+    a copy of its generator moved past the rounds' draws, and decoded for
+    every round at once, so only one trial's samples are held at a time.
     """
     if config.m != 2:
         raise ConfigError("compare-rappor: m must be 2 (per-bit comparison)")
@@ -421,22 +507,28 @@ def compare_noisy_sampling(config: ExperimentConfig, threads: int = 1) -> Rappor
     rounds = len(epsilons)
     truth = _truth_vector(config)
     n = truth.size
-    channels = [perturbation_matrix(eps, 2) for eps in epsilons]
-    streams = _trial_streams(config)
+    perturbation_matrix(epsilons[0], 2)  # refuses a too-small schedule before sampling
 
-    def one_trial(t):
-        rng, ahead = _trial_generators(streams[t], n * rounds)
+    def decode_noisy(ahead):
+        # every round's estimate, decoded as soon as drawn: a block holds no
+        # trial's (n, rounds) counts
         counts = simulate_noisy_sampling_batch(truth, params, rounds, ahead)
-        relax_est = np.empty(rounds)
-        noisy_est = np.empty(rounds)
-        for r, out in enumerate(_sample_rounds(truth, epsilons, 2, rng)):
-            relax_est[r] = decode_histogram(histogram(out, 2), channels[r])[1]
-            noisy_est[r] = decode_noisy_sampling_counts(counts[:, r], r + 1, params)
-        return relax_est, noisy_est
+        return [decode_noisy_sampling_counts(counts[:, r], r + 1, params) for r in range(rounds)]
 
-    results = _run_trials(one_trial, config.trials, threads)
-    relax_estimates = np.stack([r[0] for r in results])
-    noisy_estimates = np.stack([r[1] for r in results])
+    def run_block(streams):
+        trials = len(streams)
+        noisy_est, columns = _block_rounds(truth, epsilons, 2, streams, decode_noisy)
+        offsets = np.repeat(np.arange(0, trials * 2, 2), n)
+        relax_est = np.empty((trials, rounds))
+        for r, out in enumerate(columns):
+            pm = perturbation_matrix(epsilons[r], 2)
+            for i, counts in enumerate(_block_counts(out, offsets, 2)):
+                relax_est[i, r] = decode_histogram(Histogram(counts=counts, n=n), pm)[1]
+        return relax_est, np.array(noisy_est)
+
+    results = _run_blocks(run_block, _trial_blocks(config), threads)
+    relax_estimates = np.concatenate([r[0] for r in results])
+    noisy_estimates = np.concatenate([r[1] for r in results])
     ddof = 1 if config.trials > 1 else 0
     return RapporComparison(
         config=config,

@@ -230,7 +230,7 @@ def relax_kernel(eps_prev: float, eps_next: float, m: int) -> RelaxKernel:
 
 # 128 entries hold every step of a 50-round schedule; `MAX_DOMAIN` bounds what
 # their tables retain.  Longer schedules stay linear in rounds: a run then
-# rebuilds each step once per trial.
+# rebuilds each step once per block of trials (`experiments.BLOCK_OBJECTS`).
 @functools.lru_cache(maxsize=128)
 def _relax_kernel(eps_prev: float, eps_next: float, m: int) -> RelaxKernel:
     # `relax_kernel`'s memoized body, for a validated step and m

@@ -4,7 +4,7 @@ from dataclasses import replace
 
 import pytest
 
-from dprelax import cli
+from dprelax import cli, experiments
 from dprelax.audit import AuditCheck
 from dprelax.experiments import (
     compare_noisy_sampling,
@@ -184,7 +184,12 @@ def test_domain_above_limit_exits_2(tmp_path, capsys, monkeypatch):
     assert "bad.json.m:" in capsys.readouterr().err
 
 
-def test_epsilon_too_small_to_debias_exits_2(tmp_path, capsys):
+def test_epsilon_too_small_to_debias_exits_2(tmp_path, capsys, monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("a refused schedule must not be sampled")
+
+    for name in ("balanced_subset", "sample_rr_batch"):
+        monkeypatch.setattr(experiments, name, never)
     bad = tmp_path / "tiny.json"
     bad.write_text(json.dumps({**CONFIG, "schedule": {"kind": "list", "epsilons": [1e-200, 1.0]}}))
     assert cli.main(["simulate", "--config", str(bad), "--out", str(tmp_path)]) == 2
@@ -198,6 +203,19 @@ def test_compare_rappor_wrong_schedule_exits_2(tmp_path, capsys):
         json.dumps({**CONFIG, "schedule": {"kind": "list", "epsilons": [0.5, 1.0]}})
     )
     assert cli.main(["compare-rappor", "--config", str(bad)]) == 2
+
+
+def test_eps_alpha_too_small_for_matched_schedule_exits_2(tmp_path, capsys):
+    # eps_noisy_sampling cancels to 0.0 at this eps_alpha; the error names the
+    # field the file has, not the schedule entry it generated
+    schedule = {"kind": "noisy-sampling", "eps_alpha": 1e-20, "eps_beta": 1.0, "rounds": 3}
+    bad = tmp_path / "tiny.json"
+    bad.write_text(json.dumps({**CONFIG, "schedule": schedule}))
+    assert cli.main(["compare-rappor", "--config", str(bad), "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert "tiny.json.schedule.eps_alpha: 1e-20 is too small for the matched schedule" in err
+    assert "epsilons" not in err
+    assert not list(tmp_path.glob("*.csv"))
 
 
 def test_audit_command_passes(tmp_path, capsys):

@@ -7,7 +7,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from dprelax import experiments
 from dprelax.errors import ConfigError
+from dprelax.estimation import perturbation_matrix
 from dprelax.experiments import (
     ExperimentConfig,
     compare_noisy_sampling,
@@ -20,6 +22,7 @@ from dprelax.experiments import (
     write_rappor_csv,
     write_rounds_csv,
 )
+from dprelax.mechanism import sample_rr_batch
 
 TINY = {
     "name": "tiny",
@@ -312,6 +315,108 @@ class TestCompareNoisySampling:
         cfg = tiny_config(m=3, counts=[1, 2, 3])
         with pytest.raises(ConfigError, match="m must be 2"):
             compare_noisy_sampling(cfg)
+
+
+class TestTrialBlocks:
+    """A run's results do not depend on how its trials fall into blocks."""
+
+    TRIALS = 7
+    # layout -> (object budget for n objects a trial, trials in each block)
+    LAYOUTS = {
+        "one-per-block": (lambda n: 1, [1] * TRIALS),
+        "short-last-block": (lambda n: 3 * n, [3, 3, 1]),
+        "all-in-one": (lambda n: 10**9, [TRIALS]),
+    }
+
+    @staticmethod
+    def _simulate(config, threads=1):
+        result = simulate_experiment(config, threads=threads)
+        return result.estimates, result.errors, result.lo_mle_identical
+
+    @staticmethod
+    def _compare(config, threads=1):
+        result = compare_noisy_sampling(config, threads=threads)
+        return result.relax_estimates, result.noisy_estimates
+
+    @staticmethod
+    def _block_sizes(config):
+        return [len(block) for block in experiments._trial_blocks(config)]
+
+    @staticmethod
+    def _assert_identical(got, want):
+        for a, b in zip(got, want, strict=True):
+            assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
+
+    def _assert_independent_of_blocks(self, monkeypatch, run, config):
+        reference = None
+        for budget, sizes in self.LAYOUTS.values():
+            monkeypatch.setattr(experiments, "BLOCK_OBJECTS", budget(config.n_objects))
+            assert self._block_sizes(config) == sizes
+            for threads in (1, 3):
+                outputs = run(config, threads)
+                reference = reference or outputs
+                self._assert_identical(outputs, reference)
+
+    def test_simulate_is_independent_of_blocks(self, monkeypatch):
+        # m=3 with a repeated parameter: identity steps and third-value draws
+        epsilons = (0.3, 0.3, 0.8, 2.0)
+        config = ExperimentConfig(**dict(DIRECT, epsilons=epsilons, trials=self.TRIALS, seed=17))
+        self._assert_independent_of_blocks(monkeypatch, self._simulate, config)
+
+    def test_compare_is_independent_of_blocks(self, monkeypatch):
+        config = tiny_config(trials=self.TRIALS)
+        self._assert_independent_of_blocks(monkeypatch, self._compare, config)
+
+    def test_trial_larger_than_the_budget_runs_alone(self, monkeypatch):
+        config = tiny_config(trials=self.TRIALS)
+        monkeypatch.setattr(experiments, "BLOCK_OBJECTS", 10**9)
+        together = self._simulate(config) + self._compare(config)
+        monkeypatch.setattr(experiments, "BLOCK_OBJECTS", config.n_objects - 1)
+        assert self._block_sizes(config) == [1] * self.TRIALS
+        self._assert_identical(self._simulate(config) + self._compare(config), together)
+
+    def test_decode_channels_are_built_as_rounds_come(self, monkeypatch):
+        # only the first round's channel is built before sampling, to refuse a
+        # schedule too small to debias; each block builds its own as they come
+        events = []
+
+        def built(eps, m):
+            events.append("channel")
+            return perturbation_matrix(eps, m)
+
+        def sampled(*args):
+            events.append("sample")
+            return sample_rr_batch(*args)
+
+        monkeypatch.setattr(experiments, "perturbation_matrix", built)
+        monkeypatch.setattr(experiments, "sample_rr_batch", sampled)
+        monkeypatch.setattr(experiments, "BLOCK_OBJECTS", 1)  # one trial per block
+        epsilons = (0.1, 0.2, 0.3, 0.4)
+        simulate_experiment(ExperimentConfig(**dict(DIRECT, epsilons=epsilons, trials=2)))
+        block = ["sample"] + ["channel"] * len(epsilons)
+        assert events == ["channel"] + block * 2
+
+    def test_compare_holds_one_trial_of_noisy_samples(self, monkeypatch):
+        rounds, counts = 200, [100, 150]
+        schedule = {"kind": "noisy-sampling", "eps_alpha": 1.0, "eps_beta": 0.5, "rounds": rounds}
+        config = tiny_config(counts=counts, trials=4, schedule=schedule)
+        peaks = {}
+        for budget in (1, 10**9):
+            monkeypatch.setattr(experiments, "BLOCK_OBJECTS", budget)
+            tracemalloc.start()
+            try:
+                compare_noisy_sampling(config)
+                peaks[budget] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        # one trial's running counts: (objects, rounds) int64
+        assert peaks[10**9] - peaks[1] < sum(counts) * rounds * 8, peaks
+
+    def test_shipped_block_size(self):
+        # 1000- and 1500-object trials share blocks; a 5000-object trial runs alone
+        for counts, size in (((400, 600), 8), ((300, 1200), 5), ((2500, 2500), 1)):
+            config = ExperimentConfig(**dict(DIRECT, m=2, counts=counts, trials=100))
+            assert self._block_sizes(config)[0] == size
 
 
 class TestKernelTable:
