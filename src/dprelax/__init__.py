@@ -11,7 +11,6 @@ from .audit import (
     audit_composition_ldp,
     audit_noisy_sampling_epsilon,
     audit_step_epsilon,
-    enumerate_chain_distribution,
 )
 from .errors import (
     BudgetDecreaseError,
@@ -33,7 +32,6 @@ from .estimation import (
     frequency_estimate_covariance,
     histogram,
     perturbation_matrix,
-    response_covariance,
     variance_binary_estimate,
 )
 from .experiments import (

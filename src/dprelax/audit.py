@@ -14,11 +14,11 @@ produce a sequence another cannot, is reported as an infinite log-ratio.
 
 import math
 from dataclasses import dataclass
-from itertools import chain, combinations_with_replacement, product
+from itertools import chain, combinations_with_replacement
 
 import numpy as np
 
-from ._util import check_count, check_domain_size, check_schedule, check_value
+from ._util import check_count, check_domain_size, check_schedule
 from .errors import EnumerationLimitError
 from .mechanism import relax_kernel, rr_distribution
 from .rappor import RapporParams, eps_noisy_sampling, rappor_params
@@ -29,8 +29,6 @@ __all__ = [
     "CompositionAudit",
     "AuditCheck",
     "chain_log_probs",
-    "enumerate_chain_distribution",
-    "enumerated_output_marginal",
     "audit_composition_ldp",
     "audit_step_epsilon",
     "audit_noisy_sampling_epsilon",
@@ -50,7 +48,11 @@ class CompositionAudit:
 
     epsilon_target: float
     max_log_ratio: float
-    attained: bool
+
+    @property
+    def attained(self) -> bool:
+        """Whether the worst case sits within ``BOUND_TOL`` of the target."""
+        return abs(self.max_log_ratio - self.epsilon_target) <= BOUND_TOL
 
 
 @dataclass(frozen=True)
@@ -60,7 +62,18 @@ class AuditCheck:
     name: str
     worst: float
     bound: float
-    passed: bool
+
+    @property
+    def passed(self) -> bool:
+        return self.worst <= self.bound
+
+
+def _rr_matrix(eps: float, m: int) -> np.ndarray:
+    # the randomized response as an (m, m) matrix, indexed [x, output]
+    dist = rr_distribution(eps, m)
+    matrix = np.full((m, m), dist.p_other)
+    np.fill_diagonal(matrix, dist.p_retain)
+    return matrix
 
 
 def chain_log_probs(schedule, m: int) -> np.ndarray:
@@ -77,32 +90,14 @@ def chain_log_probs(schedule, m: int) -> np.ndarray:
         raise EnumerationLimitError(
             f"{m}**{n} sequences exceed the enumeration cap of {MAX_SEQUENCES}"
         )
-    dist = rr_distribution(schedule[0], m)
-    first = np.full((m, m), dist.p_other)
-    np.fill_diagonal(first, dist.p_retain)
     with np.errstate(divide="ignore"):
-        logp = np.log(first)
+        logp = np.log(_rr_matrix(schedule[0], m))
     last = np.arange(m)
     for i in range(1, n):
         log_table = relax_kernel(schedule[i - 1], schedule[i], m).log_table
         logp = (logp[:, :, None] + log_table[:, last, :]).reshape(m, -1)
         last = np.broadcast_to(np.arange(m), (last.size, m)).reshape(-1)
     return logp
-
-
-def enumerate_chain_distribution(schedule, m: int, x: int) -> dict:
-    """Exact joint distribution of all output sequences given true value x."""
-    logp = chain_log_probs(schedule, m)
-    x = check_value(x, m, "x")
-    probs = np.exp(logp[x])
-    return {seq: float(p) for seq, p in zip(product(range(m), repeat=len(schedule)), probs)}
-
-
-def enumerated_output_marginal(schedule, m: int, x: int) -> np.ndarray:
-    """Marginal distribution of the final output, by summing the enumeration."""
-    logp = chain_log_probs(schedule, m)
-    x = check_value(x, m, "x")
-    return np.exp(logp[x]).reshape(-1, m).sum(axis=0)
 
 
 def _worst_log_ratio(logp: np.ndarray) -> float:
@@ -129,12 +124,7 @@ def audit_composition_ldp(schedule, m: int) -> CompositionAudit:
     ``BOUND_TOL`` of that target.
     """
     worst = _worst_log_ratio(chain_log_probs(schedule, m))
-    target = float(schedule[-1])
-    return CompositionAudit(
-        epsilon_target=target,
-        max_log_ratio=worst,
-        attained=abs(worst - target) <= BOUND_TOL,
-    )
+    return CompositionAudit(epsilon_target=float(schedule[-1]), max_log_ratio=worst)
 
 
 def audit_step_epsilon(eps_prev: float, eps_next: float, m: int) -> float:
@@ -190,35 +180,25 @@ def run_standard_audits() -> list:
             report = audit_composition_ldp(schedule, m)
             worst_excess = max(worst_excess, report.max_log_ratio - report.epsilon_target)
             worst_slack = max(worst_slack, report.epsilon_target - report.max_log_ratio)
-    checks.append(
-        AuditCheck("composition-ldp-bound", worst_excess, BOUND_TOL, worst_excess <= BOUND_TOL)
-    )
-    checks.append(
-        AuditCheck("composition-ldp-tightness", worst_slack, BOUND_TOL, worst_slack <= BOUND_TOL)
-    )
+    checks.append(AuditCheck("composition-ldp-bound", worst_excess, BOUND_TOL))
+    checks.append(AuditCheck("composition-ldp-tightness", worst_slack, BOUND_TOL))
 
     worst_marginal = 0.0
     for m in range(2, 11):
         for i, eps_prev in enumerate(grid):
             for eps_next in grid[i:] + [10.0]:
-                target = rr_distribution(eps_next, m)
-                expected = np.full((m, m), target.p_other)
-                np.fill_diagonal(expected, target.p_retain)
+                expected = _rr_matrix(eps_next, m)
                 logp = chain_log_probs([eps_prev, eps_next], m)
                 got = np.exp(logp).reshape(m, m, m).sum(axis=1)
                 worst_marginal = max(worst_marginal, float(np.abs(got - expected).max()))
-    checks.append(
-        AuditCheck("marginal-invariance", worst_marginal, 1e-12, worst_marginal <= 1e-12)
-    )
+    checks.append(AuditCheck("marginal-invariance", worst_marginal, 1e-12))
 
     worst_step = 0.0
     for eps_prev, eps_next in grid_pairs:
         got = audit_step_epsilon(eps_prev, eps_next, 2)
         expected = 0.0 if eps_prev == eps_next else eps_prev + eps_next
         worst_step = max(worst_step, abs(got - expected))
-    checks.append(
-        AuditCheck("single-step-epsilon-binary", worst_step, BOUND_TOL, worst_step <= BOUND_TOL)
-    )
+    checks.append(AuditCheck("single-step-epsilon-binary", worst_step, BOUND_TOL))
 
     worst_ns = 0.0
     for eps_alpha in (0.5, 1.0, 2.0):
@@ -227,7 +207,5 @@ def run_standard_audits() -> list:
             for K in range(1, 11):
                 got = audit_noisy_sampling_epsilon(params, K)
                 worst_ns = max(worst_ns, abs(got - eps_noisy_sampling(K, params)))
-    checks.append(
-        AuditCheck("noisy-sampling-epsilon", worst_ns, BOUND_TOL, worst_ns <= BOUND_TOL)
-    )
+    checks.append(AuditCheck("noisy-sampling-epsilon", worst_ns, BOUND_TOL))
     return checks

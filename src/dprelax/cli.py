@@ -16,6 +16,8 @@ from pathlib import Path
 from .audit import run_standard_audits
 from .errors import ConfigError, DPRelaxError
 from .experiments import (
+    DEFAULT_TABLE_DOMAINS,
+    DEFAULT_TABLE_EPSILONS,
     compare_noisy_sampling,
     kernel_table_rows,
     load_config,
@@ -51,8 +53,8 @@ def _add_run_flags(sub, run, write, suffix: str):
         metavar="N",
         help="split the run's blocks of trials across N threads; output is "
         "byte-identical for any N. Small trials already share numpy calls in "
-        "blocks, so N > 1 gains nothing on the shipped configs; it helps when "
-        "each trial has many objects (thousands)",
+        "blocks, so N > 1 gains nothing on the shipped configs and slows "
+        "compare-rappor; it helps when each trial has many objects (thousands)",
     )
     sub.set_defaults(func=_cmd_run, run=run, write=write, suffix=suffix)
 
@@ -70,7 +72,10 @@ def _cmd_run(args) -> int:
     # simulate, attack-eval and compare-rappor: run the config, write its CSV
     config = load_config(args.config)
     if args.seed is not None:
-        config = replace(config, seed=args.seed)
+        try:
+            config = replace(config, seed=args.seed)
+        except ConfigError as exc:  # the only field replaced is the seed
+            raise ConfigError(str(exc).replace("ExperimentConfig.seed", "--seed", 1)) from None
     result = args.run(config, threads=args.threads)
     print(args.write(result, Path(args.out) / f"{config.name}_{args.suffix}.csv"))
     return EXIT_OK
@@ -97,10 +102,14 @@ def _build_parser() -> argparse.ArgumentParser:
     table = sub.add_parser("kernel-table", help="emit kernel entries as CSV")
     table.add_argument(
         "--epsilons",
-        default="0.1,0.5,1.0,2.0,10.0",
+        default=",".join(map(str, DEFAULT_TABLE_EPSILONS)),
         help="comma-separated parameter grid; consecutive pairs become transitions",
     )
-    table.add_argument("--domains", default="3,4,5,6,7,8,9,10", help="comma-separated domain sizes")
+    table.add_argument(
+        "--domains",
+        default=",".join(map(str, DEFAULT_TABLE_DOMAINS)),
+        help="comma-separated domain sizes",
+    )
     table.add_argument("--out", default=".", help="output directory")
     table.set_defaults(func=_cmd_kernel_table)
 

@@ -17,7 +17,6 @@ from ._util import (
     check_count,
     check_domain_size,
     check_epsilon,
-    check_value,
     check_values,
 )
 from .errors import IllConditionedError, ParameterError
@@ -31,7 +30,6 @@ __all__ = [
     "perturbation_matrix",
     "estimate_poly",
     "decode_histogram",
-    "response_covariance",
     "frequency_estimate_covariance",
     "variance_binary_estimate",
     "discretize_mean",
@@ -135,11 +133,9 @@ def perturbation_matrix(eps: float, m: int) -> PerturbationMatrix:
     return PerturbationMatrix(epsilon=eps, m=m, matrix=p, inverse=inv)
 
 
-def response_covariance(eps: float, m: int, x: int) -> np.ndarray:
-    """Covariance of the one-hot response indicator for an object with value ``x``."""
-    eps = check_epsilon(eps)
-    m = check_domain_size(m)
-    x = check_value(x, m, "x")
+def _response_covariance(eps: float, m: int, x: int) -> np.ndarray:
+    # Covariance of the one-hot response indicator for an object with value
+    # ``x``, for a validated eps and m and an x in [0, m).
     big = math.exp(cap_epsilon(eps))
     cov = np.full((m, m), -1.0)
     cov[x, :] = -big
@@ -151,12 +147,13 @@ def response_covariance(eps: float, m: int, x: int) -> np.ndarray:
     return cov
 
 
-def _mixture_response_covariance(weights, eps: float, m: int) -> np.ndarray:
-    cov = np.zeros((m, m))
+def _decoded_covariance(weights, pm: PerturbationMatrix, n: int) -> np.ndarray:
+    # Covariance of ``P^-1 @ (counts / n)`` over n objects of composition ``weights``.
+    cov = np.zeros((pm.m, pm.m))
     for value, w in enumerate(weights):
         if w != 0.0:
-            cov += w * response_covariance(eps, m, value)
-    return cov
+            cov += w * _response_covariance(pm.epsilon, pm.m, value)
+    return pm.inverse @ cov @ pm.inverse.T / n
 
 
 def estimate_poly(hist: Histogram, eps: float) -> FrequencyEstimate:
@@ -168,10 +165,8 @@ def estimate_poly(hist: Histogram, eps: float) -> FrequencyEstimate:
     """
     pm = perturbation_matrix(eps, hist.m)
     est = decode_histogram(hist, pm)
-    n = hist.n
-    cov_h = n * _mixture_response_covariance(est, pm.epsilon, pm.m)
-    cov = pm.inverse @ cov_h @ pm.inverse.T / n**2
-    return FrequencyEstimate(estimate=est, covariance=cov, epsilon=pm.epsilon, n=n)
+    cov = _decoded_covariance(est, pm, hist.n)
+    return FrequencyEstimate(estimate=est, covariance=cov, epsilon=pm.epsilon, n=hist.n)
 
 
 def decode_histogram(hist: Histogram, pm: PerturbationMatrix) -> np.ndarray:
@@ -195,9 +190,7 @@ def frequency_estimate_covariance(freq, eps: float, n: int) -> np.ndarray:
     n = check_count(n, "n")
     if abs(float(freq.sum()) - 1.0) > 1e-9:
         raise ParameterError("composition must sum to 1")
-    pm = perturbation_matrix(eps, len(freq))
-    cov_per_object = _mixture_response_covariance(freq, pm.epsilon, pm.m)
-    return pm.inverse @ cov_per_object @ pm.inverse.T / n
+    return _decoded_covariance(freq, perturbation_matrix(eps, len(freq)), n)
 
 
 def variance_binary_estimate(eps: float, n: int) -> float:

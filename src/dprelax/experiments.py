@@ -86,9 +86,11 @@ __all__ = [
 
 DEFAULT_TABLE_EPSILONS = (0.1, 0.5, 1.0, 2.0, 10.0)
 DEFAULT_TABLE_DOMAINS = tuple(range(3, 11))
-# The longest schedule a config may give; a longer one is refused before it
-# is built.
-MAX_ROUNDS = 100_000
+# Bounds on a config, each refused before the run's first allocation:
+MAX_ROUNDS = 100_000  # the longest schedule, refused before it is built
+MAX_TRIALS = 100_000  # every trial's seed is spawned up front: 1 s and 40 MB at this bound
+MAX_OBJECT_VALUES = 2**24  # objects * m: a trial's state is a few such arrays, 128 MiB each
+MAX_RESULT_VALUES = 2**27  # trials * rounds * (m + 4) result doubles: 1 GiB
 # The objects a block of trials tiles into one population; a trial larger than
 # this runs alone.  Blocks cut the numpy calls per trial-round on small
 # populations; at 8192 objects a block's arrays add under 2 MB to a shipped
@@ -139,6 +141,8 @@ class ExperimentConfig:
         if len(counts) != m:
             fail("counts", f"must list exactly m={m} counts, got {len(counts)}")
         counts = tuple(integer(f"counts[{i}]", c, 1) for i, c in enumerate(counts))
+        if sum(counts) > MAX_OBJECT_VALUES // m:
+            fail("counts", f"must sum to at most {MAX_OBJECT_VALUES // m}, got {sum(counts)}")
         epsilons = sequence("epsilons", self.epsilons)
         if len(epsilons) > MAX_ROUNDS:
             fail("epsilons", f"must have at most {MAX_ROUNDS} rounds, got {len(epsilons)}")
@@ -148,6 +152,9 @@ class ExperimentConfig:
         if any(b < a for a, b in zip(epsilons, epsilons[1:])):
             fail("epsilons", "must be non-decreasing")
         trials = integer("trials", self.trials, 1)
+        most = min(MAX_TRIALS, MAX_RESULT_VALUES // (len(epsilons) * (m + 4)))
+        if trials > most:
+            fail("trials", f"must be at most {most} at {len(epsilons)} rounds, got {trials}")
         seed = self.seed
         if not isinstance(seed, Integral) or isinstance(seed, bool) or not 0 <= seed < 2**64:
             fail("seed", f"must be an integer that fits in 64 bits, got {seed!r}")
@@ -303,8 +310,8 @@ def load_config(path) -> ExperimentConfig:
     """Load and validate a JSON experiment config file."""
     path = Path(path)
     try:
-        text = path.read_text()
-    except OSError as exc:
+        text = path.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"{path}: {exc}") from exc
     try:
         raw = json.loads(text)
@@ -327,36 +334,22 @@ def _trial_blocks(config: ExperimentConfig) -> list:
     return [streams[i : i + size] for i in range(0, config.trials, size)]
 
 
-def _trial_generators(stream: np.random.SeedSequence, draws: int):
-    """A trial's generator, and a copy of it ``draws`` outputs ahead.
-
-    The relaxation rounds draw exactly one double, so one PCG64 output, per
-    object and round; a copy advanced by ``n_objects * rounds`` therefore
-    starts where the trial's draws after its rounds start, and can make them
-    before the rounds are streamed.
-    """
-    ahead = np.random.default_rng(stream)
-    ahead.bit_generator.advance(draws)
-    return np.random.default_rng(stream), ahead
-
-
 class _BlockStreams:
     """A block's trial generators, drawn from as one over the tiled population.
 
-    ``random(shape)`` fills row i of a (trials, n_objects) array from trial
-    i's generator, so each trial draws, round by round, exactly the doubles it
-    draws when run alone.
+    ``random(shape)`` fills row i of a trial-major array, viewed as (trials,
+    n_objects), from trial i's generator, so each trial draws, round by round,
+    exactly the doubles it draws when run alone.
     """
 
-    def __init__(self, generators: list, n: int):
+    def __init__(self, generators: list):
         self._generators = generators
-        self._n = n
 
     def random(self, shape):
-        u = np.empty((len(self._generators), self._n))
-        for row, rng in zip(u, self._generators):
+        u = np.empty(shape)
+        for row, rng in zip(u.reshape(len(self._generators), -1), self._generators):
             rng.random(out=row)
-        return u.reshape(shape)
+        return u
 
 
 def _sample_rounds(truth, epsilons: tuple, m: int, rng):
@@ -377,33 +370,47 @@ def _sample_rounds(truth, epsilons: tuple, m: int, rng):
 def _block_rounds(truth, epsilons: tuple, m: int, streams: list, draw_ahead):
     """A block's draws made ahead of its rounds, and the rounds themselves.
 
-    ``draw_ahead`` is called in trial order with each trial's generator moved
-    past the trial's rounds (`_trial_generators`); its results come first.
+    The relaxation rounds draw exactly one double, so one PCG64 output, per
+    object and round; a copy of a trial's generator advanced by ``n_objects *
+    rounds`` therefore starts where the trial's draws after its rounds start,
+    and can make them before the rounds are streamed.  ``draw_ahead`` is
+    called in trial order with each trial's copy; its results come first.
     The rounds are `_sample_rounds` over the block's trials tiled into one
     population: one (trials * n_objects,) column per round, trial-major.
     """
     generators, drawn = [], []
     for stream in streams:
-        rng, ahead = _trial_generators(stream, truth.size * len(epsilons))
+        ahead = np.random.default_rng(stream)
+        ahead.bit_generator.advance(truth.size * len(epsilons))
         drawn.append(draw_ahead(ahead))
-        generators.append(rng)
-    rng = _BlockStreams(generators, truth.size)
+        generators.append(np.random.default_rng(stream))
+    rng = _BlockStreams(generators)
     return drawn, _sample_rounds(np.tile(truth, len(streams)), epsilons, m, rng)
 
 
-def _block_counts(column: np.ndarray, offsets: np.ndarray, m: int) -> np.ndarray:
-    """Every trial's histogram counts, (trials, m), of one round's trial-major
-    column, from one `np.bincount`; ``offsets`` moves trial i's values to the
-    bins [i * m, (i + 1) * m)."""
-    return np.bincount(column + offsets, minlength=offsets[-1] + m).reshape(-1, m)
+def _decode_block(column, offsets, eps: float, m: int, n: int) -> np.ndarray:
+    """Every trial's decoded frequencies at ``eps``, (trials, m), of one round's
+    trial-major column: one `np.bincount`, where ``offsets`` moves trial i's
+    values to the bins [i * m, (i + 1) * m), then `decode_histogram` per trial."""
+    pm = perturbation_matrix(eps, m)
+    counts = np.bincount(column + offsets, minlength=offsets[-1] + m).reshape(-1, m)
+    return np.array([decode_histogram(Histogram(counts=c, n=n), pm) for c in counts])
 
 
-def _run_blocks(fn, blocks: list, threads: int) -> list:
+def _run_trials(config: ExperimentConfig, run_block, threads: int) -> list:
+    """``run_block`` over every block of trials, split across ``threads``, with
+    each of its per-trial arrays joined across blocks in trial order."""
+    # decode channels are built as their rounds come; building the first, at
+    # the schedule's least parameter, refuses one too small before any draw
+    perturbation_matrix(config.epsilons[0], config.m)
     threads = check_count(threads, "threads")
+    blocks = _trial_blocks(config)
     if threads == 1:
-        return [fn(block) for block in blocks]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, blocks))
+        results = [run_block(block) for block in blocks]
+    else:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            results = list(pool.map(run_block, blocks))
+    return [np.concatenate(parts) for parts in zip(*results)]
 
 
 def simulate_experiment(config: ExperimentConfig, threads: int = 1) -> ExperimentResult:
@@ -427,10 +434,6 @@ def simulate_experiment(config: ExperimentConfig, threads: int = 1) -> Experimen
     rounds = len(epsilons)
     truth = _truth_vector(config)
     n = truth.size
-    # decode channels are built as their rounds come; building the first,
-    # whose parameter is the schedule's least, refuses one too small to
-    # debias before any sampling
-    perturbation_matrix(epsilons[0], m)
 
     def run_block(streams):
         trials = len(streams)
@@ -447,9 +450,7 @@ def simulate_experiment(config: ExperimentConfig, threads: int = 1) -> Experimen
         agree = np.ones(trials, dtype=bool)
         for r, guesses in enumerate(_running_guesses(columns, epsilons, m, trials * n)):
             last = guesses["last_output"]
-            pm = perturbation_matrix(epsilons[r], m)
-            for i, counts in enumerate(_block_counts(last, offsets, m)):
-                est[i, r] = decode_histogram(Histogram(counts=counts, n=n), pm)
+            est[:, r] = _decode_block(last, offsets, epsilons[r], m, n)
             for k, method in enumerate(ATTACK_METHODS):
                 wrong = guesses[method][picks] != truth_picked
                 # a count per slice: with ``axis=1`` one (1, 5000) block takes
@@ -459,10 +460,7 @@ def simulate_experiment(config: ExperimentConfig, threads: int = 1) -> Experimen
             agree &= (last == guesses["mle"]).reshape(trials, n).all(axis=1)
         return est, errs, agree
 
-    results = _run_blocks(run_block, _trial_blocks(config), threads)
-    estimates = np.concatenate([r[0] for r in results])
-    errors = np.concatenate([r[1] for r in results])
-    lo_mle_identical = all(r[2].all() for r in results)
+    estimates, errors, agree = _run_trials(config, run_block, threads)
 
     true_freq = np.asarray(config.counts, dtype=float) / config.n_objects
     var_theory = np.stack(
@@ -481,7 +479,7 @@ def simulate_experiment(config: ExperimentConfig, threads: int = 1) -> Experimen
         err_mean=errors.mean(axis=0),
         err_std=errors.std(axis=0, ddof=ddof),
         floor=np.array([min_error_rate(eps, m) for eps in epsilons]),
-        lo_mle_identical=lo_mle_identical,
+        lo_mle_identical=bool(agree.all()),
         estimates=estimates,
         errors=errors,
     )
@@ -507,7 +505,6 @@ def compare_noisy_sampling(config: ExperimentConfig, threads: int = 1) -> Rappor
     rounds = len(epsilons)
     truth = _truth_vector(config)
     n = truth.size
-    perturbation_matrix(epsilons[0], 2)  # refuses a too-small schedule before sampling
 
     def decode_noisy(ahead):
         # every round's estimate, decoded as soon as drawn: a block holds no
@@ -521,14 +518,10 @@ def compare_noisy_sampling(config: ExperimentConfig, threads: int = 1) -> Rappor
         offsets = np.repeat(np.arange(0, trials * 2, 2), n)
         relax_est = np.empty((trials, rounds))
         for r, out in enumerate(columns):
-            pm = perturbation_matrix(epsilons[r], 2)
-            for i, counts in enumerate(_block_counts(out, offsets, 2)):
-                relax_est[i, r] = decode_histogram(Histogram(counts=counts, n=n), pm)[1]
-        return relax_est, np.array(noisy_est)
+            relax_est[:, r] = _decode_block(out, offsets, epsilons[r], 2, n)[:, 1]
+        return relax_est, noisy_est
 
-    results = _run_blocks(run_block, _trial_blocks(config), threads)
-    relax_estimates = np.concatenate([r[0] for r in results])
-    noisy_estimates = np.concatenate([r[1] for r in results])
+    relax_estimates, noisy_estimates = _run_trials(config, run_block, threads)
     ddof = 1 if config.trials > 1 else 0
     return RapporComparison(
         config=config,
@@ -610,26 +603,15 @@ def write_attacks_csv(result: ExperimentResult, path) -> Path:
 
 
 def write_rappor_csv(comparison: RapporComparison, path) -> Path:
-    header = [
-        "K",
-        "eps_ns",
-        "var_relax_empirical",
-        "var_relax_theory",
-        "var_noisy_empirical",
-        "var_noisy_theory",
-    ]
-    rows = [
-        (
-            k + 1,
-            comparison.eps_ns[k],
-            comparison.var_relax_emp[k],
-            comparison.var_relax_theory[k],
-            comparison.var_noisy_emp[k],
-            comparison.var_noisy_theory[k],
-        )
-        for k in range(len(comparison.eps_ns))
-    ]
-    return _write_csv(path, header, rows)
+    columns = {
+        "eps_ns": comparison.eps_ns,
+        "var_relax_empirical": comparison.var_relax_emp,
+        "var_relax_theory": comparison.var_relax_theory,
+        "var_noisy_empirical": comparison.var_noisy_emp,
+        "var_noisy_theory": comparison.var_noisy_theory,
+    }
+    rows = ((k, *values) for k, values in enumerate(zip(*columns.values()), start=1))
+    return _write_csv(path, ["K", *columns], rows)
 
 
 def write_kernel_table_csv(rows, path) -> Path:

@@ -200,14 +200,18 @@ def rr_distribution(eps: float, m: int) -> ResponseDistribution:
 def sample_rr_batch(values, dist: ResponseDistribution, rng: np.random.Generator) -> np.ndarray:
     """Vectorized randomized response; one uniform draw per input value."""
     values = check_values(values, dist.m, "values")
-    u = rng.random(values.shape)
-    keep = u < dist.p_retain
-    if dist.p_other > 0.0:
-        idx = np.clip((u - dist.p_retain) / dist.p_other, 0.0, dist.m - 2).astype(np.int64)
+    return _keep_or_spread(rng.random(values.shape), values, dist.p_retain, dist.p_other, dist.m)
+
+
+def _keep_or_spread(u, values, p_keep: float, p_each: float, m: int) -> np.ndarray:
+    # Inverse CDF at ``u`` of [p_keep at the value][p_each at each other value,
+    # ascending]: a randomized response, or a step from the true value.
+    if p_each > 0.0:
+        idx = np.clip((u - p_keep) / p_each, 0.0, m - 2).astype(np.int64)
         others = idx + (idx >= values)
     else:
         others = values
-    return np.where(keep, values, others)
+    return np.where(u < p_keep, values, others)
 
 
 def relax_kernel(eps_prev: float, eps_next: float, m: int) -> RelaxKernel:
@@ -288,12 +292,7 @@ def _draw_step(kernel: RelaxKernel, true_values, prev_outputs, rng) -> np.ndarra
     u = rng.random(true_values.shape)
 
     # Previous output equals the true value: [p_aa at x][p_ab each other value].
-    if kernel.p_ab > 0.0:
-        idx = np.clip((u - kernel.p_aa) / kernel.p_ab, 0.0, m - 2).astype(np.int64)
-        spread = idx + (idx >= true_values)
-    else:
-        spread = true_values
-    branch_same = np.where(u < kernel.p_aa, true_values, spread)
+    branch_same = _keep_or_spread(u, true_values, kernel.p_aa, kernel.p_ab, m)
 
     # Previous output differs: [p_ba at x][p_bb at o_prev][p_bc each remaining].
     stay_level = kernel.p_ba + kernel.p_bb

@@ -2,13 +2,17 @@
 
 Everything here is written from first principles (direct formula
 transcription, matrix folds, generic inversion) so that it cannot share a bug
-with the package's stable-form implementations.
+with the package's stable-form implementations.  The two enumeration views at
+the end are the exception: they read `audit.chain_log_probs`, so that tests can
+compare the package's one enumerator against the references above.
 """
 
 import math
+from itertools import product
 
 import numpy as np
 
+from dprelax.audit import chain_log_probs
 from dprelax.mechanism import relax_kernel, rr_distribution
 
 
@@ -113,3 +117,14 @@ def attack_guesses(outputs, schedule, m: int) -> dict:
         guesses["highest_frequency"].append(counts.index(max(counts)))
         guesses["weighted_highest_frequency"].append(weights.index(max(weights)))
     return {method: np.array(g, dtype=np.int64) for method, g in guesses.items()}
+
+
+def enumerate_chain_distribution(schedule, m: int, x: int) -> dict:
+    """Exact joint distribution of all output sequences given true value ``x``."""
+    probs = np.exp(chain_log_probs(schedule, m)[x])
+    return {seq: float(p) for seq, p in zip(product(range(m), repeat=len(schedule)), probs)}
+
+
+def enumerated_output_marginal(schedule, m: int, x: int) -> np.ndarray:
+    """Marginal distribution of the final output, by summing the enumeration."""
+    return np.exp(chain_log_probs(schedule, m)[x]).reshape(-1, m).sum(axis=0)

@@ -10,15 +10,18 @@ from dprelax.audit import (
     audit_noisy_sampling_epsilon,
     audit_step_epsilon,
     chain_log_probs,
-    enumerate_chain_distribution,
-    enumerated_output_marginal,
     run_standard_audits,
 )
 from dprelax.errors import EnumerationLimitError, ParameterError
 from dprelax.mechanism import EPSILON_CAP, relax_kernel, rr_distribution
 from dprelax.rappor import eps_noisy_sampling, rappor_params
 
-from oracles import kernel_conditional, sequence_likelihood
+from oracles import (
+    enumerate_chain_distribution,
+    enumerated_output_marginal,
+    kernel_conditional,
+    sequence_likelihood,
+)
 
 
 class TestEnumerateChainDistribution:

@@ -197,6 +197,25 @@ def test_epsilon_too_small_to_debias_exits_2(tmp_path, capsys, monkeypatch):
     assert not list(tmp_path.glob("*.csv"))
 
 
+def test_config_that_is_not_utf8_exits_2(tmp_path, capsys):
+    # a UTF-16 byte-order mark, then the config in UTF-16
+    bad = tmp_path / "bin.json"
+    bad.write_bytes(b"\xff\xfe" + json.dumps(CONFIG).encode("utf-16-le"))
+    assert cli.main(["simulate", "--config", str(bad), "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {bad}: ") and "utf-8" in err
+    assert not list(tmp_path.glob("*.csv"))
+
+
+@pytest.mark.parametrize("seed", ["-1", str(2**64)])
+def test_seed_out_of_range_names_the_flag(tmp_path, capsys, config_path, seed):
+    argv = ["simulate", "--config", str(config_path), "--out", str(tmp_path), "--seed", seed]
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: --seed: must be an integer that fits in 64 bits, got {seed}\n"
+    assert not list(tmp_path.glob("*.csv"))
+
+
 def test_compare_rappor_wrong_schedule_exits_2(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text(
@@ -226,7 +245,7 @@ def test_audit_command_passes(tmp_path, capsys):
 
 
 def test_audit_failure_exits_3(monkeypatch, capsys):
-    failing = [AuditCheck(name="synthetic", worst=1.0, bound=0.1, passed=False)]
+    failing = [AuditCheck(name="synthetic", worst=1.0, bound=0.1)]
     monkeypatch.setattr(cli, "run_standard_audits", lambda: failing)
     assert cli.main(["audit"]) == 3
     assert "FAIL synthetic" in capsys.readouterr().out

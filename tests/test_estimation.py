@@ -17,7 +17,7 @@ from dprelax.estimation import (
     frequency_estimate_covariance,
     histogram,
     perturbation_matrix,
-    response_covariance,
+    _response_covariance,
     variance_binary_estimate,
 )
 from dprelax.mechanism import rr_distribution, sample_rr_batch
@@ -171,7 +171,7 @@ class TestEstimatePoly:
 class TestResponseCovariance:
     def test_rows_sum_to_zero_and_trace_positive(self):
         for m, eps, x in [(2, 0.5, 0), (5, 1.0, 3), (8, 2.0, 0)]:
-            cov = response_covariance(eps, m, x)
+            cov = _response_covariance(eps, m, x)
             np.testing.assert_allclose(cov.sum(axis=1), 0.0, atol=1e-12)
             np.testing.assert_allclose(cov, cov.T, atol=1e-15)
             assert np.trace(cov) > 0.0
@@ -179,12 +179,12 @@ class TestResponseCovariance:
     def test_binary_matches_bernoulli(self):
         for eps in (0.2, 1.0, 3.0):
             p = math.exp(eps) / (math.exp(eps) + 1)
-            cov = response_covariance(eps, 2, 0)
+            cov = _response_covariance(eps, 2, 0)
             assert cov[0, 0] == pytest.approx(p * (1 - p), abs=1e-12)
             assert cov[1, 1] == pytest.approx(p * (1 - p), abs=1e-12)
 
     def test_three_value_diagonal(self):
-        cov = response_covariance(1.0, 3, 0)
+        cov = _response_covariance(1.0, 3, 0)
         np.testing.assert_allclose(
             np.diag(cov),
             [0.24420621985354551, 0.16702233377192913, 0.16702233377192913],

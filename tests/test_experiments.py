@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from dprelax import experiments
-from dprelax.errors import ConfigError
+from dprelax.errors import ConfigError, IllConditionedError
 from dprelax.estimation import perturbation_matrix
 from dprelax.experiments import (
     ExperimentConfig,
@@ -228,6 +228,58 @@ class TestDirectConstruction:
         assert direct == tiny_config()
 
 
+class TestMemoryBounds:
+    """Trials and counts whose run would exhaust memory are refused before any
+    seed is spawned or population built."""
+
+    @pytest.fixture(autouse=True)
+    def no_work(self, monkeypatch):
+        class NoSeeds:
+            def __init__(self, *args, **kwargs):
+                raise AssertionError("seeds spawned for a refused config")
+
+        def no_population(config):
+            raise AssertionError("population built for a refused config")
+
+        monkeypatch.setattr(np.random, "SeedSequence", NoSeeds)
+        monkeypatch.setattr(experiments, "_truth_vector", no_population)
+
+    @pytest.mark.parametrize(
+        "overrides, field",
+        [
+            ({"trials": 10**12}, "trials"),
+            ({"trials": experiments.MAX_TRIALS + 1}, "trials"),
+            ({"counts": (10**12, 1, 1)}, "counts"),
+            ({"counts": (experiments.MAX_OBJECT_VALUES // 9 + 1,) * 3}, "counts"),
+            # 100000 rounds of 7 result values: the results bound the trials
+            ({"epsilons": (0.5,) * 100_000, "trials": 192}, "trials"),
+        ],
+        ids=["trials-1e12", "trials-over-limit", "counts-1e12", "counts-over-limit", "results"],
+    )
+    @pytest.mark.parametrize("run", [simulate_experiment, compare_noisy_sampling])
+    def test_refused_before_any_work(self, overrides, field, run):
+        fields = dict(DIRECT, **overrides, eps_alpha=1.0, eps_beta=0.5)
+        with pytest.raises(ConfigError, match=rf"^ExperimentConfig\.{field}: must "):
+            run(ExperimentConfig(**fields))
+
+    @pytest.mark.parametrize(
+        "overrides, field", [({"trials": 10**12}, "trials"), ({"counts": [10**12, 1]}, "counts")]
+    )
+    def test_json_path_names_the_field(self, overrides, field):
+        with pytest.raises(ConfigError, match=rf"^config\.{field}: must "):
+            tiny_config(**overrides)
+
+    def test_bounds_are_inclusive_and_admit_the_scaled_runs(self):
+        # DIRECT has m=3: 2**24 // 3 objects, and 2**27 // (100000 * 7) = 191 trials
+        ExperimentConfig(**dict(DIRECT, epsilons=(0.5,), trials=experiments.MAX_TRIALS))
+        ExperimentConfig(**dict(DIRECT, counts=(experiments.MAX_OBJECT_VALUES // 9,) * 3))
+        ExperimentConfig(**dict(DIRECT, epsilons=(0.5,) * 100_000, trials=191))
+        # m=5, 15000 objects: 50 rounds over 10 trials and 1000 rounds over 2
+        for stride, trials in ((0.2, 10), (0.01, 2)):
+            schedule = {"kind": "linear", "start": stride, "stop": 10.0, "stride": stride}
+            tiny_config(m=5, counts=[3000] * 5, schedule=schedule, trials=trials)
+
+
 class TestSimulateExperiment:
     def test_shapes_and_aggregates(self):
         result = simulate_experiment(tiny_config())
@@ -315,6 +367,21 @@ class TestCompareNoisySampling:
         cfg = tiny_config(m=3, counts=[1, 2, 3])
         with pytest.raises(ConfigError, match="m must be 2"):
             compare_noisy_sampling(cfg)
+
+
+@pytest.mark.parametrize("run", [simulate_experiment, compare_noisy_sampling])
+def test_epsilon_too_small_to_debias_is_refused_before_any_draw(monkeypatch, run):
+    def drawn(*args, **kwargs):
+        raise AssertionError("a refused schedule must not be sampled")
+
+    monkeypatch.setattr(experiments._BlockStreams, "random", drawn)
+    for name in ("balanced_subset", "simulate_noisy_sampling_batch"):
+        monkeypatch.setattr(experiments, name, drawn)
+    config = ExperimentConfig(
+        **dict(DIRECT, m=2, counts=(3, 4), epsilons=(1e-200, 1.0), eps_alpha=1.0, eps_beta=0.5)
+    )
+    with pytest.raises(IllConditionedError, match="too small to debias"):
+        run(config)
 
 
 class TestTrialBlocks:
