@@ -500,9 +500,14 @@ def compare_noisy_sampling(config: ExperimentConfig, threads: int = 1) -> Rappor
         raise ConfigError("compare-rappor: m must be 2 (per-bit comparison)")
     if config.eps_alpha is None:
         raise ConfigError('compare-rappor: schedule kind must be "noisy-sampling"')
-    params = rappor_params(config.eps_alpha, config.eps_beta)
     epsilons = config.epsilons
     rounds = len(epsilons)
+    if config.n_objects * rounds > MAX_OBJECT_VALUES:  # a trial's noisy samples: one such array
+        raise ConfigError(
+            f"compare-rappor: counts ({config.n_objects} objects) times the schedule's "
+            f"rounds ({rounds}) must be at most {MAX_OBJECT_VALUES}"
+        )
+    params = rappor_params(config.eps_alpha, config.eps_beta)
     truth = _truth_vector(config)
     n = truth.size
 

@@ -50,7 +50,7 @@ def _check_prior(prior, m: int) -> np.ndarray:
     total = float(prior.sum())
     if not math.isfinite(total):  # a NaN or infinite entry makes the sum non-finite
         raise ParameterError("prior must be finite, non-negative and sum to 1")
-    if np.any(prior < 0.0) or abs(total - 1.0) > 1e-12:
+    if prior.min() < 0.0 or abs(total - 1.0) > 1e-12:
         raise ParameterError("prior must be non-negative and sum to 1")
     return prior
 

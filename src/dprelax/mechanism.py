@@ -15,6 +15,11 @@ kernel builds its read-only log table on first use and keeps it, so a step is
 built once and reused by every later release, likelihood, run and audit that
 reaches it.  A `RelaxationChain` carries its running log-likelihood, so
 extending one chain and scoring it never re-walk its earlier outputs.
+
+`sample_rr_batch` and `relax_step_batch` draw every batch by one inverse CDF.
+The one-object releases, `start_chain` and `relax_step`, draw through a
+scalar form of the same inverse CDF: the same float operations in the same
+order, proven equal to the batch sampler on generated and boundary uniforms.
 """
 
 import functools
@@ -214,6 +219,16 @@ def _keep_or_spread(u, values, p_keep: float, p_each: float, m: int) -> np.ndarr
     return np.where(u < p_keep, values, others)
 
 
+def _spread_one(u: float, x: int, p_keep: float, p_each: float, m: int) -> int:
+    # `_keep_or_spread` for one value and one uniform: Python's float `-`, `/`,
+    # `<` and `int()` are the IEEE operations numpy applies elementwise, so
+    # the draw is the batch sampler's, bit for bit
+    if u < p_keep or not p_each > 0.0:
+        return x
+    idx = int(min(max((u - p_keep) / p_each, 0.0), m - 2))
+    return idx + (idx >= x)
+
+
 def relax_kernel(eps_prev: float, eps_next: float, m: int) -> RelaxKernel:
     """Transition kernel relaxing an ``eps_prev`` response to ``eps_next``.
 
@@ -311,6 +326,21 @@ def _draw_step(kernel: RelaxKernel, true_values, prev_outputs, rng) -> np.ndarra
     return np.where(prev_outputs == true_values, branch_same, branch_diff)
 
 
+def _draw_one(kernel: RelaxKernel, x: int, o_prev: int, u: float) -> int:
+    # `_draw_step` for one object and one uniform, in the same arithmetic as
+    # `_spread_one`
+    if o_prev == x:
+        return _spread_one(u, x, kernel.p_aa, kernel.p_ab, kernel.m)
+    if u < kernel.p_ba:
+        return x
+    stay_level = kernel.p_ba + kernel.p_bb
+    if u < stay_level or not kernel.p_bc > 0.0:
+        return o_prev
+    idx = int(min(max((u - stay_level) / kernel.p_bc, 0.0), kernel.m - 3))
+    third = idx + (idx >= min(x, o_prev))
+    return third + (third >= max(x, o_prev))
+
+
 def _initial_log_likelihood(first_outputs: np.ndarray, dist: ResponseDistribution) -> np.ndarray:
     # (n,) first outputs -> (n, m) log-probability of each under every true value
     return np.where(
@@ -324,10 +354,9 @@ def start_chain(true_value: int, m: int, eps: float, rng: np.random.Generator) -
     """Apply the initial randomized response and open a relaxation chain."""
     dist = rr_distribution(eps, m)
     x = check_value(true_value, dist.m, "true_value")
-    first = sample_rr_batch(np.array([x], dtype=np.int64), dist, rng)
-    return RelaxationChain._trusted(
-        x, dist.m, (dist.epsilon,), (int(first[0]),), _initial_log_likelihood(first, dist)[0]
-    )
+    first = _spread_one(rng.random(), x, dist.p_retain, dist.p_other, dist.m)
+    loglik = _initial_log_likelihood(np.array([first]), dist)[0]
+    return RelaxationChain._trusted(x, dist.m, (dist.epsilon,), (first,), loglik)
 
 
 def relax_step(chain: RelaxationChain, eps_next: float, rng: np.random.Generator) -> RelaxationChain:
@@ -341,14 +370,7 @@ def relax_step(chain: RelaxationChain, eps_next: float, rng: np.random.Generator
     kernel = relax_kernel(chain.last_epsilon, eps_next, chain.m)
     log_table = kernel.log_table  # before the draw: a refused table consumes no randomness
     o_prev = chain.last_output
-    o = int(
-        _draw_step(
-            kernel,
-            np.array([chain.true_value], dtype=np.int64),
-            np.array([o_prev], dtype=np.int64),
-            rng,
-        )[0]
-    )
+    o = _draw_one(kernel, chain.true_value, o_prev, rng.random())
     return RelaxationChain._trusted(
         chain.true_value,
         chain.m,

@@ -224,6 +224,20 @@ def test_compare_rappor_wrong_schedule_exits_2(tmp_path, capsys):
     assert cli.main(["compare-rappor", "--config", str(bad)]) == 2
 
 
+def test_compare_rappor_beyond_the_object_bound_exits_2(tmp_path, capsys, monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("a refused run must not be sampled")
+
+    monkeypatch.setattr(experiments, "simulate_noisy_sampling_batch", never)
+    schedule = {"kind": "noisy-sampling", "eps_alpha": 1.0, "eps_beta": 0.5, "rounds": 1000}
+    bad = tmp_path / "wide.json"
+    bad.write_text(json.dumps({**CONFIG, "counts": [2**22, 2**22], "schedule": schedule}))
+    assert cli.main(["compare-rappor", "--config", str(bad), "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert "counts (8388608 objects)" in err and "rounds (1000)" in err
+    assert not list(tmp_path.glob("*.csv"))
+
+
 def test_eps_alpha_too_small_for_matched_schedule_exits_2(tmp_path, capsys):
     # eps_noisy_sampling cancels to 0.0 at this eps_alpha; the error names the
     # field the file has, not the schedule entry it generated

@@ -368,6 +368,32 @@ class TestCompareNoisySampling:
         with pytest.raises(ConfigError, match="m must be 2"):
             compare_noisy_sampling(cfg)
 
+    def test_noisy_samples_beyond_the_object_bound_are_refused(self, monkeypatch):
+        class Reached(Exception):
+            pass
+
+        def drawn(*args, **kwargs):
+            raise AssertionError("a refused run must not be sampled")
+
+        def truth(config):
+            raise Reached
+
+        monkeypatch.setattr(experiments, "simulate_noisy_sampling_batch", drawn)
+        monkeypatch.setattr(experiments, "_truth_vector", truth)
+
+        def config(n, rounds):
+            fields = dict(m=2, counts=(n // 2, n - n // 2), epsilons=(1.0,) * rounds)
+            return ExperimentConfig(**dict(DIRECT, **fields, eps_alpha=1.0, eps_beta=0.5))
+
+        # (2**23 objects, 1000 rounds) would be one 62.5 GiB draw per trial
+        with pytest.raises(ConfigError, match=r"counts \(8388608 objects\).*rounds \(1000\)"):
+            compare_noisy_sampling(config(2**23, 1000))
+        limit = experiments.MAX_OBJECT_VALUES
+        with pytest.raises(ConfigError, match="rounds"):
+            compare_noisy_sampling(config(2**10, limit // 2**10 + 1))
+        with pytest.raises(Reached):  # the bound is inclusive
+            compare_noisy_sampling(config(2**10, limit // 2**10))
+
 
 @pytest.mark.parametrize("run", [simulate_experiment, compare_noisy_sampling])
 def test_epsilon_too_small_to_debias_is_refused_before_any_draw(monkeypatch, run):

@@ -122,20 +122,41 @@ class TestOnlineRelease:
         "31a8147bd7a1caf779e4654be299ac079001089bc28869aedb87671c954dfbf6",
         "d9464199991667f73b64ebb81a9c33192b5f569d06d18040baee0524ead05011",
     )
+    # m -> schedule of the branches the m = 5 pass misses: no third value
+    # (m = 2), identity steps, and steps at and above `EPSILON_CAP`
+    BRANCH_CASES = {
+        2: (0.1, 0.5, 0.5, 2.0, 2.0),
+        3: (0.3, 0.3, 1.0, EPSILON_CAP, EPSILON_CAP + 10.0, 2 * EPSILON_CAP),
+    }
+    # the same digests of `_online_pass(20, BRANCH_CASES[m], m, seed=m)`,
+    # recorded while each release drew through the batch sampler on one-row
+    # arrays
+    BRANCH_GOLDEN = {
+        2: (
+            "c4a96727088f60c96a44a5808714812b5a048f5a97a8537be705c2516a43b9a6",
+            "492cdc24b22e7ff8f66944308b412d756833f3d4b63f55e6ee0e4cc7b3655ebd",
+        ),
+        3: (
+            "da8e3a1ada653807c3548a5b701f01f0ef88cc70a195b350006669c2ee852c05",
+            "6e64e626f1cfd520529d58d8c6f0330fa7a1475aaeb5900721ac1a315b3b95d2",
+        ),
+    }
+
+    @staticmethod
+    def _digests(objects, schedule, m, seed):
+        _, posteriors, outputs = _online_pass(objects, schedule, m, seed)
+        return tuple(hashlib.sha256(a.tobytes()).hexdigest() for a in (posteriors, outputs))
 
     def test_online_pass_matches_golden_digests(self):
-        _, posteriors, outputs = _online_pass(200, self.SCHEDULE, 5, seed=12)
-        digests = tuple(hashlib.sha256(a.tobytes()).hexdigest() for a in (posteriors, outputs))
-        assert digests == self.GOLDEN
+        assert self._digests(200, self.SCHEDULE, 5, seed=12) == self.GOLDEN
+
+    @pytest.mark.parametrize("m", sorted(BRANCH_CASES))
+    def test_online_pass_matches_golden_digests_on_other_branches(self, m):
+        assert self._digests(20, self.BRANCH_CASES[m], m, seed=m) == self.BRANCH_GOLDEN[m]
 
     def test_carried_likelihood_equals_rescoring(self):
-        cases = [
-            (5, self.SCHEDULE),
-            (2, (0.1, 0.5, 0.5, 2.0, 2.0)),
-            (3, (0.3, 0.3, 1.0, EPSILON_CAP, EPSILON_CAP + 10.0, 2 * EPSILON_CAP)),
-        ]
         chains = []
-        for m, schedule in cases:
+        for m, schedule in [(5, self.SCHEDULE), *self.BRANCH_CASES.items()]:
             chains += _online_pass(20, schedule, m, seed=m)[0]
         # a directly built chain that a repeated ε makes impossible (-inf for
         # every value), then extended online

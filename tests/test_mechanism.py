@@ -306,6 +306,22 @@ class TestRelaxStep:
             start_chain(1.7, 3, 0.5, rng)
         assert start_chain(np.float64(1.0), 3, 0.5, rng).true_value == 1
 
+    @pytest.mark.parametrize("m", [2, 5])
+    def test_each_release_consumes_one_double(self, m):
+        # identity, ordinary and capped steps alike
+        schedule = (0.3, 0.3, 0.8, EPSILON_CAP, EPSILON_CAP + 5.0)
+        rng = np.random.default_rng(10 + m)
+        fresh = copy.deepcopy(rng)
+        chain = None
+        for releases, eps in enumerate(schedule, start=1):
+            if chain is None:
+                chain = start_chain(m - 1, m, eps, rng)
+            else:
+                chain = relax_step(chain, eps, rng)
+            expected = copy.deepcopy(fresh)
+            expected.bit_generator.advance(releases)
+            assert rng.bit_generator.state == expected.bit_generator.state
+
     def test_deterministic_given_seed(self):
         def run(seed):
             rng = np.random.default_rng(seed)
@@ -454,6 +470,66 @@ class TestRelaxStepBatchLaw:
                 assert np.all(tensor[x, o_prev, got] > 0.0)
 
 
+def _with_neighbours(points):
+    """Each point and the doubles on either side of it, kept within [0, 1)."""
+    points = np.asarray(points, dtype=float)
+    u = np.concatenate([points, np.nextafter(points, -1.0), np.nextafter(points, 2.0)])
+    return u[(u >= 0.0) & (u < 1.0)]
+
+
+class TestScalarDrawEqualsBatch:
+    """`start_chain` and `relax_step` draw one object by `_spread_one` and
+    `_draw_one`; each equals the batch sampler on every uniform, the inverse
+    CDF's thresholds and their neighbouring doubles included."""
+
+    EPSILONS = (1e-12, 0.1, 0.5, 1.0, 2.0, 10.0, EPSILON_CAP - 0.1, EPSILON_CAP, EPSILON_CAP + 10.0)
+    RANDOM = np.random.default_rng(2024).random(200)
+
+    def _uniforms(self, thresholds):
+        return np.concatenate(
+            [self.RANDOM, _with_neighbours([0.0, np.nextafter(1.0, 0.0), *thresholds])]
+        )
+
+    @staticmethod
+    def _assert_equal(batch, scalar):
+        assert {type(o) for o in scalar} == {int}
+        assert batch.tolist() == scalar
+
+    @pytest.mark.parametrize("m", range(2, 9))
+    def test_randomized_response(self, m):
+        for eps in self.EPSILONS:
+            dist = rr_distribution(eps, m)
+            u = self._uniforms([dist.p_retain + j * dist.p_other for j in range(m)])
+            for x in range(m):
+                batch = sample_rr_batch(np.full(u.size, x), dist, _FixedUniforms(u))
+                scalar = [
+                    mechanism._spread_one(v, x, dist.p_retain, dist.p_other, m) for v in u.tolist()
+                ]
+                self._assert_equal(batch, scalar)
+
+    @pytest.mark.parametrize("m", range(2, 9))
+    def test_relaxation_step(self, m):
+        pairs = [(x, o) for x in range(m) for o in range(m)]
+        for i, eps_prev in enumerate(self.EPSILONS):
+            for eps_next in self.EPSILONS[i:]:  # equal steps included
+                k = relax_kernel(eps_prev, eps_next, m)
+                stay = k.p_ba + k.p_bb
+                u = self._uniforms(
+                    [k.p_aa + j * k.p_ab for j in range(m)]
+                    + [k.p_ba]
+                    + [stay + j * k.p_bc for j in range(m - 1)]
+                )
+                truth = np.repeat([x for x, _ in pairs], u.size)
+                prev = np.repeat([o for _, o in pairs], u.size)
+                uniforms = np.tile(u, len(pairs))
+                batch = mechanism._draw_step(k, truth, prev, _FixedUniforms(uniforms))
+                scalar = [
+                    mechanism._draw_one(k, x, o, v)
+                    for x, o, v in zip(truth.tolist(), prev.tolist(), uniforms.tolist())
+                ]
+                self._assert_equal(batch, scalar)
+
+
 class TestStepMemo:
     """`relax_kernel`'s per-process memo, behind every step the library takes or scores."""
 
@@ -518,10 +594,12 @@ class TestStepMemo:
     def test_invalid_and_decreasing_steps_raise_every_call(self):
         rng = np.random.default_rng(7)
         chain = start_chain(0, 3, 1.0, rng)
+        state = rng.bit_generator.state
         outputs = np.zeros((2, 2), dtype=np.int64)
         for _ in range(2):
             with pytest.raises(BudgetDecreaseError):
                 relax_step(chain, 0.5, rng)
+            assert rng.bit_generator.state == state  # a refused release draws nothing
             with pytest.raises(BudgetDecreaseError):
                 relax_kernel(1.0, 0.5, 3)
             with pytest.raises(BudgetDecreaseError):
@@ -529,6 +607,7 @@ class TestStepMemo:
             for bad in (math.nan, math.inf, -1.0, 0.0, np.array(math.nan)):
                 with pytest.raises(ParameterError):
                     relax_step(chain, bad, rng)
+                assert rng.bit_generator.state == state
                 with pytest.raises(ParameterError):
                     relax_kernel(bad, 1.0, 3)
             with pytest.raises(ParameterError):
