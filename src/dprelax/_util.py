@@ -43,19 +43,27 @@ def check_epsilon(eps: float, name: str = "epsilon") -> float:
     return eps
 
 
+def check_next_epsilon(last: float, eps, name: str, schedule: str) -> float:
+    """``eps`` as a float that may follow ``last``, a checked entry of the
+    schedule named ``schedule`` (0.0 before its first): positive and finite,
+    else `ParameterError` naming ``name``, and not below ``last``, else
+    `BudgetDecreaseError`."""
+    eps = as_float(eps, name)
+    if not 0.0 < eps < math.inf:  # NaN fails both comparisons
+        raise ParameterError(f"{name} must be positive and finite, got {eps}")
+    if eps < last:
+        raise BudgetDecreaseError(f"{schedule} must be non-decreasing: {eps} follows {last}")
+    return eps
+
+
 def check_schedule(schedule, name: str = "schedule") -> tuple:
     """A relaxation schedule as a tuple of floats: non-empty, each entry
     positive and finite, non-decreasing (else `BudgetDecreaseError`)."""
     checked = []
     last = 0.0
     for i, eps in enumerate(schedule):
-        eps = as_float(eps, f"{name}[{i}]")
-        if not 0.0 < eps < math.inf:  # NaN fails both comparisons
-            raise ParameterError(f"{name}[{i}] must be positive and finite, got {eps}")
-        if eps < last:
-            raise BudgetDecreaseError(f"{name} must be non-decreasing: {eps} follows {last}")
-        checked.append(eps)
-        last = eps
+        last = check_next_epsilon(last, eps, f"{name}[{i}]", name)
+        checked.append(last)
     if not checked:
         raise ParameterError(f"{name} must be non-empty")
     return tuple(checked)

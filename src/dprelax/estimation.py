@@ -181,6 +181,12 @@ def decode_histogram(hist: Histogram, pm: PerturbationMatrix) -> np.ndarray:
         raise ParameterError(f"histogram has {counts.size} values, channel has m={pm.m}")
     if np.any(counts < 0) or abs(float(counts.sum()) - n) > 1e-6 * n:
         raise ParameterError("histogram counts must be non-negative and sum to n")
+    return _decode_counts(counts, n, pm)
+
+
+def _decode_counts(counts, n: int, pm: PerturbationMatrix) -> np.ndarray:
+    # `decode_histogram`'s arithmetic, for (m,) counts of n responses known to
+    # be valid; integer counts divide to the same doubles as float ones
     return pm.inverse @ (counts / n)
 
 

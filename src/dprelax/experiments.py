@@ -46,22 +46,15 @@ import numpy as np
 from ._util import as_float, check_count
 from .errors import ConfigError
 from .estimation import (
-    Histogram,
-    decode_histogram,
+    _decode_counts,
     frequency_estimate_covariance,
     perturbation_matrix,
     variance_binary_estimate,
 )
 from .inference import ATTACK_METHODS, _running_guesses, balanced_subset, min_error_rate
-from .mechanism import (
-    MAX_DOMAIN,
-    relax_kernel,
-    relax_step_batch,
-    rr_distribution,
-    sample_rr_batch,
-)
+from .mechanism import MAX_DOMAIN, iter_chain_rounds, relax_kernel
 from .rappor import (
-    decode_noisy_sampling_counts,
+    _decode_noisy_counts,
     noisy_sampling_schedule,
     rappor_params,
     simulate_noisy_sampling_batch,
@@ -352,21 +345,6 @@ class _BlockStreams:
         return u
 
 
-def _sample_rounds(truth, epsilons: tuple, m: int, rng):
-    """The relaxation chains of one trial, or of a block's trials tiled into one
-    population, yielded as one output column per round.
-
-    Round 1 is a randomized response at ``epsilons[0]``; each later round
-    relaxes the previous column, with the step kernel fetched from the step
-    memo as the round comes up.  Only the previous column is kept.
-    """
-    out = sample_rr_batch(truth, rr_distribution(epsilons[0], m), rng)
-    yield out
-    for eps_prev, eps_next in zip(epsilons, epsilons[1:]):
-        out = relax_step_batch(relax_kernel(eps_prev, eps_next, m), truth, out, rng)
-        yield out
-
-
 def _block_rounds(truth, epsilons: tuple, m: int, streams: list, draw_ahead):
     """A block's draws made ahead of its rounds, and the rounds themselves.
 
@@ -375,7 +353,7 @@ def _block_rounds(truth, epsilons: tuple, m: int, streams: list, draw_ahead):
     rounds`` therefore starts where the trial's draws after its rounds start,
     and can make them before the rounds are streamed.  ``draw_ahead`` is
     called in trial order with each trial's copy; its results come first.
-    The rounds are `_sample_rounds` over the block's trials tiled into one
+    The rounds are `iter_chain_rounds` over the block's trials tiled into one
     population: one (trials * n_objects,) column per round, trial-major.
     """
     generators, drawn = [], []
@@ -385,16 +363,17 @@ def _block_rounds(truth, epsilons: tuple, m: int, streams: list, draw_ahead):
         drawn.append(draw_ahead(ahead))
         generators.append(np.random.default_rng(stream))
     rng = _BlockStreams(generators)
-    return drawn, _sample_rounds(np.tile(truth, len(streams)), epsilons, m, rng)
+    return drawn, iter_chain_rounds(np.tile(truth, len(streams)), epsilons, m, rng)
 
 
 def _decode_block(column, offsets, eps: float, m: int, n: int) -> np.ndarray:
     """Every trial's decoded frequencies at ``eps``, (trials, m), of one round's
     trial-major column: one `np.bincount`, where ``offsets`` moves trial i's
-    values to the bins [i * m, (i + 1) * m), then `decode_histogram` per trial."""
+    values to the bins [i * m, (i + 1) * m), then `decode_histogram`'s
+    arithmetic per trial, on counts valid by construction."""
     pm = perturbation_matrix(eps, m)
     counts = np.bincount(column + offsets, minlength=offsets[-1] + m).reshape(-1, m)
-    return np.array([decode_histogram(Histogram(counts=c, n=n), pm) for c in counts])
+    return np.array([_decode_counts(c, n, pm) for c in counts])
 
 
 def _run_trials(config: ExperimentConfig, run_block, threads: int) -> list:
@@ -418,7 +397,9 @@ def simulate_experiment(config: ExperimentConfig, threads: int = 1) -> Experimen
 
     Per trial and round, the population's outputs are decoded into a frequency
     estimate, and all four inference methods are scored on a balanced subset
-    drawn once per trial.  Each round is sampled, decoded and scored as it
+    drawn once per trial; the count attacks are carried on that subset only,
+    while the MLE is found for every object, so ``lo_mle_identical`` compares
+    the whole population.  Each round is sampled, decoded and scored as it
     comes, so a trial's chains take only the previous round's outputs and the
     running attack state: O(n_objects * m) memory whatever the number of
     rounds.  The subset is drawn first, from a copy of the trial's generator
@@ -448,16 +429,15 @@ def simulate_experiment(config: ExperimentConfig, threads: int = 1) -> Experimen
         est = np.empty((trials, rounds, m))
         errs = np.empty((trials, rounds, len(ATTACK_METHODS)))
         agree = np.ones(trials, dtype=bool)
-        for r, guesses in enumerate(_running_guesses(columns, epsilons, m, trials * n)):
-            last = guesses["last_output"]
+        for r, (last, mle, guesses) in enumerate(_running_guesses(columns, epsilons, m, picks)):
             est[:, r] = _decode_block(last, offsets, epsilons[r], m, n)
             for k, method in enumerate(ATTACK_METHODS):
-                wrong = guesses[method][picks] != truth_picked
+                wrong = guesses[method] != truth_picked
                 # a count per slice: with ``axis=1`` one (1, 5000) block takes
                 # four times as long, and eight trials of 625 no less
                 for i in range(trials):
                     errs[i, r, k] = np.count_nonzero(wrong[i * size : (i + 1) * size]) / size
-            agree &= (last == guesses["mle"]).reshape(trials, n).all(axis=1)
+            agree &= (last == mle).reshape(trials, n).all(axis=1)
         return est, errs, agree
 
     estimates, errors, agree = _run_trials(config, run_block, threads)
@@ -515,7 +495,7 @@ def compare_noisy_sampling(config: ExperimentConfig, threads: int = 1) -> Rappor
         # every round's estimate, decoded as soon as drawn: a block holds no
         # trial's (n, rounds) counts
         counts = simulate_noisy_sampling_batch(truth, params, rounds, ahead)
-        return [decode_noisy_sampling_counts(counts[:, r], r + 1, params) for r in range(rounds)]
+        return [_decode_noisy_counts(counts[:, r], r + 1, params) for r in range(rounds)]
 
     def run_block(streams):
         trials = len(streams)

@@ -6,7 +6,8 @@ the largest privacy-parameter-weighted count.  `iter_attack_guesses` scores a
 batch of chains after every round in one pass and `attack_guesses_matrix`
 after the last; one chain is a one-row batch.  The pass takes one output
 column per round, so the experiment runner feeds it each round as it is
-sampled and never holds a whole (objects, rounds) matrix.  Error rates are
+sampled and never holds a whole (objects, rounds) matrix; the runner carries
+the count attacks only at the rows it scores.  Error rates are
 always computed over a balanced subset (equal object count per value) so they
 are comparable with the uniform-prior floor.  Ties break toward the smallest
 value index everywhere.
@@ -76,53 +77,63 @@ def iter_attack_guesses(outputs, schedule, m: int):
 
     ``outputs`` has shape (n_objects, n_rounds) under one shared ``schedule``.
     Yields one dict per round, keyed by method name with one guess per object,
-    scoring the outputs released up to that round.  The matrix's columns are
-    fed one per round to the same running update that `experiments` feeds its
+    scoring the outputs released up to that round; each round's arrays are
+    its own, untouched as iteration moves on.  The matrix's columns are fed
+    one per round to the same running update that `experiments` feeds its
     freshly sampled rounds, so scoring every round costs O(n_rounds).
     Validation runs once, when iteration starts.
     """
     outputs, schedule, m = _check_batch(outputs, schedule, m)
-    yield from _running_guesses(outputs.T, schedule, m, outputs.shape[0])
+    rows = np.arange(outputs.shape[0])
+    for _, _, guesses in _running_guesses(outputs.T, schedule, m, rows):
+        yield {method: guess.copy() for method, guess in guesses.items()}
 
 
-def _running_guesses(columns, schedule: tuple, m: int, n: int):
+def _running_guesses(columns, schedule: tuple, m: int, rows):
     # The per-round update behind `iter_attack_guesses`, for a validated
     # schedule and m: takes one (n,) int64 output column in [0, m) per round,
-    # as it comes.  The log-likelihood, the per-value counts and the
-    # parameter-weighted counts (flat, row-major (n, m)) are carried from
-    # round to round, and so is each count's best value per row.
-    offsets = np.arange(n) * m
-    counts = np.zeros(n * m, dtype=np.int64)
-    weighted = np.zeros(n * m)
-    top_count = top_weighted = np.zeros(n, dtype=np.int64)
-    best_count, best_weighted = np.zeros(n, dtype=np.int64), np.zeros(n)
+    # as it comes, and yields the column, the MLE guess of every object, and
+    # each method's guesses at the objects ``rows`` only.  The log-likelihood
+    # is carried over the whole population, since `lo_mle_identical` compares
+    # every object; the per-value counts and the parameter-weighted counts
+    # (flat, row-major (rows, m)), and each count's best value per row, are
+    # carried at ``rows`` alone, and the yielded guesses of both counts are
+    # that state, updated in place by the next round.
+    k = len(rows)
+    offsets = np.arange(k) * m
+    counts = np.zeros(k * m, dtype=np.int64)
+    weighted = np.zeros(k * m)
+    top_count, top_weighted = np.zeros(k, dtype=np.int64), np.zeros(k, dtype=np.int64)
+    best_count, best_weighted = np.zeros(k, dtype=np.int64), np.zeros(k)
     for eps, (last, loglik) in zip(schedule, _running_log_likelihoods(columns, schedule, m)):
-        grown = offsets + last
+        picked = last[rows]
+        grown = offsets + picked
         count = counts[grown] + 1
         counts[grown] = count
         weight = weighted[grown] + eps
         weighted[grown] = weight
-        top_count, best_count = _running_argmax(count, last, top_count, best_count)
-        top_weighted, best_weighted = _running_argmax(weight, last, top_weighted, best_weighted)
-        yield {
-            "last_output": last.copy(),
-            # over every object and value: `lo_mle_identical` compares the
-            # whole population
-            "mle": np.argmax(loglik, axis=1),
-            "highest_frequency": top_count.copy(),
-            "weighted_highest_frequency": top_weighted.copy(),
+        _running_argmax(count, picked, top_count, best_count)
+        _running_argmax(weight, picked, top_weighted, best_weighted)
+        mle = np.argmax(loglik, axis=1)
+        yield last, mle, {
+            "last_output": picked,
+            "mle": mle[rows],
+            "highest_frequency": top_count,
+            "weighted_highest_frequency": top_weighted,
         }
 
 
 def _running_argmax(value, grown, top, best):
-    """Each row's argmax and maximum after only entry ``grown`` changed, to
-    ``value``, given the argmax ``top`` and maximum ``best`` before.
+    """Update each row's argmax ``top`` and maximum ``best``, in place, after
+    only entry ``grown`` changed, to ``value``.
 
     Entries never shrink, so this is exactly `np.argmax` over the whole row: a
     grown entry that ties the maximum takes over only from a larger index.
     """
-    take = (value > best) | ((value == best) & (grown < top))
-    return np.where(take, grown, top), np.where(take, value, best)
+    take = value > best
+    take |= (value == best) & (grown < top)
+    np.copyto(top, grown, where=take)
+    np.copyto(best, value, where=take)
 
 
 def attack_guesses_matrix(outputs, schedule, m: int) -> dict:

@@ -16,10 +16,12 @@ built once and reused by every later release, likelihood, run and audit that
 reaches it.  A `RelaxationChain` carries its running log-likelihood, so
 extending one chain and scoring it never re-walk its earlier outputs.
 
-`sample_rr_batch` and `relax_step_batch` draw every batch by one inverse CDF.
-The one-object releases, `start_chain` and `relax_step`, draw through a
-scalar form of the same inverse CDF: the same float operations in the same
-order, proven equal to the batch sampler on generated and boundary uniforms.
+`sample_rr_batch` and `relax_step_batch` draw every batch by one inverse CDF,
+and `iter_chain_rounds` draws a batch's whole chains round by round through
+the same sampler, checking its inputs once.  The one-object releases,
+`start_chain` and `relax_step`, draw through a scalar form of the same
+inverse CDF: the same float operations in the same order, proven equal to the
+batch sampler on generated and boundary uniforms.
 """
 
 import functools
@@ -33,6 +35,7 @@ from ._util import (
     cap_epsilon,
     check_domain_size,
     check_epsilon,
+    check_next_epsilon,
     check_schedule,
     check_value,
     check_values,
@@ -56,6 +59,7 @@ __all__ = [
     "start_chain",
     "relax_step",
     "relax_step_batch",
+    "iter_chain_rounds",
     "iter_log_likelihoods",
     "chain_log_likelihoods",
     "chain_likelihood",
@@ -341,6 +345,29 @@ def _draw_one(kernel: RelaxKernel, x: int, o_prev: int, u: float) -> int:
     return third + (third >= max(x, o_prev))
 
 
+def iter_chain_rounds(true_values, schedule, m: int, rng):
+    """Relaxation chains of a batch of objects, sampled one round at a time.
+
+    Yields one (n_objects,) int64 output column per round of ``schedule``: a
+    randomized response at ``schedule[0]``, then each later round relaxes the
+    previous column by its step, fetched from the step memo as the round
+    comes up.  Each round draws one uniform per object, as `sample_rr_batch`
+    and `relax_step_batch` do, and only the previous column is kept.
+    ``rng`` needs only a ``random(shape)`` method.  Validation runs once, when
+    iteration starts; the rounds draw from arrays valid by construction.
+    """
+    m = check_domain_size(m)
+    true_values = check_values(true_values, m, "true_values")
+    schedule = check_schedule(schedule)
+    dist = rr_distribution(schedule[0], m)
+    u = rng.random(true_values.shape)
+    out = _keep_or_spread(u, true_values, dist.p_retain, dist.p_other, m)
+    yield out
+    for eps_prev, eps_next in zip(schedule, schedule[1:]):
+        out = _draw_step(_relax_kernel(eps_prev, eps_next, m), true_values, out, rng)
+        yield out
+
+
 def _initial_log_likelihood(first_outputs: np.ndarray, dist: ResponseDistribution) -> np.ndarray:
     # (n,) first outputs -> (n, m) log-probability of each under every true value
     return np.where(
@@ -362,12 +389,18 @@ def start_chain(true_value: int, m: int, eps: float, rng: np.random.Generator) -
 def relax_step(chain: RelaxationChain, eps_next: float, rng: np.random.Generator) -> RelaxationChain:
     """Relax the chain's guarantee to ``eps_next`` and append the sampled output.
 
-    Only the new step is checked and scored: the extended chain carries the
-    previous log-likelihood plus one log-kernel entry, so a release costs
-    O(1) in the chain length.
+    Only the new step is checked and scored: ``eps_next`` must be positive,
+    finite and not below the chain's last parameter, which was checked when
+    it entered the chain.  The extended chain carries the previous
+    log-likelihood plus one log-kernel entry, so a release costs O(1) in the
+    chain length.
     """
     _check_chain(chain)
-    kernel = relax_kernel(chain.last_epsilon, eps_next, chain.m)
+    eps_prev = chain.last_epsilon
+    eps_next = check_next_epsilon(
+        eps_prev, eps_next, "(eps_prev, eps_next)[1]", "(eps_prev, eps_next)"
+    )
+    kernel = _relax_kernel(eps_prev, eps_next, chain.m)
     log_table = kernel.log_table  # before the draw: a refused table consumes no randomness
     o_prev = chain.last_output
     o = _draw_one(kernel, chain.true_value, o_prev, rng.random())

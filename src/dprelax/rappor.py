@@ -22,7 +22,7 @@ import numpy as np
 
 from ._util import cap_epsilon, check_count, check_epsilon, check_values
 from .errors import ParameterError
-from .estimation import _debias_binary, estimate_binary
+from .estimation import _debias_binary
 from .mechanism import rr_distribution
 
 __all__ = [
@@ -113,11 +113,19 @@ def decode_noisy_sampling_counts(k_ones, K: int, params: RapporParams) -> float:
         raise ParameterError("need at least one report")
     if np.any(k_ones < 0) or np.any(k_ones > K):
         raise ParameterError(f"counts must be in [0, {K}]")
-    per_client = estimate_binary(k_ones / K, params.eps_beta)
-    # The per-client stage is already debiased and routinely leaves [0, 1],
-    # so the second stage applies estimate_binary's affine map without the
-    # range check it performs on raw observed frequencies.
-    return _debias_binary(float(per_client.mean()), check_epsilon(params.eps_alpha, "eps_alpha"))
+    check_epsilon(params.eps_beta, "eps_beta")
+    check_epsilon(params.eps_alpha, "eps_alpha")
+    return _decode_noisy_counts(k_ones, K, params)
+
+
+def _decode_noisy_counts(k_ones, K: int, params: RapporParams) -> float:
+    # `decode_noisy_sampling_counts`'s arithmetic, for a 1-D array of counts
+    # in [0, K] and checked parameters: each client's observed frequency is
+    # debiased by `estimate_binary`'s affine map, then their mean again.  The
+    # per-client stage routinely leaves [0, 1], so neither stage checks the
+    # range `estimate_binary` checks on raw observed frequencies.
+    per_client = _debias_binary(k_ones / K, params.eps_beta)
+    return _debias_binary(float(per_client.mean()), params.eps_alpha)
 
 
 def variance_noisy_sampling(params: RapporParams, N: int, K: int) -> float:

@@ -188,7 +188,7 @@ def test_epsilon_too_small_to_debias_exits_2(tmp_path, capsys, monkeypatch):
     def never(*args, **kwargs):
         raise AssertionError("a refused schedule must not be sampled")
 
-    for name in ("balanced_subset", "sample_rr_batch"):
+    for name in ("balanced_subset", "iter_chain_rounds"):
         monkeypatch.setattr(experiments, name, never)
     bad = tmp_path / "tiny.json"
     bad.write_text(json.dumps({**CONFIG, "schedule": {"kind": "list", "epsilons": [1e-200, 1.0]}}))

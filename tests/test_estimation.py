@@ -5,6 +5,7 @@ from itertools import product
 import numpy as np
 import pytest
 
+from dprelax import estimation, rappor
 from dprelax.errors import IllConditionedError, ParameterError
 from dprelax.estimation import (
     Histogram,
@@ -21,7 +22,11 @@ from dprelax.estimation import (
     variance_binary_estimate,
 )
 from dprelax.mechanism import rr_distribution, sample_rr_batch
-from dprelax.rappor import decode_noisy_sampling_counts, rappor_params
+from dprelax.rappor import (
+    decode_noisy_sampling_counts,
+    rappor_params,
+    simulate_noisy_sampling_batch,
+)
 
 E = math.e
 
@@ -166,6 +171,56 @@ class TestEstimatePoly:
     def test_decode_rejects_a_channel_of_another_size(self):
         with pytest.raises(ParameterError):
             decode_histogram(histogram([0, 1, 2], 3), perturbation_matrix(1.0, 4))
+
+
+class TestTrustedDecodeCores:
+    """The runners decode through each public decoder's unchecked core, on
+    counts they built; the public decoders validate, then call that core."""
+
+    @staticmethod
+    def _bits(x) -> bytes:
+        return np.asarray(x, dtype=float).tobytes()
+
+    def test_histogram_core_equals_decode_histogram(self):
+        rng = np.random.default_rng(41)
+        for m, eps, n in product((2, 3, 5, 11), (1e-3, 0.4, 2.0, 60.0), (1, 7, 1000)):
+            # integer rows of one 2-D count block, as the runner decodes them
+            block = np.stack([np.bincount(rng.integers(0, m, n), minlength=m) for _ in range(4)])
+            pm = perturbation_matrix(eps, m)
+            for counts in block:
+                public = decode_histogram(Histogram(counts=counts, n=n), pm)
+                assert self._bits(estimation._decode_counts(counts, n, pm)) == self._bits(public)
+
+    def test_noisy_sampling_core_equals_decode_noisy_sampling_counts(self):
+        rng = np.random.default_rng(43)
+        for eps_alpha, eps_beta in ((1.0, 0.5), (0.05, 3.0), (60.0, 0.2)):
+            params = rappor_params(eps_alpha, eps_beta)
+            bits = rng.integers(0, 2, size=257)
+            counts = simulate_noisy_sampling_batch(bits, params, 12, rng)
+            for k in range(1, 13):
+                column = counts[:, k - 1]  # a strided int64 column, as the runner passes
+                public = decode_noisy_sampling_counts(column, k, params)
+                core = rappor._decode_noisy_counts(column, k, params)
+                assert self._bits(core) == self._bits(public)
+
+    @pytest.mark.parametrize(
+        "counts, n",
+        [([-1, 3], 2), ([2, -1, 1], 2), ([1, 2], 4), ([3, 3], 5), ([0, 0], 1)],
+        ids=["negative", "negative-summing-to-n", "short-of-n", "beyond-n", "none-of-n"],
+    )
+    def test_decode_histogram_still_refuses_bad_counts(self, counts, n):
+        pm = perturbation_matrix(1.0, len(counts))
+        with pytest.raises(ParameterError, match="non-negative and sum to n"):
+            decode_histogram(Histogram(counts=np.array(counts), n=n), pm)
+
+    @pytest.mark.parametrize(
+        "counts, K",
+        [([-1, 2], 4), ([0, -0.5], 1), ([1, 5], 4), ([2, 1], 1)],
+        ids=["negative", "negative-fraction", "above-K", "above-K=1"],
+    )
+    def test_decode_noisy_sampling_counts_still_refuses_bad_counts(self, counts, K):
+        with pytest.raises(ParameterError, match=rf"counts must be in \[0, {K}\]"):
+            decode_noisy_sampling_counts(counts, K, rappor_params(1.0, 0.5))
 
 
 class TestResponseCovariance:

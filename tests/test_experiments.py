@@ -22,7 +22,7 @@ from dprelax.experiments import (
     write_rappor_csv,
     write_rounds_csv,
 )
-from dprelax.mechanism import sample_rr_batch
+from dprelax.mechanism import iter_chain_rounds
 
 TINY = {
     "name": "tiny",
@@ -478,11 +478,14 @@ class TestTrialBlocks:
             return perturbation_matrix(eps, m)
 
         def sampled(*args):
-            events.append("sample")
-            return sample_rr_batch(*args)
+            rounds = iter_chain_rounds(*args)
+            first = next(rounds)
+            events.append("sample")  # the first round is drawn
+            yield first
+            yield from rounds
 
         monkeypatch.setattr(experiments, "perturbation_matrix", built)
-        monkeypatch.setattr(experiments, "sample_rr_batch", sampled)
+        monkeypatch.setattr(experiments, "iter_chain_rounds", sampled)
         monkeypatch.setattr(experiments, "BLOCK_OBJECTS", 1)  # one trial per block
         epsilons = (0.1, 0.2, 0.3, 0.4)
         simulate_experiment(ExperimentConfig(**dict(DIRECT, epsilons=epsilons, trials=2)))
@@ -504,6 +507,28 @@ class TestTrialBlocks:
                 tracemalloc.stop()
         # one trial's running counts: (objects, rounds) int64
         assert peaks[10**9] - peaks[1] < sum(counts) * rounds * 8, peaks
+
+    def test_rounds_are_not_revalidated(self, monkeypatch, count_calls):
+        # the round loop draws, scores and decodes arrays it built itself: a
+        # run checks values once per trial or block, whatever its rounds
+        calls = count_calls(("check_values",))
+        blocks = 3
+        monkeypatch.setattr(experiments, "BLOCK_OBJECTS", 1)  # one trial per block
+        seen = {}
+        for rounds in (2, 20):
+            epsilons = tuple(0.1 * k for k in range(1, rounds + 1))
+            simulated = ExperimentConfig(**dict(DIRECT, epsilons=epsilons, trials=blocks))
+            schedule = dict(TINY["schedule"], rounds=rounds)
+            compared = tiny_config(trials=blocks, schedule=schedule)
+            assert self._block_sizes(simulated) == self._block_sizes(compared) == [1] * blocks
+            runs = ((simulate_experiment, simulated), (compare_noisy_sampling, compared))
+            for run, config in runs:
+                calls["check_values"] = 0
+                run(config)
+                seen[run.__name__, rounds] = calls["check_values"]
+        for run in (simulate_experiment, compare_noisy_sampling):
+            # a block's rounds, plus each trial's subset or noisy samples
+            assert seen[run.__name__, 20] == seen[run.__name__, 2] == 2 * blocks, seen
 
     def test_shipped_block_size(self):
         # 1000- and 1500-object trials share blocks; a 5000-object trial runs alone

@@ -169,17 +169,18 @@ class TestOnlineRelease:
         assert np.all(chains[-1]._log_likelihood == -np.inf)
 
     def test_work_per_release_does_not_grow_with_rounds(self, count_calls):
-        calls = count_calls(("iter_log_likelihoods", "check_schedule"))
+        calls = count_calls(("iter_log_likelihoods", "check_schedule", "check_next_epsilon"))
         objects = 20
         for rounds in (10, 40):
             schedule = tuple(0.1 * k for k in range(1, rounds + 1))
             steps = rounds - 1
             mechanism._relax_kernel.cache_clear()
             for _ in range(2):  # a cold memo, then a warm one
-                calls.update(iter_log_likelihoods=0, check_schedule=0)
+                calls.update(iter_log_likelihoods=0, check_schedule=0, check_next_epsilon=0)
                 _online_pass(objects, schedule, 4, seed=rounds)
                 assert calls["iter_log_likelihoods"] == 0  # no release re-scores its chain
-                assert calls["check_schedule"] == objects * steps  # one per relax_step
+                assert calls["check_schedule"] == 0  # nor re-checks the chain's own ε
+                assert calls["check_next_epsilon"] == objects * steps  # one per relax_step
 
     def test_carried_likelihood_is_read_only(self):
         rng = np.random.default_rng(5)
@@ -357,6 +358,23 @@ class TestRunningEngine:
             memoized = [g.copy() for g in iter_log_likelihoods(outputs, schedule, 4)]
             assert len(memoized) == len(fresh)
             assert all(np.array_equal(a, b) for a, b in zip(memoized, fresh))
+
+    def test_yielded_rounds_stay_unchanged_as_iteration_moves_on(self):
+        # the running state is updated in place; each yielded round is a copy
+        schedule = (0.3, 0.3, 0.9, 2.0, 2.0, 5.0)
+        outputs = _sampled_chains(3, schedule, 30, seed=9)
+        rounds = iter_attack_guesses(outputs, schedule, 3)
+        kept = [next(rounds)]
+        snapshot = {method: guess.copy() for method, guess in kept[0].items()}
+        for guess in kept[0].values():
+            guess[:] = -1  # a caller writing into a round leaves the scoring alone
+        kept += list(rounds)
+        assert all(np.all(guess == -1) for guess in kept[0].values())
+        kept[0] = snapshot
+        for r, guesses in enumerate(kept):
+            fresh = attack_guesses_matrix(outputs[:, : r + 1], schedule[: r + 1], 3)
+            for method in ATTACK_METHODS:
+                assert np.array_equal(guesses[method], fresh[method]), (method, r)
 
     def test_matrix_is_final_round(self):
         schedule = (0.4, 0.9, 0.9, 2.0)

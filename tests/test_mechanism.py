@@ -11,6 +11,7 @@ from dprelax.mechanism import (
     EPSILON_CAP,
     RelaxationChain,
     chain_likelihood,
+    iter_chain_rounds,
     iter_log_likelihoods,
     kernel_tensor,
     relax_kernel,
@@ -334,6 +335,58 @@ class TestRelaxStep:
         assert run(77).outputs != run(78).outputs or run(77) == run(78)
 
 
+class TestChainRounds:
+    """`iter_chain_rounds` draws what `sample_rr_batch`, then `relax_step_batch`
+    round by round, draw from the same generator, and checks its inputs once."""
+
+    CASES = {
+        "binary": (2, (0.1, 0.5, 0.5, 2.0)),
+        "identity-and-capped": (3, (0.3, 0.3, 0.8, EPSILON_CAP, EPSILON_CAP + 5.0)),
+        "third-values": (5, (1e-3, 0.2, 1.0, 4.0, 4.0, 9.0)),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_rounds_equal_the_checked_batch_calls(self, case):
+        m, schedule = self.CASES[case]
+        truth = np.random.default_rng(m).integers(0, m, size=500)
+        rng, reference = np.random.default_rng(30 + m), np.random.default_rng(30 + m)
+        expected = [sample_rr_batch(truth, rr_distribution(schedule[0], m), reference)]
+        for e1, e2 in zip(schedule, schedule[1:]):
+            step = relax_kernel(e1, e2, m)
+            expected.append(relax_step_batch(step, truth, expected[-1], reference))
+        rounds = list(iter_chain_rounds(truth, schedule, m, rng))
+        assert len(rounds) == len(schedule)
+        for got, want in zip(rounds, expected):
+            assert got.dtype == np.int64 and np.array_equal(got, want)
+        assert rng.bit_generator.state == reference.bit_generator.state
+
+    def test_inputs_are_checked_once(self, count_calls):
+        calls = count_calls(("check_values", "check_schedule"))
+        schedule = tuple(0.1 * k for k in range(1, 21))
+        rounds = list(iter_chain_rounds([0, 1, 2, 2], schedule, 3, np.random.default_rng(1)))
+        assert len(rounds) == 20
+        assert calls == {"check_values": 1, "check_schedule": 1}
+
+    @pytest.mark.parametrize(
+        "truth, schedule, m, error",
+        [
+            ([0, 3], (0.5, 1.0), 3, ParameterError),
+            ([0, 1.5], (0.5, 1.0), 3, ParameterError),
+            ([0, 1], (1.0, 0.5), 3, BudgetDecreaseError),
+            ([0, 1], (0.5, math.nan), 3, ParameterError),
+            ([0, 1], (), 3, ParameterError),
+            ([0, 1], (0.5,), 1, ParameterError),
+        ],
+        ids=["out-of-domain", "non-integral", "decreasing", "nan", "empty", "m=1"],
+    )
+    def test_refused_before_any_draw(self, truth, schedule, m, error):
+        rng = np.random.default_rng(3)
+        state = rng.bit_generator.state
+        with pytest.raises(error):
+            next(iter_chain_rounds(truth, schedule, m, rng))
+        assert rng.bit_generator.state == state
+
+
 class TestChainLikelihood:
     def test_single_output_is_one_response(self):
         for eps, m in [(0.5, 2), (1.0, 5)]:
@@ -604,7 +657,7 @@ class TestStepMemo:
                 relax_kernel(1.0, 0.5, 3)
             with pytest.raises(BudgetDecreaseError):
                 list(iter_log_likelihoods(outputs, (1.0, 0.5), 3))
-            for bad in (math.nan, math.inf, -1.0, 0.0, np.array(math.nan)):
+            for bad in (math.nan, math.inf, -1.0, 0.0, np.array(math.nan), "1.5"):
                 with pytest.raises(ParameterError):
                     relax_step(chain, bad, rng)
                 assert rng.bit_generator.state == state

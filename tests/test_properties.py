@@ -5,10 +5,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dprelax.estimation import MIN_EPSILON, Histogram, estimate_poly, perturbation_matrix
-from dprelax.inference import iter_attack_guesses
+from dprelax.inference import ATTACK_METHODS, _running_guesses, balanced_subset, iter_attack_guesses
 from dprelax.mechanism import (
     EPSILON_CAP,
     chain_log_likelihoods,
+    iter_chain_rounds,
     iter_log_likelihoods,
     kernel_tensor,
     relax_kernel,
@@ -226,3 +227,32 @@ def _assert_mle_close(guesses, expected_loglik):
             assert guess == np.argmax(ll), (guess, ll)
         else:
             assert ll[guess] >= best - 1e-12, (guess, ll)
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    counts=st.integers(min_value=2, max_value=5).flatmap(
+        lambda m: st.lists(st.integers(min_value=1, max_value=12), min_size=m, max_size=m)
+    ).filter(lambda counts: len(set(counts)) > 1),
+    raw=st.lists(online_epsilons, min_size=1, max_size=6),
+    repeat=st.booleans(),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_subset_scoring_equals_full_scoring_at_its_rows(counts, raw, repeat, seed):
+    # the runner carries the count attacks on the balanced subset alone; its
+    # guesses must be the whole population's, gathered at the subset's rows
+    m = len(counts)
+    schedule = tuple(sorted(raw + raw[:1] if repeat else raw))
+    truth = np.repeat(np.arange(m), counts)
+    rows = balanced_subset(truth, m, np.random.default_rng(seed))
+    columns = list(iter_chain_rounds(truth, schedule, m, np.random.default_rng(seed + 1)))
+    everyone = _running_guesses(iter(columns), schedule, m, np.arange(truth.size))
+    subset = _running_guesses(iter(columns), schedule, m, rows)
+    for r, (full, picked) in enumerate(zip(everyone, subset, strict=True)):
+        (last_full, mle_full, guesses_full), (last, mle, guesses) = full, picked
+        # the decoded column and the MLE agreement stay population-wide
+        assert np.array_equal(last, columns[r]) and np.array_equal(last_full, columns[r])
+        assert np.array_equal(mle, mle_full)
+        assert list(guesses) == list(ATTACK_METHODS)
+        for method in ATTACK_METHODS:
+            assert np.array_equal(guesses[method], guesses_full[method][rows]), (method, r)
