@@ -22,9 +22,7 @@ from .errors import (
 )
 from .estimation import (
     FrequencyEstimate,
-    Histogram,
     PerturbationMatrix,
-    decode_histogram,
     discretize_mean,
     estimate_binary,
     estimate_mean,

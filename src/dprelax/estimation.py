@@ -1,7 +1,8 @@
 """Unbiased frequency and mean estimators for (relaxed) randomized responses.
 
-Estimates are deliberately not clamped to [0, 1]: clamping would break
-unbiasedness.  Covariances use the closed-form per-object response covariance;
+A histogram is its (m,) count vector; `estimate_poly` decodes one.  Estimates
+are deliberately not clamped to [0, 1]: clamping would break unbiasedness.
+Covariances use the closed-form per-object response covariance;
 `estimate_poly` plugs the decoded frequencies into it, while
 `frequency_estimate_covariance` accepts a known composition for theoretical
 reference values.
@@ -13,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._util import (
+    as_float,
     cap_epsilon,
     check_count,
     check_domain_size,
@@ -22,14 +24,12 @@ from ._util import (
 from .errors import IllConditionedError, ParameterError
 
 __all__ = [
-    "Histogram",
     "PerturbationMatrix",
     "FrequencyEstimate",
     "histogram",
     "estimate_binary",
     "perturbation_matrix",
     "estimate_poly",
-    "decode_histogram",
     "frequency_estimate_covariance",
     "variance_binary_estimate",
     "discretize_mean",
@@ -38,29 +38,15 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class Histogram:
-    """Counts of observed responses per domain value."""
-
-    counts: np.ndarray
-    n: int
-
-    @property
-    def m(self) -> int:
-        return len(self.counts)
-
-
-@dataclass(frozen=True)
 class PerturbationMatrix:
-    """Channel matrix P of a randomized response and its closed-form inverse.
+    """Closed-form inverse of the channel of `mechanism.rr_distribution`.
 
-    ``matrix[i, j]`` is the probability of observing value i when the true
-    value is j.  The inverse uses the diagonal-plus-rank-one form, which stays
-    exact where generic inversion would lose digits at small eps.
+    ``inverse`` uses the diagonal-plus-rank-one form, which stays exact where
+    generic inversion would lose digits at small eps.
     """
 
     epsilon: float
     m: int
-    matrix: np.ndarray
     inverse: np.ndarray
 
 
@@ -71,17 +57,16 @@ class FrequencyEstimate:
     estimate: np.ndarray
     covariance: np.ndarray
     epsilon: float
-    n: int
+    n: float  # the decoded counts' total
 
 
-def histogram(responses, m: int) -> Histogram:
-    """Tally responses (integers in [0, m)) into a Histogram."""
+def histogram(responses, m: int) -> np.ndarray:
+    """The (m,) int64 counts of responses (integers in [0, m)) per value."""
     m = check_domain_size(m)
     responses = check_values(responses, m, "responses")
     if responses.size == 0:
         raise ParameterError("responses must be non-empty")
-    counts = np.bincount(responses, minlength=m)
-    return Histogram(counts=counts, n=int(responses.size))
+    return np.bincount(responses, minlength=m)
 
 
 # The smallest privacy parameter any estimator accepts.  A variance grows as
@@ -121,16 +106,14 @@ def _debias_binary(lam, eps: float):
 
 
 def perturbation_matrix(eps: float, m: int) -> PerturbationMatrix:
-    """Channel matrix of the ``eps``-randomized response over ``m`` values."""
+    """Channel inverse of the ``eps``-randomized response over ``m`` values."""
     eps = check_epsilon(eps)
     m = check_domain_size(m)
     big = math.exp(cap_epsilon(eps))
-    p = np.full((m, m), 1.0 / (big + m - 1))
-    np.fill_diagonal(p, big / (big + m - 1))
     scale = (big + m - 1) / _growth(eps)
     inv = np.full((m, m), -scale / (big + m - 1))
     np.fill_diagonal(inv, scale * (1.0 - 1.0 / (big + m - 1)))
-    return PerturbationMatrix(epsilon=eps, m=m, matrix=p, inverse=inv)
+    return PerturbationMatrix(epsilon=eps, m=m, inverse=inv)
 
 
 def _response_covariance(eps: float, m: int, x: int) -> np.ndarray:
@@ -147,7 +130,7 @@ def _response_covariance(eps: float, m: int, x: int) -> np.ndarray:
     return cov
 
 
-def _decoded_covariance(weights, pm: PerturbationMatrix, n: int) -> np.ndarray:
+def _decoded_covariance(weights, pm: PerturbationMatrix, n: float) -> np.ndarray:
     # Covariance of ``P^-1 @ (counts / n)`` over n objects of composition ``weights``.
     cov = np.zeros((pm.m, pm.m))
     for value, w in enumerate(weights):
@@ -156,37 +139,31 @@ def _decoded_covariance(weights, pm: PerturbationMatrix, n: int) -> np.ndarray:
     return pm.inverse @ cov @ pm.inverse.T / n
 
 
-def estimate_poly(hist: Histogram, eps: float) -> FrequencyEstimate:
-    """Debias a response histogram into a frequency estimate with covariance.
+def estimate_poly(counts, eps: float) -> FrequencyEstimate:
+    """Debias response counts per value, as `histogram` returns them, with covariance.
 
     The covariance plugs the decoded frequencies into the per-object response
     covariance; when the true composition is known, prefer
     `frequency_estimate_covariance` for the theoretical value.
     """
-    pm = perturbation_matrix(eps, hist.m)
-    est = decode_histogram(hist, pm)
-    cov = _decoded_covariance(est, pm, hist.n)
-    return FrequencyEstimate(estimate=est, covariance=cov, epsilon=pm.epsilon, n=hist.n)
+    counts = np.asarray(counts, dtype=float)
+    if counts.ndim != 1 or counts.size < 2:
+        raise ParameterError(f"counts must be 1-D with at least 2 values, got {counts.shape}")
+    # with no count negative, a finite positive total means that every count
+    # is finite and not all are zero (and that the total is a double)
+    with np.errstate(over="ignore"):
+        n = float(counts.sum())
+    if np.any(counts < 0) or not 0.0 < n < math.inf:
+        raise ParameterError("counts must be finite, non-negative and not all zero")
+    pm = perturbation_matrix(eps, counts.size)
+    est = _decode_counts(counts, n, pm)
+    cov = _decoded_covariance(est, pm, n)
+    return FrequencyEstimate(estimate=est, covariance=cov, epsilon=pm.epsilon, n=n)
 
 
-def decode_histogram(hist: Histogram, pm: PerturbationMatrix) -> np.ndarray:
-    """Debiased frequencies ``P^-1 @ (counts / n)`` of a histogram, no covariance.
-
-    Runs that decode many histograms at one parameter build ``pm`` once and
-    call this directly; `estimate_poly` decodes through it too.
-    """
-    n = check_count(hist.n, "n")
-    counts = np.asarray(hist.counts, dtype=float)
-    if counts.shape != (pm.m,):
-        raise ParameterError(f"histogram has {counts.size} values, channel has m={pm.m}")
-    if np.any(counts < 0) or abs(float(counts.sum()) - n) > 1e-6 * n:
-        raise ParameterError("histogram counts must be non-negative and sum to n")
-    return _decode_counts(counts, n, pm)
-
-
-def _decode_counts(counts, n: int, pm: PerturbationMatrix) -> np.ndarray:
-    # `decode_histogram`'s arithmetic, for (m,) counts of n responses known to
-    # be valid; integer counts divide to the same doubles as float ones
+def _decode_counts(counts, n: float, pm: PerturbationMatrix) -> np.ndarray:
+    # `estimate_poly`'s decode, for (m,) counts of total n known to be valid;
+    # integer counts divide to the same doubles as float ones
     return pm.inverse @ (counts / n)
 
 
@@ -206,11 +183,18 @@ def variance_binary_estimate(eps: float, n: int) -> float:
     return math.exp(cap_epsilon(eps)) / (n * _growth(eps) ** 2)
 
 
+def _check_interval(l, h) -> tuple:
+    # [l, h] as floats; without a finite width h - l the rounding probability
+    # and the debiased mean are NaN or infinite
+    l, h = as_float(l, "l"), as_float(h, "h")
+    if not (l < h and math.isfinite(h - l)):
+        raise ParameterError(f"interval needs l < h and a finite h - l, got l={l}, h={h}")
+    return l, h
+
+
 def discretize_mean(value: float, l: float, h: float, rng: np.random.Generator) -> float:
     """Round a bounded value to one of the interval endpoints, unbiasedly."""
-    l, h = float(l), float(h)
-    if not l < h:
-        raise ParameterError(f"interval must satisfy l < h, got [{l}, {h}]")
+    l, h = _check_interval(l, h)
     value = float(value)
     if not l <= value <= h:
         raise ParameterError(f"value {value} outside [{l}, {h}]")
@@ -223,7 +207,5 @@ def estimate_mean(lambda_h: float, eps: float, l: float, h: float) -> float:
     Uses the interval-width coefficient so the estimator stays unbiased; with
     l = 0, h = 1 it reduces exactly to `estimate_binary`.
     """
-    l, h = float(l), float(h)
-    if not l < h:
-        raise ParameterError(f"interval must satisfy l < h, got [{l}, {h}]")
+    l, h = _check_interval(l, h)
     return l + (h - l) * estimate_binary(lambda_h, eps)

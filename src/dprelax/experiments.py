@@ -151,13 +151,17 @@ class ExperimentConfig:
         seed = self.seed
         if not isinstance(seed, Integral) or isinstance(seed, bool) or not 0 <= seed < 2**64:
             fail("seed", f"must be an integer that fits in 64 bits, got {seed!r}")
+        normalized = dict(m=m, counts=counts, epsilons=epsilons, trials=trials, seed=int(seed))
         if (self.eps_alpha is None) != (self.eps_beta is None):
             missing = "eps_alpha" if self.eps_alpha is None else "eps_beta"
             fail(missing, "eps_alpha and eps_beta must be given together")
-        for field in ("eps_alpha", "eps_beta"):
-            if getattr(self, field) is not None:
-                object.__setattr__(self, field, positive(field, getattr(self, field)))
-        normalized = dict(m=m, counts=counts, epsilons=epsilons, trials=trials, seed=int(seed))
+        if self.eps_alpha is not None:
+            pair = positive("eps_alpha", self.eps_alpha), positive("eps_beta", self.eps_beta)
+            # the pair stands for the matched schedule the JSON path builds;
+            # any other would run the two pipelines at unmatched privacy
+            if epsilons != tuple(noisy_sampling_schedule(*pair, len(epsilons))):
+                fail("epsilons", "must be the noisy-sampling schedule of eps_alpha and eps_beta")
+            normalized.update(eps_alpha=pair[0], eps_beta=pair[1])
         for field, value in normalized.items():
             object.__setattr__(self, field, value)
 
@@ -345,32 +349,28 @@ class _BlockStreams:
         return u
 
 
-def _block_rounds(truth, epsilons: tuple, m: int, streams: list, draw_ahead):
-    """A block's draws made ahead of its rounds, and the rounds themselves.
+def _block_rounds(truth, epsilons: tuple, m: int, streams: list):
+    """Each trial's generator moved past its rounds' draws, and the rounds.
 
     The relaxation rounds draw exactly one double, so one PCG64 output, per
     object and round; a copy of a trial's generator advanced by ``n_objects *
     rounds`` therefore starts where the trial's draws after its rounds start,
-    and can make them before the rounds are streamed.  ``draw_ahead`` is
-    called in trial order with each trial's copy; its results come first.
-    The rounds are `iter_chain_rounds` over the block's trials tiled into one
+    so a runner can make those draws before the rounds are streamed.  The
+    rounds are `iter_chain_rounds` over the block's trials tiled into one
     population: one (trials * n_objects,) column per round, trial-major.
     """
-    generators, drawn = [], []
-    for stream in streams:
-        ahead = np.random.default_rng(stream)
-        ahead.bit_generator.advance(truth.size * len(epsilons))
-        drawn.append(draw_ahead(ahead))
-        generators.append(np.random.default_rng(stream))
-    rng = _BlockStreams(generators)
-    return drawn, iter_chain_rounds(np.tile(truth, len(streams)), epsilons, m, rng)
+    after = [np.random.default_rng(stream) for stream in streams]
+    for rng in after:
+        rng.bit_generator.advance(truth.size * len(epsilons))
+    rows = _BlockStreams([np.random.default_rng(stream) for stream in streams])
+    return after, iter_chain_rounds(np.tile(truth, len(streams)), epsilons, m, rows)
 
 
 def _decode_block(column, offsets, eps: float, m: int, n: int) -> np.ndarray:
     """Every trial's decoded frequencies at ``eps``, (trials, m), of one round's
     trial-major column: one `np.bincount`, where ``offsets`` moves trial i's
-    values to the bins [i * m, (i + 1) * m), then `decode_histogram`'s
-    arithmetic per trial, on counts valid by construction."""
+    values to the bins [i * m, (i + 1) * m), then `estimate_poly`'s decode
+    per trial, on counts valid by construction."""
     pm = perturbation_matrix(eps, m)
     counts = np.bincount(column + offsets, minlength=offsets[-1] + m).reshape(-1, m)
     return np.array([_decode_counts(c, n, pm) for c in counts])
@@ -418,9 +418,8 @@ def simulate_experiment(config: ExperimentConfig, threads: int = 1) -> Experimen
 
     def run_block(streams):
         trials = len(streams)
-        subsets, columns = _block_rounds(
-            truth, epsilons, m, streams, lambda ahead: balanced_subset(truth, m, ahead)
-        )
+        after, columns = _block_rounds(truth, epsilons, m, streams)
+        subsets = [balanced_subset(truth, m, rng) for rng in after]
         size = subsets[0].size  # m * min(counts), the same for every trial
         # every trial's subset, as indices into the tiled population
         picks = np.concatenate([subset + i * n for i, subset in enumerate(subsets)])
@@ -491,15 +490,16 @@ def compare_noisy_sampling(config: ExperimentConfig, threads: int = 1) -> Rappor
     truth = _truth_vector(config)
     n = truth.size
 
-    def decode_noisy(ahead):
+    def decode_noisy(rng):
         # every round's estimate, decoded as soon as drawn: a block holds no
         # trial's (n, rounds) counts
-        counts = simulate_noisy_sampling_batch(truth, params, rounds, ahead)
+        counts = simulate_noisy_sampling_batch(truth, params, rounds, rng)
         return [_decode_noisy_counts(counts[:, r], r + 1, params) for r in range(rounds)]
 
     def run_block(streams):
         trials = len(streams)
-        noisy_est, columns = _block_rounds(truth, epsilons, 2, streams, decode_noisy)
+        after, columns = _block_rounds(truth, epsilons, 2, streams)
+        noisy_est = [decode_noisy(rng) for rng in after]
         offsets = np.repeat(np.arange(0, trials * 2, 2), n)
         relax_est = np.empty((trials, rounds))
         for r, out in enumerate(columns):

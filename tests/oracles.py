@@ -44,6 +44,11 @@ def rr_vector(eps: float, m: int, x: int) -> np.ndarray:
     return vec
 
 
+def rr_channel(eps: float, m: int) -> np.ndarray:
+    """Channel matrix of a single randomized response: column x is `rr_vector`."""
+    return np.column_stack([rr_vector(eps, m, x) for x in range(m)])
+
+
 def kernel_conditional(kernel, x: int, o_prev: int) -> np.ndarray:
     """Distribution of the next output given true value ``x`` and previous output,
     spelled out entry by entry from the kernel's named probabilities."""

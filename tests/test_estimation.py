@@ -8,8 +8,6 @@ import pytest
 from dprelax import estimation, rappor
 from dprelax.errors import IllConditionedError, ParameterError
 from dprelax.estimation import (
-    Histogram,
-    decode_histogram,
     MIN_EPSILON,
     discretize_mean,
     estimate_binary,
@@ -27,6 +25,7 @@ from dprelax.rappor import (
     rappor_params,
     simulate_noisy_sampling_batch,
 )
+from oracles import rr_channel, rr_vector
 
 E = math.e
 
@@ -61,36 +60,35 @@ class TestPerturbationMatrix:
     def test_large_epsilon_is_identity(self):
         for m in (2, 5):
             pm = perturbation_matrix(40.0, m)
-            np.testing.assert_allclose(pm.matrix, np.eye(m), atol=1e-10)
             np.testing.assert_allclose(pm.inverse, np.eye(m), atol=1e-10)
 
     def test_log_two_entries(self):
+        # the channel at e^eps = 2, m = 3 is 1/2 on the diagonal, 1/4 off it
+        channel = np.full((3, 3), 0.25) + 0.25 * np.eye(3)
         pm = perturbation_matrix(math.log(2.0), 3)
-        np.testing.assert_allclose(np.diag(pm.matrix), 0.5, atol=1e-12)
-        off = pm.matrix[~np.eye(3, dtype=bool)]
-        np.testing.assert_allclose(off, 0.25, atol=1e-12)
+        np.testing.assert_allclose(pm.inverse, np.linalg.inv(channel), atol=1e-12)
 
     @pytest.mark.parametrize("m", range(2, 11))
     @pytest.mark.parametrize("eps", [0.1, 0.5, 1.0, 2.0, 10.0])
     def test_inverse_contract(self, eps, m):
+        channel = rr_channel(eps, m)
         pm = perturbation_matrix(eps, m)
-        np.testing.assert_allclose(pm.matrix @ pm.inverse, np.eye(m), atol=1e-10)
+        np.testing.assert_allclose(channel @ pm.inverse, np.eye(m), atol=1e-10)
         # closed form agrees with generic inversion
-        np.testing.assert_allclose(pm.inverse, np.linalg.inv(pm.matrix), atol=1e-10)
+        np.testing.assert_allclose(pm.inverse, np.linalg.inv(channel), atol=1e-10)
 
     def test_columns_sum_to_one(self):
+        # a channel's columns sum to one, so its inverse's columns do too
         pm = perturbation_matrix(0.7, 6)
-        np.testing.assert_allclose(pm.matrix.sum(axis=0), 1.0, atol=1e-12)
+        np.testing.assert_allclose(pm.inverse.sum(axis=0), 1.0, atol=1e-12)
 
 
 class TestEstimatePoly:
     def test_pure_population_recovers_one_hot(self):
         n = 1000
         for m, eps in [(3, 0.5), (5, 1.0)]:
-            pm = perturbation_matrix(eps, m)
             for j in range(m):
-                hist = Histogram(counts=n * pm.matrix[:, j], n=n)
-                est = estimate_poly(hist, eps).estimate
+                est = estimate_poly(n * rr_vector(eps, m, j), eps).estimate
                 expected = np.zeros(m)
                 expected[j] = 1.0
                 np.testing.assert_allclose(est, expected, atol=1e-9)
@@ -112,9 +110,8 @@ class TestEstimatePoly:
             np.array([0.9] + [0.1 / (m - 1)] * (m - 1)),
         ]
         for eps, freq in product((0.1, 0.5, 1.0, 2.0), freqs):
-            pm = perturbation_matrix(eps, m)
-            hist = Histogram(counts=n * (pm.matrix @ freq), n=n)
-            np.testing.assert_allclose(estimate_poly(hist, eps).estimate, freq, atol=1e-9)
+            counts = n * (rr_channel(eps, m) @ freq)
+            np.testing.assert_allclose(estimate_poly(counts, eps).estimate, freq, atol=1e-9)
 
     def test_estimate_sums_to_one(self):
         rng = np.random.default_rng(4)
@@ -150,32 +147,18 @@ class TestEstimatePoly:
         with pytest.raises(IllConditionedError):
             estimate_poly(hist, 1e-320)
 
-    def test_count_mismatch_rejected(self):
-        with pytest.raises(ParameterError):
-            estimate_poly(Histogram(counts=np.array([1.0, 2.0]), n=10), 1.0)
-
-    def test_decode_is_estimate_poly_without_covariance(self):
-        rng = np.random.default_rng(5)
-        for m, eps in ((2, 0.3), (4, 1.0), (7, 60.0)):
-            hist = histogram(rng.integers(0, m, size=301), m)
-            decoded = decode_histogram(hist, perturbation_matrix(eps, m))
-            assert np.array_equal(decoded, estimate_poly(hist, eps).estimate)
-
     def test_histogram_rejects_non_integral_responses(self):
         with pytest.raises(ParameterError, match="responses"):
             histogram([0.5, 1.9], 3)
         with pytest.raises(ParameterError, match="responses"):
             histogram([0, 3], 3)
-        assert histogram(np.array([0.0, 2.0, 2.0]), 3).counts.tolist() == [1, 0, 2]
-
-    def test_decode_rejects_a_channel_of_another_size(self):
-        with pytest.raises(ParameterError):
-            decode_histogram(histogram([0, 1, 2], 3), perturbation_matrix(1.0, 4))
+        assert histogram(np.array([0.0, 2.0, 2.0]), 3).tolist() == [1, 0, 2]
 
 
 class TestTrustedDecodeCores:
     """The runners decode through each public decoder's unchecked core, on
-    counts they built; the public decoders validate, then call that core."""
+    counts they built; the public decoders validate, then call that core.
+    A histogram's public decoder is `estimate_poly`."""
 
     @staticmethod
     def _bits(x) -> bytes:
@@ -185,10 +168,10 @@ class TestTrustedDecodeCores:
         rng = np.random.default_rng(41)
         for m, eps, n in product((2, 3, 5, 11), (1e-3, 0.4, 2.0, 60.0), (1, 7, 1000)):
             # integer rows of one 2-D count block, as the runner decodes them
-            block = np.stack([np.bincount(rng.integers(0, m, n), minlength=m) for _ in range(4)])
+            block = np.stack([histogram(rng.integers(0, m, n), m) for _ in range(4)])
             pm = perturbation_matrix(eps, m)
             for counts in block:
-                public = decode_histogram(Histogram(counts=counts, n=n), pm)
+                public = estimate_poly(counts, eps).estimate
                 assert self._bits(estimation._decode_counts(counts, n, pm)) == self._bits(public)
 
     def test_noisy_sampling_core_equals_decode_noisy_sampling_counts(self):
@@ -204,14 +187,33 @@ class TestTrustedDecodeCores:
                 assert self._bits(core) == self._bits(public)
 
     @pytest.mark.parametrize(
-        "counts, n",
-        [([-1, 3], 2), ([2, -1, 1], 2), ([1, 2], 4), ([3, 3], 5), ([0, 0], 1)],
-        ids=["negative", "negative-summing-to-n", "short-of-n", "beyond-n", "none-of-n"],
+        "counts",
+        [
+            [-1, 3],
+            [2, -1, 1],
+            [0, 0],
+            [1, math.nan],
+            [1, math.inf],
+            [1.5e308, 1.5e308],
+            [5],
+            [],
+            [[1, 2], [3, 4]],
+        ],
+        ids=[
+            "negative",
+            "negative-with-positive-total",
+            "none-of-the-values-counted",
+            "nan",
+            "inf",
+            "total-overflows",
+            "one-value",
+            "empty",
+            "2-D",
+        ],
     )
-    def test_decode_histogram_still_refuses_bad_counts(self, counts, n):
-        pm = perturbation_matrix(1.0, len(counts))
-        with pytest.raises(ParameterError, match="non-negative and sum to n"):
-            decode_histogram(Histogram(counts=np.array(counts), n=n), pm)
+    def test_decode_histogram_still_refuses_bad_counts(self, counts):
+        with pytest.raises(ParameterError, match="^counts must be"):
+            estimate_poly(counts, 1.0)
 
     @pytest.mark.parametrize(
         "counts, K",
@@ -306,6 +308,10 @@ class TestDiscretizeMean:
             discretize_mean(4.0, 0.0, 1.0, rng)
         with pytest.raises(ParameterError):
             discretize_mean(0.5, 1.0, 1.0, rng)
+        # h - l overflows: the rounding probability would be NaN, and a value
+        # at h would round to l
+        with pytest.raises(ParameterError, match="finite h - l"):
+            discretize_mean(1e308, -1e308, 1e308, rng)
 
 
 class TestEstimateMean:
@@ -332,13 +338,30 @@ class TestEstimateMean:
             lam = p_high * p + (1 - p_high) * (1 - p)
             assert estimate_mean(lam, eps, l, h) == pytest.approx(value, abs=1e-9)
 
+    @pytest.mark.parametrize(
+        "l, h, match",
+        [
+            (0.0, math.inf, "finite h - l"),
+            (-math.inf, 1.0, "finite h - l"),
+            (-1e308, 1e308, "finite h - l"),
+            (math.nan, 1.0, "l < h"),
+            (1.0, 1.0, "l < h"),
+            ("0", 1.0, "l must be a real number"),
+            (0.0, "1", "h must be a real number"),
+        ],
+        ids=["inf-h", "inf-l", "width-overflows", "nan-l", "empty", "string-l", "string-h"],
+    )
+    def test_unusable_interval_is_refused(self, l, h, match):
+        with pytest.raises(ParameterError, match=match):
+            estimate_mean(0.5, 1.0, l, h)
+
 
 class TestHistogram:
     def test_builder(self):
-        hist = histogram([0, 1, 1, 2], 4)
-        assert hist.n == 4
-        assert hist.m == 4
-        np.testing.assert_array_equal(hist.counts, [1, 2, 1, 0])
+        counts = histogram([0, 1, 1, 2], 4)
+        assert counts.dtype == np.int64
+        np.testing.assert_array_equal(counts, [1, 2, 1, 0])
+        assert estimate_poly(counts, 1.0).n == 4
 
     def test_builder_validation(self):
         with pytest.raises(ParameterError):

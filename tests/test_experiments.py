@@ -23,6 +23,7 @@ from dprelax.experiments import (
     write_rounds_csv,
 )
 from dprelax.mechanism import iter_chain_rounds
+from dprelax.rappor import noisy_sampling_schedule
 
 TINY = {
     "name": "tiny",
@@ -202,6 +203,7 @@ BAD_FIELDS = {
     "alpha-beyond-double": ({"eps_alpha": 10**400, "eps_beta": 0.5}, "eps_alpha"),
     "bad-name": ({"name": "bad name!"}, "name"),
     "alpha-without-beta": ({"eps_alpha": 1.0}, "eps_beta"),
+    "schedule-not-matched": ({"eps_alpha": 1.0, "eps_beta": 0.5}, "epsilons"),
 }
 
 
@@ -382,7 +384,8 @@ class TestCompareNoisySampling:
         monkeypatch.setattr(experiments, "_truth_vector", truth)
 
         def config(n, rounds):
-            fields = dict(m=2, counts=(n // 2, n - n // 2), epsilons=(1.0,) * rounds)
+            epsilons = tuple(noisy_sampling_schedule(1.0, 0.5, rounds))
+            fields = dict(m=2, counts=(n // 2, n - n // 2), epsilons=epsilons)
             return ExperimentConfig(**dict(DIRECT, **fields, eps_alpha=1.0, eps_beta=0.5))
 
         # (2**23 objects, 1000 rounds) would be one 62.5 GiB draw per trial
@@ -403,11 +406,16 @@ def test_epsilon_too_small_to_debias_is_refused_before_any_draw(monkeypatch, run
     monkeypatch.setattr(experiments._BlockStreams, "random", drawn)
     for name in ("balanced_subset", "simulate_noisy_sampling_batch"):
         monkeypatch.setattr(experiments, name, drawn)
-    config = ExperimentConfig(
-        **dict(DIRECT, m=2, counts=(3, 4), epsilons=(1e-200, 1.0), eps_alpha=1.0, eps_beta=0.5)
-    )
-    with pytest.raises(IllConditionedError, match="too small to debias"):
-        run(config)
+    fields = dict(DIRECT, m=2, counts=(3, 4), epsilons=(1e-200, 1.0))
+    if run is simulate_experiment:
+        with pytest.raises(IllConditionedError, match="too small to debias"):
+            run(ExperimentConfig(**fields))
+        return
+    # compare-rappor runs only a matched schedule, whose computed first entry
+    # is 0.0 or at least about 1e-60 (the cancellation in eps_noisy_sampling),
+    # never below MIN_EPSILON: such a schedule is refused as the config is built
+    with pytest.raises(ConfigError, match=r"^ExperimentConfig\.epsilons: must be the noisy"):
+        run(ExperimentConfig(**fields, eps_alpha=1.0, eps_beta=0.5))
 
 
 class TestTrialBlocks:

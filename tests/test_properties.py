@@ -4,7 +4,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dprelax.estimation import MIN_EPSILON, Histogram, estimate_poly, perturbation_matrix
+from dprelax.estimation import MIN_EPSILON, estimate_poly
 from dprelax.inference import ATTACK_METHODS, _running_guesses, balanced_subset, iter_attack_guesses
 from dprelax.mechanism import (
     EPSILON_CAP,
@@ -21,7 +21,7 @@ from dprelax.mechanism import (
 )
 from dprelax.rappor import eps_noisy_sampling, rappor_params
 
-from oracles import attack_guesses, prefix_log_likelihoods, sequence_likelihood
+from oracles import attack_guesses, prefix_log_likelihoods, rr_channel, sequence_likelihood
 
 epsilons = st.floats(min_value=1e-3, max_value=10.0, allow_nan=False)
 domains = st.integers(min_value=2, max_value=12)
@@ -76,10 +76,8 @@ def test_decoder_inverts_exact_expectations(eps, m, data):
         )
     )
     freq = np.asarray(weights) / sum(weights)
-    pm = perturbation_matrix(eps, m)
-    n = 1_000
-    hist = Histogram(counts=n * (pm.matrix @ freq), n=n)
-    assert np.abs(estimate_poly(hist, eps).estimate - freq).max() <= 1e-9
+    counts = 1_000 * (rr_channel(eps, m) @ freq)
+    assert np.abs(estimate_poly(counts, eps).estimate - freq).max() <= 1e-9
 
 
 @settings(deadline=None)
