@@ -5,6 +5,10 @@ output sequence and taking worst cases numerically, instead of trusting the
 closed-form algebra behind the kernels.  A bug in the kernel formulas and a
 bug in these enumerations would have to coincide for a check to pass wrongly.
 
+Enumeration is batched: one core enumerates equal-length schedules together,
+and the public auditors are one-row calls into it.  The standard battery
+enumerates its cases by domain size and length, in bounded chunks.
+
 Conventions: sequences a schedule cannot produce (a repeated privacy
 parameter makes the step deterministic) carry zero probability for every
 input alike; log-ratios are taken over jointly supported outcomes only, and a
@@ -14,7 +18,7 @@ produce a sequence another cannot, is reported as an infinite log-ratio.
 
 import math
 from dataclasses import dataclass
-from itertools import chain, combinations_with_replacement
+from itertools import combinations_with_replacement
 
 import numpy as np
 
@@ -40,6 +44,9 @@ MAX_SEQUENCES = 10**6
 
 # Attainment tolerance for worst-case log-ratios.
 BOUND_TOL = 1e-10
+
+# Most doubles in one (schedules, m, m**n) array of the battery: its memory bound.
+_BATCH_DOUBLES = 2**14
 
 
 @dataclass(frozen=True)
@@ -68,12 +75,18 @@ class AuditCheck:
         return self.worst <= self.bound
 
 
-def _rr_matrix(eps: float, m: int) -> np.ndarray:
-    # the randomized response as an (m, m) matrix, indexed [x, output]
-    dist = rr_distribution(eps, m)
-    matrix = np.full((m, m), dist.p_other)
-    np.fill_diagonal(matrix, dist.p_retain)
-    return matrix
+def _rr_matrices(epsilons, m: int) -> np.ndarray:
+    # each randomized response as an (m, m) matrix, indexed [x, output]
+    dists = [rr_distribution(eps, m) for eps in epsilons]
+    matrices = np.empty((len(dists), m, m))
+    matrices[:] = np.array([dist.p_other for dist in dists])[:, None, None]
+    matrices[:, np.arange(m), np.arange(m)] = np.array([dist.p_retain for dist in dists])[:, None]
+    return matrices
+
+
+def _log_tables(steps, m: int) -> np.ndarray:
+    # the memoized log tables of the (eps_prev, eps_next) ``steps``, stacked
+    return np.stack([relax_kernel(eps_prev, eps_next, m).log_table for eps_prev, eps_next in steps])
 
 
 def chain_log_probs(schedule, m: int) -> np.ndarray:
@@ -90,29 +103,38 @@ def chain_log_probs(schedule, m: int) -> np.ndarray:
         raise EnumerationLimitError(
             f"{m}**{n} sequences exceed the enumeration cap of {MAX_SEQUENCES}"
         )
+    return _chain_log_probs([schedule], m)[0]
+
+
+def _chain_log_probs(schedules, m: int) -> np.ndarray:
+    """`chain_log_probs` of each of ``schedules``, validated and of one
+    length n, stacked: (len(schedules), m, m**n)."""
+    size = len(schedules)
     with np.errstate(divide="ignore"):
-        logp = np.log(_rr_matrix(schedule[0], m))
-    last = np.arange(m)
-    for i in range(1, n):
-        log_table = relax_kernel(schedule[i - 1], schedule[i], m).log_table
-        logp = (logp[:, :, None] + log_table[:, last, :]).reshape(m, -1)
-        last = np.broadcast_to(np.arange(m), (last.size, m)).reshape(-1)
+        logp = np.log(_rr_matrices([schedule[0] for schedule in schedules], m))
+    for i in range(1, len(schedules[0])):
+        # the last output varies fastest, so each step's [x, o_prev, o_next]
+        # table adds along the last axis of (size, m, sequences / m, m)
+        steps = _log_tables([schedule[i - 1 : i + 1] for schedule in schedules], m)
+        logp = (logp.reshape(size, m, -1, m, 1) + steps[:, :, None]).reshape(size, m, -1)
     return logp
 
 
-def _worst_log_ratio(logp: np.ndarray) -> float:
-    """Largest spread between the rows of ``logp`` over its jointly supported columns.
+def _worst_log_ratios(logp: np.ndarray) -> np.ndarray:
+    """Largest spread between the rows of each ``logp[s]`` over its jointly
+    supported columns, (S,) for an (S, inputs, outcomes) stack.
 
-    Rows are inputs and columns outcomes.  A column no row can produce is
-    ignored; one that some rows can produce and others cannot makes the
-    ratio unbounded, reported as ``inf``.
+    A column no row can produce is ignored; one that some rows can produce
+    and others cannot makes the ratio unbounded, reported as ``inf``.
     """
     finite = np.isfinite(logp)
-    supported = finite.all(axis=0)
-    if bool((finite.any(axis=0) & ~supported).any()):
-        return math.inf
-    spread = logp[:, supported].max(axis=0) - logp[:, supported].min(axis=0)
-    return float(spread.max(initial=0.0))
+    supported = finite.all(axis=1)
+    mixed = (finite.any(axis=1) & ~supported).any(axis=1)
+    with np.errstate(invalid="ignore"):  # -inf - -inf on columns no row produces
+        spread = logp.max(axis=1) - logp.min(axis=1)
+    worst = np.where(supported, spread, 0.0).max(axis=1, initial=0.0)
+    worst[mixed] = math.inf
+    return worst
 
 
 def audit_composition_ldp(schedule, m: int) -> CompositionAudit:
@@ -123,7 +145,7 @@ def audit_composition_ldp(schedule, m: int) -> CompositionAudit:
     ``attained`` records whether the measured maximum sits within
     ``BOUND_TOL`` of that target.
     """
-    worst = _worst_log_ratio(chain_log_probs(schedule, m))
+    worst = float(_worst_log_ratios(chain_log_probs(schedule, m)[None])[0])
     return CompositionAudit(epsilon_target=float(schedule[-1]), max_log_ratio=worst)
 
 
@@ -135,7 +157,7 @@ def audit_step_epsilon(eps_prev: float, eps_next: float, m: int) -> float:
     budget even though the composed sequence never does.
     """
     kernel = relax_kernel(eps_prev, eps_next, m)
-    return _worst_log_ratio(kernel.log_table.reshape(kernel.m, -1))
+    return float(_worst_log_ratios(kernel.log_table.reshape(1, kernel.m, -1))[0])
 
 
 def audit_noisy_sampling_epsilon(params: RapporParams, K: int) -> float:
@@ -155,9 +177,11 @@ def audit_noisy_sampling_epsilon(params: RapporParams, K: int) -> float:
     return worst
 
 
-def _exhaustive_schedules(levels, max_len):
-    for n in range(1, max_len + 1):
-        yield from combinations_with_replacement(levels, n)
+def _batches(schedules: list, m: int):
+    # ``schedules``, of one length, in runs of at most `_BATCH_DOUBLES` doubles
+    size = max(1, _BATCH_DOUBLES // m ** (len(schedules[0]) + 1))
+    for start in range(0, len(schedules), size):
+        yield schedules[start : start + size]
 
 
 def run_standard_audits() -> list:
@@ -167,6 +191,7 @@ def run_standard_audits() -> list:
     scope, marginal invariance by enumeration across the parameter grid, the
     single-step worst case for binary domains, and the noisy-sampling
     cross-check.  Each item reports its worst deviation against its bound.
+    Cases of one domain size and length are enumerated in batches.
     """
     checks = []
     grid = [round(0.1 * i, 1) for i in range(1, 21)]
@@ -176,28 +201,29 @@ def run_standard_audits() -> list:
     for m in (2, 3, 4):
         # an exhaustive small scope, then the dense two-step schedules: the
         # bound must stay tight on the whole grid
-        for schedule in chain(_exhaustive_schedules((0.1, 0.5, 1.0, 2.0), 4), grid_pairs):
-            report = audit_composition_ldp(schedule, m)
-            worst_excess = max(worst_excess, report.max_log_ratio - report.epsilon_target)
-            worst_slack = max(worst_slack, report.epsilon_target - report.max_log_ratio)
+        scopes = [list(combinations_with_replacement((0.1, 0.5, 1.0, 2.0), n)) for n in range(1, 5)]
+        for schedules in scopes + [grid_pairs]:
+            for batch in _batches(schedules, m):
+                worst = _worst_log_ratios(_chain_log_probs(batch, m))
+                target = np.array([schedule[-1] for schedule in batch])
+                worst_excess = max(worst_excess, float((worst - target).max()))
+                worst_slack = max(worst_slack, float((target - worst).max()))
     checks.append(AuditCheck("composition-ldp-bound", worst_excess, BOUND_TOL))
     checks.append(AuditCheck("composition-ldp-tightness", worst_slack, BOUND_TOL))
 
     worst_marginal = 0.0
+    marginal_pairs = [(a, b) for i, a in enumerate(grid) for b in grid[i:] + [10.0]]
     for m in range(2, 11):
-        for i, eps_prev in enumerate(grid):
-            for eps_next in grid[i:] + [10.0]:
-                expected = _rr_matrix(eps_next, m)
-                logp = chain_log_probs([eps_prev, eps_next], m)
-                got = np.exp(logp).reshape(m, m, m).sum(axis=1)
-                worst_marginal = max(worst_marginal, float(np.abs(got - expected).max()))
+        for batch in _batches(marginal_pairs, m):
+            logp = _chain_log_probs(batch, m)
+            got = np.exp(logp, out=logp).reshape(-1, m, m, m).sum(axis=2)
+            expected = _rr_matrices([eps_next for _, eps_next in batch], m)
+            worst_marginal = max(worst_marginal, float(np.abs(got - expected).max()))
     checks.append(AuditCheck("marginal-invariance", worst_marginal, 1e-12))
 
-    worst_step = 0.0
-    for eps_prev, eps_next in grid_pairs:
-        got = audit_step_epsilon(eps_prev, eps_next, 2)
-        expected = 0.0 if eps_prev == eps_next else eps_prev + eps_next
-        worst_step = max(worst_step, abs(got - expected))
+    got = _worst_log_ratios(_log_tables(grid_pairs, 2).reshape(len(grid_pairs), 2, -1))
+    expected = np.array([0.0 if a == b else a + b for a, b in grid_pairs])
+    worst_step = float(np.abs(got - expected).max())
     checks.append(AuditCheck("single-step-epsilon-binary", worst_step, BOUND_TOL))
 
     worst_ns = 0.0

@@ -146,7 +146,10 @@ def estimate_poly(counts, eps: float) -> FrequencyEstimate:
     covariance; when the true composition is known, prefer
     `frequency_estimate_covariance` for the theoretical value.
     """
-    counts = np.asarray(counts, dtype=float)
+    counts = np.asarray(counts)
+    if counts.dtype.kind not in "biuf":  # strings, objects and complex numbers are no counts
+        raise ParameterError(f"counts must be a real numeric array, got dtype {counts.dtype}")
+    counts = counts.astype(float, copy=False)
     if counts.ndim != 1 or counts.size < 2:
         raise ParameterError(f"counts must be 1-D with at least 2 values, got {counts.shape}")
     # with no count negative, a finite positive total means that every count

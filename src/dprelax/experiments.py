@@ -51,7 +51,7 @@ from .estimation import (
     perturbation_matrix,
     variance_binary_estimate,
 )
-from .inference import ATTACK_METHODS, _running_guesses, balanced_subset, min_error_rate
+from .inference import ATTACK_METHODS, _balanced_draw, _running_guesses, _value_indices, min_error_rate
 from .mechanism import MAX_DOMAIN, iter_chain_rounds, relax_kernel
 from .rappor import (
     _decode_noisy_counts,
@@ -415,11 +415,12 @@ def simulate_experiment(config: ExperimentConfig, threads: int = 1) -> Experimen
     rounds = len(epsilons)
     truth = _truth_vector(config)
     n = truth.size
+    indices = _value_indices(truth, m)
 
     def run_block(streams):
         trials = len(streams)
         after, columns = _block_rounds(truth, epsilons, m, streams)
-        subsets = [balanced_subset(truth, m, rng) for rng in after]
+        subsets = [_balanced_draw(indices, rng) for rng in after]
         size = subsets[0].size  # m * min(counts), the same for every trial
         # every trial's subset, as indices into the tiled population
         picks = np.concatenate([subset + i * n for i, subset in enumerate(subsets)])

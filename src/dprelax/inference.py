@@ -163,15 +163,25 @@ def balanced_subset(truth, m: int, rng: np.random.Generator) -> np.ndarray:
     """
     m = check_domain_size(m)
     truth = check_values(truth, m, "truth")
-    counts = np.bincount(truth, minlength=m)
-    if np.any(counts == 0):
-        missing = int(np.flatnonzero(counts == 0)[0])
-        raise ParameterError(f"cannot build a balanced subset: value {missing} has no objects")
-    quota = int(counts.min())
+    return _balanced_draw(_value_indices(truth, m), rng)
+
+
+def _value_indices(truth, m: int) -> list:
+    # each value's object indices in a validated ``truth``, ascending: what
+    # `_balanced_draw` draws from, built once for any number of subsets
+    indices = [np.flatnonzero(truth == value) for value in range(m)]
+    for value, idx in enumerate(indices):
+        if not idx.size:
+            raise ParameterError(f"cannot build a balanced subset: value {value} has no objects")
+    return indices
+
+
+def _balanced_draw(indices: list, rng: np.random.Generator) -> np.ndarray:
+    # `balanced_subset`'s draws, from `_value_indices`
+    quota = min(idx.size for idx in indices)
     picks = []
-    for value in range(m):
-        idx = np.flatnonzero(truth == value)
+    for idx in indices:
         if idx.size > quota:
-            idx = rng.choice(idx, size=quota, replace=False)
-        picks.append(np.sort(idx))
+            idx = np.sort(rng.choice(idx, size=quota, replace=False))
+        picks.append(idx)
     return np.sort(np.concatenate(picks))

@@ -2,9 +2,11 @@
 
 Everything here is written from first principles (direct formula
 transcription, matrix folds, generic inversion) so that it cannot share a bug
-with the package's stable-form implementations.  The two enumeration views at
-the end are the exception: they read `audit.chain_log_probs`, so that tests can
-compare the package's one enumerator against the references above.
+with the package's stable-form implementations.  The enumeration code at the
+end is the exception.  Its two views read `audit.chain_log_probs`, so that
+tests can compare the package's one enumerator against the references above.
+Its two one-schedule forms repeat the audit's arithmetic without a batch axis,
+so that tests can hold the batched enumeration to it bit for bit.
 """
 
 import math
@@ -133,3 +135,28 @@ def enumerate_chain_distribution(schedule, m: int, x: int) -> dict:
 def enumerated_output_marginal(schedule, m: int, x: int) -> np.ndarray:
     """Marginal distribution of the final output, by summing the enumeration."""
     return np.exp(chain_log_probs(schedule, m)[x]).reshape(-1, m).sum(axis=0)
+
+
+def unbatched_chain_log_probs(schedule, m: int) -> np.ndarray:
+    """`audit.chain_log_probs` of one schedule, one step table at a time: the
+    (m, m**n) log probabilities of every sequence for every input."""
+    with np.errstate(divide="ignore"):
+        logp = np.log(np.array([rr_vector(schedule[0], m, x) for x in range(m)]))
+    last = np.arange(m)
+    for eps_prev, eps_next in zip(schedule, schedule[1:]):
+        log_table = relax_kernel(eps_prev, eps_next, m).log_table
+        logp = (logp[:, :, None] + log_table[:, last, :]).reshape(m, -1)
+        last = np.tile(np.arange(m), last.size)
+    return logp
+
+
+def worst_log_ratio(logp: np.ndarray) -> float:
+    """The audit's worst-case rule on one (inputs, outcomes) array: the largest
+    row-to-row spread over columns every row can produce, ignoring columns no
+    row can produce, and ``inf`` if some column only some rows can produce."""
+    finite = np.isfinite(logp)
+    supported = finite.all(axis=0)
+    if bool((finite.any(axis=0) & ~supported).any()):
+        return math.inf
+    spread = logp[:, supported].max(axis=0) - logp[:, supported].min(axis=0)
+    return float(spread.max(initial=0.0))

@@ -3,9 +3,13 @@ from itertools import combinations_with_replacement, product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from dprelax import audit
 from dprelax.audit import (
-    _worst_log_ratio,
+    _chain_log_probs,
+    _worst_log_ratios,
     audit_composition_ldp,
     audit_noisy_sampling_epsilon,
     audit_step_epsilon,
@@ -21,7 +25,23 @@ from oracles import (
     enumerated_output_marginal,
     kernel_conditional,
     sequence_likelihood,
+    unbatched_chain_log_probs,
+    worst_log_ratio,
 )
+
+
+@st.composite
+def schedule_batches(draw):
+    """(m, schedules): one to five schedules of one length, with repeated ε
+    (identity steps) and ε above `EPSILON_CAP` drawn often."""
+    m = draw(st.integers(min_value=2, max_value=4))
+    n = draw(st.integers(min_value=1, max_value=4))
+    eps = st.one_of(
+        st.sampled_from((0.1, 0.5, 2.0, EPSILON_CAP, EPSILON_CAP + 1.0, EPSILON_CAP + 10.0)),
+        st.floats(min_value=1e-3, max_value=2 * EPSILON_CAP),
+    )
+    schedule = st.lists(eps, min_size=n, max_size=n).map(lambda s: tuple(sorted(s)))
+    return m, draw(st.lists(schedule, min_size=1, max_size=5))
 
 
 class TestEnumerateChainDistribution:
@@ -101,17 +121,64 @@ class TestCompositionAudit:
                     assert report.attained
 
 
+class TestBatchedEnumeration:
+    @settings(deadline=None, max_examples=200)
+    @given(case=schedule_batches())
+    def test_rows_equal_one_schedule_enumeration(self, case):
+        m, schedules = case
+        batch = _chain_log_probs(schedules, m)
+        assert batch.shape == (len(schedules), m, m ** len(schedules[0]))
+        worst = _worst_log_ratios(batch)
+        for schedule, row, row_worst in zip(schedules, batch, worst):
+            assert np.array_equal(row, chain_log_probs(schedule, m))
+            assert np.array_equal(row, unbatched_chain_log_probs(schedule, m))
+            assert row_worst == worst_log_ratio(row)
+
+
 class TestWorstLogRatio:
     # rows are inputs, columns outcomes; a zero probability is a -inf log
     def test_column_impossible_for_every_input_is_ignored(self):
         with np.errstate(divide="ignore"):
             logp = np.log([[0.5, 0.0, 0.5], [0.25, 0.0, 0.75]])
-        assert _worst_log_ratio(logp) == pytest.approx(math.log(2.0), abs=1e-15)
+        assert _worst_log_ratios(logp[None])[0] == pytest.approx(math.log(2.0), abs=1e-15)
 
     def test_mixed_support_is_unbounded(self):
         with np.errstate(divide="ignore"):
             logp = np.log([[0.5, 0.1, 0.4], [0.25, 0.0, 0.75]])
-        assert _worst_log_ratio(logp) == math.inf
+        assert _worst_log_ratios(logp[None])[0] == math.inf
+
+    def test_each_array_of_a_stack_keeps_its_own_support(self):
+        with np.errstate(divide="ignore"):
+            logp = np.log(
+                [
+                    [[0.5, 0.0, 0.5], [0.25, 0.0, 0.75]],  # supported and impossible columns
+                    [[0.0, 0.0, 0.0], [0.0, 0.0, 0.0]],  # nothing possible: 0
+                    [[0.5, 0.1, 0.4], [0.25, 0.0, 0.75]],  # mixed support: inf
+                ]
+            )
+        worst = _worst_log_ratios(logp)
+        assert worst.tolist() == [worst_log_ratio(a) for a in logp] == [math.log(2.0), 0.0, math.inf]
+
+    @settings(deadline=None, max_examples=200)
+    @given(
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        shape=st.tuples(
+            st.integers(min_value=1, max_value=4),
+            st.integers(min_value=2, max_value=4),
+            st.integers(min_value=1, max_value=6),
+        ),
+        dead=st.floats(min_value=0.0, max_value=1.0),
+        holes=st.floats(min_value=0.0, max_value=0.3),
+    )
+    def test_equals_the_per_array_rule(self, seed, shape, dead, holes):
+        # columns impossible for every row with probability ``dead``, single
+        # impossible entries (mixed support) with probability ``holes``
+        rng = np.random.default_rng(seed)
+        logp = rng.normal(scale=3.0, size=shape)
+        logp[(rng.random((shape[0], 1, shape[2])) < dead) | (rng.random(shape) < holes)] = -math.inf
+        worst = _worst_log_ratios(logp)
+        assert worst.shape == (shape[0],)
+        assert worst.tolist() == [worst_log_ratio(a) for a in logp]
 
 
 class TestStepEpsilon:
@@ -215,3 +282,30 @@ class TestStandardAudits:
         }
         for check in checks:
             assert check.passed, f"{check.name}: worst={check.worst} bound={check.bound}"
+
+    def test_enumerates_in_batches(self, monkeypatch):
+        # one enumeration call per batch of a (domain size, length) group, not
+        # one per case, and no batch's array above the cap
+        shapes = []
+        core = audit._chain_log_probs
+
+        def counted(schedules, m):
+            logp = core(schedules, m)
+            shapes.append(logp.shape)
+            return logp
+
+        monkeypatch.setattr(audit, "_chain_log_probs", counted)
+        run_standard_audits()
+        grid_pairs = 20 * 21 // 2
+        # (m, length, cases): the exhaustive composition scope over four
+        # levels and the grid pairs, then the marginal pairs
+        groups = [(m, n, math.comb(n + 3, n)) for m in (2, 3, 4) for n in range(1, 5)]
+        groups += [(m, 2, grid_pairs) for m in (2, 3, 4)]
+        groups += [(m, 2, grid_pairs + 20) for m in range(2, 11)]
+        batches = sum(
+            math.ceil(cases / max(1, audit._BATCH_DOUBLES // m ** (n + 1))) for m, n, cases in groups
+        )
+        assert len(shapes) == batches
+        assert batches < 100 < sum(cases for _, _, cases in groups)
+        assert sum(shape[0] for shape in shapes) == sum(cases for _, _, cases in groups)
+        assert max(math.prod(shape) for shape in shapes) <= audit._BATCH_DOUBLES

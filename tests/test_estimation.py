@@ -198,6 +198,7 @@ class TestTrustedDecodeCores:
             [5],
             [],
             [[1, 2], [3, 4]],
+            ["1", "2"],
         ],
         ids=[
             "negative",
@@ -209,6 +210,7 @@ class TestTrustedDecodeCores:
             "one-value",
             "empty",
             "2-D",
+            "strings",
         ],
     )
     def test_decode_histogram_still_refuses_bad_counts(self, counts):

@@ -22,6 +22,7 @@ from dprelax.experiments import (
     write_rappor_csv,
     write_rounds_csv,
 )
+from dprelax.inference import balanced_subset
 from dprelax.mechanism import iter_chain_rounds
 from dprelax.rappor import noisy_sampling_schedule
 
@@ -346,6 +347,28 @@ class TestSimulateExperiment:
                 tracemalloc.stop()
         assert peaks[1000] - peaks[100] < n * 1000 * 8 / 10, peaks
 
+    def test_subsets_are_balanced_subset_draws(self, monkeypatch):
+        # the run finds each value's objects once; every trial's subset is
+        # still `balanced_subset` from the same generator state
+        drawn = []
+        draw = experiments._balanced_draw
+
+        def recorded(indices, rng):
+            state = rng.bit_generator.state
+            drawn.append((state, draw(indices, rng)))
+            return drawn[-1][1]
+
+        monkeypatch.setattr(experiments, "_balanced_draw", recorded)
+        config = ExperimentConfig(**dict(DIRECT, counts=(5, 9, 7), trials=4))
+        simulate_experiment(config)
+        truth = experiments._truth_vector(config)
+        assert len(drawn) == config.trials
+        for state, subset in drawn:
+            rng = np.random.default_rng()
+            rng.bit_generator.state = state
+            np.testing.assert_array_equal(balanced_subset(truth, config.m, rng), subset)
+            assert subset.size == 3 * 5
+
     def test_noiseless_schedule_zero_error(self):
         cfg = tiny_config(schedule={"kind": "list", "epsilons": [50.0, 50.0]})
         result = simulate_experiment(cfg)
@@ -404,7 +427,7 @@ def test_epsilon_too_small_to_debias_is_refused_before_any_draw(monkeypatch, run
         raise AssertionError("a refused schedule must not be sampled")
 
     monkeypatch.setattr(experiments._BlockStreams, "random", drawn)
-    for name in ("balanced_subset", "simulate_noisy_sampling_batch"):
+    for name in ("_balanced_draw", "simulate_noisy_sampling_batch"):
         monkeypatch.setattr(experiments, name, drawn)
     fields = dict(DIRECT, m=2, counts=(3, 4), epsilons=(1e-200, 1.0))
     if run is simulate_experiment:
@@ -534,9 +557,10 @@ class TestTrialBlocks:
                 calls["check_values"] = 0
                 run(config)
                 seen[run.__name__, rounds] = calls["check_values"]
-        for run in (simulate_experiment, compare_noisy_sampling):
-            # a block's rounds, plus each trial's subset or noisy samples
-            assert seen[run.__name__, 20] == seen[run.__name__, 2] == 2 * blocks, seen
+        # a block's rounds; compare-rappor also checks each trial's noisy
+        # samples, while simulate draws its subsets from index lists built once
+        assert seen["simulate_experiment", 20] == seen["simulate_experiment", 2] == blocks, seen
+        assert seen["compare_noisy_sampling", 20] == seen["compare_noisy_sampling", 2] == 2 * blocks
 
     def test_shipped_block_size(self):
         # 1000- and 1500-object trials share blocks; a 5000-object trial runs alone

@@ -411,7 +411,7 @@ class TestBalancedSubset:
         assert len(set(subset.tolist())) == len(subset)
 
     def test_missing_value_rejected(self):
-        with pytest.raises(ParameterError):
+        with pytest.raises(ParameterError, match="value 2 has no objects"):
             balanced_subset(np.array([0, 0, 1]), 3, np.random.default_rng(0))
 
     def test_deterministic_given_seed(self):
