@@ -82,8 +82,16 @@ def check_count(n: int, name: str = "n", minimum: int = 1) -> int:
     return n
 
 
+# The largest domain size: every integer up to 2**53 is a double, so a
+# distribution's ``m - 1`` weights are exact and never overflow.
+_LARGEST_DOMAIN = 2**53
+
+
 def check_domain_size(m: int, name: str = "m") -> int:
-    return check_count(m, name, minimum=2)
+    m = check_count(m, name, minimum=2)
+    if m > _LARGEST_DOMAIN:  # the value itself may be too long to print
+        raise ParameterError(f"{name} must be at most 2**53")
+    return m
 
 
 def check_value(x: int, m: int, name: str = "value") -> int:

@@ -11,9 +11,9 @@ All sampling takes an explicit ``numpy.random.Generator``; every function here
 is pure and thread-safe.  Kernels are plain values, and `relax_kernel` is the
 only way the library gets one: it validates its arguments, then returns the
 kernel from one bounded per-process memo keyed by (eps_prev, eps_next, m).  A
-kernel builds its read-only log table on first use and keeps it, so a step is
-built once and reused by every later release, likelihood, run and audit that
-reaches it.  A `RelaxationChain` carries its running log-likelihood, so
+kernel is its five named entries and keeps no table: each table of a step is
+one gather of those five through `_entry_classes`, a read-only pattern per
+domain size.  A `RelaxationChain` carries its running log-likelihood, so
 extending one chain and scoring it never re-walk its earlier outputs.
 
 `sample_rr_batch` and `relax_step_batch` draw every batch by one inverse CDF,
@@ -42,9 +42,10 @@ from ._util import (
 )
 from .errors import ParameterError
 
-# The largest domain a step's log table may have.  One table holds m**3
-# doubles, and building it briefly takes twice that, so 64 values mean a
-# 2 MiB table and at most 256 MiB for a full memo of 128 steps.
+# The largest domain a step table may have.  A table holds m**3 doubles, 2 MiB
+# at 64 values, and is made fresh for its caller.  Each domain size's entry
+# pattern (`_entry_classes`) holds m**3 integers and is kept: 2 MiB at 64
+# values, and 33 MiB with every m up to 64 in use in one process.
 MAX_DOMAIN = 64
 
 __all__ = [
@@ -97,28 +98,24 @@ class RelaxKernel:
     p_ab: float
     p_bc: float
 
-    @functools.cached_property
+    @property
     def log_table(self) -> np.ndarray:
         """Read-only elementwise log of `kernel_tensor`, indexed ``[x, o_prev, o_next]``.
 
-        Impossible transitions hold -inf.  Built on first use and kept with
-        the kernel, so every caller of a memoized step shares one array; it
-        is stored x-last, so a batch's step gathers each object's (m,)
-        entries as one contiguous row.  Refused above ``MAX_DOMAIN`` values.
+        Impossible transitions hold -inf.  Gathered fresh from the kernel's
+        five logs on each access; refused above ``MAX_DOMAIN`` values.
         """
-        if self.m > MAX_DOMAIN:
-            raise ParameterError(
-                f"m={self.m} exceeds {MAX_DOMAIN}, the largest domain with a step table"
-            )
-        x_last = np.ascontiguousarray(kernel_tensor(self).transpose(1, 2, 0))
+        return _read_only(self._log_entries[_entry_classes(self.m).transpose(2, 0, 1)])
+
+    @functools.cached_property
+    def _log_entries(self) -> np.ndarray:
+        # read-only logs of the five entries, in `_entry_classes` code order
         with np.errstate(divide="ignore"):
-            np.log(x_last, out=x_last)
-        x_last.setflags(write=False)
-        return x_last.transpose(2, 0, 1)
+            return _read_only(np.log(_entries(self)))
 
     def __getstate__(self):
-        # copies and unpickled kernels rebuild their table read-only on first use
-        return {k: v for k, v in self.__dict__.items() if k != "log_table"}
+        # copies and unpickled kernels take their logs afresh, read-only
+        return {k: v for k, v in self.__dict__.items() if k != "_log_entries"}
 
 
 @dataclass(frozen=True)
@@ -186,6 +183,11 @@ class RelaxationChain:
         return self.schedule[-1]
 
 
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.setflags(write=False)
+    return array
+
+
 def _check_chain(chain) -> None:
     if not isinstance(chain, RelaxationChain):
         raise ParameterError(f"chain must be a RelaxationChain, got {type(chain).__name__}")
@@ -244,17 +246,17 @@ def relax_kernel(eps_prev: float, eps_next: float, m: int) -> RelaxKernel:
     consulted: invalid input raises `ParameterError`, a decreasing step
     `BudgetDecreaseError`, and no error is cached.  The kernel then comes
     from the module's step memo: a repeat call returns the identical frozen
-    kernel, and with it the log table it has built.  The key is the uncapped
-    ε, so ``eps_next`` is exactly what the caller passed.
+    kernel, and with it the logs of its five entries.  The key is the
+    uncapped ε, so ``eps_next`` is exactly what the caller passed.
     """
     eps_prev, eps_next = check_schedule((eps_prev, eps_next), "(eps_prev, eps_next)")
     return _relax_kernel(eps_prev, eps_next, check_domain_size(m))
 
 
-# 128 entries hold every step of a 50-round schedule; `MAX_DOMAIN` bounds what
-# their tables retain.  Longer schedules stay linear in rounds: a run then
-# rebuilds each step once per block of trials (`experiments.BLOCK_OBJECTS`).
-@functools.lru_cache(maxsize=128)
+# An entry holds a kernel's scalars and its five logs, about 0.7 KB at any m.
+# The audit battery walks 2070 distinct steps, so 4096 entries (2.7 MB) keep
+# a whole battery, or a run of up to 4096 rounds, built once per process.
+@functools.lru_cache(maxsize=4096)
 def _relax_kernel(eps_prev: float, eps_next: float, m: int) -> RelaxKernel:
     # `relax_kernel`'s memoized body, for a validated step and m
     e1 = cap_epsilon(eps_prev)
@@ -273,16 +275,27 @@ def _relax_kernel(eps_prev: float, eps_next: float, m: int) -> RelaxKernel:
     return RelaxKernel(eps_prev, eps_next, m, p_aa, p_ba, p_bb, q_ab, p_bc)
 
 
+def _entries(kernel: RelaxKernel) -> np.ndarray:
+    # the five entries, in `_entry_classes` code order
+    return np.array([kernel.p_aa, kernel.p_ba, kernel.p_bb, kernel.p_ab, kernel.p_bc])
+
+
+@functools.cache
+def _entry_classes(m: int) -> np.ndarray:
+    """Read-only codes of the entry each conditional ``[o_prev, o_next, x]``
+    holds: 0 to 4 for p_aa, p_ba, p_bb, p_ab and p_bc.  Stored x-last, so a row
+    over the true value is contiguous, and as intp, so a gather casts nothing.
+    Refused above ``MAX_DOMAIN`` values, before any allocation."""
+    if m > MAX_DOMAIN:
+        raise ParameterError(f"m={m} exceeds {MAX_DOMAIN}, the largest domain with a step table")
+    o_prev, o_next, x = np.ogrid[:m, :m, :m]
+    same, hit = o_prev == x, o_next == x
+    return _read_only(np.select([same & hit, same, hit, o_next == o_prev], [0, 3, 1, 2], 4))
+
+
 def kernel_tensor(kernel: RelaxKernel) -> np.ndarray:
     """All conditionals of a kernel as an array indexed ``[x, o_prev, o_next]``."""
-    m = kernel.m
-    t = np.full((m, m, m), kernel.p_bc)
-    ar = np.arange(m)
-    t[:, ar, ar] = kernel.p_bb
-    t[ar, :, ar] = kernel.p_ba
-    t[ar, ar, :] = kernel.p_ab
-    t[ar, ar, ar] = kernel.p_aa
-    return t
+    return _entries(kernel)[_entry_classes(kernel.m).transpose(2, 0, 1)]
 
 
 def relax_step_batch(
@@ -401,7 +414,7 @@ def relax_step(chain: RelaxationChain, eps_next: float, rng: np.random.Generator
         eps_prev, eps_next, "(eps_prev, eps_next)[1]", "(eps_prev, eps_next)"
     )
     kernel = _relax_kernel(eps_prev, eps_next, chain.m)
-    log_table = kernel.log_table  # before the draw: a refused table consumes no randomness
+    classes = _entry_classes(chain.m)  # before the draw: a refused m draws nothing
     o_prev = chain.last_output
     o = _draw_one(kernel, chain.true_value, o_prev, rng.random())
     return RelaxationChain._trusted(
@@ -409,7 +422,7 @@ def relax_step(chain: RelaxationChain, eps_next: float, rng: np.random.Generator
         chain.m,
         chain.schedule + (kernel.eps_next,),
         chain.outputs + (o,),
-        chain._log_likelihood + log_table[:, o_prev, o],
+        chain._log_likelihood + kernel._log_entries[classes[o_prev, o]],
     )
 
 
@@ -433,10 +446,9 @@ def _running_log_likelihoods(columns, schedule: tuple, m: int):
     loglik = _initial_log_likelihood(prev, rr_distribution(schedule[0], m))
     yield prev, loglik
     for eps_prev, eps_next, out in zip(schedule, schedule[1:], columns):
-        log_table = _relax_kernel(eps_prev, eps_next, m).log_table
-        # row o_prev * m + o_next: the step's (m,) entries over the true value
-        steps = log_table.transpose(1, 2, 0).reshape(m * m, m)
-        loglik += np.take(steps, prev * m + out, axis=0)
+        # row o_prev * m + o_next: the step's (m,) log entries over the true value
+        steps = _relax_kernel(eps_prev, eps_next, m)._log_entries[_entry_classes(m)]
+        loglik += np.take(steps.reshape(m * m, m), prev * m + out, axis=0)
         yield out, loglik
         prev = out
 
@@ -451,7 +463,7 @@ def iter_log_likelihoods(outputs, schedule, m: int):
     collusion-proofness the likelihood is a running product, so R rounds cost
     O(R).  The same array is updated in place; copy a round to keep it.
 
-    Each step's log table comes from the module's step memo, so batches and
+    Each step's kernel comes from the module's step memo, so batches and
     posteriors scored under one schedule build each step once per process.
     Validation runs once, when iteration starts.
     """

@@ -35,10 +35,3 @@ def count_calls(monkeypatch):
         return calls
 
     return count
-
-
-@pytest.fixture
-def kernel_builds(count_calls):
-    """Counts step-table builds: calls of `kernel_tensor`.  A `relax_kernel`
-    call is a memo lookup; a step's table is built when it is first used."""
-    return count_calls(("kernel_tensor",))

@@ -67,6 +67,21 @@ def kernel_conditional(kernel, x: int, o_prev: int) -> np.ndarray:
     return probs
 
 
+def dense_kernel_tensor(kernel) -> np.ndarray:
+    """All conditionals of a kernel as an (m, m, m) array indexed ``[x, o_prev, o_next]``,
+    written entry set by entry set: ``p_bc`` everywhere, then ``p_bb`` where
+    the output repeats, ``p_ba`` where it returns to x, ``p_ab`` where it
+    leaves x and ``p_aa`` where it stays at x, each over the ones before."""
+    m = kernel.m
+    t = np.full((m, m, m), kernel.p_bc)
+    ar = np.arange(m)
+    t[:, ar, ar] = kernel.p_bb
+    t[ar, :, ar] = kernel.p_ba
+    t[ar, ar, :] = kernel.p_ab
+    t[ar, ar, ar] = kernel.p_aa
+    return t
+
+
 def fold_marginal(kernel, x: int, prev_vector: np.ndarray) -> np.ndarray:
     """Push a previous-output distribution through one relaxation kernel."""
     out = np.zeros(kernel.m)

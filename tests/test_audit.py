@@ -1,3 +1,4 @@
+import gc
 import math
 from itertools import combinations_with_replacement, product
 
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dprelax import audit
+from dprelax import audit, mechanism
 from dprelax.audit import (
     _chain_log_probs,
     _worst_log_ratios,
@@ -17,7 +18,7 @@ from dprelax.audit import (
     run_standard_audits,
 )
 from dprelax.errors import EnumerationLimitError, ParameterError
-from dprelax.mechanism import EPSILON_CAP, relax_kernel, rr_distribution
+from dprelax.mechanism import EPSILON_CAP, RelaxKernel, relax_kernel, rr_distribution
 from dprelax.rappor import eps_noisy_sampling, rappor_params
 
 from oracles import (
@@ -282,6 +283,21 @@ class TestStandardAudits:
         }
         for check in checks:
             assert check.passed, f"{check.name}: worst={check.worst} bound={check.bound}"
+
+    def test_second_battery_builds_no_step(self):
+        # the step memo keeps a whole battery, so a second call only looks up
+        first = run_standard_audits()
+        info = mechanism._relax_kernel.cache_info()
+        assert info.currsize == info.misses < info.maxsize
+        assert run_standard_audits() == first
+        assert mechanism._relax_kernel.cache_info().misses == info.misses
+
+    def test_memoized_kernels_hold_no_table(self):
+        run_standard_audits()
+        kernels = [o for o in gc.get_objects() if type(o) is RelaxKernel]
+        assert len(kernels) >= mechanism._relax_kernel.cache_info().currsize
+        arrays = [v for k in kernels for v in vars(k).values() if isinstance(v, np.ndarray)]
+        assert arrays and max(a.size for a in arrays) <= 5
 
     def test_enumerates_in_batches(self, monkeypatch):
         # one enumeration call per batch of a (domain size, length) group, not

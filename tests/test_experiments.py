@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dprelax import experiments
+from dprelax import experiments, mechanism
 from dprelax.errors import ConfigError, IllConditionedError
 from dprelax.estimation import perturbation_matrix
 from dprelax.experiments import (
@@ -321,17 +321,16 @@ class TestSimulateExperiment:
         with pytest.raises(ConfigError):
             replace(cfg, seed=2**64)
 
-    def test_kernel_builds_grow_linearly_in_rounds(self, kernel_builds):
+    def test_kernel_builds_grow_linearly_in_rounds(self):
         # each run builds its step kernels once, not once per scored prefix
-        calls = kernel_builds
         trials = 3
         for rounds in (8, 16):
-            calls.update(kernel_tensor=0)
+            built = mechanism._relax_kernel.cache_info().misses
             epsilons = tuple(0.1 * k for k in range(1, rounds + 1))
             config = ExperimentConfig(**dict(DIRECT, epsilons=epsilons, trials=trials))
             simulate_experiment(config)
             bound = (trials + 1) * (rounds - 1)
-            assert calls["kernel_tensor"] <= bound, calls
+            assert mechanism._relax_kernel.cache_info().misses - built <= bound
 
     def test_memory_does_not_grow_with_rounds(self):
         # each round is scored as it is sampled: no (n_objects, rounds) matrix
@@ -561,6 +560,15 @@ class TestTrialBlocks:
         # samples, while simulate draws its subsets from index lists built once
         assert seen["simulate_experiment", 20] == seen["simulate_experiment", 2] == blocks, seen
         assert seen["compare_noisy_sampling", 20] == seen["compare_noisy_sampling", 2] == 2 * blocks
+
+    def test_long_schedule_builds_each_step_once_across_blocks(self, monkeypatch):
+        # the step memo keeps a 1000-round schedule whole from block to block
+        monkeypatch.setattr(experiments, "BLOCK_OBJECTS", 2 * sum(DIRECT["counts"]))
+        epsilons = tuple(0.01 * k for k in range(1, 1001))
+        config = ExperimentConfig(**dict(DIRECT, epsilons=epsilons, trials=5))
+        assert self._block_sizes(config) == [2, 2, 1]
+        simulate_experiment(config)
+        assert mechanism._relax_kernel.cache_info().misses == 999
 
     def test_shipped_block_size(self):
         # 1000- and 1500-object trials share blocks; a 5000-object trial runs alone

@@ -25,6 +25,7 @@ from dprelax.mechanism import (
 from oracles import (
     binary_pa,
     binary_pb,
+    dense_kernel_tensor,
     fold_marginal,
     kernel_conditional,
     poly_kernel_direct,
@@ -233,6 +234,30 @@ class TestKernelConditional:
                 tensor = kernel_tensor(k)
                 assert np.abs(tensor.sum(axis=2) - 1.0).max() <= 1e-12
                 assert tensor.min() >= 0.0
+
+    def test_gathers_equal_the_dense_tensor_bit_for_bit(self):
+        # both tables of every domain with one, across tiny, repeated, capped
+        # and beyond-the-cap parameters
+        eps = (1e-12, 0.3, 1.0, 2.5, 49.9, 50.0, 60.0)
+        pairs = [(a, b) for i, a in enumerate(eps) for b in eps[i:]]
+        for m in range(2, mechanism.MAX_DOMAIN + 1):
+            for eps_prev, eps_next in pairs:
+                k = relax_kernel(eps_prev, eps_next, m)
+                dense = dense_kernel_tensor(k)
+                with np.errstate(divide="ignore"):
+                    log_dense = np.log(dense)
+                tensor, log_table = kernel_tensor(k), k.log_table
+                assert tensor.dtype == log_table.dtype == np.float64
+                assert tensor.shape == log_table.shape == (m, m, m)
+                assert tensor.tobytes() == dense.tobytes()
+                assert log_table.tobytes() == log_dense.tobytes()
+
+    def test_entry_classes_are_read_only(self):
+        for m in (2, 3, mechanism.MAX_DOMAIN):
+            classes = mechanism._entry_classes(m)
+            assert classes.shape == (m, m, m) and classes.dtype == np.intp
+            with pytest.raises(ValueError):
+                classes[0, 0, 0] = 1
 
     def test_tensor_agrees_with_conditional(self):
         # against the oracle's entry-by-entry conditional, for the tensor and
@@ -606,15 +631,15 @@ class TestStepMemo:
         if eps_prev == eps_next:
             assert np.isneginf(cached).any()
 
-    def test_cached_tensor_is_read_only(self, kernel_builds):
+    def test_cached_tensor_is_read_only(self):
         kernel = relax_kernel(0.2, 0.6, 3)
-        assert kernel_builds == {"kernel_tensor": 0}  # no table until one is asked for
         cached = kernel.log_table
         with pytest.raises(ValueError):
             cached[0, 0, 0] = 0.0
-        assert relax_kernel(0.2, 0.6, 3).log_table is cached
-        assert kernel_builds == {"kernel_tensor": 1}  # built once per memoized step
-        # a copy rebuilds its own table, read-only as well
+        # the memoized kernel keeps its five logs, never an m**3 table
+        arrays = [v for v in vars(kernel).values() if isinstance(v, np.ndarray)]
+        assert all(a.size <= 5 for a in arrays)
+        # a copy gathers its own table, read-only as well
         copies = (copy.copy(kernel), copy.deepcopy(kernel), pickle.loads(pickle.dumps(kernel)))
         for copied in copies:
             assert copied == kernel
@@ -677,26 +702,35 @@ class TestStepMemo:
     def test_scalar_kernel_of_a_large_domain_builds_no_table(self, monkeypatch):
         # `relax_kernel` and the kernel table stay unbounded in m: they read
         # only the named entries, never the m**3 table
-        def no_table(kernel):
-            raise AssertionError("kernel_tensor called")
+        def no_table(m):
+            raise AssertionError("entry pattern built")
 
         from dprelax.experiments import kernel_table_rows
 
-        monkeypatch.setattr(mechanism, "kernel_tensor", no_table)
+        monkeypatch.setattr(mechanism, "_entry_classes", no_table)
         kernel = relax_kernel(0.1, 0.2, 1000)
         assert kernel.m == 1000 and 0.0 < kernel.p_aa < 1.0
-        assert "log_table" not in vars(kernel)
+        assert not any(isinstance(v, np.ndarray) for v in vars(kernel).values())
         row = (1000, 0.1, 0.2, kernel.p_aa, kernel.p_bb, kernel.p_ba)
         assert kernel_table_rows((0.1, 0.2), (1000,)) == [row]
 
     def test_domain_above_the_limit_has_no_table(self, monkeypatch):
         limit = mechanism.MAX_DOMAIN
         assert relax_kernel(0.1, 0.2, limit).log_table.shape == (limit,) * 3
-        monkeypatch.setattr(mechanism, "kernel_tensor", None)  # a build would fail
+        assert kernel_tensor(relax_kernel(0.1, 0.2, limit)).shape == (limit,) * 3
+
+        class NoGrid:
+            def __getitem__(self, key):
+                raise AssertionError("entry pattern built")
+
+        monkeypatch.setattr(np, "ogrid", NoGrid())  # a pattern build would fail
         kernel = relax_kernel(0.1, 0.2, limit + 1)
         for _ in range(2):
             with pytest.raises(ParameterError, match=f"m={limit + 1}"):
                 kernel.log_table
+        # 10**15 entries: refused by m, before any allocation
+        with pytest.raises(ParameterError, match="m=100000"):
+            kernel_tensor(relax_kernel(0.1, 0.2, 10**5))
         rng = np.random.default_rng(8)
         chain = start_chain(0, limit + 1, 0.1, rng)
         state = rng.bit_generator.state

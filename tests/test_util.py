@@ -89,6 +89,21 @@ def test_number_beyond_double_range_is_rejected(call):
         fn()
 
 
+# test id -> call with a domain size past 2**53, the last one every double holds
+HUGE_DOMAINS = {
+    "rr_distribution": lambda: rr_distribution(1, 10**400),
+    "relax_kernel": lambda: relax_kernel(1e-100, 0.5, 10**400),
+    "relax_kernel-past-the-bound": lambda: relax_kernel(0.1, 0.2, 2**53 + 1),
+}
+
+
+@pytest.mark.parametrize("call", list(HUGE_DOMAINS))
+def test_domain_beyond_exact_doubles_is_rejected(call):
+    with pytest.raises(ParameterError, match=r"^m must be at most 2\*\*53$"):
+        HUGE_DOMAINS[call]()
+    assert rr_distribution(1, 2**53).m == relax_kernel(0.1, 0.2, 2**53).m == 2**53
+
+
 # test id -> (call with an argument that is not a real number, argument the error must name)
 NON_NUMBERS = {
     "rr_distribution": (lambda: rr_distribution("abc", 3), "epsilon"),
