@@ -76,11 +76,13 @@ class AuditCheck:
 
 
 def _rr_matrices(epsilons, m: int) -> np.ndarray:
-    # each randomized response as an (m, m) matrix, indexed [x, output]
-    dists = [rr_distribution(eps, m) for eps in epsilons]
-    matrices = np.empty((len(dists), m, m))
-    matrices[:] = np.array([dist.p_other for dist in dists])[:, None, None]
-    matrices[:, np.arange(m), np.arange(m)] = np.array([dist.p_retain for dist in dists])[:, None]
+    # each randomized response as an (m, m) matrix, indexed [x, output]; a
+    # batch repeats its ε, so each distinct one is built once, then gathered
+    dists = {eps: rr_distribution(eps, m) for eps in set(epsilons)}
+    retain, other = np.array([(dists[eps].p_retain, dists[eps].p_other) for eps in epsilons]).T
+    matrices = np.empty((len(epsilons), m, m))
+    matrices[:] = other[:, None, None]
+    matrices[:, np.arange(m), np.arange(m)] = retain[:, None]
     return matrices
 
 

@@ -5,7 +5,10 @@ with probability ``e^eps / (e^eps + m - 1)`` and emits every other value with
 probability ``1 / (e^eps + m - 1)``.  A relaxation step consumes the previous
 output ``o_prev`` and a larger privacy parameter, and produces a new output
 whose marginal law is exactly the weaker randomized response while the whole
-output sequence still leaks no more than the latest parameter allows.
+output sequence still leaks no more than the latest parameter allows.  An
+output at ε = 0 says nothing of the true value, so every release is a
+relaxation step: the first is the step from ε = 0, whose output is the
+randomized response at the first parameter.
 
 All sampling takes an explicit ``numpy.random.Generator``; every function here
 is pure and thread-safe.  Kernels are plain values, and `relax_kernel` is the
@@ -18,10 +21,12 @@ extending one chain and scoring it never re-walk its earlier outputs.
 
 `sample_rr_batch` and `relax_step_batch` draw every batch by one inverse CDF,
 and `iter_chain_rounds` draws a batch's whole chains round by round through
-the same sampler, checking its inputs once.  The one-object releases,
-`start_chain` and `relax_step`, draw through a scalar form of the same
-inverse CDF: the same float operations in the same order, proven equal to the
-batch sampler on generated and boundary uniforms.
+the step sampler, first round included, checking its inputs once.  The
+one-object releases, `start_chain` and `relax_step`, share one release body
+that draws through a scalar form of the same inverse CDF: the same float
+operations in the same order, proven equal to the batch sampler on generated
+and boundary uniforms.  A chain and its likelihoods take m up to
+`MAX_DOMAIN`; the batch samplers and the kernel take any m up to 2**53.
 """
 
 import functools
@@ -87,6 +92,11 @@ class RelaxKernel:
     remaining value.  ``p_ab`` and ``p_bc`` follow from the named entries by
     symmetry; ``p_bc`` does not exist for m = 2 (there is no third class), in
     which case it is stored as 0.0.
+
+    A kernel with ``eps_prev == 0`` is a chain's first release: the
+    randomized response at ``eps_next``, whatever the previous output.  It
+    is internal to the chain sampler and likelihood; `relax_kernel` refuses
+    a zero ``eps_prev``.
     """
 
     eps_prev: float
@@ -123,12 +133,13 @@ class RelaxationChain:
     """One object's true value plus the outputs released so far.
 
     The schedule holds the privacy parameter of every release, first entry
-    being the initial randomized response.  Chains are immutable values;
-    `relax_step` returns an extended copy.  Each chain also carries the
-    read-only (m,) log-likelihood of its outputs under every true value, so
-    extending it and scoring it are O(1) in the chain length; the carried
-    array takes no part in ``==``, ``hash`` or ``repr``.  A chain built
-    directly is validated in full and scored once by `chain_log_likelihoods`.
+    being the initial randomized response; m is at most `MAX_DOMAIN`.
+    Chains are immutable values; `relax_step` returns an extended copy.  Each
+    chain also carries the read-only (m,) log-likelihood of its outputs under
+    every true value, so extending it and scoring it are O(1) in the chain
+    length; the carried array takes no part in ``==``, ``hash`` or ``repr``.
+    A chain built directly is validated in full and scored once by
+    `chain_log_likelihoods`.
     """
 
     true_value: int
@@ -258,11 +269,18 @@ def relax_kernel(eps_prev: float, eps_next: float, m: int) -> RelaxKernel:
 # a whole battery, or a run of up to 4096 rounds, built once per process.
 @functools.lru_cache(maxsize=4096)
 def _relax_kernel(eps_prev: float, eps_next: float, m: int) -> RelaxKernel:
-    # `relax_kernel`'s memoized body, for a validated step and m
+    # `relax_kernel`'s memoized body, for a validated step and m, or for the
+    # first release's step from eps_prev = 0
     e1 = cap_epsilon(eps_prev)
     e2 = cap_epsilon(eps_next)
     if e1 == e2:
         return RelaxKernel(eps_prev, eps_next, m, 1.0, 0.0, 1.0, 0.0, 0.0)
+    if e1 == 0.0:
+        # the randomized response at eps_next, set from its two probabilities:
+        # the general form below differs from them in the last bit
+        rr = rr_distribution(eps_next, m)
+        keep, other = rr.p_retain, rr.p_other
+        return RelaxKernel(eps_prev, eps_next, m, keep, keep, other, other, other if m > 2 else 0.0)
     exp1 = math.exp(e1)
     denom = math.expm1(e2) * (math.exp(e2) + m - 1)
     # q_ab = (1 - p_aa) / (m - 1); every other entry is a scaled copy of it
@@ -361,42 +379,36 @@ def _draw_one(kernel: RelaxKernel, x: int, o_prev: int, u: float) -> int:
 def iter_chain_rounds(true_values, schedule, m: int, rng):
     """Relaxation chains of a batch of objects, sampled one round at a time.
 
-    Yields one (n_objects,) int64 output column per round of ``schedule``: a
-    randomized response at ``schedule[0]``, then each later round relaxes the
-    previous column by its step, fetched from the step memo as the round
-    comes up.  Each round draws one uniform per object, as `sample_rr_batch`
-    and `relax_step_batch` do, and only the previous column is kept.
+    Yields one (n_objects,) int64 output column per round of ``schedule``:
+    each round relaxes the previous column by its step, fetched from the step
+    memo as the round comes up.  The first round is the step from ε = 0 and
+    the true values, which draws the randomized response at ``schedule[0]``.
+    Each round draws one uniform per object, as `sample_rr_batch` and
+    `relax_step_batch` do, and only the previous column is kept.
     ``rng`` needs only a ``random(shape)`` method.  Validation runs once, when
     iteration starts; the rounds draw from arrays valid by construction.
     """
     m = check_domain_size(m)
     true_values = check_values(true_values, m, "true_values")
     schedule = check_schedule(schedule)
-    dist = rr_distribution(schedule[0], m)
-    u = rng.random(true_values.shape)
-    out = _keep_or_spread(u, true_values, dist.p_retain, dist.p_other, m)
-    yield out
-    for eps_prev, eps_next in zip(schedule, schedule[1:]):
+    out = true_values
+    for eps_prev, eps_next in zip((0.0,) + schedule, schedule):
         out = _draw_step(_relax_kernel(eps_prev, eps_next, m), true_values, out, rng)
         yield out
 
 
-def _initial_log_likelihood(first_outputs: np.ndarray, dist: ResponseDistribution) -> np.ndarray:
-    # (n,) first outputs -> (n, m) log-probability of each under every true value
-    return np.where(
-        first_outputs[:, None] == np.arange(dist.m),
-        np.log(dist.p_retain),
-        np.log(dist.p_other),
-    )
-
-
 def start_chain(true_value: int, m: int, eps: float, rng: np.random.Generator) -> RelaxationChain:
-    """Apply the initial randomized response and open a relaxation chain."""
-    dist = rr_distribution(eps, m)
-    x = check_value(true_value, dist.m, "true_value")
-    first = _spread_one(rng.random(), x, dist.p_retain, dist.p_other, dist.m)
-    loglik = _initial_log_likelihood(np.array([first]), dist)[0]
-    return RelaxationChain._trusted(x, dist.m, (dist.epsilon,), (first,), loglik)
+    """Open a relaxation chain with its first release, a randomized response at ``eps``.
+
+    The release is the relaxation step from ε = 0, drawn and scored as
+    `relax_step` draws and scores a later one.  ``eps``, ``m`` and
+    ``true_value`` are checked in that order; then m above `MAX_DOMAIN` is
+    refused, before any draw.
+    """
+    eps = check_epsilon(eps)
+    m = check_domain_size(m)
+    x = check_value(true_value, m, "true_value")
+    return _release(x, m, (), (), 0.0, 0.0, x, eps, rng)
 
 
 def relax_step(chain: RelaxationChain, eps_next: float, rng: np.random.Generator) -> RelaxationChain:
@@ -413,17 +425,22 @@ def relax_step(chain: RelaxationChain, eps_next: float, rng: np.random.Generator
     eps_next = check_next_epsilon(
         eps_prev, eps_next, "(eps_prev, eps_next)[1]", "(eps_prev, eps_next)"
     )
-    kernel = _relax_kernel(eps_prev, eps_next, chain.m)
-    classes = _entry_classes(chain.m)  # before the draw: a refused m draws nothing
-    o_prev = chain.last_output
-    o = _draw_one(kernel, chain.true_value, o_prev, rng.random())
-    return RelaxationChain._trusted(
-        chain.true_value,
-        chain.m,
-        chain.schedule + (kernel.eps_next,),
-        chain.outputs + (o,),
-        chain._log_likelihood + kernel._log_entries[classes[o_prev, o]],
+    return _release(
+        chain.true_value, chain.m, chain.schedule, chain.outputs, chain._log_likelihood,
+        eps_prev, chain.last_output, eps_next, rng,
     )
+
+
+def _release(x, m, schedule, outputs, loglik, eps_prev, o_prev, eps_next, rng) -> RelaxationChain:
+    # The chain of checked parts extended by one release: one output drawn
+    # from the step (eps_prev, eps_next) and one gathered row added to its
+    # log-likelihood.  Before the first release the parts are (), () and 0.0,
+    # and the step is from ε = 0 and o_prev = x.
+    classes = _entry_classes(m)  # refuses m above MAX_DOMAIN, before the draw
+    kernel = _relax_kernel(eps_prev, eps_next, m)
+    o = _draw_one(kernel, x, o_prev, rng.random())
+    row = kernel._log_entries[classes[o_prev, o]]
+    return RelaxationChain._trusted(x, m, schedule + (eps_next,), outputs + (o,), loglik + row)
 
 
 def _check_batch(outputs, schedule, m: int):
@@ -440,14 +457,13 @@ def _running_log_likelihoods(columns, schedule: tuple, m: int):
     # The likelihood recurrence, for a validated schedule and m.  Takes one
     # (n_objects,) int64 output column in [0, m) per round, as it comes, and
     # yields each column with the running (n_objects, m) log-likelihood after
-    # it, updated in place; only the previous column is kept.
-    columns = iter(columns)
-    prev = next(columns)
-    loglik = _initial_log_likelihood(prev, rr_distribution(schedule[0], m))
-    yield prev, loglik
-    for eps_prev, eps_next, out in zip(schedule, schedule[1:], columns):
+    # it, updated in place from the first step's; only the previous column is
+    # kept.  The first step's rows, from ε = 0, are the same for every o_prev.
+    classes = _entry_classes(m)  # refuses m above MAX_DOMAIN, before the memo
+    loglik, prev = 0.0, 0
+    for eps_prev, eps_next, out in zip((0.0,) + schedule, schedule, columns):
         # row o_prev * m + o_next: the step's (m,) log entries over the true value
-        steps = _relax_kernel(eps_prev, eps_next, m)._log_entries[_entry_classes(m)]
+        steps = _relax_kernel(eps_prev, eps_next, m)._log_entries[classes]
         loglik += np.take(steps.reshape(m * m, m), prev * m + out, axis=0)
         yield out, loglik
         prev = out

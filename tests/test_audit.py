@@ -292,6 +292,24 @@ class TestStandardAudits:
         assert run_standard_audits() == first
         assert mechanism._relax_kernel.cache_info().misses == info.misses
 
+    def test_builds_each_distinct_response_once_per_batch(self, monkeypatch, count_calls):
+        # a battery's randomized responses: one per distinct ε of each
+        # `_rr_matrices` batch, plus two per `rappor_params` of the
+        # noisy-sampling grid; not one per enumerated case
+        batches = []
+        matrices = audit._rr_matrices
+
+        def recorded(epsilons, m):
+            batches.append((len(epsilons), len(set(epsilons))))
+            return matrices(epsilons, m)
+
+        monkeypatch.setattr(audit, "_rr_matrices", recorded)
+        calls = count_calls(("rr_distribution",))
+        run_standard_audits()
+        cases, distinct = map(sum, zip(*batches))
+        assert (cases, distinct) == (4977, 997)
+        assert calls["rr_distribution"] == distinct + 2 * 3 * 10
+
     def test_memoized_kernels_hold_no_table(self):
         run_standard_audits()
         kernels = [o for o in gc.get_objects() if type(o) is RelaxKernel]

@@ -562,13 +562,14 @@ class TestTrialBlocks:
         assert seen["compare_noisy_sampling", 20] == seen["compare_noisy_sampling", 2] == 2 * blocks
 
     def test_long_schedule_builds_each_step_once_across_blocks(self, monkeypatch):
-        # the step memo keeps a 1000-round schedule whole from block to block
+        # the step memo keeps a 1000-round schedule whole from block to block:
+        # 1000 steps, the first round's from ε = 0 included
         monkeypatch.setattr(experiments, "BLOCK_OBJECTS", 2 * sum(DIRECT["counts"]))
         epsilons = tuple(0.01 * k for k in range(1, 1001))
         config = ExperimentConfig(**dict(DIRECT, epsilons=epsilons, trials=5))
         assert self._block_sizes(config) == [2, 2, 1]
         simulate_experiment(config)
-        assert mechanism._relax_kernel.cache_info().misses == 999
+        assert mechanism._relax_kernel.cache_info().misses == 1000
 
     def test_shipped_block_size(self):
         # 1000- and 1500-object trials share blocks; a 5000-object trial runs alone

@@ -91,7 +91,7 @@ class TestPosterior:
             for eps in schedule[1:]:
                 c = relax_step(c, eps, rng)
                 posterior(c, uniform_prior(m))
-        steps = len(schedule) - 1
+        steps = len(schedule)  # the first release is the step from ε = 0
         assert mechanism._relax_kernel.cache_info().misses == steps
 
 

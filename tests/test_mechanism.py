@@ -29,6 +29,7 @@ from oracles import (
     fold_marginal,
     kernel_conditional,
     poly_kernel_direct,
+    rr_channel,
     rr_vector,
     sequence_likelihood,
 )
@@ -203,6 +204,26 @@ class TestRelaxKernel:
                     assert k.p_bc <= E2 * k.p_ba + slack
 
 
+class TestFirstReleaseStep:
+    """The first release is the step from ε = 0: its kernel is the randomized
+    response at the first parameter, whatever the previous output."""
+
+    EPSILONS = (1e-12, 0.3, 1.0, 2.5, 49.9, 50.0, 60.0)
+
+    @pytest.mark.parametrize("m", range(2, 65))
+    def test_kernel_is_the_randomized_response_bit_for_bit(self, m):
+        for eps in self.EPSILONS:
+            kernel = mechanism._relax_kernel(0.0, eps, m)
+            dist = rr_distribution(eps, m)
+            keep, other = dist.p_retain.hex(), dist.p_other.hex()
+            entries = (kernel.p_aa, kernel.p_ba, kernel.p_bb, kernel.p_ab, kernel.p_bc)
+            third = other if m > 2 else (0.0).hex()
+            assert [e.hex() for e in entries] == [keep, keep, other, other, third]
+            # [x, o_prev, o_next]: row x of the channel's transpose, for every o_prev
+            expected = np.broadcast_to(rr_channel(eps, m).T[:, None, :], (m, m, m))
+            assert np.array_equal(kernel_tensor(kernel), expected)
+
+
 class TestKernelConditional:
     """One conditional ``[x, o_prev]`` of the kernel's tensor and log table."""
 
@@ -368,6 +389,9 @@ class TestChainRounds:
         "binary": (2, (0.1, 0.5, 0.5, 2.0)),
         "identity-and-capped": (3, (0.3, 0.3, 0.8, EPSILON_CAP, EPSILON_CAP + 5.0)),
         "third-values": (5, (1e-3, 0.2, 1.0, 4.0, 4.0, 9.0)),
+        "ten-values": (10, (1e-12, 0.05, 0.5, 3.0, 3.0)),
+        "capped-first": (7, (EPSILON_CAP, EPSILON_CAP + 5.0, EPSILON_CAP + 5.0)),
+        "above-the-cap-first": (4, (EPSILON_CAP + 1.0, EPSILON_CAP + 2.0)),
     }
 
     @pytest.mark.parametrize("case", sorted(CASES))
@@ -690,7 +714,8 @@ class TestStepMemo:
                     relax_kernel(bad, 1.0, 3)
             with pytest.raises(ParameterError):
                 relax_kernel(0.5, 1.0, 1)
-        assert mechanism._relax_kernel.cache_info().currsize == 0
+        # the one entry is `start_chain`'s first release, the step (0, 1.0)
+        assert mechanism._relax_kernel.cache_info().currsize == 1
 
     def test_memo_is_bounded(self):
         info = mechanism._relax_kernel.cache_info()
@@ -731,9 +756,37 @@ class TestStepMemo:
         # 10**15 entries: refused by m, before any allocation
         with pytest.raises(ParameterError, match="m=100000"):
             kernel_tensor(relax_kernel(0.1, 0.2, 10**5))
-        rng = np.random.default_rng(8)
-        chain = start_chain(0, limit + 1, 0.1, rng)
+
+    @pytest.mark.parametrize("m", [mechanism.MAX_DOMAIN + 1, 2**40])
+    def test_a_chain_above_the_limit_is_refused_by_m(self, monkeypatch, m):
+        # a one-release chain, opened, built or scored, is refused naming m
+        # before any draw, any allocation of its size or any memo entry
+        class NoGrid:
+            def __getitem__(self, key):
+                raise AssertionError("entry pattern built")
+
+        def no_arange(*args, **kwargs):
+            raise AssertionError("array allocated")
+
+        monkeypatch.setattr(np, "ogrid", NoGrid())
+        monkeypatch.setattr(np, "arange", no_arange)
+        rng = np.random.default_rng(9)
         state = rng.bit_generator.state
-        with pytest.raises(ParameterError, match=f"m={limit + 1}"):
-            relax_step(chain, 0.2, rng)
-        assert rng.bit_generator.state == state  # refused before any draw
+        calls = (
+            lambda: start_chain(0, m, 0.5, rng),
+            lambda: RelaxationChain(0, m, (0.5,), (0,)),
+            lambda: mechanism.chain_log_likelihoods([[0]], (0.5,), m),
+        )
+        for call in calls:
+            with pytest.raises(ParameterError, match=f"m={m}"):
+                call()
+        assert rng.bit_generator.state == state
+        assert mechanism._relax_kernel.cache_info().currsize == 0
+        # ε, m and the true value are still checked first, in that order
+        with pytest.raises(ParameterError, match="epsilon"):
+            start_chain(m, m, 0.0, rng)
+        with pytest.raises(ParameterError, match="true_value"):
+            start_chain(m, m, 0.5, rng)
+        with pytest.raises(ParameterError, match="m must be"):
+            start_chain(0, 2**53 + 1, 0.5, rng)
+        assert rng.bit_generator.state == state
