@@ -22,7 +22,6 @@ from .errors import (
 )
 from .estimation import (
     FrequencyEstimate,
-    PerturbationMatrix,
     discretize_mean,
     estimate_binary,
     estimate_mean,

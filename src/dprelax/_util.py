@@ -48,9 +48,7 @@ def check_next_epsilon(last: float, eps, name: str, schedule: str) -> float:
     schedule named ``schedule`` (0.0 before its first): positive and finite,
     else `ParameterError` naming ``name``, and not below ``last``, else
     `BudgetDecreaseError`."""
-    eps = as_float(eps, name)
-    if not 0.0 < eps < math.inf:  # NaN fails both comparisons
-        raise ParameterError(f"{name} must be positive and finite, got {eps}")
+    eps = check_epsilon(eps, name)
     if eps < last:
         raise BudgetDecreaseError(f"{schedule} must be non-decreasing: {eps} follows {last}")
     return eps
@@ -101,8 +99,43 @@ def check_value(x: int, m: int, name: str = "value") -> int:
     return x
 
 
+def as_real_array(x, name: str) -> np.ndarray:
+    """``x`` as an array of booleans, integers or floats; anything else (a
+    string, None, an int beyond 64 bits, a ragged nesting) raises
+    `ParameterError` naming the argument."""
+    try:
+        given = np.asarray(x)
+    except ValueError:  # a ragged nesting
+        given = np.asarray(None)
+    if given.dtype.kind not in "biuf":
+        raise ParameterError(f"{name} must be real numbers, got dtype {given.dtype}")
+    return given
+
+
+def check_in_range(x, lo, hi, name: str) -> np.ndarray:
+    """``x`` as a float array of real numbers in [lo, hi], each bound
+    included; NaN is refused.  An empty array passes."""
+    x = as_real_array(x, name).astype(float, copy=False)
+    if x.size and not (x.min() >= lo and x.max() <= hi):  # NaN fails both
+        raise ParameterError(f"{name} must be in [{lo}, {hi}]")
+    return x
+
+
+def check_distribution(p, m: int | None, name: str) -> np.ndarray:
+    """``p`` as an (m,) float array of non-negative entries summing to 1; with
+    m None, a 1-D one of any length from 2."""
+    p = as_real_array(p, name).astype(float, copy=False)
+    if p.shape != (m or max(p.size, 2),):
+        raise ParameterError(f"{name} must have shape ({m or 'm >= 2'},), got {p.shape}")
+    # `p.min()` and `p.sum()`, without their Python wrappers; a NaN or an
+    # infinite entry fails the test
+    if not (np.minimum.reduce(p) >= 0.0 and abs(float(np.add.reduce(p)) - 1.0) <= 1e-12):
+        raise ParameterError(f"{name} must be finite, non-negative and sum to 1")
+    return p
+
+
 def check_values(values, m: int, name: str = "values") -> np.ndarray:
-    given = np.asarray(values)
+    given = as_real_array(values, name)
     if given.dtype.kind in "biu":  # integer input: no integrality check to pay for
         values = given.astype(np.int64, copy=False)
     else:

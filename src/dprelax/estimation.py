@@ -17,14 +17,15 @@ from ._util import (
     as_float,
     cap_epsilon,
     check_count,
+    check_distribution,
     check_domain_size,
     check_epsilon,
+    check_in_range,
     check_values,
 )
 from .errors import IllConditionedError, ParameterError
 
 __all__ = [
-    "PerturbationMatrix",
     "FrequencyEstimate",
     "histogram",
     "estimate_binary",
@@ -35,19 +36,6 @@ __all__ = [
     "discretize_mean",
     "estimate_mean",
 ]
-
-
-@dataclass(frozen=True)
-class PerturbationMatrix:
-    """Closed-form inverse of the channel of `mechanism.rr_distribution`.
-
-    ``inverse`` uses the diagonal-plus-rank-one form, which stays exact where
-    generic inversion would lose digits at small eps.
-    """
-
-    epsilon: float
-    m: int
-    inverse: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -64,8 +52,8 @@ def histogram(responses, m: int) -> np.ndarray:
     """The (m,) int64 counts of responses (integers in [0, m)) per value."""
     m = check_domain_size(m)
     responses = check_values(responses, m, "responses")
-    if responses.size == 0:
-        raise ParameterError("responses must be non-empty")
+    if responses.ndim != 1 or responses.size == 0:
+        raise ParameterError(f"responses must be 1-D and non-empty, got shape {responses.shape}")
     return np.bincount(responses, minlength=m)
 
 
@@ -92,11 +80,9 @@ def estimate_binary(lambda_b, eps: float):
     may fall outside [0, 1], which keeps the estimator unbiased.
     """
     eps = check_epsilon(eps)
-    lam = np.asarray(lambda_b, dtype=float)
-    if np.any(lam < 0.0) or np.any(lam > 1.0):
-        raise ParameterError("observed frequency must be in [0, 1]")
+    lam = check_in_range(lambda_b, 0, 1, "lambda_b")
     out = _debias_binary(lam, eps)
-    return float(out) if np.ndim(lambda_b) == 0 else out
+    return float(out) if lam.ndim == 0 else out
 
 
 def _debias_binary(lam, eps: float):
@@ -105,15 +91,20 @@ def _debias_binary(lam, eps: float):
     return ((g + 2.0) * lam - 1.0) / g
 
 
-def perturbation_matrix(eps: float, m: int) -> PerturbationMatrix:
-    """Channel inverse of the ``eps``-randomized response over ``m`` values."""
+def perturbation_matrix(eps: float, m: int) -> np.ndarray:
+    """The (m, m) inverse of the channel of `mechanism.rr_distribution`: the
+    decode matrix of the ``eps``-randomized response over ``m`` values.
+
+    It uses the diagonal-plus-rank-one form, which stays exact where generic
+    inversion would lose digits at small eps.
+    """
     eps = check_epsilon(eps)
     m = check_domain_size(m)
     big = math.exp(cap_epsilon(eps))
     scale = (big + m - 1) / _growth(eps)
     inv = np.full((m, m), -scale / (big + m - 1))
     np.fill_diagonal(inv, scale * (1.0 - 1.0 / (big + m - 1)))
-    return PerturbationMatrix(epsilon=eps, m=m, inverse=inv)
+    return inv
 
 
 def _response_covariance(eps: float, m: int, x: int) -> np.ndarray:
@@ -130,13 +121,15 @@ def _response_covariance(eps: float, m: int, x: int) -> np.ndarray:
     return cov
 
 
-def _decoded_covariance(weights, pm: PerturbationMatrix, n: float) -> np.ndarray:
-    # Covariance of ``P^-1 @ (counts / n)`` over n objects of composition ``weights``.
-    cov = np.zeros((pm.m, pm.m))
+def _decoded_covariance(weights, inverse, eps: float, n: float) -> np.ndarray:
+    # Covariance of ``inverse @ (counts / n)`` over n objects of composition
+    # ``weights``, for the ``eps`` decode matrix ``inverse``.
+    m = len(inverse)
+    cov = np.zeros((m, m))
     for value, w in enumerate(weights):
         if w != 0.0:
-            cov += w * _response_covariance(pm.epsilon, pm.m, value)
-    return pm.inverse @ cov @ pm.inverse.T / n
+            cov += w * _response_covariance(eps, m, value)
+    return inverse @ cov @ inverse.T / n
 
 
 def estimate_poly(counts, eps: float) -> FrequencyEstimate:
@@ -146,37 +139,34 @@ def estimate_poly(counts, eps: float) -> FrequencyEstimate:
     covariance; when the true composition is known, prefer
     `frequency_estimate_covariance` for the theoretical value.
     """
-    counts = np.asarray(counts)
-    if counts.dtype.kind not in "biuf":  # strings, objects and complex numbers are no counts
-        raise ParameterError(f"counts must be a real numeric array, got dtype {counts.dtype}")
-    counts = counts.astype(float, copy=False)
+    counts = check_in_range(counts, 0, math.inf, "counts")
     if counts.ndim != 1 or counts.size < 2:
         raise ParameterError(f"counts must be 1-D with at least 2 values, got {counts.shape}")
     # with no count negative, a finite positive total means that every count
     # is finite and not all are zero (and that the total is a double)
     with np.errstate(over="ignore"):
         n = float(counts.sum())
-    if np.any(counts < 0) or not 0.0 < n < math.inf:
+    if not 0.0 < n < math.inf:
         raise ParameterError("counts must be finite, non-negative and not all zero")
-    pm = perturbation_matrix(eps, counts.size)
-    est = _decode_counts(counts, n, pm)
-    cov = _decoded_covariance(est, pm, n)
-    return FrequencyEstimate(estimate=est, covariance=cov, epsilon=pm.epsilon, n=n)
+    eps = check_epsilon(eps)
+    inverse = perturbation_matrix(eps, counts.size)
+    est = _decode_counts(counts, n, inverse)
+    cov = _decoded_covariance(est, inverse, eps, n)
+    return FrequencyEstimate(estimate=est, covariance=cov, epsilon=eps, n=n)
 
 
-def _decode_counts(counts, n: float, pm: PerturbationMatrix) -> np.ndarray:
+def _decode_counts(counts, n: float, inverse) -> np.ndarray:
     # `estimate_poly`'s decode, for (m,) counts of total n known to be valid;
     # integer counts divide to the same doubles as float ones
-    return pm.inverse @ (counts / n)
+    return inverse @ (counts / n)
 
 
 def frequency_estimate_covariance(freq, eps: float, n: int) -> np.ndarray:
     """Covariance of the decoded estimate for a population with composition ``freq``."""
-    freq = np.asarray(freq, dtype=float)
+    freq = check_distribution(freq, None, "freq")
     n = check_count(n, "n")
-    if abs(float(freq.sum()) - 1.0) > 1e-9:
-        raise ParameterError("composition must sum to 1")
-    return _decoded_covariance(freq, perturbation_matrix(eps, len(freq)), n)
+    eps = check_epsilon(eps)
+    return _decoded_covariance(freq, perturbation_matrix(eps, freq.size), eps, n)
 
 
 def variance_binary_estimate(eps: float, n: int) -> float:
@@ -195,13 +185,17 @@ def _check_interval(l, h) -> tuple:
     return l, h
 
 
-def discretize_mean(value: float, l: float, h: float, rng: np.random.Generator) -> float:
-    """Round a bounded value to one of the interval endpoints, unbiasedly."""
+def discretize_mean(value, l: float, h: float, rng: np.random.Generator):
+    """Round each value in [l, h] to one of the interval endpoints, unbiasedly.
+
+    Takes a scalar or an array, and draws one uniform per value, in order: a
+    value goes to h with probability (value - l) / (h - l).  A scalar gives a
+    float, an array an array of its shape.
+    """
     l, h = _check_interval(l, h)
-    value = float(value)
-    if not l <= value <= h:
-        raise ParameterError(f"value {value} outside [{l}, {h}]")
-    return h if rng.random() < (value - l) / (h - l) else l
+    value = check_in_range(value, l, h, "value")
+    out = np.where(rng.random(value.shape) < (value - l) / (h - l), h, l)
+    return float(out) if value.ndim == 0 else out
 
 
 def estimate_mean(lambda_h: float, eps: float, l: float, h: float) -> float:
@@ -211,4 +205,4 @@ def estimate_mean(lambda_h: float, eps: float, l: float, h: float) -> float:
     l = 0, h = 1 it reduces exactly to `estimate_binary`.
     """
     l, h = _check_interval(l, h)
-    return l + (h - l) * estimate_binary(lambda_h, eps)
+    return l + (h - l) * estimate_binary(check_in_range(lambda_h, 0, 1, "lambda_h"), eps)

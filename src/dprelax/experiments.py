@@ -371,9 +371,9 @@ def _decode_block(column, offsets, eps: float, m: int, n: int) -> np.ndarray:
     trial-major column: one `np.bincount`, where ``offsets`` moves trial i's
     values to the bins [i * m, (i + 1) * m), then `estimate_poly`'s decode
     per trial, on counts valid by construction."""
-    pm = perturbation_matrix(eps, m)
+    inverse = perturbation_matrix(eps, m)
     counts = np.bincount(column + offsets, minlength=offsets[-1] + m).reshape(-1, m)
-    return np.array([_decode_counts(c, n, pm) for c in counts])
+    return np.array([_decode_counts(c, n, inverse) for c in counts])
 
 
 def _run_trials(config: ExperimentConfig, run_block, threads: int) -> list:

@@ -14,12 +14,14 @@ value index everywhere.
 """
 
 import math
+import sys
 
 import numpy as np
 
-from ._util import cap_epsilon, check_domain_size, check_epsilon, check_values
+from ._util import cap_epsilon, check_distribution, check_domain_size, check_epsilon, check_values
 from .errors import ParameterError
 from .mechanism import (
+    MAX_DOMAIN,
     RelaxationChain,
     _check_batch,
     _check_chain,
@@ -40,35 +42,34 @@ ATTACK_METHODS = ("last_output", "mle", "highest_frequency", "weighted_highest_f
 
 
 def uniform_prior(m: int) -> np.ndarray:
+    """The uniform prior over ``m`` values, m at most `MAX_DOMAIN`: the
+    largest chain `posterior` takes."""
     m = check_domain_size(m)
+    if m > MAX_DOMAIN:
+        raise ParameterError(f"m must be at most {MAX_DOMAIN}, got {m}")
     return np.full(m, 1.0 / m)
-
-
-def _check_prior(prior, m: int) -> np.ndarray:
-    prior = np.asarray(prior, dtype=float)
-    if prior.shape != (m,):
-        raise ParameterError(f"prior must have shape ({m},), got {prior.shape}")
-    total = float(prior.sum())
-    if not math.isfinite(total):  # a NaN or infinite entry makes the sum non-finite
-        raise ParameterError("prior must be finite, non-negative and sum to 1")
-    if prior.min() < 0.0 or abs(total - 1.0) > 1e-12:
-        raise ParameterError("prior must be non-negative and sum to 1")
-    return prior
 
 
 def posterior(chain: RelaxationChain, prior) -> np.ndarray:
     """Bayesian belief over the true value given every released output.
 
     Reads the log-likelihood the chain carries, so a posterior after every
-    release costs O(1) in the chain length.
+    release costs O(1) in the chain length.  Where the likelihoods underflow,
+    the belief is normalised in log space instead.
     """
     _check_chain(chain)
-    prior = _check_prior(prior, chain.m)
-    lik = np.exp(chain._log_likelihood)
-    weighted = lik * prior
-    z = float(weighted.sum())
-    if z <= 0.0:
-        raise ParameterError("observed sequence has zero probability under the prior support")
+    prior = check_distribution(prior, chain.m, "prior")
+    weighted = np.exp(chain._log_likelihood) * prior
+    z = float(np.add.reduce(weighted))  # `weighted.sum()`, without its Python wrapper
+    if z < sys.float_info.min:
+        # shift by the largest log-likelihood on the prior's support: each
+        # term is then at most its prior, and the largest one equals its prior
+        loglik = np.where(prior > 0.0, chain._log_likelihood, -math.inf)
+        shift = loglik.max()
+        if shift == -math.inf:
+            raise ParameterError("observed sequence has zero probability under the prior support")
+        weighted = np.exp(loglik - shift) * prior
+        z = float(weighted.sum())
     return weighted / z
 
 

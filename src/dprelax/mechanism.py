@@ -136,8 +136,10 @@ class RelaxationChain:
     being the initial randomized response; m is at most `MAX_DOMAIN`.
     Chains are immutable values; `relax_step` returns an extended copy.  Each
     chain also carries the read-only (m,) log-likelihood of its outputs under
-    every true value, so extending it and scoring it are O(1) in the chain
-    length; the carried array takes no part in ``==``, ``hash`` or ``repr``.
+    every true value, so scoring it, and updating that likelihood on an
+    extension, are O(1) in the chain length; the extension's copy of the
+    ``outputs`` and ``schedule`` tuples is not.  The carried array takes no
+    part in ``==``, ``hash`` or ``repr``.
     A chain built directly is validated in full and scored once by
     `chain_log_likelihoods`.
     """
@@ -417,8 +419,9 @@ def relax_step(chain: RelaxationChain, eps_next: float, rng: np.random.Generator
     Only the new step is checked and scored: ``eps_next`` must be positive,
     finite and not below the chain's last parameter, which was checked when
     it entered the chain.  The extended chain carries the previous
-    log-likelihood plus one log-kernel entry, so a release costs O(1) in the
-    chain length.
+    log-likelihood plus one log-kernel entry, an O(1) update; copying the
+    ``outputs`` and ``schedule`` tuples makes a release O(R) in the chain
+    length R.
     """
     _check_chain(chain)
     eps_prev = chain.last_epsilon

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import cap_epsilon, check_count, check_epsilon, check_values
+from ._util import cap_epsilon, check_count, check_epsilon, check_in_range, check_values
 from .errors import ParameterError
 from .estimation import _debias_binary
 from .mechanism import rr_distribution
@@ -98,6 +98,8 @@ def simulate_noisy_sampling_batch(
     """
     K = check_count(K, "K")
     bits = check_values(bits, 2, "bits")
+    if bits.ndim != 1:
+        raise ParameterError(f"bits must be 1-D, got shape {bits.shape}")
     keep = rng.random(bits.shape) < params.alpha
     permanent = np.where(keep, bits, 1 - bits)
     p_one = np.where(permanent == 1, params.beta, 1.0 - params.beta)
@@ -108,18 +110,16 @@ def simulate_noisy_sampling_batch(
 def decode_noisy_sampling_counts(k_ones, K: int, params: RapporParams) -> float:
     """Two-stage decode from per-client one-bit counts after K samples."""
     K = check_count(K, "K")
-    k_ones = np.atleast_1d(np.asarray(k_ones, dtype=float))
+    k_ones = check_in_range(k_ones, 0, K, "k_ones")
     if k_ones.size == 0:
-        raise ParameterError("need at least one report")
-    if np.any(k_ones < 0) or np.any(k_ones > K):
-        raise ParameterError(f"counts must be in [0, {K}]")
+        raise ParameterError("k_ones must hold at least one report")
     check_epsilon(params.eps_beta, "eps_beta")
     check_epsilon(params.eps_alpha, "eps_alpha")
     return _decode_noisy_counts(k_ones, K, params)
 
 
 def _decode_noisy_counts(k_ones, K: int, params: RapporParams) -> float:
-    # `decode_noisy_sampling_counts`'s arithmetic, for a 1-D array of counts
+    # `decode_noisy_sampling_counts`'s arithmetic, for a non-empty array of counts
     # in [0, K] and checked parameters: each client's observed frequency is
     # debiased by `estimate_binary`'s affine map, then their mean again.  The
     # per-client stage routinely leaves [0, 1], so neither stage checks the

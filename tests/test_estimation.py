@@ -59,28 +59,28 @@ class TestEstimateBinary:
 class TestPerturbationMatrix:
     def test_large_epsilon_is_identity(self):
         for m in (2, 5):
-            pm = perturbation_matrix(40.0, m)
-            np.testing.assert_allclose(pm.inverse, np.eye(m), atol=1e-10)
+            inverse = perturbation_matrix(40.0, m)
+            np.testing.assert_allclose(inverse, np.eye(m), atol=1e-10)
 
     def test_log_two_entries(self):
         # the channel at e^eps = 2, m = 3 is 1/2 on the diagonal, 1/4 off it
         channel = np.full((3, 3), 0.25) + 0.25 * np.eye(3)
-        pm = perturbation_matrix(math.log(2.0), 3)
-        np.testing.assert_allclose(pm.inverse, np.linalg.inv(channel), atol=1e-12)
+        inverse = perturbation_matrix(math.log(2.0), 3)
+        np.testing.assert_allclose(inverse, np.linalg.inv(channel), atol=1e-12)
 
     @pytest.mark.parametrize("m", range(2, 11))
     @pytest.mark.parametrize("eps", [0.1, 0.5, 1.0, 2.0, 10.0])
     def test_inverse_contract(self, eps, m):
         channel = rr_channel(eps, m)
-        pm = perturbation_matrix(eps, m)
-        np.testing.assert_allclose(channel @ pm.inverse, np.eye(m), atol=1e-10)
+        inverse = perturbation_matrix(eps, m)
+        np.testing.assert_allclose(channel @ inverse, np.eye(m), atol=1e-10)
         # closed form agrees with generic inversion
-        np.testing.assert_allclose(pm.inverse, np.linalg.inv(channel), atol=1e-10)
+        np.testing.assert_allclose(inverse, np.linalg.inv(channel), atol=1e-10)
 
     def test_columns_sum_to_one(self):
         # a channel's columns sum to one, so its inverse's columns do too
-        pm = perturbation_matrix(0.7, 6)
-        np.testing.assert_allclose(pm.inverse.sum(axis=0), 1.0, atol=1e-12)
+        inverse = perturbation_matrix(0.7, 6)
+        np.testing.assert_allclose(inverse.sum(axis=0), 1.0, atol=1e-12)
 
 
 class TestEstimatePoly:
@@ -169,10 +169,11 @@ class TestTrustedDecodeCores:
         for m, eps, n in product((2, 3, 5, 11), (1e-3, 0.4, 2.0, 60.0), (1, 7, 1000)):
             # integer rows of one 2-D count block, as the runner decodes them
             block = np.stack([histogram(rng.integers(0, m, n), m) for _ in range(4)])
-            pm = perturbation_matrix(eps, m)
+            inverse = perturbation_matrix(eps, m)
             for counts in block:
                 public = estimate_poly(counts, eps).estimate
-                assert self._bits(estimation._decode_counts(counts, n, pm)) == self._bits(public)
+                core = estimation._decode_counts(counts, n, inverse)
+                assert self._bits(core) == self._bits(public)
 
     def test_noisy_sampling_core_equals_decode_noisy_sampling_counts(self):
         rng = np.random.default_rng(43)
@@ -223,7 +224,7 @@ class TestTrustedDecodeCores:
         ids=["negative", "negative-fraction", "above-K", "above-K=1"],
     )
     def test_decode_noisy_sampling_counts_still_refuses_bad_counts(self, counts, K):
-        with pytest.raises(ParameterError, match=rf"counts must be in \[0, {K}\]"):
+        with pytest.raises(ParameterError, match=rf"^k_ones must be in \[0, {K}\]$"):
             decode_noisy_sampling_counts(counts, K, rappor_params(1.0, 0.5))
 
 
@@ -265,7 +266,7 @@ class TestVarianceBinaryEstimate:
 # Every estimator, as a function of the privacy parameter it debiases with.
 ESTIMATORS = {
     "estimate_binary": lambda eps: estimate_binary(0.5, eps),
-    "perturbation_matrix": lambda eps: perturbation_matrix(eps, 3).inverse,
+    "perturbation_matrix": lambda eps: perturbation_matrix(eps, 3),
     "estimate_poly": lambda eps: estimate_poly(histogram([0, 0, 1], 64), eps).covariance,
     "frequency_estimate_covariance": lambda eps: frequency_estimate_covariance([0.5] * 2, eps, 1),
     "variance_binary_estimate": lambda eps: variance_binary_estimate(eps, 6),
@@ -303,6 +304,26 @@ class TestDiscretizeMean:
         rng = np.random.default_rng(31)
         hits = sum(discretize_mean(0.5, 0.0, 1.0, rng) == 1.0 for _ in range(100_000))
         assert hits / 100_000 == pytest.approx(0.5, abs=0.005)
+
+    def test_scalar_draws_as_the_one_value_loop_did(self):
+        # one `rng.random()` per call, compared with the value's rounding
+        # probability in float arithmetic: the scalar form before the batch one
+        l, h = -2.0, 3.0
+        values = np.random.default_rng(5).uniform(l, h, size=200)
+        rng, reference = np.random.default_rng(33), np.random.default_rng(33)
+        for value in values:
+            got = discretize_mean(float(value), l, h, rng)
+            assert type(got) is float
+            assert got == (h if reference.random() < (value - l) / (h - l) else l)
+
+    def test_array_equals_the_scalar_loop(self):
+        l, h = 0.5, 4.0
+        values = np.random.default_rng(6).uniform(l, h, size=(40, 5))
+        rng = np.random.default_rng(34)
+        loop = [discretize_mean(float(v), l, h, rng) for v in values.ravel()]
+        batch = discretize_mean(values, l, h, np.random.default_rng(34))
+        assert batch.shape == values.shape
+        np.testing.assert_array_equal(batch.ravel(), loop)
 
     def test_out_of_interval(self):
         rng = np.random.default_rng(0)

@@ -80,6 +80,28 @@ class TestPosterior:
             with pytest.raises(ParameterError, match="finite"):
                 posterior(chain([0], [1.0], m=len(bad)), bad)
 
+    def test_unlikely_chain_is_normalised_in_log_space(self):
+        # 400 releases alternating between outputs 1 and 2: every value's
+        # likelihood is near e**-3195, which underflows a double to zero
+        schedule = tuple(0.5 + 0.001 * i for i in range(400))
+        c = chain([1 + i % 2 for i in range(400)], schedule, m=5)
+        loglik = c._log_likelihood
+        assert np.all(np.exp(loglik) == 0.0)
+        post = posterior(c, uniform_prior(5))
+        assert np.all(np.isfinite(post)) and float(post.sum()) == pytest.approx(1.0, abs=1e-15)
+        assert int(np.argmax(post)) == 2
+        reference = np.exp(loglik - loglik.max())
+        np.testing.assert_allclose(post, reference / reference.sum(), rtol=0, atol=1e-12)
+        # the shift is taken on the prior's support alone
+        np.testing.assert_array_equal(posterior(c, np.eye(5)[0]), np.eye(5)[0])
+
+    def test_impossible_sequence_is_still_refused(self):
+        # a repeated parameter repeats its output, so no value produces (0, 1)
+        c = chain([0, 1], [1.0, 1.0], m=3)
+        for prior in (uniform_prior(3), np.eye(3)[2]):
+            with pytest.raises(ParameterError, match="zero probability"):
+                posterior(c, prior)
+
     def test_online_posteriors_build_each_step_once(self):
         # each step's kernel is built once per process, however many chains
         # and posteriors reach it
