@@ -13,6 +13,16 @@ from .errors import BudgetDecreaseError, ParameterError
 # retain probability is 1.0 in double precision anyway, so larger inputs are
 # accepted but capped before exponentiation.
 EPSILON_CAP = 50.0
+# The largest domain a step table may have.  A table holds m**3 doubles, 2 MiB
+# at 64 values, and is made fresh for its caller.  Each domain size's entry
+# pattern (`mechanism._entry_classes`) holds m**3 integers and is kept: 2 MiB
+# at 64 values, and 33 MiB with every m up to 64 in use in one process.
+MAX_DOMAIN = 64
+# The longest schedule a count builds, and the most noisy samples per client.
+MAX_ROUNDS = 100_000
+# The most values of a run's largest array: objects * m for a trial's state,
+# bits * K for noisy samples; 128 MiB of doubles.
+MAX_OBJECT_VALUES = 2**24
 
 
 def cap_epsilon(eps: float) -> float:
@@ -22,11 +32,11 @@ def cap_epsilon(eps: float) -> float:
 
 def as_float(x, name: str) -> float:
     """``float(x)`` of a real number, with one beyond double range (a large
-    Python int) read as ±inf; a string, or anything ``float`` refuses, raises
-    `ParameterError` naming the argument."""
+    Python int) read as ±inf; a string, a boolean, or anything ``float``
+    refuses, raises `ParameterError` naming the argument."""
     if type(x) is float:  # the common case, kept cheap
         return x
-    if not isinstance(x, (str, bytes, bytearray)):
+    if not isinstance(x, (str, bytes, bytearray, bool, np.bool_)):
         try:
             return float(x)
         except OverflowError:
@@ -34,6 +44,15 @@ def as_float(x, name: str) -> float:
         except (TypeError, ValueError):
             pass
     raise ParameterError(f"{name} must be a real number, got {x!r}")
+
+
+def as_sequence(x, name: str) -> tuple:
+    """``tuple(x)``; anything that is not a sequence raises `ParameterError`
+    naming the argument."""
+    try:
+        return tuple(x)
+    except TypeError:
+        raise ParameterError(f"{name} must be a sequence, got {x!r}") from None
 
 
 def check_epsilon(eps: float, name: str = "epsilon") -> float:
@@ -55,11 +74,11 @@ def check_next_epsilon(last: float, eps, name: str, schedule: str) -> float:
 
 
 def check_schedule(schedule, name: str = "schedule") -> tuple:
-    """A relaxation schedule as a tuple of floats: non-empty, each entry
-    positive and finite, non-decreasing (else `BudgetDecreaseError`)."""
+    """A relaxation schedule as a tuple of floats: a sequence, non-empty, each
+    entry positive and finite, non-decreasing (else `BudgetDecreaseError`)."""
     checked = []
     last = 0.0
-    for i, eps in enumerate(schedule):
+    for i, eps in enumerate(as_sequence(schedule, name)):
         last = check_next_epsilon(last, eps, f"{name}[{i}]", name)
         checked.append(last)
     if not checked:
@@ -68,7 +87,8 @@ def check_schedule(schedule, name: str = "schedule") -> tuple:
 
 
 def _check_integer(x, name: str) -> int:
-    if not isinstance(x, (int, np.integer)) and not as_float(x, name).is_integer():
+    # a bool is no int here: `as_float` refuses it
+    if type(x) is not int and not isinstance(x, np.integer) and not as_float(x, name).is_integer():
         raise ParameterError(f"{name} must be an integer, got {x}")
     return int(x)
 
@@ -90,6 +110,23 @@ def check_domain_size(m: int, name: str = "m") -> int:
     if m > _LARGEST_DOMAIN:  # the value itself may be too long to print
         raise ParameterError(f"{name} must be at most 2**53")
     return m
+
+
+def check_table_domain(m: int, name: str = "m") -> int:
+    """``m`` as a domain size with a step table: from 2 to `MAX_DOMAIN`."""
+    m = check_domain_size(m, name)
+    if m > MAX_DOMAIN:
+        raise ParameterError(f"{name} must be at most {MAX_DOMAIN}, got {m}")
+    return m
+
+
+def check_rounds(n: int, name: str = "rounds") -> int:
+    """``n`` as a count of rounds or samples: from 1 to `MAX_ROUNDS`.  A count
+    given as a float is bounded before it is checked integral, so an infinite
+    one is refused for its size."""
+    if as_float(n, name) > MAX_ROUNDS:
+        raise ParameterError(f"{name} must be at most the limit of {MAX_ROUNDS} rounds, got {n}")
+    return check_count(n, name)
 
 
 def check_value(x: int, m: int, name: str = "value") -> int:

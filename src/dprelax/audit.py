@@ -22,7 +22,7 @@ from itertools import combinations_with_replacement
 
 import numpy as np
 
-from ._util import check_count, check_domain_size, check_schedule
+from ._util import check_domain_size, check_rounds, check_schedule
 from .errors import EnumerationLimitError
 from .mechanism import relax_kernel, rr_distribution
 from .rappor import RapporParams, eps_noisy_sampling, rappor_params
@@ -168,8 +168,9 @@ def audit_noisy_sampling_epsilon(params: RapporParams, K: int) -> float:
     Enumerates the distribution of the one-bit count for both original bits
     and takes the worst log-ratio over all counts (the binomial coefficient
     cancels).  Independent of the closed form in `rappor.eps_noisy_sampling`.
+    K is at most `MAX_ROUNDS`.
     """
-    K = check_count(K, "K")
+    K = check_rounds(K, "K")
     a, b = params.alpha, params.beta
     worst = 0.0
     for k in range(K + 1):

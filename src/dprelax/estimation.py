@@ -64,11 +64,12 @@ def histogram(responses, m: int) -> np.ndarray:
 MIN_EPSILON = 1e-100
 
 
-def _growth(eps: float) -> float:
-    """e^eps - 1, refusing an eps below `MIN_EPSILON` with `IllConditionedError`."""
+def _growth(eps: float, name: str = "epsilon") -> float:
+    """e^eps - 1, refusing an eps below `MIN_EPSILON` with `IllConditionedError`
+    naming ``name``."""
     if eps < MIN_EPSILON:
         raise IllConditionedError(
-            f"epsilon={eps} is below {MIN_EPSILON}: too small to debias responses"
+            f"{name} is too small to debias responses: {eps} is below {MIN_EPSILON}"
         )
     return math.expm1(cap_epsilon(eps))
 

@@ -35,24 +35,27 @@ alone, so a block's results equal those of its trials run one by one.
 
 import csv
 import json
-import math
-from numbers import Integral, Real
+from numbers import Integral
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from ._util import as_float, check_count
-from .errors import ConfigError
+from ._util import (
+    MAX_OBJECT_VALUES, MAX_ROUNDS, as_sequence, check_count, check_epsilon, check_rounds,
+    check_schedule, check_table_domain,
+)
+from .errors import ConfigError, ParameterError
 from .estimation import (
     _decode_counts,
+    _growth,
     frequency_estimate_covariance,
     perturbation_matrix,
     variance_binary_estimate,
 )
 from .inference import ATTACK_METHODS, _balanced_draw, _running_guesses, _value_indices, min_error_rate
-from .mechanism import MAX_DOMAIN, iter_chain_rounds, relax_kernel
+from .mechanism import iter_chain_rounds, relax_kernel
 from .rappor import (
     _decode_noisy_counts,
     noisy_sampling_schedule,
@@ -79,10 +82,9 @@ __all__ = [
 
 DEFAULT_TABLE_EPSILONS = (0.1, 0.5, 1.0, 2.0, 10.0)
 DEFAULT_TABLE_DOMAINS = tuple(range(3, 11))
-# Bounds on a config, each refused before the run's first allocation:
-MAX_ROUNDS = 100_000  # the longest schedule, refused before it is built
+# Bounds on a config, each refused before the run's first allocation, beside
+# `MAX_DOMAIN`, `MAX_ROUNDS` and `MAX_OBJECT_VALUES` (objects * m) of `_util`:
 MAX_TRIALS = 100_000  # every trial's seed is spawned up front: 1 s and 40 MB at this bound
-MAX_OBJECT_VALUES = 2**24  # objects * m: a trial's state is a few such arrays, 128 MiB each
 MAX_RESULT_VALUES = 2**27  # trials * rounds * (m + 4) result doubles: 1 GiB
 # The objects a block of trials tiles into one population; a trial larger than
 # this runs alone.  Blocks cut the numpy calls per trial-round on small
@@ -106,7 +108,8 @@ class ExperimentConfig:
 
     def __post_init__(self):
         # The value rules of every config, also those `config_from_dict`
-        # reads from JSON; each failure names its field.
+        # reads from JSON; each failure names its field.  A refusal by a
+        # `_util` rule begins with the name it was given: the field.
         def fail(field, message):
             _cfg_fail(f"ExperimentConfig.{field}", message)
 
@@ -115,53 +118,42 @@ class ExperimentConfig:
                 fail(field, f"must be an integer >= {low}, got {value!r}")
             return int(value)
 
-        def positive(field, value):
-            return _positive(f"ExperimentConfig.{field}", value)
-
-        def sequence(field, value):
-            try:
-                return tuple(value)
-            except TypeError:
-                fail(field, f"must be a sequence, got {value!r}")
-
         name = self.name
         if not (isinstance(name, str) and name and all(c.isalnum() or c in "-_" for c in name)):
             fail("name", "must be a non-empty [A-Za-z0-9_-] string")
-        m = integer("m", self.m, 2)
-        if m > MAX_DOMAIN:
-            fail("m", f"must be at most {MAX_DOMAIN}, got {m}")
-        counts = sequence("counts", self.counts)
-        if len(counts) != m:
-            fail("counts", f"must list exactly m={m} counts, got {len(counts)}")
-        counts = tuple(integer(f"counts[{i}]", c, 1) for i, c in enumerate(counts))
-        if sum(counts) > MAX_OBJECT_VALUES // m:
-            fail("counts", f"must sum to at most {MAX_OBJECT_VALUES // m}, got {sum(counts)}")
-        epsilons = sequence("epsilons", self.epsilons)
-        if len(epsilons) > MAX_ROUNDS:
-            fail("epsilons", f"must have at most {MAX_ROUNDS} rounds, got {len(epsilons)}")
-        epsilons = tuple(positive(f"epsilons[{i}]", e) for i, e in enumerate(epsilons))
-        if not epsilons:
-            fail("epsilons", "must be non-empty")
-        if any(b < a for a, b in zip(epsilons, epsilons[1:])):
-            fail("epsilons", "must be non-decreasing")
-        trials = integer("trials", self.trials, 1)
-        most = min(MAX_TRIALS, MAX_RESULT_VALUES // (len(epsilons) * (m + 4)))
-        if trials > most:
-            fail("trials", f"must be at most {most} at {len(epsilons)} rounds, got {trials}")
-        seed = self.seed
-        if not isinstance(seed, Integral) or isinstance(seed, bool) or not 0 <= seed < 2**64:
-            fail("seed", f"must be an integer that fits in 64 bits, got {seed!r}")
-        normalized = dict(m=m, counts=counts, epsilons=epsilons, trials=trials, seed=int(seed))
-        if (self.eps_alpha is None) != (self.eps_beta is None):
-            missing = "eps_alpha" if self.eps_alpha is None else "eps_beta"
-            fail(missing, "eps_alpha and eps_beta must be given together")
-        if self.eps_alpha is not None:
-            pair = positive("eps_alpha", self.eps_alpha), positive("eps_beta", self.eps_beta)
-            # the pair stands for the matched schedule the JSON path builds;
-            # any other would run the two pipelines at unmatched privacy
-            if epsilons != tuple(noisy_sampling_schedule(*pair, len(epsilons))):
-                fail("epsilons", "must be the noisy-sampling schedule of eps_alpha and eps_beta")
-            normalized.update(eps_alpha=pair[0], eps_beta=pair[1])
+        try:
+            m = check_table_domain(integer("m", self.m, 2))
+            counts = as_sequence(self.counts, "counts")
+            if len(counts) != m:
+                fail("counts", f"must list exactly m={m} counts, got {len(counts)}")
+            counts = tuple(integer(f"counts[{i}]", c, 1) for i, c in enumerate(counts))
+            if sum(counts) > MAX_OBJECT_VALUES // m:
+                fail("counts", f"must sum to at most {MAX_OBJECT_VALUES // m}, got {sum(counts)}")
+            epsilons = check_schedule(self.epsilons, "epsilons")
+            rounds = check_rounds(len(epsilons), "epsilons")
+            trials = integer("trials", self.trials, 1)
+            most = min(MAX_TRIALS, MAX_RESULT_VALUES // (rounds * (m + 4)))
+            if trials > most:
+                fail("trials", f"must be at most {most} at {rounds} rounds, got {trials}")
+            seed = self.seed
+            if not isinstance(seed, Integral) or isinstance(seed, bool) or not 0 <= seed < 2**64:
+                fail("seed", f"must be an integer that fits in 64 bits, got {seed!r}")
+            normalized = dict(m=m, counts=counts, epsilons=epsilons, trials=trials, seed=int(seed))
+            if (self.eps_alpha is None) != (self.eps_beta is None):
+                missing = "eps_alpha" if self.eps_alpha is None else "eps_beta"
+                fail(missing, "eps_alpha and eps_beta must be given together")
+            if self.eps_alpha is not None:
+                pair = tuple(check_epsilon(getattr(self, k), k) for k in ("eps_alpha", "eps_beta"))
+                # the pair stands for the matched schedule the JSON path builds;
+                # any other would run the two pipelines at unmatched privacy
+                if epsilons != tuple(noisy_sampling_schedule(*pair, rounds)):
+                    fail("epsilons", "must be the noisy-sampling schedule of eps_alpha and eps_beta")
+                normalized.update(eps_alpha=pair[0], eps_beta=pair[1])
+            # every run decodes its first round, at the schedule's least ε
+            _growth(epsilons[0], "epsilons[0]")
+        except ParameterError as exc:
+            field, _, message = str(exc).partition(" ")
+            fail(field, message)
         for field, value in normalized.items():
             object.__setattr__(self, field, value)
 
@@ -205,21 +197,11 @@ def _cfg_fail(path: str, message: str):
     raise ConfigError(f"{path}: {message}")
 
 
-def _positive(path: str, value) -> float:
-    number = math.nan
-    if isinstance(value, Real) and not isinstance(value, bool):
-        number = as_float(value, path)
-    if not 0.0 < number < math.inf:  # NaN fails both comparisons
-        shown = number if math.isinf(number) else repr(value)  # no 400-digit integers
-        _cfg_fail(path, f"must be a positive finite number, got {shown}")
-    return number
-
-
 def _require(raw: dict, key: str, kind, path: str):
     if key not in raw:
         _cfg_fail(f"{path}.{key}", "missing required field")
     value = raw[key]
-    accepted = (int, float) if kind is float else kind  # `_positive` converts an int
+    accepted = (int, float) if kind is float else kind  # `check_epsilon` converts an int
     if not isinstance(value, accepted) or isinstance(value, bool):
         _cfg_fail(f"{path}.{key}", f"expected {kind.__name__}, got {type(value).__name__}")
     return value
@@ -234,11 +216,9 @@ _SCHEDULE_KEYS = {
 
 
 def _build_schedule(raw: dict, path: str):
-    # A list is checked by `ExperimentConfig`; the generated kinds need their
-    # parameters checked here, before the schedule is built from them.
-    def positive(key):
-        return _positive(f"{path}.{key}", _require(raw, key, float, path))
-
+    # A list is checked by `ExperimentConfig`; the generated kinds' parameters
+    # are checked by the `_util` rules before the schedule is built from them,
+    # and a rule's refusal is renamed to the parameter's path.
     kind = _require(raw, "kind", str, path)
     if kind not in _SCHEDULE_KEYS:
         _cfg_fail(f"{path}.kind", f"unknown schedule kind {kind!r}")
@@ -247,19 +227,22 @@ def _build_schedule(raw: dict, path: str):
             _cfg_fail(f"{path}.{key}", f"unknown field for schedule kind {kind!r}")
     if kind == "list":
         return _require(raw, "epsilons", list, path), None, None
-    if kind == "linear":
-        start, stop, stride = positive("start"), positive("stop"), positive("stride")
-        if stop < start:
-            _cfg_fail(f"{path}.stop", "must be >= start")
-        steps = (stop - start) / stride + 1e-9
-        if steps >= MAX_ROUNDS:
-            _cfg_fail(f"{path}.stride", f"produces more rounds than the limit of {MAX_ROUNDS}")
-        return tuple(start + i * stride for i in range(int(steps) + 1)), None, None
-    eps_alpha, eps_beta = positive("eps_alpha"), positive("eps_beta")
-    rounds = _require(raw, "rounds", int, path)
-    if not 1 <= rounds <= MAX_ROUNDS:
-        _cfg_fail(f"{path}.rounds", f"must be in [1, {MAX_ROUNDS}], got {rounds}")
-    schedule = tuple(noisy_sampling_schedule(eps_alpha, eps_beta, rounds))
+    try:
+        if kind == "linear":
+            start, stop, stride = (
+                check_epsilon(_require(raw, key, float, path), key) for key in _SCHEDULE_KEYS[kind]
+            )
+            if stop < start:
+                _cfg_fail(f"{path}.stop", "must be >= start")
+            # a float count, infinite if the division overflows
+            rounds = check_rounds(np.floor((stop - start) / stride + 1e-9) + 1, "stride")
+            return tuple(start + i * stride for i in range(rounds)), None, None
+        eps_alpha, eps_beta = (_require(raw, key, float, path) for key in ("eps_alpha", "eps_beta"))
+        rounds = _require(raw, "rounds", int, path)
+        schedule = tuple(noisy_sampling_schedule(eps_alpha, eps_beta, rounds))
+    except ParameterError as exc:
+        key, _, message = str(exc).partition(" ")
+        _cfg_fail(f"{path}.{key}", message)
     if not schedule[0] > 0.0:  # the schedule is non-decreasing: its first entry is its least
         _cfg_fail(
             f"{path}.eps_alpha",
@@ -376,12 +359,21 @@ def _decode_block(column, offsets, eps: float, m: int, n: int) -> np.ndarray:
     return np.array([_decode_counts(c, n, inverse) for c in counts])
 
 
+def _last_is_mle(last, mle, loglik) -> np.ndarray:
+    """Whether each object's last output is its MLE: equal to it or, only
+    where the two differ, with a log-likelihood within 1e-12 of the maximum.
+    Below about ε = 1e-16 every value's likelihood ties to an ulp, and
+    rounding alone would pick the argmax."""
+    agree = last == mle
+    if not agree.all():
+        odd = np.flatnonzero(~agree)
+        agree[odd] = loglik[odd, last[odd]] >= loglik[odd, mle[odd]] - 1e-12
+    return agree
+
+
 def _run_trials(config: ExperimentConfig, run_block, threads: int) -> list:
     """``run_block`` over every block of trials, split across ``threads``, with
     each of its per-trial arrays joined across blocks in trial order."""
-    # decode channels are built as their rounds come; building the first, at
-    # the schedule's least parameter, refuses one too small before any draw
-    perturbation_matrix(config.epsilons[0], config.m)
     threads = check_count(threads, "threads")
     blocks = _trial_blocks(config)
     if threads == 1:
@@ -399,7 +391,8 @@ def simulate_experiment(config: ExperimentConfig, threads: int = 1) -> Experimen
     estimate, and all four inference methods are scored on a balanced subset
     drawn once per trial; the count attacks are carried on that subset only,
     while the MLE is found for every object, so ``lo_mle_identical`` compares
-    the whole population.  Each round is sampled, decoded and scored as it
+    the whole population, counting a last output whose log-likelihood is
+    within 1e-12 of the maximum as the MLE.  Each round is sampled, decoded and scored as it
     comes, so a trial's chains take only the previous round's outputs and the
     running attack state: O(n_objects * m) memory whatever the number of
     rounds.  The subset is drawn first, from a copy of the trial's generator
@@ -429,7 +422,7 @@ def simulate_experiment(config: ExperimentConfig, threads: int = 1) -> Experimen
         est = np.empty((trials, rounds, m))
         errs = np.empty((trials, rounds, len(ATTACK_METHODS)))
         agree = np.ones(trials, dtype=bool)
-        for r, (last, mle, guesses) in enumerate(_running_guesses(columns, epsilons, m, picks)):
+        for r, (last, mle, loglik, guesses) in enumerate(_running_guesses(columns, epsilons, m, picks)):
             est[:, r] = _decode_block(last, offsets, epsilons[r], m, n)
             for k, method in enumerate(ATTACK_METHODS):
                 wrong = guesses[method] != truth_picked
@@ -437,7 +430,7 @@ def simulate_experiment(config: ExperimentConfig, threads: int = 1) -> Experimen
                 # four times as long, and eight trials of 625 no less
                 for i in range(trials):
                     errs[i, r, k] = np.count_nonzero(wrong[i * size : (i + 1) * size]) / size
-            agree &= (last == mle).reshape(trials, n).all(axis=1)
+            agree &= _last_is_mle(last, mle, loglik).reshape(trials, n).all(axis=1)
         return est, errs, agree
 
     estimates, errors, agree = _run_trials(config, run_block, threads)
@@ -529,8 +522,9 @@ def kernel_table_rows(eps_values=DEFAULT_TABLE_EPSILONS, domain_sizes=DEFAULT_TA
     The first grid value only seeds the first transition; rows are
     (m, eps_prev, eps_next, p_aa, p_bb, p_ba).
     """
+    eps_values = as_sequence(eps_values, "eps_values")
     rows = []
-    for m in domain_sizes:
+    for m in as_sequence(domain_sizes, "domain_sizes"):
         for eps_prev, eps_next in zip(eps_values, eps_values[1:]):
             k = relax_kernel(eps_prev, eps_next, m)
             rows.append((m, eps_prev, eps_next, k.p_aa, k.p_bb, k.p_ba))

@@ -18,10 +18,12 @@ import sys
 
 import numpy as np
 
-from ._util import cap_epsilon, check_distribution, check_domain_size, check_epsilon, check_values
+from ._util import (
+    cap_epsilon, check_distribution, check_domain_size, check_epsilon, check_table_domain,
+    check_values,
+)
 from .errors import ParameterError
 from .mechanism import (
-    MAX_DOMAIN,
     RelaxationChain,
     _check_batch,
     _check_chain,
@@ -44,9 +46,7 @@ ATTACK_METHODS = ("last_output", "mle", "highest_frequency", "weighted_highest_f
 def uniform_prior(m: int) -> np.ndarray:
     """The uniform prior over ``m`` values, m at most `MAX_DOMAIN`: the
     largest chain `posterior` takes."""
-    m = check_domain_size(m)
-    if m > MAX_DOMAIN:
-        raise ParameterError(f"m must be at most {MAX_DOMAIN}, got {m}")
+    m = check_table_domain(m)
     return np.full(m, 1.0 / m)
 
 
@@ -86,20 +86,21 @@ def iter_attack_guesses(outputs, schedule, m: int):
     """
     outputs, schedule, m = _check_batch(outputs, schedule, m)
     rows = np.arange(outputs.shape[0])
-    for _, _, guesses in _running_guesses(outputs.T, schedule, m, rows):
+    for *_, guesses in _running_guesses(outputs.T, schedule, m, rows):
         yield {method: guess.copy() for method, guess in guesses.items()}
 
 
 def _running_guesses(columns, schedule: tuple, m: int, rows):
     # The per-round update behind `iter_attack_guesses`, for a validated
     # schedule and m: takes one (n,) int64 output column in [0, m) per round,
-    # as it comes, and yields the column, the MLE guess of every object, and
-    # each method's guesses at the objects ``rows`` only.  The log-likelihood
-    # is carried over the whole population, since `lo_mle_identical` compares
-    # every object; the per-value counts and the parameter-weighted counts
-    # (flat, row-major (rows, m)), and each count's best value per row, are
-    # carried at ``rows`` alone, and the yielded guesses of both counts are
-    # that state, updated in place by the next round.
+    # as it comes, and yields the column, the MLE guess of every object, the
+    # running (n, m) log-likelihood, and each method's guesses at the objects
+    # ``rows`` only.  The log-likelihood is carried over the whole population,
+    # since `lo_mle_identical` compares every object; the per-value counts and
+    # the parameter-weighted counts (flat, row-major (rows, m)), and each
+    # count's best value per row, are carried at ``rows`` alone, and the
+    # yielded guesses of both counts are that state, updated in place by the
+    # next round.
     k = len(rows)
     offsets = np.arange(k) * m
     counts = np.zeros(k * m, dtype=np.int64)
@@ -116,7 +117,7 @@ def _running_guesses(columns, schedule: tuple, m: int, rows):
         _running_argmax(count, picked, top_count, best_count)
         _running_argmax(weight, picked, top_weighted, best_weighted)
         mle = np.argmax(loglik, axis=1)
-        yield last, mle, {
+        yield last, mle, loglik, {
             "last_output": picked,
             "mle": mle[rows],
             "highest_frequency": top_count,

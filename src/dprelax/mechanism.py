@@ -37,21 +37,18 @@ import numpy as np
 
 from ._util import (
     EPSILON_CAP,
+    MAX_DOMAIN,
+    as_sequence,
     cap_epsilon,
     check_domain_size,
     check_epsilon,
     check_next_epsilon,
     check_schedule,
+    check_table_domain,
     check_value,
     check_values,
 )
 from .errors import ParameterError
-
-# The largest domain a step table may have.  A table holds m**3 doubles, 2 MiB
-# at 64 values, and is made fresh for its caller.  Each domain size's entry
-# pattern (`_entry_classes`) holds m**3 integers and is kept: 2 MiB at 64
-# values, and 33 MiB with every m up to 64 in use in one process.
-MAX_DOMAIN = 64
 
 __all__ = [
     "EPSILON_CAP",
@@ -306,8 +303,7 @@ def _entry_classes(m: int) -> np.ndarray:
     holds: 0 to 4 for p_aa, p_ba, p_bb, p_ab and p_bc.  Stored x-last, so a row
     over the true value is contiguous, and as intp, so a gather casts nothing.
     Refused above ``MAX_DOMAIN`` values, before any allocation."""
-    if m > MAX_DOMAIN:
-        raise ParameterError(f"m={m} exceeds {MAX_DOMAIN}, the largest domain with a step table")
+    check_table_domain(m)
     o_prev, o_next, x = np.ogrid[:m, :m, :m]
     same, hit = o_prev == x, o_next == x
     return _read_only(np.select([same & hit, same, hit, o_next == o_prev], [0, 3, 1, 2], 4))
@@ -503,5 +499,5 @@ def chain_log_likelihoods(outputs, schedule, m: int) -> np.ndarray:
 
 def chain_likelihood(outputs, schedule, m: int, x: int) -> float:
     """Probability of the full output sequence given ``x``: a one-row `chain_log_likelihoods`."""
-    loglik = chain_log_likelihoods([list(outputs)], schedule, m)[0]
+    loglik = chain_log_likelihoods([as_sequence(outputs, "outputs")], schedule, m)[0]
     return float(np.exp(loglik[check_value(x, loglik.size, "x")]))

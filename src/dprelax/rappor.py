@@ -20,7 +20,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import cap_epsilon, check_count, check_epsilon, check_in_range, check_values
+from ._util import (
+    MAX_OBJECT_VALUES, cap_epsilon, check_count, check_epsilon, check_in_range, check_rounds,
+    check_values,
+)
 from .errors import ParameterError
 from .estimation import _debias_binary
 from .mechanism import rr_distribution
@@ -77,9 +80,10 @@ def noisy_sampling_schedule(eps_alpha: float, eps_beta: float, rounds: int) -> l
     """Relaxation schedule matching the leak rate of repeated noisy sampling.
 
     Guaranteed non-decreasing: rounding wobble at saturation is absorbed by a
-    running maximum (within one ulp of the exact values).
+    running maximum (within one ulp of the exact values).  ``rounds`` is at
+    most `MAX_ROUNDS`.
     """
-    rounds = check_count(rounds, "rounds")
+    rounds = check_rounds(rounds)
     params = rappor_params(eps_alpha, eps_beta)
     schedule, level = [], 0.0
     for k in range(1, rounds + 1):
@@ -94,12 +98,18 @@ def simulate_noisy_sampling_batch(
     """Running one-bit counts for many clients; shape (n_clients, K).
 
     Column k holds each client's count after k + 1 samples, so a single
-    simulation serves every report length up to K.
+    simulation serves every report length up to K.  K is at most
+    `MAX_ROUNDS`, and the (n_clients, K) samples at most `MAX_OBJECT_VALUES`:
+    a larger K is refused before any draw.
     """
-    K = check_count(K, "K")
+    K = check_rounds(K, "K")
     bits = check_values(bits, 2, "bits")
     if bits.ndim != 1:
         raise ParameterError(f"bits must be 1-D, got shape {bits.shape}")
+    if bits.size * K > MAX_OBJECT_VALUES:
+        raise ParameterError(
+            f"K times the bits ({K} * {bits.size}) must be at most {MAX_OBJECT_VALUES}"
+        )
     keep = rng.random(bits.shape) < params.alpha
     permanent = np.where(keep, bits, 1 - bits)
     p_one = np.where(permanent == 1, params.beta, 1.0 - params.beta)

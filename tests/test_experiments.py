@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from dprelax import experiments, mechanism
-from dprelax.errors import ConfigError, IllConditionedError
+from dprelax.errors import ConfigError
 from dprelax.estimation import perturbation_matrix
 from dprelax.experiments import (
     ExperimentConfig,
@@ -368,6 +368,17 @@ class TestSimulateExperiment:
             np.testing.assert_array_equal(balanced_subset(truth, config.m, rng), subset)
             assert subset.size == 3 * 5
 
+    def test_mle_ties_below_double_precision_agree(self):
+        # near ε = 1e-17 every value's likelihood ties to an ulp, and rounding
+        # alone picks the argmax
+        fields = dict(name="tiny", m=3, counts=(50,) * 3, epsilons=(1e-17, 2e-17), trials=2, seed=1)
+        assert simulate_experiment(ExperimentConfig(**fields)).lo_mle_identical
+
+    def test_last_output_below_the_maximum_disagrees(self):
+        loglik = np.array([[0.0, -1e-9, -5.0], [0.0, -1e-13, -5.0], [-5.0, -1e-9, 0.0]])
+        last, mle = np.array([1, 1, 2]), np.array([0, 0, 2])
+        assert experiments._last_is_mle(last, mle, loglik).tolist() == [False, True, True]
+
     def test_noiseless_schedule_zero_error(self):
         cfg = tiny_config(schedule={"kind": "list", "epsilons": [50.0, 50.0]})
         result = simulate_experiment(cfg)
@@ -430,8 +441,9 @@ def test_epsilon_too_small_to_debias_is_refused_before_any_draw(monkeypatch, run
         monkeypatch.setattr(experiments, name, drawn)
     fields = dict(DIRECT, m=2, counts=(3, 4), epsilons=(1e-200, 1.0))
     if run is simulate_experiment:
-        with pytest.raises(IllConditionedError, match="too small to debias"):
-            run(ExperimentConfig(**fields))
+        # every run decodes its first round: the config refuses it when built
+        with pytest.raises(ConfigError, match=r"^ExperimentConfig\.epsilons\[0\]: .*too small to debias"):
+            ExperimentConfig(**fields)
         return
     # compare-rappor runs only a matched schedule, whose computed first entry
     # is 0.0 or at least about 1e-60 (the cancellation in eps_noisy_sampling),
@@ -499,8 +511,8 @@ class TestTrialBlocks:
         self._assert_identical(self._simulate(config) + self._compare(config), together)
 
     def test_decode_channels_are_built_as_rounds_come(self, monkeypatch):
-        # only the first round's channel is built before sampling, to refuse a
-        # schedule too small to debias; each block builds its own as they come
+        # no channel is built before sampling (a schedule too small to debias
+        # is refused by the config); each block builds its own as they come
         events = []
 
         def built(eps, m):
@@ -520,7 +532,7 @@ class TestTrialBlocks:
         epsilons = (0.1, 0.2, 0.3, 0.4)
         simulate_experiment(ExperimentConfig(**dict(DIRECT, epsilons=epsilons, trials=2)))
         block = ["sample"] + ["channel"] * len(epsilons)
-        assert events == ["channel"] + block * 2
+        assert events == block * 2
 
     def test_compare_holds_one_trial_of_noisy_samples(self, monkeypatch):
         rounds, counts = 200, [100, 150]

@@ -247,10 +247,10 @@ def test_subset_scoring_equals_full_scoring_at_its_rows(counts, raw, repeat, see
     everyone = _running_guesses(iter(columns), schedule, m, np.arange(truth.size))
     subset = _running_guesses(iter(columns), schedule, m, rows)
     for r, (full, picked) in enumerate(zip(everyone, subset, strict=True)):
-        (last_full, mle_full, guesses_full), (last, mle, guesses) = full, picked
+        (last_full, mle_full, loglik_full, guesses_full), (last, mle, loglik, guesses) = full, picked
         # the decoded column and the MLE agreement stay population-wide
         assert np.array_equal(last, columns[r]) and np.array_equal(last_full, columns[r])
-        assert np.array_equal(mle, mle_full)
+        assert np.array_equal(mle, mle_full) and np.array_equal(loglik, loglik_full)
         assert list(guesses) == list(ATTACK_METHODS)
         for method in ATTACK_METHODS:
             assert np.array_equal(guesses[method], guesses_full[method][rows]), (method, r)

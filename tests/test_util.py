@@ -5,8 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from dprelax.audit import chain_log_probs
-from dprelax.errors import BudgetDecreaseError, ParameterError
+from dprelax import _util, experiments, mechanism
+from dprelax.audit import audit_noisy_sampling_epsilon, chain_log_probs
+from dprelax.errors import BudgetDecreaseError, ConfigError, ParameterError
 from dprelax.estimation import (
     discretize_mean,
     estimate_binary,
@@ -14,11 +15,14 @@ from dprelax.estimation import (
     estimate_poly,
     frequency_estimate_covariance,
     histogram,
+    variance_binary_estimate,
 )
+from dprelax.experiments import ExperimentConfig, kernel_table_rows
 from dprelax.inference import attack_guesses_matrix, balanced_subset, posterior, uniform_prior
 from dprelax.mechanism import (
     MAX_DOMAIN,
     RelaxationChain,
+    chain_likelihood,
     chain_log_likelihoods,
     iter_chain_rounds,
     iter_log_likelihoods,
@@ -31,6 +35,7 @@ from dprelax.mechanism import (
 )
 from dprelax.rappor import (
     decode_noisy_sampling_counts,
+    noisy_sampling_schedule,
     rappor_params,
     simulate_noisy_sampling_batch,
     variance_noisy_sampling,
@@ -260,3 +265,142 @@ def test_uniform_prior_refuses_a_domain_no_chain_takes(monkeypatch):
             uniform_prior(m)
     monkeypatch.undo()
     assert uniform_prior(MAX_DOMAIN).shape == (MAX_DOMAIN,)
+
+
+# test id -> (call with True, or np.True_, for a number, argument the error must name)
+BOOLEANS = {
+    "rr_distribution": (lambda b: rr_distribution(b, 2), "epsilon"),
+    "rr_distribution-m": (lambda b: rr_distribution(0.5, b), "m"),
+    "relax_kernel": (lambda b: relax_kernel(0.5, b, 3), r"\(eps_prev, eps_next\)\[1\]"),
+    "start_chain": (lambda b: start_chain(0, 2, b, _rng()), "epsilon"),
+    "start_chain-true_value": (lambda b: start_chain(b, 2, 0.5, _rng()), "true_value"),
+    "relax_step": (
+        lambda b: relax_step(start_chain(0, 2, 0.5, _rng()), b, _rng()),
+        r"\(eps_prev, eps_next\)\[1\]",
+    ),
+    "uniform_prior": (lambda b: uniform_prior(b), "m"),
+    "variance_binary_estimate": (lambda b: variance_binary_estimate(1.0, b), "n"),
+    "variance_noisy_sampling": (lambda b: variance_noisy_sampling(PARAMS, b, 2), "N"),
+    "simulate_noisy_sampling_batch": (
+        lambda b: simulate_noisy_sampling_batch([0, 1], PARAMS, b, _rng()),
+        "K",
+    ),
+    "audit_noisy_sampling_epsilon": (lambda b: audit_noisy_sampling_epsilon(PARAMS, b), "K"),
+    "noisy_sampling_schedule": (lambda b: noisy_sampling_schedule(1.0, 0.5, b), "rounds"),
+    "rappor_params": (lambda b: rappor_params(b, 0.5), "eps_alpha"),
+}
+
+
+@pytest.mark.parametrize("boolean", [True, np.True_], ids=["bool", "numpy-bool"])
+@pytest.mark.parametrize("call", list(BOOLEANS))
+def test_boolean_is_not_a_number(call, boolean):
+    fn, name = BOOLEANS[call]
+    with pytest.raises(ParameterError, match=rf"^{name} must be a real number, got "):
+        fn(boolean)
+
+
+@pytest.mark.parametrize("boolean", [True, np.True_], ids=["bool", "numpy-bool"])
+@pytest.mark.parametrize("field", [r"epsilons\[1\]", "eps_alpha", "m"])
+def test_config_refuses_a_boolean(field, boolean):
+    overrides = {
+        r"epsilons\[1\]": {"epsilons": (0.5, boolean)},
+        "eps_alpha": {"eps_alpha": boolean, "eps_beta": 0.5},
+        "m": {"m": boolean},
+    }[field]
+    fields = dict(name="direct", m=2, counts=(2, 3), epsilons=(0.5, 1.0), trials=2, seed=1)
+    with pytest.raises(ConfigError, match=rf"^ExperimentConfig\.{field}: must be "):
+        ExperimentConfig(**dict(fields, **overrides))
+
+
+# test id -> (call with an argument that is no sequence, argument the error must name)
+NON_SEQUENCES = {
+    "chain_likelihood": (lambda: chain_likelihood(0.5, 0.5, 2, 0), "outputs"),
+    "kernel_table_rows": (lambda: kernel_table_rows(0, 0), "eps_values"),
+    "kernel_table_rows-domains": (lambda: kernel_table_rows((0.1, 0.2), 0), "domain_sizes"),
+    "iter_chain_rounds": (lambda: next(iter_chain_rounds([0], 0.5, 2, _rng())), "schedule"),
+    "RelaxationChain": (lambda: RelaxationChain(0, 2, 0.5, (0,)), "schedule"),
+    "chain_log_probs": (lambda: chain_log_probs(0.5, 2), "schedule"),
+}
+
+
+@pytest.mark.parametrize("call", list(NON_SEQUENCES))
+def test_non_sequence_is_rejected(call):
+    fn, name = NON_SEQUENCES[call]
+    with pytest.raises(ParameterError, match=rf"^{name} must be a sequence, got "):
+        fn()
+
+
+# test id -> (call of a scalar rule of `_util` with the name "arg", refused; the
+# refusal's first word)
+SCALAR_RULES = {
+    "as_float": (lambda: _util.as_float("x", "arg"), "arg"),
+    "as_sequence": (lambda: _util.as_sequence(1, "arg"), "arg"),
+    "check_epsilon": (lambda: _util.check_epsilon(0.0, "arg"), "arg"),
+    "check_next_epsilon": (lambda: _util.check_next_epsilon(0.5, math.inf, "arg", "s"), "arg"),
+    "check_schedule-entry": (lambda: _util.check_schedule((0.5, -1.0), "arg"), "arg[1]"),
+    "check_schedule-empty": (lambda: _util.check_schedule((), "arg"), "arg"),
+    "check_schedule-decreasing": (lambda: _util.check_schedule((1.0, 0.5), "arg"), "arg"),
+    "check_count": (lambda: _util.check_count(0, "arg"), "arg"),
+    "check_count-integral": (lambda: _util.check_count(1.5, "arg"), "arg"),
+    "check_domain_size": (lambda: _util.check_domain_size(1, "arg"), "arg"),
+    "check_domain_size-bound": (lambda: _util.check_domain_size(2**53 + 1, "arg"), "arg"),
+    "check_table_domain": (lambda: _util.check_table_domain(MAX_DOMAIN + 1, "arg"), "arg"),
+    "check_rounds": (lambda: _util.check_rounds(_util.MAX_ROUNDS + 1, "arg"), "arg"),
+    "check_rounds-infinite": (lambda: _util.check_rounds(math.inf, "arg"), "arg"),
+    "check_rounds-zero": (lambda: _util.check_rounds(0, "arg"), "arg"),
+    "check_value": (lambda: _util.check_value(3, 3, "arg"), "arg"),
+}
+
+
+@pytest.mark.parametrize("call", list(SCALAR_RULES))
+def test_scalar_rule_names_its_argument_first(call):
+    # `ExperimentConfig` renames a refusal to a field by its first word
+    fn, first = SCALAR_RULES[call]
+    with pytest.raises(ParameterError) as refused:
+        fn()
+    assert str(refused.value).split(" ", 1)[0] == first
+
+
+def test_bounds_live_in_util():
+    assert mechanism.MAX_DOMAIN is _util.MAX_DOMAIN == 64
+    assert experiments.MAX_ROUNDS is _util.MAX_ROUNDS == 100_000
+    assert experiments.MAX_OBJECT_VALUES is _util.MAX_OBJECT_VALUES == 2**24
+
+
+# test id -> (call with a count one past `MAX_ROUNDS`, argument the error must name); each
+# is refused before its loop or allocation
+PAST_THE_ROUND_BOUND = {
+    "noisy_sampling_schedule": (lambda n: noisy_sampling_schedule(1.0, 0.5, n), "rounds"),
+    "noisy_sampling_schedule-endless": (
+        lambda n: noisy_sampling_schedule(1e308, 65, 10**100),
+        "rounds",
+    ),
+    "audit_noisy_sampling_epsilon": (lambda n: audit_noisy_sampling_epsilon(PARAMS, n), "K"),
+    "simulate_noisy_sampling_batch": (
+        lambda n: simulate_noisy_sampling_batch([0, 1], PARAMS, n, _rng()),
+        "K",
+    ),
+}
+
+
+@pytest.mark.parametrize("call", list(PAST_THE_ROUND_BOUND))
+def test_round_count_past_the_bound_is_refused(call):
+    fn, name = PAST_THE_ROUND_BOUND[call]
+    with pytest.raises(ParameterError, match=rf"^{name} must be at most the limit of 100000 rounds"):
+        fn(_util.MAX_ROUNDS + 1)
+
+
+def test_noisy_samples_past_the_memory_bound_are_refused_before_any_draw():
+    class Reached(Exception):
+        pass
+
+    class NoDraws:
+        def random(self, *args, **kwargs):
+            raise Reached
+
+    bits = np.zeros(2**10, dtype=np.int64)
+    most = _util.MAX_OBJECT_VALUES // bits.size
+    with pytest.raises(ParameterError, match=r"^K times the bits \(16385 \* 1024\) must be at most"):
+        simulate_noisy_sampling_batch(bits, PARAMS, most + 1, NoDraws())
+    with pytest.raises(Reached):  # the bound is inclusive
+        simulate_noisy_sampling_batch(bits, PARAMS, most, NoDraws())
