@@ -24,7 +24,7 @@ import numpy as np
 
 from ._util import check_domain_size, check_rounds, check_schedule
 from .errors import EnumerationLimitError
-from .mechanism import relax_kernel, rr_distribution
+from .mechanism import _log_tables, relax_kernel, rr_distribution
 from .rappor import RapporParams, eps_noisy_sampling, rappor_params
 
 __all__ = [
@@ -76,19 +76,15 @@ class AuditCheck:
 
 
 def _rr_matrices(epsilons, m: int) -> np.ndarray:
-    # each randomized response as an (m, m) matrix, indexed [x, output]; a
-    # batch repeats its ε, so each distinct one is built once, then gathered
+    # each randomized response as an (m, m) matrix, indexed [x, output], built
+    # from `rr_distribution`: the marginal-invariance check's expected values.
+    # A batch repeats its ε, so each distinct one is built once, then gathered
     dists = {eps: rr_distribution(eps, m) for eps in set(epsilons)}
     retain, other = np.array([(dists[eps].p_retain, dists[eps].p_other) for eps in epsilons]).T
     matrices = np.empty((len(epsilons), m, m))
     matrices[:] = other[:, None, None]
     matrices[:, np.arange(m), np.arange(m)] = retain[:, None]
     return matrices
-
-
-def _log_tables(steps, m: int) -> np.ndarray:
-    # the memoized log tables of the (eps_prev, eps_next) ``steps``, stacked
-    return np.stack([relax_kernel(eps_prev, eps_next, m).log_table for eps_prev, eps_next in steps])
 
 
 def chain_log_probs(schedule, m: int) -> np.ndarray:
@@ -112,8 +108,8 @@ def _chain_log_probs(schedules, m: int) -> np.ndarray:
     """`chain_log_probs` of each of ``schedules``, validated and of one
     length n, stacked: (len(schedules), m, m**n)."""
     size = len(schedules)
-    with np.errstate(divide="ignore"):
-        logp = np.log(_rr_matrices([schedule[0] for schedule in schedules], m))
+    # the first output's rows: the step from ε = 0, the same for every o_prev
+    logp = _log_tables([(0.0, schedule[0]) for schedule in schedules], m)[:, :, 0]
     for i in range(1, len(schedules[0])):
         # the last output varies fastest, so each step's [x, o_prev, o_next]
         # table adds along the last axis of (size, m, sequences / m, m)

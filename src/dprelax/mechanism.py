@@ -11,21 +11,24 @@ relaxation step: the first is the step from ε = 0, whose output is the
 randomized response at the first parameter.
 
 All sampling takes an explicit ``numpy.random.Generator``; every function here
-is pure and thread-safe.  Kernels are plain values, and `relax_kernel` is the
-only way the library gets one: it validates its arguments, then returns the
-kernel from one bounded per-process memo keyed by (eps_prev, eps_next, m).  A
-kernel is its five named entries and keeps no table: each table of a step is
-one gather of those five through `_entry_classes`, a read-only pattern per
-domain size.  A `RelaxationChain` carries its running log-likelihood, so
-extending one chain and scoring it never re-walk its earlier outputs.
+is pure and thread-safe.  Kernels are plain values, kept in one bounded
+per-process memo keyed by (eps_prev, eps_next, m).  `relax_kernel` is the
+public way in: it validates its arguments, then returns the memo's kernel.
+The library's own steps are valid by construction, so its samplers, its
+likelihood, its one-object release and, through `_log_tables`, the audit
+read the memo directly.  A kernel is its five named entries and keeps no
+table: each table of a step is one gather of those five through
+`_entry_classes`, a read-only pattern per domain size.  A `RelaxationChain`
+carries its running log-likelihood, so extending one chain and scoring it
+never re-walk its earlier outputs.
 
-`sample_rr_batch` and `relax_step_batch` draw every batch by one inverse CDF,
-and `iter_chain_rounds` draws a batch's whole chains round by round through
-the step sampler, first round included, checking its inputs once.  The
-one-object releases, `start_chain` and `relax_step`, share one release body
-that draws through a scalar form of the same inverse CDF: the same float
-operations in the same order, proven equal to the batch sampler on generated
-and boundary uniforms.  A chain and its likelihoods take m up to
+Every batch is drawn by one inverse CDF, `relax_step_batch`'s: a randomized
+response (`sample_rr_batch`) is the step from ε = 0, and `iter_chain_rounds`
+draws a batch's whole chains round by round through it, checking its inputs
+once.  The one-object releases, `start_chain` and `relax_step`, share one
+release body that draws through a scalar form of the same inverse CDF: the
+same float operations in the same order, proven equal to the batch sampler on
+generated and boundary uniforms.  A chain and its likelihoods take m up to
 `MAX_DOMAIN`; the batch samplers and the kernel take any m up to 2**53.
 """
 
@@ -90,10 +93,11 @@ class RelaxKernel:
     symmetry; ``p_bc`` does not exist for m = 2 (there is no third class), in
     which case it is stored as 0.0.
 
-    A kernel with ``eps_prev == 0`` is a chain's first release: the
-    randomized response at ``eps_next``, whatever the previous output.  It
-    is internal to the chain sampler and likelihood; `relax_kernel` refuses
-    a zero ``eps_prev``.
+    A kernel with ``eps_prev == 0`` is the randomized response at
+    ``eps_next``, whatever the previous output: a chain's first release, the
+    batch draw of `sample_rr_batch`, and the audit's first enumerated round.
+    It is internal to the library; `relax_kernel` refuses a zero
+    ``eps_prev``.
     """
 
     eps_prev: float
@@ -165,9 +169,8 @@ class RelaxationChain:
 
     @classmethod
     def _trusted(cls, true_value, m, schedule, outputs, log_likelihood):
-        # Builds a chain from parts already checked (a validated prefix, an ε
-        # passed through `relax_kernel`, a sampled output) without
-        # re-validating or re-scoring them.
+        # Builds a chain from parts already checked (a validated prefix, a
+        # checked ε, a sampled output) without re-validating or re-scoring them.
         chain = object.__new__(cls)
         log_likelihood.setflags(write=False)
         chain.__dict__.update(
@@ -219,30 +222,13 @@ def rr_distribution(eps: float, m: int) -> ResponseDistribution:
 
 
 def sample_rr_batch(values, dist: ResponseDistribution, rng: np.random.Generator) -> np.ndarray:
-    """Vectorized randomized response; one uniform draw per input value."""
+    """Vectorized randomized response; one uniform draw per input value.
+
+    The draw is the relaxation step from ε = 0 to ``dist.epsilon`` over
+    ``dist.m`` values; no other field of ``dist`` is read.
+    """
     values = check_values(values, dist.m, "values")
-    return _keep_or_spread(rng.random(values.shape), values, dist.p_retain, dist.p_other, dist.m)
-
-
-def _keep_or_spread(u, values, p_keep: float, p_each: float, m: int) -> np.ndarray:
-    # Inverse CDF at ``u`` of [p_keep at the value][p_each at each other value,
-    # ascending]: a randomized response, or a step from the true value.
-    if p_each > 0.0:
-        idx = np.clip((u - p_keep) / p_each, 0.0, m - 2).astype(np.int64)
-        others = idx + (idx >= values)
-    else:
-        others = values
-    return np.where(u < p_keep, values, others)
-
-
-def _spread_one(u: float, x: int, p_keep: float, p_each: float, m: int) -> int:
-    # `_keep_or_spread` for one value and one uniform: Python's float `-`, `/`,
-    # `<` and `int()` are the IEEE operations numpy applies elementwise, so
-    # the draw is the batch sampler's, bit for bit
-    if u < p_keep or not p_each > 0.0:
-        return x
-    idx = int(min(max((u - p_keep) / p_each, 0.0), m - 2))
-    return idx + (idx >= x)
+    return _draw_step(_relax_kernel(0.0, dist.epsilon, dist.m), values, values, rng)
 
 
 def relax_kernel(eps_prev: float, eps_next: float, m: int) -> RelaxKernel:
@@ -264,12 +250,13 @@ def relax_kernel(eps_prev: float, eps_next: float, m: int) -> RelaxKernel:
 
 
 # An entry holds a kernel's scalars and its five logs, about 0.7 KB at any m.
-# The audit battery walks 2070 distinct steps, so 4096 entries (2.7 MB) keep
-# a whole battery, or a run of up to 4096 rounds, built once per process.
+# The audit battery walks 2250 distinct steps, 180 of them from ε = 0, so
+# 4096 entries (2.7 MB) keep a whole battery, or a run of up to 4096 rounds,
+# built once per process.
 @functools.lru_cache(maxsize=4096)
 def _relax_kernel(eps_prev: float, eps_next: float, m: int) -> RelaxKernel:
     # `relax_kernel`'s memoized body, for a validated step and m, or for the
-    # first release's step from eps_prev = 0
+    # step from eps_prev = 0: the randomized response at eps_next
     e1 = cap_epsilon(eps_prev)
     e2 = cap_epsilon(eps_next)
     if e1 == e2:
@@ -309,6 +296,15 @@ def _entry_classes(m: int) -> np.ndarray:
     return _read_only(np.select([same & hit, same, hit, o_next == o_prev], [0, 3, 1, 2], 4))
 
 
+def _log_tables(steps, m: int) -> np.ndarray:
+    """The stacked log tables of validated ``(eps_prev, eps_next)`` steps over
+    m values, each indexed ``[x, o_prev, o_next]`` as `RelaxKernel.log_table`:
+    one gather of the memo's five logs per step.  A step from ε = 0 is
+    allowed.  Refused above ``MAX_DOMAIN`` values, before the memo."""
+    classes = _entry_classes(m).transpose(2, 0, 1)
+    return np.stack([_relax_kernel(a, b, m)._log_entries for a, b in steps])[:, classes]
+
+
 def kernel_tensor(kernel: RelaxKernel) -> np.ndarray:
     """All conditionals of a kernel as an array indexed ``[x, o_prev, o_next]``."""
     return _entries(kernel)[_entry_classes(kernel.m).transpose(2, 0, 1)]
@@ -340,7 +336,15 @@ def _draw_step(kernel: RelaxKernel, true_values, prev_outputs, rng) -> np.ndarra
     u = rng.random(true_values.shape)
 
     # Previous output equals the true value: [p_aa at x][p_ab each other value].
-    branch_same = _keep_or_spread(u, true_values, kernel.p_aa, kernel.p_ab, m)
+    if kernel.p_ab > 0.0:
+        idx = np.clip((u - kernel.p_aa) / kernel.p_ab, 0.0, m - 2).astype(np.int64)
+        others = idx + (idx >= true_values)
+    else:
+        others = true_values
+    branch_same = np.where(u < kernel.p_aa, true_values, others)
+    moved = prev_outputs != true_values
+    if not moved.any():  # a first release, or no object has moved yet
+        return branch_same
 
     # Previous output differs: [p_ba at x][p_bb at o_prev][p_bc each remaining].
     stay_level = kernel.p_ba + kernel.p_bb
@@ -356,14 +360,18 @@ def _draw_step(kernel: RelaxKernel, true_values, prev_outputs, rng) -> np.ndarra
         u < kernel.p_ba, true_values, np.where(u < stay_level, prev_outputs, third)
     )
 
-    return np.where(prev_outputs == true_values, branch_same, branch_diff)
+    return np.where(moved, branch_diff, branch_same)
 
 
 def _draw_one(kernel: RelaxKernel, x: int, o_prev: int, u: float) -> int:
-    # `_draw_step` for one object and one uniform, in the same arithmetic as
-    # `_spread_one`
+    # `_draw_step` for one object and one uniform: Python's float `-`, `/`,
+    # `<` and `int()` are the IEEE operations numpy applies elementwise, so
+    # the draw is the batch sampler's, bit for bit
     if o_prev == x:
-        return _spread_one(u, x, kernel.p_aa, kernel.p_ab, kernel.m)
+        if u < kernel.p_aa or not kernel.p_ab > 0.0:
+            return x
+        idx = int(min(max((u - kernel.p_aa) / kernel.p_ab, 0.0), kernel.m - 2))
+        return idx + (idx >= x)
     if u < kernel.p_ba:
         return x
     stay_level = kernel.p_ba + kernel.p_bb

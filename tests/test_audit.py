@@ -83,6 +83,13 @@ class TestEnumerateChainDistribution:
         with pytest.raises(ParameterError):
             chain_log_probs([], 2)
 
+    @pytest.mark.parametrize("m", [mechanism.MAX_DOMAIN + 1, 1000])
+    def test_one_round_above_the_table_limit_is_refused_by_m(self, m):
+        # the first round is the step from ε = 0, a step table like any other
+        with pytest.raises(ParameterError, match=f"^m must be at most {mechanism.MAX_DOMAIN}, got {m}$"):
+            chain_log_probs([0.5], m)
+        assert chain_log_probs([0.5], mechanism.MAX_DOMAIN).shape == (mechanism.MAX_DOMAIN,) * 2
+
 
 class TestEnumeratedMarginal:
     def test_matches_target_distribution(self):
@@ -294,8 +301,10 @@ class TestStandardAudits:
 
     def test_builds_each_distinct_response_once_per_batch(self, monkeypatch, count_calls):
         # a battery's randomized responses: one per distinct ε of each
-        # `_rr_matrices` batch, plus two per `rappor_params` of the
-        # noisy-sampling grid; not one per enumerated case
+        # marginal-invariance `_rr_matrices` batch, one per distinct first
+        # step from ε = 0 the memo builds (4 levels and 20 grid values over
+        # m = 2 to 4, then 20 grid values over m = 5 to 10), plus two per
+        # `rappor_params` of the noisy-sampling grid; not one per case
         batches = []
         matrices = audit._rr_matrices
 
@@ -307,8 +316,27 @@ class TestStandardAudits:
         calls = count_calls(("rr_distribution",))
         run_standard_audits()
         cases, distinct = map(sum, zip(*batches))
-        assert (cases, distinct) == (4977, 997)
-        assert calls["rr_distribution"] == distinct + 2 * 3 * 10
+        assert (cases, distinct) == (2070, 671)
+        first_steps = 3 * 20 + 6 * 20
+        assert calls["rr_distribution"] == distinct + first_steps + 2 * 3 * 10
+
+    def test_reads_every_step_from_the_memo(self, count_calls):
+        # the battery's grid is valid by construction: no step is re-validated
+        # through `relax_kernel`
+        calls = count_calls(("relax_kernel",))
+        run_standard_audits()
+        assert calls == {"relax_kernel": 0}
+
+    def test_first_round_is_the_step_from_zero(self, monkeypatch):
+        # `_rr_matrices` only serves the marginal-invariance check
+        def no_matrices(epsilons, m):
+            raise AssertionError("first round built from _rr_matrices")
+
+        monkeypatch.setattr(audit, "_rr_matrices", no_matrices)
+        for n in (1, 2, 3):
+            schedules = [(0.1,) * n, (0.5,) * (n - 1) + (EPSILON_CAP + 1.0,)]
+            for schedule, row in zip(schedules, _chain_log_probs(schedules, 3)):
+                assert np.array_equal(row, unbatched_chain_log_probs(schedule, 3))
 
     def test_memoized_kernels_hold_no_table(self):
         run_standard_audits()

@@ -409,6 +409,34 @@ class TestChainRounds:
             assert got.dtype == np.int64 and np.array_equal(got, want)
         assert rng.bit_generator.state == reference.bit_generator.state
 
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_a_randomized_response_is_the_first_round(self, case):
+        m, schedule = self.CASES[case]
+        truth = np.random.default_rng(m).integers(0, m, size=500)
+        rng, reference = np.random.default_rng(40 + m), np.random.default_rng(40 + m)
+        first = next(iter_chain_rounds(truth, schedule, m, rng))
+        response = sample_rr_batch(truth, rr_distribution(schedule[0], m), reference)
+        assert response.dtype == np.int64 and np.array_equal(response, first)
+        assert rng.bit_generator.state == reference.bit_generator.state
+
+    @pytest.mark.parametrize("m", [2, 3, 6])
+    @pytest.mark.parametrize(
+        "eps_prev, eps_next",
+        [(0.3, 1.2), (0.7, 0.7), (EPSILON_CAP, EPSILON_CAP + 5.0), (1.0, EPSILON_CAP + 1.0)],
+        ids=["relaxing", "identity", "capped", "crossing-the-cap"],
+    )
+    def test_unmoved_objects_draw_as_in_a_batch_with_a_moved_one(self, m, eps_prev, eps_next):
+        # a batch whose objects all sit at their true values takes the early
+        # return; the same objects next to one moved object take both branches
+        kernel = relax_kernel(eps_prev, eps_next, m)
+        truth = np.random.default_rng(m).integers(0, m, size=300)
+        moved_truth = np.append(truth, 0)
+        moved_prev = np.append(truth, 1)
+        unmoved = relax_step_batch(kernel, truth, truth, np.random.default_rng(7))
+        mixed = relax_step_batch(kernel, moved_truth, moved_prev, np.random.default_rng(7))
+        assert unmoved.dtype == mixed.dtype == np.int64
+        assert np.array_equal(unmoved, mixed[:-1])
+
     def test_inputs_are_checked_once(self, count_calls):
         calls = count_calls(("check_values", "check_schedule"))
         schedule = tuple(0.1 * k for k in range(1, 21))
@@ -580,9 +608,9 @@ def _with_neighbours(points):
 
 
 class TestScalarDrawEqualsBatch:
-    """`start_chain` and `relax_step` draw one object by `_spread_one` and
-    `_draw_one`; each equals the batch sampler on every uniform, the inverse
-    CDF's thresholds and their neighbouring doubles included."""
+    """`start_chain` and `relax_step` draw one object by `_draw_one`; it
+    equals the batch sampler on every uniform, the inverse CDF's thresholds
+    and their neighbouring doubles included."""
 
     EPSILONS = (1e-12, 0.1, 0.5, 1.0, 2.0, 10.0, EPSILON_CAP - 0.1, EPSILON_CAP, EPSILON_CAP + 10.0)
     RANDOM = np.random.default_rng(2024).random(200)
@@ -604,9 +632,8 @@ class TestScalarDrawEqualsBatch:
             u = self._uniforms([dist.p_retain + j * dist.p_other for j in range(m)])
             for x in range(m):
                 batch = sample_rr_batch(np.full(u.size, x), dist, _FixedUniforms(u))
-                scalar = [
-                    mechanism._spread_one(v, x, dist.p_retain, dist.p_other, m) for v in u.tolist()
-                ]
+                first = mechanism._relax_kernel(0.0, eps, m)
+                scalar = [mechanism._draw_one(first, x, x, v) for v in u.tolist()]
                 self._assert_equal(batch, scalar)
 
     @pytest.mark.parametrize("m", range(2, 9))
