@@ -93,31 +93,33 @@ def _check_integer(x, name: str) -> int:
     return int(x)
 
 
+# The largest count or domain size: every integer up to 2**53 is a double, so
+# a count is exact in float arithmetic and a distribution's ``m - 1`` weights
+# never overflow.
+_LARGEST_COUNT = 2**53
+
+
 def check_count(n: int, name: str = "n", minimum: int = 1) -> int:
+    """``n`` as an integer from ``minimum`` to 2**53."""
     n = _check_integer(n, name)
     if n < minimum:
         raise ParameterError(f"{name} must be at least {minimum}, got {n}")
+    if n > _LARGEST_COUNT:  # the value itself may be too long to print
+        raise ParameterError(f"{name} must be at most 2**53")
     return n
 
 
-# The largest domain size: every integer up to 2**53 is a double, so a
-# distribution's ``m - 1`` weights are exact and never overflow.
-_LARGEST_DOMAIN = 2**53
-
-
-def check_domain_size(m: int, name: str = "m") -> int:
+def check_domain_size(m: int, name: str = "m", most: int = _LARGEST_COUNT) -> int:
+    """``m`` as a domain size: from 2 to ``most``, itself at most 2**53."""
     m = check_count(m, name, minimum=2)
-    if m > _LARGEST_DOMAIN:  # the value itself may be too long to print
-        raise ParameterError(f"{name} must be at most 2**53")
+    if m > most:
+        raise ParameterError(f"{name} must be at most {most}, got {m}")
     return m
 
 
 def check_table_domain(m: int, name: str = "m") -> int:
     """``m`` as a domain size with a step table: from 2 to `MAX_DOMAIN`."""
-    m = check_domain_size(m, name)
-    if m > MAX_DOMAIN:
-        raise ParameterError(f"{name} must be at most {MAX_DOMAIN}, got {m}")
-    return m
+    return check_domain_size(m, name, MAX_DOMAIN)
 
 
 def check_rounds(n: int, name: str = "rounds") -> int:

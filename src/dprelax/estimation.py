@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._util import (
+    MAX_OBJECT_VALUES,
     as_float,
     cap_epsilon,
     check_count,
@@ -49,8 +50,9 @@ class FrequencyEstimate:
 
 
 def histogram(responses, m: int) -> np.ndarray:
-    """The (m,) int64 counts of responses (integers in [0, m)) per value."""
-    m = check_domain_size(m)
+    """The (m,) int64 counts of responses (integers in [0, m)) per value; m is
+    at most `MAX_OBJECT_VALUES`."""
+    m = check_domain_size(m, most=MAX_OBJECT_VALUES)
     responses = check_values(responses, m, "responses")
     if responses.ndim != 1 or responses.size == 0:
         raise ParameterError(f"responses must be 1-D and non-empty, got shape {responses.shape}")
@@ -92,15 +94,20 @@ def _debias_binary(lam, eps: float):
     return ((g + 2.0) * lam - 1.0) / g
 
 
+# The largest domain a decode matrix, m * m doubles, may have: 128 MiB.
+MAX_DECODE_DOMAIN = math.isqrt(MAX_OBJECT_VALUES)
+
+
 def perturbation_matrix(eps: float, m: int) -> np.ndarray:
     """The (m, m) inverse of the channel of `mechanism.rr_distribution`: the
     decode matrix of the ``eps``-randomized response over ``m`` values.
 
     It uses the diagonal-plus-rank-one form, which stays exact where generic
-    inversion would lose digits at small eps.
+    inversion would lose digits at small eps.  Its m * m doubles are at most
+    `MAX_OBJECT_VALUES`, so m is at most 4096.
     """
     eps = check_epsilon(eps)
-    m = check_domain_size(m)
+    m = check_domain_size(m, most=MAX_DECODE_DOMAIN)
     big = math.exp(cap_epsilon(eps))
     scale = (big + m - 1) / _growth(eps)
     inv = np.full((m, m), -scale / (big + m - 1))

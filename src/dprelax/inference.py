@@ -161,9 +161,11 @@ def balanced_subset(truth, m: int, rng: np.random.Generator) -> np.ndarray:
     """Indices of an equal-count-per-value subsample of the population.
 
     Every value keeps min-count objects; overrepresented values are thinned
-    uniformly at random.  Raises if some value has no objects at all.
+    uniformly at random.  Raises if some value has no objects at all.  m is at
+    most `MAX_DOMAIN`, the largest domain a chain may have, and is checked
+    before any value is scanned.
     """
-    m = check_domain_size(m)
+    m = check_table_domain(m)
     truth = check_values(truth, m, "truth")
     return _balanced_draw(_value_indices(truth, m), rng)
 

@@ -5,16 +5,18 @@ import math
 import numpy as np
 import pytest
 
-from dprelax import _util, experiments, mechanism
+from dprelax import _util, experiments, inference, mechanism
 from dprelax.audit import audit_noisy_sampling_epsilon, chain_log_probs
 from dprelax.errors import BudgetDecreaseError, ConfigError, ParameterError
 from dprelax.estimation import (
+    MAX_DECODE_DOMAIN,
     discretize_mean,
     estimate_binary,
     estimate_mean,
     estimate_poly,
     frequency_estimate_covariance,
     histogram,
+    perturbation_matrix,
     variance_binary_estimate,
 )
 from dprelax.experiments import ExperimentConfig, kernel_table_rows
@@ -35,6 +37,7 @@ from dprelax.mechanism import (
 )
 from dprelax.rappor import (
     decode_noisy_sampling_counts,
+    eps_noisy_sampling,
     noisy_sampling_schedule,
     rappor_params,
     simulate_noisy_sampling_batch,
@@ -124,6 +127,43 @@ def test_domain_beyond_exact_doubles_is_rejected(call):
     with pytest.raises(ParameterError, match=r"^m must be at most 2\*\*53$"):
         HUGE_DOMAINS[call]()
     assert rr_distribution(1, 2**53).m == relax_kernel(0.1, 0.2, 2**53).m == 2**53
+
+
+# test id -> (call with a count past 2**53, the last every double holds, argument the
+# error must name); each raised a raw `OverflowError` before counts were bounded
+HUGE_COUNTS = {
+    "variance_binary_estimate": (lambda: variance_binary_estimate(1, 10**400), "n"),
+    "variance_binary_estimate-past-the-bound": (
+        lambda: variance_binary_estimate(1, 2**53 + 1),
+        "n",
+    ),
+    "variance_binary_estimate-float": (lambda: variance_binary_estimate(1, 1e300), "n"),
+    "variance_noisy_sampling-N": (lambda: variance_noisy_sampling(PARAMS, 10**400, 1), "N"),
+    "variance_noisy_sampling-K": (lambda: variance_noisy_sampling(PARAMS, 1, 10**400), "K"),
+    "frequency_estimate_covariance": (
+        lambda: frequency_estimate_covariance([0.5, 0.5], 1, 10**400),
+        "n",
+    ),
+    "eps_noisy_sampling": (lambda: eps_noisy_sampling(10**400, PARAMS), "K"),
+    "decode_noisy_sampling_counts": (
+        lambda: decode_noisy_sampling_counts([1], 10**400, PARAMS),
+        "K",
+    ),
+}
+
+
+@pytest.mark.parametrize("call", list(HUGE_COUNTS))
+def test_count_beyond_exact_doubles_is_rejected(call):
+    fn, name = HUGE_COUNTS[call]
+    with pytest.raises(ParameterError, match=rf"^{name} must be at most 2\*\*53$"):
+        fn()
+
+
+def test_counts_up_to_2_53_are_taken():
+    assert 0.0 < variance_binary_estimate(1, 2**53) < math.inf
+    assert 0.0 < variance_noisy_sampling(PARAMS, 2**53, 2**53) < math.inf
+    assert eps_noisy_sampling(2**53, PARAMS) == PARAMS.eps_alpha
+    assert math.isfinite(decode_noisy_sampling_counts([1], 2**53, PARAMS))
 
 
 # test id -> (call with an argument that is not a real number, argument the error must name)
@@ -343,7 +383,9 @@ SCALAR_RULES = {
     "check_count": (lambda: _util.check_count(0, "arg"), "arg"),
     "check_count-integral": (lambda: _util.check_count(1.5, "arg"), "arg"),
     "check_domain_size": (lambda: _util.check_domain_size(1, "arg"), "arg"),
+    "check_count-bound": (lambda: _util.check_count(2**53 + 1, "arg"), "arg"),
     "check_domain_size-bound": (lambda: _util.check_domain_size(2**53 + 1, "arg"), "arg"),
+    "check_domain_size-most": (lambda: _util.check_domain_size(5, "arg", most=4), "arg"),
     "check_table_domain": (lambda: _util.check_table_domain(MAX_DOMAIN + 1, "arg"), "arg"),
     "check_rounds": (lambda: _util.check_rounds(_util.MAX_ROUNDS + 1, "arg"), "arg"),
     "check_rounds-infinite": (lambda: _util.check_rounds(math.inf, "arg"), "arg"),
@@ -404,3 +446,49 @@ def test_noisy_samples_past_the_memory_bound_are_refused_before_any_draw():
         simulate_noisy_sampling_batch(bits, PARAMS, most + 1, NoDraws())
     with pytest.raises(Reached):  # the bound is inclusive
         simulate_noisy_sampling_batch(bits, PARAMS, most, NoDraws())
+
+
+class _Reached(Exception):
+    pass
+
+
+def _reached(*args, **kwargs):
+    raise _Reached
+
+
+# test id -> (call with m, (owner, name) of the allocation or scan sized by m, the
+# largest m taken)
+DOMAIN_SIZED_WORK = {
+    "histogram": (lambda m: histogram([0], m), (np, "bincount"), _util.MAX_OBJECT_VALUES),
+    "perturbation_matrix": (lambda m: perturbation_matrix(1.0, m), (np, "full"), 4096),
+    "balanced_subset": (
+        lambda m: balanced_subset([0, 1], m, _rng()),
+        (inference, "_value_indices"),
+        MAX_DOMAIN,
+    ),
+}
+
+
+@pytest.mark.parametrize("call", list(DOMAIN_SIZED_WORK))
+def test_domain_past_its_work_bound_is_refused_first(monkeypatch, call):
+    # the work itself is never launched: past the bound it is refused by m,
+    # and at the bound the patched allocation or scan is reached
+    fn, (owner, name), most = DOMAIN_SIZED_WORK[call]
+    monkeypatch.setattr(owner, name, _reached)
+    for m in (most + 1, 2**40):
+        with pytest.raises(ParameterError, match=rf"^m must be at most {most}, got {m}$"):
+            fn(m)
+    with pytest.raises(_Reached):  # the bound is inclusive
+        fn(most)
+
+
+def test_decodes_take_the_decode_matrix_bound(monkeypatch):
+    assert MAX_DECODE_DOMAIN**2 == _util.MAX_OBJECT_VALUES
+    monkeypatch.setattr(np, "full", _reached)
+    m = MAX_DECODE_DOMAIN + 1
+    for call in (
+        lambda: estimate_poly(np.ones(m), 1.0),
+        lambda: frequency_estimate_covariance(np.ones(m) / m, 1.0, 10),
+    ):
+        with pytest.raises(ParameterError, match=rf"^m must be at most 4096, got {m}$"):
+            call()
