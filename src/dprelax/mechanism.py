@@ -259,14 +259,16 @@ def _relax_kernel(eps_prev: float, eps_next: float, m: int) -> RelaxKernel:
     # step from eps_prev = 0: the randomized response at eps_next
     e1 = cap_epsilon(eps_prev)
     e2 = cap_epsilon(eps_next)
-    if e1 == e2:
-        return RelaxKernel(eps_prev, eps_next, m, 1.0, 0.0, 1.0, 0.0, 0.0)
     if e1 == 0.0:
         # the randomized response at eps_next, set from its two probabilities:
-        # the general form below differs from them in the last bit
+        # the general form below differs from them in the last bit.  Tested
+        # before the identity, so a zero eps_next is refused rather than
+        # releasing the true value
         rr = rr_distribution(eps_next, m)
         keep, other = rr.p_retain, rr.p_other
         return RelaxKernel(eps_prev, eps_next, m, keep, keep, other, other, other if m > 2 else 0.0)
+    if e1 == e2:
+        return RelaxKernel(eps_prev, eps_next, m, 1.0, 0.0, 1.0, 0.0, 0.0)
     exp1 = math.exp(e1)
     denom = math.expm1(e2) * (math.exp(e2) + m - 1)
     # q_ab = (1 - p_aa) / (m - 1); every other entry is a scaled copy of it

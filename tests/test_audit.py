@@ -86,9 +86,10 @@ class TestEnumerateChainDistribution:
     @pytest.mark.parametrize("m", [mechanism.MAX_DOMAIN + 1, 1000])
     def test_one_round_above_the_table_limit_is_refused_by_m(self, m):
         # the first round is the step from ε = 0, a step table like any other
-        with pytest.raises(ParameterError, match=f"^m must be at most {mechanism.MAX_DOMAIN}, got {m}$"):
+        limit = mechanism.MAX_DOMAIN
+        with pytest.raises(ParameterError, match=f"^m must be at most {limit}, got {m}$"):
             chain_log_probs([0.5], m)
-        assert chain_log_probs([0.5], mechanism.MAX_DOMAIN).shape == (mechanism.MAX_DOMAIN,) * 2
+        assert chain_log_probs([0.5], limit).shape == (limit, limit)
 
 
 class TestEnumeratedMarginal:

@@ -126,7 +126,9 @@ def test_only_inference_reaches_into_mechanism():
                 continue
             allowed = shared.get(path.stem, set())
             offenders += [
-                f"{path.name}: {name}" for name in names if name.startswith("_") and name not in allowed
+                f"{path.name}: {name}"
+                for name in names
+                if name.startswith("_") and name not in allowed
             ]
     assert not offenders
 

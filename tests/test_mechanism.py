@@ -116,6 +116,19 @@ class TestSampleRR:
         with pytest.raises(ParameterError, match="true_value"):
             start_chain(3, 3, 1.0, np.random.default_rng(0))
 
+    def test_reads_only_epsilon_and_m(self):
+        # the draw is the step from ε = 0 to ``dist.epsilon``; a hand-built
+        # distribution at ε = 0 is refused, not drawn as the identity
+        truth = np.arange(4)
+        dist = rr_distribution(0.5, 4)
+        built = mechanism.ResponseDistribution(0.5, 4, p_retain=1.0, p_other=0.0)
+        got = sample_rr_batch(truth, built, np.random.default_rng(2))
+        assert np.array_equal(got, sample_rr_batch(truth, dist, np.random.default_rng(2)))
+        for eps in (0.0, -1.0, math.nan):
+            bad = mechanism.ResponseDistribution(eps, 4, 0.5, 0.5)
+            with pytest.raises(ParameterError, match="^epsilon must be positive and finite"):
+                sample_rr_batch(truth, bad, np.random.default_rng(0))
+
     def test_deterministic_given_seed(self):
         dist = rr_distribution(0.5, 4)
         a = sample_rr_batch(np.zeros(100, dtype=np.int64), dist, np.random.default_rng(9))
