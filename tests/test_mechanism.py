@@ -422,16 +422,6 @@ class TestChainRounds:
             assert got.dtype == np.int64 and np.array_equal(got, want)
         assert rng.bit_generator.state == reference.bit_generator.state
 
-    @pytest.mark.parametrize("case", sorted(CASES))
-    def test_a_randomized_response_is_the_first_round(self, case):
-        m, schedule = self.CASES[case]
-        truth = np.random.default_rng(m).integers(0, m, size=500)
-        rng, reference = np.random.default_rng(40 + m), np.random.default_rng(40 + m)
-        first = next(iter_chain_rounds(truth, schedule, m, rng))
-        response = sample_rr_batch(truth, rr_distribution(schedule[0], m), reference)
-        assert response.dtype == np.int64 and np.array_equal(response, first)
-        assert rng.bit_generator.state == reference.bit_generator.state
-
     @pytest.mark.parametrize("m", [2, 3, 6])
     @pytest.mark.parametrize(
         "eps_prev, eps_next",
