@@ -51,7 +51,7 @@ def _add_run_flags(sub, run, write, suffix: str):
         type=int,
         default=1,
         metavar="N",
-        help="split the run's blocks of trials across N threads; output is "
+        help="split the run's blocks of trials across N threads (at most 64); output is "
         "byte-identical for any N. Small trials already share numpy calls in "
         "blocks, so N > 1 gains nothing on the shipped configs and slows "
         "compare-rappor; it helps when each trial has many objects (thousands)",

@@ -2,10 +2,10 @@
 
 A histogram is its (m,) count vector; `estimate_poly` decodes one.  Estimates
 are deliberately not clamped to [0, 1]: clamping would break unbiasedness.
-Covariances use the closed-form per-object response covariance;
-`estimate_poly` plugs the decoded frequencies into it, while
-`frequency_estimate_covariance` accepts a known composition for theoretical
-reference values.
+Covariances are in closed form, whose diagonal is the generalized randomized
+response variance of Wang et al. (USENIX Security 2017); `estimate_poly` plugs
+the decoded frequencies in as the composition, while
+`frequency_estimate_covariance` takes a known one for theoretical values.
 """
 
 import math
@@ -62,7 +62,7 @@ def histogram(responses, m: int) -> np.ndarray:
 # The smallest privacy parameter any estimator accepts.  A variance grows as
 # eps**-2 and `estimate_poly`'s plug-in covariance as eps**-3, so they leave
 # double range below about 1e-154 and 1e-103; at 1e-100 the largest entry of
-# either, for m up to 1000, is about 1e291.
+# either, for m up to the decode bound of 4096, is below 1e291.
 MIN_EPSILON = 1e-100
 
 
@@ -94,7 +94,7 @@ def _debias_binary(lam, eps: float):
     return ((g + 2.0) * lam - 1.0) / g
 
 
-# The largest domain a decode matrix, m * m doubles, may have: 128 MiB.
+# The largest domain of an (m, m) decode matrix or covariance: 128 MiB.
 MAX_DECODE_DOMAIN = math.isqrt(MAX_OBJECT_VALUES)
 
 
@@ -115,29 +115,21 @@ def perturbation_matrix(eps: float, m: int) -> np.ndarray:
     return inv
 
 
-def _response_covariance(eps: float, m: int, x: int) -> np.ndarray:
-    # Covariance of the one-hot response indicator for an object with value
-    # ``x``, for a validated eps and m and an x in [0, m).
-    big = math.exp(cap_epsilon(eps))
-    cov = np.full((m, m), -1.0)
-    cov[x, :] = -big
-    cov[:, x] = -big
-    idx = np.arange(m)
-    cov[idx, idx] = big + m - 2
-    cov[x, x] = big * (m - 1)
-    cov /= (big + m - 1) ** 2
+def _decoded_covariance(weights, eps: float, n: float) -> np.ndarray:
+    # Covariance of the decoded frequencies over n objects of composition w.
+    # The responses' covariance, (diag(D*S + g*m*w) - S*J - g*(w 1' + 1 w')) / D**2
+    # for g = e^eps - 1, D = e^eps + m - 1, S = sum(w) and J all ones, has zero
+    # row sums, so the decode matrix (D/g)I + bJ only scales it by (D/g)**2.
+    # The diagonal is written free of cancellation: (e^eps + m - 2)*S + (m - 2)*g*w.
+    # S is summed exactly: decoded weights of size about m / g cancel to 1.
+    g = _growth(eps)
+    m = len(weights)
+    total = math.fsum(weights)
+    spread = g * weights
+    cov = np.subtract.outer(-total - spread, spread)
+    cov.flat[:: m + 1] = (math.exp(cap_epsilon(eps)) + m - 2) * total + (m - 2) * spread
+    cov /= n * g**2
     return cov
-
-
-def _decoded_covariance(weights, inverse, eps: float, n: float) -> np.ndarray:
-    # Covariance of ``inverse @ (counts / n)`` over n objects of composition
-    # ``weights``, for the ``eps`` decode matrix ``inverse``.
-    m = len(inverse)
-    cov = np.zeros((m, m))
-    for value, w in enumerate(weights):
-        if w != 0.0:
-            cov += w * _response_covariance(eps, m, value)
-    return inverse @ cov @ inverse.T / n
 
 
 def estimate_poly(counts, eps: float) -> FrequencyEstimate:
@@ -159,7 +151,7 @@ def estimate_poly(counts, eps: float) -> FrequencyEstimate:
     eps = check_epsilon(eps)
     inverse = perturbation_matrix(eps, counts.size)
     est = _decode_counts(counts, n, inverse)
-    cov = _decoded_covariance(est, inverse, eps, n)
+    cov = _decoded_covariance(est, eps, n)
     return FrequencyEstimate(estimate=est, covariance=cov, epsilon=eps, n=n)
 
 
@@ -174,7 +166,8 @@ def frequency_estimate_covariance(freq, eps: float, n: int) -> np.ndarray:
     freq = check_distribution(freq, None, "freq")
     n = check_count(n, "n")
     eps = check_epsilon(eps)
-    return _decoded_covariance(freq, perturbation_matrix(eps, freq.size), eps, n)
+    check_domain_size(freq.size, most=MAX_DECODE_DOMAIN)
+    return _decoded_covariance(freq, eps, n)
 
 
 def variance_binary_estimate(eps: float, n: int) -> float:

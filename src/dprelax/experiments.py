@@ -86,6 +86,9 @@ DEFAULT_TABLE_DOMAINS = tuple(range(3, 11))
 # `MAX_DOMAIN`, `MAX_ROUNDS` and `MAX_OBJECT_VALUES` (objects * m) of `_util`:
 MAX_TRIALS = 100_000  # every trial's seed is spawned up front: 1 s and 40 MB at this bound
 MAX_RESULT_VALUES = 2**27  # trials * rounds * (m + 4) result doubles: 1 GiB
+# Workers beyond a large machine's cores gain nothing, and a run may have
+# `MAX_TRIALS` blocks: unbounded, ``threads`` could start 100000 OS threads.
+MAX_THREADS = 64
 # The objects a block of trials tiles into one population; a trial larger than
 # this runs alone.  Blocks cut the numpy calls per trial-round on small
 # populations; at 8192 objects a block's arrays add under 2 MB to a shipped
@@ -375,11 +378,13 @@ def _run_trials(config: ExperimentConfig, run_block, threads: int) -> list:
     """``run_block`` over every block of trials, split across ``threads``, with
     each of its per-trial arrays joined across blocks in trial order."""
     threads = check_count(threads, "threads")
+    if threads > MAX_THREADS:
+        raise ParameterError(f"threads must be at most {MAX_THREADS}, got {threads}")
     blocks = _trial_blocks(config)
     if threads == 1:
         results = [run_block(block) for block in blocks]
     else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
+        with ThreadPoolExecutor(max_workers=min(threads, len(blocks))) as pool:
             results = list(pool.map(run_block, blocks))
     return [np.concatenate(parts) for parts in zip(*results)]
 

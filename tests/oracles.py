@@ -10,10 +10,12 @@ so that tests can hold the batched enumeration to it bit for bit.
 """
 
 import math
+from decimal import Context, Decimal, localcontext
 from itertools import product
 
 import numpy as np
 
+from dprelax._util import EPSILON_CAP
 from dprelax.audit import chain_log_probs
 from dprelax.mechanism import relax_kernel, rr_distribution
 
@@ -49,6 +51,61 @@ def rr_vector(eps: float, m: int, x: int) -> np.ndarray:
 def rr_channel(eps: float, m: int) -> np.ndarray:
     """Channel matrix of a single randomized response: column x is `rr_vector`."""
     return np.column_stack([rr_vector(eps, m, x) for x in range(m)])
+
+
+# The decimal context of the covariance references: 50 significant digits, so
+# that neither the cancellation in diag(P) - P P' at large eps nor the decode's
+# conditioning, about (e^eps + m - 1) / (e^eps - 1), reaches a double's digits.
+_DIGITS = Context(prec=50)
+
+
+def _decimal_channel(eps: float, m: int) -> np.ndarray:
+    """`rr_channel` as an object array of decimals, from e^eps (eps capped at
+    `EPSILON_CAP`, as every estimator caps it) in ``_DIGITS``."""
+    with localcontext(_DIGITS):
+        big = Decimal(min(eps, EPSILON_CAP)).exp()
+        channel = np.full((m, m), Decimal(1) / (big + m - 1), dtype=object)
+        np.fill_diagonal(channel, big / (big + m - 1))
+        return channel
+
+
+def response_covariance(eps: float, m: int, x: int) -> np.ndarray:
+    """Covariance of the one-hot response of an object with value ``x``,
+    diag(P) - P P' for its output distribution P, as an object array of decimals."""
+    return _one_hot_covariance(_decimal_channel(eps, m)[:, x])
+
+
+def _one_hot_covariance(p: np.ndarray) -> np.ndarray:
+    with localcontext(_DIGITS):
+        return np.diag(p) - np.outer(p, p)
+
+
+def _inverse(a: np.ndarray) -> np.ndarray:
+    """The inverse of a square object array, by Gauss-Jordan elimination with
+    partial pivoting in ``_DIGITS``."""
+    m = len(a)
+    rows = np.hstack([a, np.eye(m, dtype=int).astype(object)])
+    with localcontext(_DIGITS):
+        for col in range(m):
+            pivot = col + int(np.argmax(np.abs(rows[col:, col])))
+            rows[[col, pivot]] = rows[[pivot, col]]
+            rows[col] /= rows[col, col]
+            others = np.arange(m) != col
+            rows[others] -= np.outer(rows[others, col], rows[col])
+    return rows[:, m:]
+
+
+def decoded_covariance(weights, eps: float, n) -> np.ndarray:
+    """Covariance of the decoded frequencies over ``n`` objects of composition
+    ``weights``: the weighted sum of each value's `response_covariance`, taken
+    through the generic inverse of the channel on both sides and divided by n.
+    Every step runs in 50-digit decimals from the exact values of the float
+    inputs, and only the result is rounded to doubles."""
+    channel = _decimal_channel(eps, len(weights))
+    inverse = _inverse(channel)
+    with localcontext(_DIGITS):
+        cov = sum(Decimal(float(w)) * _one_hot_covariance(p) for w, p in zip(weights, channel.T))
+        return (inverse @ cov @ inverse.T / Decimal(n)).astype(float)
 
 
 def kernel_conditional(kernel, x: int, o_prev: int) -> np.ndarray:

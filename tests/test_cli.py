@@ -117,6 +117,14 @@ def test_out_naming_a_file_exits_2(tmp_path, capsys, config_path):
     assert taken.read_text() == ""
 
 
+def test_threads_past_the_bound_exit_2(tmp_path, capsys, config_path):
+    out = tmp_path / "out"
+    argv = ["simulate", "--config", str(config_path), "--out", str(out), "--threads", "65"]
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err == "error: threads must be at most 64, got 65\n"
+    assert not out.exists()
+
+
 def test_missing_config_exits_2(tmp_path, capsys):
     assert cli.main(["simulate", "--config", str(tmp_path / "nope.json")]) == 2
     assert "error:" in capsys.readouterr().err

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from dprelax import estimation, rappor
+from dprelax._util import EPSILON_CAP
 from dprelax.errors import IllConditionedError, ParameterError
 from dprelax.estimation import (
     MIN_EPSILON,
@@ -16,7 +17,6 @@ from dprelax.estimation import (
     frequency_estimate_covariance,
     histogram,
     perturbation_matrix,
-    _response_covariance,
     variance_binary_estimate,
 )
 from dprelax.mechanism import rr_distribution, sample_rr_batch
@@ -25,7 +25,7 @@ from dprelax.rappor import (
     rappor_params,
     simulate_noisy_sampling_batch,
 )
-from oracles import rr_channel, rr_vector
+from oracles import decoded_covariance, response_covariance, rr_channel, rr_vector
 
 E = math.e
 
@@ -229,9 +229,11 @@ class TestTrustedDecodeCores:
 
 
 class TestResponseCovariance:
+    """The reference's per-value term, diag(P) - P P', that `decoded_covariance` sums."""
+
     def test_rows_sum_to_zero_and_trace_positive(self):
         for m, eps, x in [(2, 0.5, 0), (5, 1.0, 3), (8, 2.0, 0)]:
-            cov = _response_covariance(eps, m, x)
+            cov = response_covariance(eps, m, x).astype(float)
             np.testing.assert_allclose(cov.sum(axis=1), 0.0, atol=1e-12)
             np.testing.assert_allclose(cov, cov.T, atol=1e-15)
             assert np.trace(cov) > 0.0
@@ -239,17 +241,66 @@ class TestResponseCovariance:
     def test_binary_matches_bernoulli(self):
         for eps in (0.2, 1.0, 3.0):
             p = math.exp(eps) / (math.exp(eps) + 1)
-            cov = _response_covariance(eps, 2, 0)
+            cov = response_covariance(eps, 2, 0).astype(float)
             assert cov[0, 0] == pytest.approx(p * (1 - p), abs=1e-12)
             assert cov[1, 1] == pytest.approx(p * (1 - p), abs=1e-12)
 
     def test_three_value_diagonal(self):
-        cov = _response_covariance(1.0, 3, 0)
+        cov = response_covariance(1.0, 3, 0).astype(float)
         np.testing.assert_allclose(
             np.diag(cov),
             [0.24420621985354551, 0.16702233377192913, 0.16702233377192913],
             atol=1e-12,
         )
+
+
+# Epsilons for the covariance checks: small enough that the decode is
+# ill-conditioned, around the shipped range, and at and past `EPSILON_CAP`.
+COVARIANCE_EPSILONS = (1e-3, 0.4, 1.0, 2.5, 49.9, 50.0, 60.0)
+
+
+def _assert_matches_reference(cov, weights, eps: float, n) -> None:
+    want = decoded_covariance(weights, eps, n)
+    assert np.abs(cov - want).max() <= 1e-12 * np.abs(want).max(), (len(weights), eps)
+
+
+class TestDecodedCovariance:
+    """Both covariances against the 50-digit reference, and the diagonal against
+    the generalized randomized response variance."""
+
+    @pytest.mark.parametrize("m", [2, 3, 4, 7, 16, 64])
+    def test_frequency_estimate_covariance_matches_reference(self, m):
+        rng = np.random.default_rng(m)
+        for eps in COVARIANCE_EPSILONS:
+            freq = rng.dirichlet(np.ones(m))
+            freq[: m // 2] = 0.0  # values with no objects: at m = 2, a point mass
+            freq /= freq.sum()
+            _assert_matches_reference(frequency_estimate_covariance(freq, eps, 777), freq, eps, 777)
+
+    @pytest.mark.parametrize("m", [2, 3, 4, 7, 16, 64])
+    def test_plug_in_covariance_matches_reference(self, m):
+        rng = np.random.default_rng(100 + m)
+        for eps in COVARIANCE_EPSILONS:
+            counts = rng.integers(0, 3, m)
+            counts[0] += 1
+            est = estimate_poly(counts, eps)
+            _assert_matches_reference(est.covariance, est.estimate, eps, est.n)
+
+    def test_diagonal_is_the_generalized_randomized_response_variance(self):
+        # Wang et al. (USENIX Security 2017): with g = e^eps - 1,
+        # (e^eps + m - 2 + g (m - 2) f_j) / (n g**2)
+        rng = np.random.default_rng(7)
+        for m, eps in product((2, 3, 10, 1000), COVARIANCE_EPSILONS):
+            freq, n = rng.dirichlet(np.ones(m)), 31
+            big, g = math.exp(min(eps, EPSILON_CAP)), math.expm1(min(eps, EPSILON_CAP))
+            want = (big + m - 2 + g * (m - 2) * freq) / (n * g**2)
+            cov = frequency_estimate_covariance(freq, eps, n)
+            np.testing.assert_allclose(np.diag(cov), want, rtol=1e-14)
+
+    def test_binary_diagonal_is_the_binary_variance(self):
+        for eps, w in product(COVARIANCE_EPSILONS, (0.0, 0.1, 0.5, 0.93, 1.0)):
+            cov = frequency_estimate_covariance([w, 1.0 - w], eps, 31)
+            assert np.diag(cov) == pytest.approx([variance_binary_estimate(eps, 31)] * 2, rel=1e-15)
 
 
 class TestVarianceBinaryEstimate:
@@ -269,6 +320,10 @@ ESTIMATORS = {
     "perturbation_matrix": lambda eps: perturbation_matrix(eps, 3),
     "estimate_poly": lambda eps: estimate_poly(histogram([0, 0, 1], 64), eps).covariance,
     "frequency_estimate_covariance": lambda eps: frequency_estimate_covariance([0.5] * 2, eps, 1),
+    "estimate_poly-1024": lambda eps: estimate_poly(histogram([0, 0, 1], 1024), eps).covariance,
+    "frequency_estimate_covariance-1024": lambda eps: frequency_estimate_covariance(
+        np.ones(1024) / 1024, eps, 1
+    ),
     "variance_binary_estimate": lambda eps: variance_binary_estimate(eps, 6),
     "estimate_mean": lambda eps: estimate_mean(0.5, eps, -1.0, 3.0),
     "decode_noisy_sampling_counts": lambda eps: decode_noisy_sampling_counts(

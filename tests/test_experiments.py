@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from dprelax import experiments, mechanism
-from dprelax.errors import ConfigError
+from dprelax.errors import ConfigError, ParameterError
 from dprelax.estimation import perturbation_matrix
 from dprelax.experiments import (
     ExperimentConfig,
@@ -588,6 +588,53 @@ class TestTrialBlocks:
         for counts, size in (((400, 600), 8), ((300, 1200), 5), ((2500, 2500), 1)):
             config = ExperimentConfig(**dict(DIRECT, m=2, counts=counts, trials=100))
             assert self._block_sizes(config)[0] == size
+
+
+class TestThreadBound:
+    """``threads`` is bounded before any seed is spawned, and a run starts no
+    more workers than it has blocks."""
+
+    @pytest.fixture
+    def pools(self, monkeypatch):
+        made = []
+
+        class RecordingPool:
+            # records its worker count and runs the blocks in the calling
+            # thread: no thread is ever started
+            def __init__(self, max_workers):
+                made.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(experiments, "ThreadPoolExecutor", RecordingPool)
+        return made
+
+    @pytest.mark.parametrize("threads", [experiments.MAX_THREADS + 1, 2**40])
+    @pytest.mark.parametrize("run", [simulate_experiment, compare_noisy_sampling])
+    def test_refused_before_any_seed_is_spawned(self, monkeypatch, pools, run, threads):
+        config = tiny_config()
+
+        def no_seeds(*args, **kwargs):
+            raise AssertionError("seeds spawned for a refused thread count")
+
+        monkeypatch.setattr(np.random, "SeedSequence", no_seeds)
+        with pytest.raises(ParameterError, match=rf"^threads must be at most 64, got {threads}$"):
+            run(config, threads=threads)
+        assert pools == []
+
+    def test_workers_are_at_most_the_blocks(self, monkeypatch, pools):
+        monkeypatch.setattr(experiments, "BLOCK_OBJECTS", 1)  # one trial per block
+        for trials, threads in ((3, 2), (3, 3), (3, experiments.MAX_THREADS), (1, 5)):
+            simulate_experiment(tiny_config(trials=trials), threads=threads)
+        compare_noisy_sampling(tiny_config(trials=4), threads=experiments.MAX_THREADS)
+        assert pools == [2, 3, 3, 1, 4]
 
 
 class TestKernelTable:

@@ -24,9 +24,9 @@ TRIALS = 3
 
 # sha256 of each CLI output, shipped configs at trials=3 (seed unchanged).
 GOLDEN = {
-    "experiment1_rounds.csv": "bf361586e2a4f1eed72009485c3f85d0b120d28f4964f33ce7d689593c94fa88",
+    "experiment1_rounds.csv": "f76373c393946d7162035f876b0ce714cdd62c3fe4ad3bdb31166a74ac3b9d0d",
     "experiment1_attacks.csv": "be4854e71169f28bad04e9fb6b6887a3d0e8984586d9b4390d089cbdf59dcbc4",
-    "experiment2_rounds.csv": "8acd9d2e6827c0374bf7c3d735f8879d8a25590a2dcb3e2cadba2caf4caa97ad",
+    "experiment2_rounds.csv": "9ca08f3f336dd657bb22439a82b2097fffd07ff01f5a05f27426f125ebb9f9be",
     "experiment2_attacks.csv": "6d75dfaaeccb7dfa2e7ae58c2ffec59e04b5e01d78ae0e11fde0cd0414651241",
     "rappor_comparison_rappor.csv": "8b945a050819a36bb583c4c09c3ee709b82c0b8f9a388e512ed3886c04ce70ed",
     "kernel_table.csv": "75602638f33fd7998229585bb765fdfd12175bb5a3aabbc66afca2807e7ef6c9",
@@ -45,7 +45,7 @@ DEEP_CONFIG = {
     "seed": 20240917,
 }
 DEEP_GOLDEN = {
-    "deep_rounds.csv": "9064940129580229bfafc1b5753658c2ae313163bb4b20d0848f7926a0ee9054",
+    "deep_rounds.csv": "72c1f2f93ac01318e40661e601affe00e63593e001e662d1ed0930017741cba5",
     "deep_attacks.csv": "6052d47d88fdad3729dc055077fe2b6f44487161e9652f16fc4079f878b61ebb",
 }
 

@@ -1,11 +1,12 @@
 """The shared input rules of `_util`, seen through the public calls that apply them."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 
-from dprelax import _util, experiments, inference, mechanism
+from dprelax import _util, estimation, experiments, inference, mechanism
 from dprelax.audit import audit_noisy_sampling_epsilon, chain_log_probs
 from dprelax.errors import BudgetDecreaseError, ConfigError, ParameterError
 from dprelax.estimation import (
@@ -456,11 +457,24 @@ def _reached(*args, **kwargs):
     raise _Reached
 
 
+def _covariance_of_uniform(m):
+    # a uniform composition of m values as one broadcast double, with the O(m)
+    # composition check stubbed out, so that m = 2**40 takes no memory or scan
+    uniform = np.broadcast_to(1.0 / m, (m,))
+    with mock.patch.object(estimation, "check_distribution", lambda p, m, name: p):
+        return frequency_estimate_covariance(uniform, 1.0, 10)
+
+
 # test id -> (call with m, (owner, name) of the allocation or scan sized by m, the
 # largest m taken)
 DOMAIN_SIZED_WORK = {
     "histogram": (lambda m: histogram([0], m), (np, "bincount"), _util.MAX_OBJECT_VALUES),
     "perturbation_matrix": (lambda m: perturbation_matrix(1.0, m), (np, "full"), 4096),
+    "frequency_estimate_covariance": (
+        _covariance_of_uniform,
+        (estimation, "_decoded_covariance"),
+        4096,
+    ),
     "balanced_subset": (
         lambda m: balanced_subset([0, 1], m, _rng()),
         (inference, "_value_indices"),
@@ -485,6 +499,7 @@ def test_domain_past_its_work_bound_is_refused_first(monkeypatch, call):
 def test_decodes_take_the_decode_matrix_bound(monkeypatch):
     assert MAX_DECODE_DOMAIN**2 == _util.MAX_OBJECT_VALUES
     monkeypatch.setattr(np, "full", _reached)
+    monkeypatch.setattr(estimation, "_decoded_covariance", _reached)
     m = MAX_DECODE_DOMAIN + 1
     for call in (
         lambda: estimate_poly(np.ones(m), 1.0),
