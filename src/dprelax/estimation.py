@@ -115,16 +115,15 @@ def perturbation_matrix(eps: float, m: int) -> np.ndarray:
     return inv
 
 
-def _decoded_covariance(weights, eps: float, n: float) -> np.ndarray:
+def _decoded_covariance(weights, eps: float, n: float, total: float) -> np.ndarray:
     # Covariance of the decoded frequencies over n objects of composition w.
     # The responses' covariance, (diag(D*S + g*m*w) - S*J - g*(w 1' + 1 w')) / D**2
-    # for g = e^eps - 1, D = e^eps + m - 1, S = sum(w) and J all ones, has zero
-    # row sums, so the decode matrix (D/g)I + bJ only scales it by (D/g)**2.
-    # The diagonal is written free of cancellation: (e^eps + m - 2)*S + (m - 2)*g*w.
-    # S is summed exactly: decoded weights of size about m / g cancel to 1.
+    # for g = e^eps - 1, D = e^eps + m - 1, S = sum(w) (``total``) and J all
+    # ones, has zero row sums, so the decode matrix (D/g)I + bJ only scales it
+    # by (D/g)**2.  The diagonal is written free of cancellation:
+    # (e^eps + m - 2)*S + (m - 2)*g*w.
     g = _growth(eps)
     m = len(weights)
-    total = math.fsum(weights)
     spread = g * weights
     cov = np.subtract.outer(-total - spread, spread)
     cov.flat[:: m + 1] = (math.exp(cap_epsilon(eps)) + m - 2) * total + (m - 2) * spread
@@ -151,7 +150,9 @@ def estimate_poly(counts, eps: float) -> FrequencyEstimate:
     eps = check_epsilon(eps)
     inverse = perturbation_matrix(eps, counts.size)
     est = _decode_counts(counts, n, inverse)
-    cov = _decoded_covariance(est, eps, n)
+    # the decode preserves the total, 1, which its float sum may lose: decoded
+    # entries of size about m / g cancel, to 0.0 at m = 2 below ε = 1e-16
+    cov = _decoded_covariance(est, eps, n, 1.0)
     return FrequencyEstimate(estimate=est, covariance=cov, epsilon=eps, n=n)
 
 
@@ -167,7 +168,7 @@ def frequency_estimate_covariance(freq, eps: float, n: int) -> np.ndarray:
     n = check_count(n, "n")
     eps = check_epsilon(eps)
     check_domain_size(freq.size, most=MAX_DECODE_DOMAIN)
-    return _decoded_covariance(freq, eps, n)
+    return _decoded_covariance(freq, eps, n, math.fsum(freq))
 
 
 def variance_binary_estimate(eps: float, n: int) -> float:

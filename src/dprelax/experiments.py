@@ -362,16 +362,12 @@ def _decode_block(column, offsets, eps: float, m: int, n: int) -> np.ndarray:
     return np.array([_decode_counts(c, n, inverse) for c in counts])
 
 
-def _last_is_mle(last, mle, loglik) -> np.ndarray:
-    """Whether each object's last output is its MLE: equal to it or, only
-    where the two differ, with a log-likelihood within 1e-12 of the maximum.
-    Below about ε = 1e-16 every value's likelihood ties to an ulp, and
-    rounding alone would pick the argmax."""
-    agree = last == mle
-    if not agree.all():
-        odd = np.flatnonzero(~agree)
-        agree[odd] = loglik[odd, last[odd]] >= loglik[odd, mle[odd]] - 1e-12
-    return agree
+def _last_is_mle(own, rival) -> np.ndarray:
+    """Whether each object's last output is its MLE: whether its
+    log-likelihood ``own`` is within 1e-12 of ``rival``, the largest at any
+    other value.  Below about ε = 1e-16 every value's likelihood ties to an
+    ulp, and rounding alone would pick the argmax."""
+    return own >= rival - 1e-12
 
 
 def _run_trials(config: ExperimentConfig, run_block, threads: int) -> list:
@@ -394,10 +390,11 @@ def simulate_experiment(config: ExperimentConfig, threads: int = 1) -> Experimen
 
     Per trial and round, the population's outputs are decoded into a frequency
     estimate, and all four inference methods are scored on a balanced subset
-    drawn once per trial; the count attacks are carried on that subset only,
-    while the MLE is found for every object, so ``lo_mle_identical`` compares
-    the whole population, counting a last output whose log-likelihood is
-    within 1e-12 of the maximum as the MLE.  Each round is sampled, decoded and scored as it
+    drawn once per trial; the count attacks and the MLE are found on that
+    subset only, while every object's last output is held against its best
+    rival value, so ``lo_mle_identical`` compares the whole population,
+    counting a last output whose log-likelihood is within 1e-12 of the
+    maximum as the MLE.  Each round is sampled, decoded and scored as it
     comes, so a trial's chains take only the previous round's outputs and the
     running attack state: O(n_objects * m) memory whatever the number of
     rounds.  The subset is drawn first, from a copy of the trial's generator
@@ -427,7 +424,7 @@ def simulate_experiment(config: ExperimentConfig, threads: int = 1) -> Experimen
         est = np.empty((trials, rounds, m))
         errs = np.empty((trials, rounds, len(ATTACK_METHODS)))
         agree = np.ones(trials, dtype=bool)
-        for r, (last, mle, loglik, guesses) in enumerate(_running_guesses(columns, epsilons, m, picks)):
+        for r, (last, own, rival, guesses) in enumerate(_running_guesses(columns, epsilons, m, picks)):
             est[:, r] = _decode_block(last, offsets, epsilons[r], m, n)
             for k, method in enumerate(ATTACK_METHODS):
                 wrong = guesses[method] != truth_picked
@@ -435,7 +432,7 @@ def simulate_experiment(config: ExperimentConfig, threads: int = 1) -> Experimen
                 # four times as long, and eight trials of 625 no less
                 for i in range(trials):
                     errs[i, r, k] = np.count_nonzero(wrong[i * size : (i + 1) * size]) / size
-            agree &= _last_is_mle(last, mle, loglik).reshape(trials, n).all(axis=1)
+            agree &= _last_is_mle(own, rival).reshape(trials, n).all(axis=1)
         return est, errs, agree
 
     estimates, errors, agree = _run_trials(config, run_block, threads)

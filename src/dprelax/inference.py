@@ -93,14 +93,19 @@ def iter_attack_guesses(outputs, schedule, m: int):
 def _running_guesses(columns, schedule: tuple, m: int, rows):
     # The per-round update behind `iter_attack_guesses`, for a validated
     # schedule and m: takes one (n,) int64 output column in [0, m) per round,
-    # as it comes, and yields the column, the MLE guess of every object, the
-    # running (n, m) log-likelihood, and each method's guesses at the objects
-    # ``rows`` only.  The log-likelihood is carried over the whole population,
-    # since `lo_mle_identical` compares every object; the per-value counts and
-    # the parameter-weighted counts (flat, row-major (rows, m)), and each
-    # count's best value per row, are carried at ``rows`` alone, and the
-    # yielded guesses of both counts are that state, updated in place by the
-    # next round.
+    # as it comes, and yields the column, each object's log-likelihood at its
+    # last output (``own``) and the largest at any other value (``rival``),
+    # and each method's guesses at the objects ``rows`` only.  The
+    # log-likelihood is carried over the whole population, since
+    # `lo_mle_identical` compares every object.  ``rival`` is m - 1 column
+    # maxima taken with the own entry set to -inf, restored bit for bit before
+    # the yield.  The MLE is the last output wherever ``own > rival``: by
+    # collusion-proofness that is almost every row, and only the others (ties,
+    # all -inf rows, every row below about ε = 1e-16) take an argmax.  The
+    # per-value counts and the parameter-weighted counts (flat, row-major
+    # (rows, m)), and each count's best value per row, are carried at ``rows``
+    # alone, and the yielded guesses of both counts are that state, updated in
+    # place by the next round.
     k = len(rows)
     offsets = np.arange(k) * m
     counts = np.zeros(k * m, dtype=np.int64)
@@ -116,10 +121,20 @@ def _running_guesses(columns, schedule: tuple, m: int, rows):
         weighted[grown] = weight
         _running_argmax(count, picked, top_count, best_count)
         _running_argmax(weight, picked, top_weighted, best_weighted)
-        mle = np.argmax(loglik, axis=1)
-        yield last, mle, loglik, {
+        flat, at = loglik.reshape(-1), np.arange(0, loglik.size, m) + last  # loglik is C order
+        own = flat[at]
+        flat[at] = -math.inf
+        rival = np.maximum(loglik[:, 0], loglik[:, 1])
+        for value in range(2, m):
+            np.maximum(rival, loglik[:, value], out=rival)
+        flat[at] = own
+        mle = picked.copy()
+        tied = np.flatnonzero((own <= rival)[rows])
+        if tied.size:
+            mle[tied] = np.argmax(loglik[rows[tied]], axis=1)
+        yield last, own, rival, {
             "last_output": picked,
-            "mle": mle[rows],
+            "mle": mle,
             "highest_frequency": top_count,
             "weighted_highest_frequency": top_weighted,
         }
@@ -134,8 +149,8 @@ def _running_argmax(value, grown, top, best):
     """
     take = value > best
     take |= (value == best) & (grown < top)
-    np.copyto(top, grown, where=take)
-    np.copyto(best, value, where=take)
+    top[...] = np.where(take, grown, top)
+    np.maximum(best, value, out=best)
 
 
 def attack_guesses_matrix(outputs, schedule, m: int) -> dict:

@@ -334,6 +334,9 @@ def relax_step_batch(
 
 def _draw_step(kernel: RelaxKernel, true_values, prev_outputs, rng) -> np.ndarray:
     # The sampler of `relax_step_batch`, for int64 arrays of one shape in [0, m).
+    # Every object is drawn as if its previous output were its true value; the
+    # objects whose previous output moved away are then redrawn, from the same
+    # uniforms, by the other branch, computed on those objects alone.
     m = kernel.m
     u = rng.random(true_values.shape)
 
@@ -343,26 +346,22 @@ def _draw_step(kernel: RelaxKernel, true_values, prev_outputs, rng) -> np.ndarra
         others = idx + (idx >= true_values)
     else:
         others = true_values
-    branch_same = np.where(u < kernel.p_aa, true_values, others)
-    moved = prev_outputs != true_values
-    if not moved.any():  # a first release, or no object has moved yet
-        return branch_same
+    out = np.where(u < kernel.p_aa, true_values, others)
+    moved = np.flatnonzero(prev_outputs != true_values)
+    if not moved.size:  # a first release, or no object has moved yet
+        return out
 
     # Previous output differs: [p_ba at x][p_bb at o_prev][p_bc each remaining].
+    x, o_prev, u = np.take(true_values, moved), np.take(prev_outputs, moved), np.take(u, moved)
     stay_level = kernel.p_ba + kernel.p_bb
     if kernel.p_bc > 0.0:  # 0.0 at m = 2, where no third value exists
         idx = np.clip((u - stay_level) / kernel.p_bc, 0.0, m - 3).astype(np.int64)
-        lo = np.minimum(true_values, prev_outputs)
-        hi = np.maximum(true_values, prev_outputs)
-        third = idx + (idx >= lo)
-        third += third >= hi
+        third = idx + (idx >= np.minimum(x, o_prev))
+        third += third >= np.maximum(x, o_prev)
     else:
-        third = prev_outputs
-    branch_diff = np.where(
-        u < kernel.p_ba, true_values, np.where(u < stay_level, prev_outputs, third)
-    )
-
-    return np.where(moved, branch_diff, branch_same)
+        third = o_prev
+    np.put(out, moved, np.where(u < kernel.p_ba, x, np.where(u < stay_level, o_prev, third)))
+    return out
 
 
 def _draw_one(kernel: RelaxKernel, x: int, o_prev: int, u: float) -> int:

@@ -95,16 +95,28 @@ def _inverse(a: np.ndarray) -> np.ndarray:
     return rows[:, m:]
 
 
+def decoded_frequencies(counts, eps: float) -> np.ndarray:
+    """The decode of integer response ``counts``: the generic inverse of the
+    channel applied to their shares, as an object array of 50-digit decimals,
+    so its entries sum to 1 to within those digits."""
+    n = sum(int(c) for c in counts)
+    with localcontext(_DIGITS):
+        shares = np.array([Decimal(int(c)) / n for c in counts], dtype=object)
+        return _inverse(_decimal_channel(eps, len(counts))) @ shares
+
+
 def decoded_covariance(weights, eps: float, n) -> np.ndarray:
     """Covariance of the decoded frequencies over ``n`` objects of composition
     ``weights``: the weighted sum of each value's `response_covariance`, taken
     through the generic inverse of the channel on both sides and divided by n.
     Every step runs in 50-digit decimals from the exact values of the float
-    inputs, and only the result is rounded to doubles."""
+    inputs (decimal weights are taken as they are), and only the result is
+    rounded to doubles."""
     channel = _decimal_channel(eps, len(weights))
     inverse = _inverse(channel)
     with localcontext(_DIGITS):
-        cov = sum(Decimal(float(w)) * _one_hot_covariance(p) for w, p in zip(weights, channel.T))
+        weights = [w if isinstance(w, Decimal) else Decimal(float(w)) for w in weights]
+        cov = sum(w * _one_hot_covariance(p) for w, p in zip(weights, channel.T))
         return (inverse @ cov @ inverse.T / Decimal(n)).astype(float)
 
 

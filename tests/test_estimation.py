@@ -25,7 +25,9 @@ from dprelax.rappor import (
     rappor_params,
     simulate_noisy_sampling_batch,
 )
-from oracles import decoded_covariance, response_covariance, rr_channel, rr_vector
+from oracles import (
+    decoded_covariance, decoded_frequencies, response_covariance, rr_channel, rr_vector,
+)
 
 E = math.e
 
@@ -279,12 +281,28 @@ class TestDecodedCovariance:
 
     @pytest.mark.parametrize("m", [2, 3, 4, 7, 16, 64])
     def test_plug_in_covariance_matches_reference(self, m):
+        # the plug-in is the covariance at the counts' exact decode, whose
+        # entries sum to 1; the float decode's own sum is off by rounding
         rng = np.random.default_rng(100 + m)
         for eps in COVARIANCE_EPSILONS:
             counts = rng.integers(0, 3, m)
             counts[0] += 1
             est = estimate_poly(counts, eps)
-            _assert_matches_reference(est.covariance, est.estimate, eps, est.n)
+            _assert_matches_reference(est.covariance, decoded_frequencies(counts, eps), eps, est.n)
+
+    @pytest.mark.parametrize("counts", [[1, 0], [3, 5], [1, 2, 0], [0, 4, 1, 1]])
+    @pytest.mark.parametrize("eps", [1e-30, 1e-20, 1e-17])
+    def test_plug_in_covariance_below_double_precision(self, counts, eps):
+        # decoded entries of about ±1/g have a float sum far from their exact
+        # sum of 1: 0.0 at m = 2, which zeroed the whole covariance
+        est = estimate_poly(counts, eps)
+        _assert_matches_reference(est.covariance, decoded_frequencies(counts, eps), eps, est.n)
+
+    def test_plug_in_covariance_at_the_smallest_epsilon(self):
+        # the m = 2 diagonal is the binary variance, e^eps / (n g**2) = 1e200
+        cov = estimate_poly([1, 0], MIN_EPSILON).covariance
+        want = variance_binary_estimate(MIN_EPSILON, 1)
+        np.testing.assert_allclose(cov, [[want, -want], [-want, want]], rtol=1e-15)
 
     def test_diagonal_is_the_generalized_randomized_response_variance(self):
         # Wang et al. (USENIX Security 2017): with g = e^eps - 1,

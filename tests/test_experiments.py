@@ -375,9 +375,9 @@ class TestSimulateExperiment:
         assert simulate_experiment(ExperimentConfig(**fields)).lo_mle_identical
 
     def test_last_output_below_the_maximum_disagrees(self):
-        loglik = np.array([[0.0, -1e-9, -5.0], [0.0, -1e-13, -5.0], [-5.0, -1e-9, 0.0]])
-        last, mle = np.array([1, 1, 2]), np.array([0, 0, 2])
-        assert experiments._last_is_mle(last, mle, loglik).tolist() == [False, True, True]
+        # rows [0, -1e-9, -5], [0, -1e-13, -5] and [-5, -1e-9, 0], last outputs 1, 1, 2
+        own, rival = np.array([-1e-9, -1e-13, 0.0]), np.array([0.0, 0.0, -1e-9])
+        assert experiments._last_is_mle(own, rival).tolist() == [False, True, True]
 
     def test_noiseless_schedule_zero_error(self):
         cfg = tiny_config(schedule={"kind": "list", "epsilons": [50.0, 50.0]})

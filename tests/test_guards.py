@@ -3,9 +3,11 @@ names, the package's exports and the README's quick start.
 
 `GOLDEN` was recorded from the CLI before the likelihood and sampling paths
 were consolidated, `DEEP_GOLDEN` before attack scoring became one running pass
-per trial; any change to a single output byte fails here.  A deleted API
-cannot stay exported or documented: every exported name must resolve and the
-README's quick start must run.
+per trial, `GUARD_GOLDEN` before a round's MLE skipped the full argmax and its
+sampler drew the moved objects' branch on those objects alone; any change to a
+single output byte fails here.  A deleted API cannot stay exported or
+documented: every exported name must resolve and the README's quick start must
+run.
 """
 
 import ast
@@ -17,7 +19,7 @@ from pathlib import Path
 
 import pytest
 
-from dprelax import cli
+from dprelax import EPSILON_CAP, cli
 
 ROOT = Path(__file__).resolve().parent.parent
 TRIALS = 3
@@ -47,6 +49,51 @@ DEEP_CONFIG = {
 DEEP_GOLDEN = {
     "deep_rounds.csv": "72c1f2f93ac01318e40661e601affe00e63593e001e662d1ed0930017741cba5",
     "deep_attacks.csv": "6052d47d88fdad3729dc055077fe2b6f44487161e9652f16fc4079f878b61ebb",
+}
+
+# sha256 of `simulate` / `attack-eval` on the edge cases of the round's MLE and
+# sampler: a repeated and a capped ε (identity steps), ε past the cap, a binary
+# domain with repeats, ε below double precision (every likelihood ties to an
+# ulp, so the MLE falls back to a full argmax), and 64 values.  The first two
+# run three blocks of one trial each, so `--threads 2` splits them.
+GUARD_CONFIGS = {
+    "capped": {
+        "m": 3,
+        "counts": [1400, 1500, 1600],
+        "schedule": {
+            "kind": "list",
+            "epsilons": [0.3, 0.3, 1.0, EPSILON_CAP, EPSILON_CAP + 10, 2 * EPSILON_CAP],
+        },
+        "seed": 11,
+    },
+    "binary": {
+        "m": 2,
+        "counts": [2600, 2400],
+        "schedule": {"kind": "list", "epsilons": [0.5, 0.5, 1.0, 1.0, 1.0, 2.5, 2.5]},
+        "seed": 12,
+    },
+    "tiny": {
+        "m": 3,
+        "counts": [50, 50, 50],
+        "schedule": {"kind": "list", "epsilons": [1e-17, 2e-17]},
+        "seed": 13,
+    },
+    "wide": {
+        "m": 64,
+        "counts": [8 + value % 5 for value in range(64)],
+        "schedule": {"kind": "linear", "start": 0.1, "stop": 1.0, "stride": 0.3},
+        "seed": 14,
+    },
+}
+GUARD_GOLDEN = {
+    "capped_rounds.csv": "67ad94d530cd7eb3caf79e54984aa24443c5feec9afa62038dead1d1d5d3e564",
+    "capped_attacks.csv": "d81dc538f62940502b2a74c62055170da186d9dfa80c579c7ebfb7f794793890",
+    "binary_rounds.csv": "eab8e8d39df4434a9105cfd3c135bd36e8ce494ac15e7c377ad2b34987c59b73",
+    "binary_attacks.csv": "d8e101555c0c34e19306da0934b3b32c9b81019cb14df1c77d40facffb70bf51",
+    "tiny_rounds.csv": "6fb7713e668c75608584cc54be55317564f056353045c93a74ba0d3d4a03978b",
+    "tiny_attacks.csv": "dcf937fcb48d16c299d9e15f2b81cd7e553e186ecac083d4f4d6d7ec99f0dd01",
+    "wide_rounds.csv": "f53fd9ad9d071b47fe50dc8829a862c128e848920ce6c1228ba92096b5f66f84",
+    "wide_attacks.csv": "4cdda999e0f51fecd560eff6738454769519ab9ba9092f2d474b5891bb229338",
 }
 
 
@@ -90,6 +137,20 @@ def test_deep_schedule_outputs_match_golden_digests(tmp_path, capsys, threads):
         assert cli.main(argv) == 0
     capsys.readouterr()
     assert _digests(out, DEEP_GOLDEN) == DEEP_GOLDEN
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+@pytest.mark.parametrize("name", sorted(GUARD_CONFIGS))
+def test_edge_case_outputs_match_golden_digests(tmp_path, capsys, name, threads):
+    config = tmp_path / f"{name}.json"
+    config.write_text(json.dumps(dict(GUARD_CONFIGS[name], name=name, trials=TRIALS)))
+    out = str(tmp_path / "out")
+    for command in ("simulate", "attack-eval"):
+        argv = [command, "--config", str(config), "--out", out, "--threads", threads]
+        assert cli.main(argv) == 0
+    capsys.readouterr()
+    names = (f"{name}_rounds.csv", f"{name}_attacks.csv")
+    assert _digests(out, names) == {n: GUARD_GOLDEN[n] for n in names}
 
 
 def test_benchmark_traced_names_resolve():

@@ -1,9 +1,11 @@
 import math
+from unittest import mock
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dprelax import inference
 from dprelax.estimation import MIN_EPSILON, estimate_poly
 from dprelax.inference import ATTACK_METHODS, _running_guesses, balanced_subset, iter_attack_guesses
 from dprelax.mechanism import (
@@ -247,10 +249,73 @@ def test_subset_scoring_equals_full_scoring_at_its_rows(counts, raw, repeat, see
     everyone = _running_guesses(iter(columns), schedule, m, np.arange(truth.size))
     subset = _running_guesses(iter(columns), schedule, m, rows)
     for r, (full, picked) in enumerate(zip(everyone, subset, strict=True)):
-        (last_full, mle_full, loglik_full, guesses_full), (last, mle, loglik, guesses) = full, picked
+        (last_full, own_full, rival_full, guesses_full), (last, own, rival, guesses) = full, picked
         # the decoded column and the MLE agreement stay population-wide
         assert np.array_equal(last, columns[r]) and np.array_equal(last_full, columns[r])
-        assert np.array_equal(mle, mle_full) and np.array_equal(loglik, loglik_full)
+        assert np.array_equal(own, own_full) and np.array_equal(rival, rival_full)
+        assert own.shape == rival.shape == (truth.size,)
         assert list(guesses) == list(ATTACK_METHODS)
         for method in ATTACK_METHODS:
             assert np.array_equal(guesses[method], guesses_full[method][rows]), (method, r)
+
+
+# log-likelihood levels that tie often, with both zeros (the restored own entry
+# must keep its sign bit) and the smallest subnormal
+loglik_levels = st.sampled_from([-math.inf, -2.5, -1.0, -0.0, 0.0, 5e-324])
+
+
+@settings(deadline=None, max_examples=150)
+@given(
+    data=st.data(),
+    m=st.integers(min_value=2, max_value=6),
+    n=st.integers(min_value=1, max_value=10),
+    n_rounds=st.integers(min_value=1, max_value=3),
+)
+def test_running_mle_is_the_argmax_and_keeps_the_likelihood(data, m, n, n_rounds):
+    # `_running_guesses` fed drawn (last, log-likelihood) rounds in place of
+    # the recurrence: exact ties, an all -inf row and a -inf own entry forced
+    rounds = []
+    for _ in range(n_rounds):
+        last = np.array(data.draw(st.lists(st.integers(0, m - 1), min_size=n, max_size=n)))
+        row = st.lists(loglik_levels, min_size=m, max_size=m)
+        loglik = np.array(data.draw(st.lists(row, min_size=n, max_size=n)))
+        loglik[data.draw(st.integers(0, n - 1))] = -math.inf
+        lost = data.draw(st.integers(0, n - 1))
+        loglik[lost, last[lost]] = -math.inf
+        rounds.append((last, loglik))
+    rows = np.array(sorted(data.draw(st.sets(st.integers(0, n - 1), min_size=1))))
+    kept = [loglik.tobytes() for _, loglik in rounds]
+    schedule = tuple(float(r + 1) for r in range(n_rounds))
+    with mock.patch.object(inference, "_running_log_likelihoods", lambda *_: iter(rounds)):
+        running = list(_running_guesses(None, schedule, m, rows))
+    others = [np.where(np.arange(m) == last[:, None], -math.inf, ll) for last, ll in rounds]
+    for (last, loglik), before, rest, (_, own, rival, guesses) in zip(
+        rounds, kept, others, running, strict=True
+    ):
+        assert loglik.tobytes() == before
+        assert np.array_equal(guesses["mle"], np.argmax(loglik[rows], axis=1))
+        assert np.array_equal(own, loglik[np.arange(n), last])
+        assert np.array_equal(rival, rest.max(axis=1))
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    data=st.data(),
+    m=st.integers(min_value=2, max_value=5),
+    raw=st.lists(st.floats(min_value=1e-300, max_value=1e-16), min_size=1, max_size=4),
+    repeat=st.booleans(),
+)
+def test_running_mle_below_double_precision_is_the_argmax(data, m, raw, repeat):
+    # below ε = 1e-16 every value's likelihood ties to an ulp, and arbitrary
+    # outputs under a repeated ε contradict its identity step: all -inf rows
+    schedule = tuple(sorted(raw + raw[:1] if repeat else raw))
+    cells = st.lists(st.integers(0, m - 1), min_size=len(schedule), max_size=len(schedule))
+    outputs = np.array(data.draw(st.lists(cells, min_size=1, max_size=12)))
+    expected = [loglik.copy() for loglik in iter_log_likelihoods(outputs, schedule, m)]
+    rows = np.arange(outputs.shape[0])
+    running = _running_guesses(iter(outputs.T), schedule, m, rows)
+    for loglik, (last, own, rival, guesses) in zip(expected, running, strict=True):
+        assert np.array_equal(guesses["mle"], np.argmax(loglik, axis=1))
+        assert np.array_equal(own, loglik[rows, last])
+        rest = np.where(np.arange(m) == last[:, None], -math.inf, loglik)
+        assert np.array_equal(rival, rest.max(axis=1))
