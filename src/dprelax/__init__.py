@@ -28,7 +28,6 @@ from .estimation import (
     estimate_poly,
     frequency_estimate_covariance,
     histogram,
-    perturbation_matrix,
     variance_binary_estimate,
 )
 from .experiments import (

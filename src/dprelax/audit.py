@@ -143,8 +143,9 @@ def audit_composition_ldp(schedule, m: int) -> CompositionAudit:
     ``attained`` records whether the measured maximum sits within
     ``BOUND_TOL`` of that target.
     """
+    schedule = check_schedule(schedule)
     worst = float(_worst_log_ratios(chain_log_probs(schedule, m)[None])[0])
-    return CompositionAudit(epsilon_target=float(schedule[-1]), max_log_ratio=worst)
+    return CompositionAudit(epsilon_target=schedule[-1], max_log_ratio=worst)
 
 
 def audit_step_epsilon(eps_prev: float, eps_next: float, m: int) -> float:

@@ -1,10 +1,13 @@
 """Unbiased frequency and mean estimators for (relaxed) randomized responses.
 
-A histogram is its (m,) count vector; `estimate_poly` decodes one.  Estimates
-are deliberately not clamped to [0, 1]: clamping would break unbiasedness.
-Covariances are in closed form, whose diagonal is the generalized randomized
-response variance of Wang et al. (USENIX Security 2017); `estimate_poly` plugs
-the decoded frequencies in as the composition, while
+A histogram is its (m,) count vector; `estimate_poly` decodes one.  Every
+decode, binary or m-ary, is one closed form, the generalized randomized
+response estimator of Wang et al. (USENIX Security 2017): with g = e^eps - 1,
+a value seen c times in n responses has frequency c/n + (m c - n) / (n g).
+Estimates are deliberately not clamped to [0, 1]: clamping would break
+unbiasedness.  Covariances are in closed form too, with the generalized
+randomized response variance on the diagonal; `estimate_poly` plugs the
+decoded frequencies in as the composition, while
 `frequency_estimate_covariance` takes a known one for theoretical values.
 """
 
@@ -30,7 +33,6 @@ __all__ = [
     "FrequencyEstimate",
     "histogram",
     "estimate_binary",
-    "perturbation_matrix",
     "estimate_poly",
     "frequency_estimate_covariance",
     "variance_binary_estimate",
@@ -76,6 +78,14 @@ def _growth(eps: float, name: str = "epsilon") -> float:
     return math.expm1(cap_epsilon(eps))
 
 
+def _debias(counts, n, eps: float, m: int):
+    """The decoded frequencies of ``counts`` among ``n`` responses of the
+    ``eps``-randomized response over ``m`` values: the channel's inverse, a
+    diagonal plus a rank-one matrix, applied in closed form.  Takes a scalar or
+    an array of counts, unchecked; for integer counts m * counts - n is exact."""
+    return counts / n + (m * counts - n) / (n * _growth(eps))
+
+
 def estimate_binary(lambda_b, eps: float):
     """Debias an observed frequency of ones from a binary randomized response.
 
@@ -84,43 +94,20 @@ def estimate_binary(lambda_b, eps: float):
     """
     eps = check_epsilon(eps)
     lam = check_in_range(lambda_b, 0, 1, "lambda_b")
-    out = _debias_binary(lam, eps)
+    out = _debias(lam, 1.0, eps, 2)
     return float(out) if lam.ndim == 0 else out
 
 
-def _debias_binary(lam, eps: float):
-    # The affine map of `estimate_binary`, for a validated eps and unchecked lam.
-    g = _growth(eps)
-    return ((g + 2.0) * lam - 1.0) / g
-
-
-# The largest domain of an (m, m) decode matrix or covariance: 128 MiB.
+# The largest domain of an (m, m) covariance: 128 MiB.
 MAX_DECODE_DOMAIN = math.isqrt(MAX_OBJECT_VALUES)
-
-
-def perturbation_matrix(eps: float, m: int) -> np.ndarray:
-    """The (m, m) inverse of the channel of `mechanism.rr_distribution`: the
-    decode matrix of the ``eps``-randomized response over ``m`` values.
-
-    It uses the diagonal-plus-rank-one form, which stays exact where generic
-    inversion would lose digits at small eps.  Its m * m doubles are at most
-    `MAX_OBJECT_VALUES`, so m is at most 4096.
-    """
-    eps = check_epsilon(eps)
-    m = check_domain_size(m, most=MAX_DECODE_DOMAIN)
-    big = math.exp(cap_epsilon(eps))
-    scale = (big + m - 1) / _growth(eps)
-    inv = np.full((m, m), -scale / (big + m - 1))
-    np.fill_diagonal(inv, scale * (1.0 - 1.0 / (big + m - 1)))
-    return inv
 
 
 def _decoded_covariance(weights, eps: float, n: float, total: float) -> np.ndarray:
     # Covariance of the decoded frequencies over n objects of composition w.
     # The responses' covariance, (diag(D*S + g*m*w) - S*J - g*(w 1' + 1 w')) / D**2
     # for g = e^eps - 1, D = e^eps + m - 1, S = sum(w) (``total``) and J all
-    # ones, has zero row sums, so the decode matrix (D/g)I + bJ only scales it
-    # by (D/g)**2.  The diagonal is written free of cancellation:
+    # ones, has zero row sums, so the decode, the inverse channel (D/g)I + bJ,
+    # only scales it by (D/g)**2.  The diagonal is written free of cancellation:
     # (e^eps + m - 2)*S + (m - 2)*g*w.
     g = _growth(eps)
     m = len(weights)
@@ -136,30 +123,25 @@ def estimate_poly(counts, eps: float) -> FrequencyEstimate:
 
     The covariance plugs the decoded frequencies into the per-object response
     covariance; when the true composition is known, prefer
-    `frequency_estimate_covariance` for the theoretical value.
+    `frequency_estimate_covariance` for the theoretical value.  The counts
+    total at most 2**53, and there are at most `MAX_DECODE_DOMAIN` of them.
     """
     counts = check_in_range(counts, 0, math.inf, "counts")
     if counts.ndim != 1 or counts.size < 2:
         raise ParameterError(f"counts must be 1-D with at least 2 values, got {counts.shape}")
-    # with no count negative, a finite positive total means that every count
-    # is finite and not all are zero (and that the total is a double)
+    # with no count negative, a positive total up to 2**53 means that every
+    # count is finite and not all are zero, and that m * counts stays finite
     with np.errstate(over="ignore"):
         n = float(counts.sum())
-    if not 0.0 < n < math.inf:
-        raise ParameterError("counts must be finite, non-negative and not all zero")
+    if not 0.0 < n <= 2**53:
+        raise ParameterError("counts must be non-negative, not all zero and total at most 2**53")
     eps = check_epsilon(eps)
-    inverse = perturbation_matrix(eps, counts.size)
-    est = _decode_counts(counts, n, inverse)
+    m = check_domain_size(counts.size, most=MAX_DECODE_DOMAIN)
+    est = _debias(counts, n, eps, m)
     # the decode preserves the total, 1, which its float sum may lose: decoded
     # entries of size about m / g cancel, to 0.0 at m = 2 below ε = 1e-16
     cov = _decoded_covariance(est, eps, n, 1.0)
     return FrequencyEstimate(estimate=est, covariance=cov, epsilon=eps, n=n)
-
-
-def _decode_counts(counts, n: float, inverse) -> np.ndarray:
-    # `estimate_poly`'s decode, for (m,) counts of total n known to be valid;
-    # integer counts divide to the same doubles as float ones
-    return inverse @ (counts / n)
 
 
 def frequency_estimate_covariance(freq, eps: float, n: int) -> np.ndarray:

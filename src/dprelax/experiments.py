@@ -47,13 +47,7 @@ from ._util import (
     check_schedule, check_table_domain,
 )
 from .errors import ConfigError, ParameterError
-from .estimation import (
-    _decode_counts,
-    _growth,
-    frequency_estimate_covariance,
-    perturbation_matrix,
-    variance_binary_estimate,
-)
+from .estimation import _debias, _growth, frequency_estimate_covariance, variance_binary_estimate
 from .inference import ATTACK_METHODS, _balanced_draw, _running_guesses, _value_indices, min_error_rate
 from .mechanism import iter_chain_rounds, relax_kernel
 from .rappor import (
@@ -355,11 +349,10 @@ def _block_rounds(truth, epsilons: tuple, m: int, streams: list):
 def _decode_block(column, offsets, eps: float, m: int, n: int) -> np.ndarray:
     """Every trial's decoded frequencies at ``eps``, (trials, m), of one round's
     trial-major column: one `np.bincount`, where ``offsets`` moves trial i's
-    values to the bins [i * m, (i + 1) * m), then `estimate_poly`'s decode
-    per trial, on counts valid by construction."""
-    inverse = perturbation_matrix(eps, m)
+    values to the bins [i * m, (i + 1) * m), then `estimate_poly`'s decode of
+    the whole (trials, m) block at once, on counts valid by construction."""
     counts = np.bincount(column + offsets, minlength=offsets[-1] + m).reshape(-1, m)
-    return np.array([_decode_counts(c, n, inverse) for c in counts])
+    return _debias(counts, n, eps, m)
 
 
 def _last_is_mle(own, rival) -> np.ndarray:

@@ -25,7 +25,7 @@ from ._util import (
     check_values,
 )
 from .errors import ParameterError
-from .estimation import _debias_binary
+from .estimation import _debias
 from .mechanism import rr_distribution
 
 __all__ = [
@@ -130,12 +130,13 @@ def decode_noisy_sampling_counts(k_ones, K: int, params: RapporParams) -> float:
 
 def _decode_noisy_counts(k_ones, K: int, params: RapporParams) -> float:
     # `decode_noisy_sampling_counts`'s arithmetic, for a non-empty array of counts
-    # in [0, K] and checked parameters: each client's observed frequency is
-    # debiased by `estimate_binary`'s affine map, then their mean again.  The
-    # per-client stage routinely leaves [0, 1], so neither stage checks the
-    # range `estimate_binary` checks on raw observed frequencies.
-    per_client = _debias_binary(k_ones / K, params.eps_beta)
-    return _debias_binary(float(per_client.mean()), params.eps_alpha)
+    # in [0, K] and checked parameters: each client's count of ones among its
+    # K samples is debiased at eps_beta, then their mean at eps_alpha, by the
+    # decode of `estimate_binary`.  The per-client stage routinely leaves
+    # [0, 1], so neither stage checks the range `estimate_binary` checks on
+    # raw observed frequencies.
+    per_client = _debias(k_ones, K, params.eps_beta, 2)
+    return _debias(float(per_client.mean()), 1.0, params.eps_alpha, 2)
 
 
 def variance_noisy_sampling(params: RapporParams, N: int, K: int) -> float:

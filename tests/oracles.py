@@ -59,7 +59,7 @@ def rr_channel(eps: float, m: int) -> np.ndarray:
 _DIGITS = Context(prec=50)
 
 
-def _decimal_channel(eps: float, m: int) -> np.ndarray:
+def decimal_channel(eps: float, m: int) -> np.ndarray:
     """`rr_channel` as an object array of decimals, from e^eps (eps capped at
     `EPSILON_CAP`, as every estimator caps it) in ``_DIGITS``."""
     with localcontext(_DIGITS):
@@ -72,7 +72,7 @@ def _decimal_channel(eps: float, m: int) -> np.ndarray:
 def response_covariance(eps: float, m: int, x: int) -> np.ndarray:
     """Covariance of the one-hot response of an object with value ``x``,
     diag(P) - P P' for its output distribution P, as an object array of decimals."""
-    return _one_hot_covariance(_decimal_channel(eps, m)[:, x])
+    return _one_hot_covariance(decimal_channel(eps, m)[:, x])
 
 
 def _one_hot_covariance(p: np.ndarray) -> np.ndarray:
@@ -95,14 +95,27 @@ def _inverse(a: np.ndarray) -> np.ndarray:
     return rows[:, m:]
 
 
+def decoded_shares(shares, eps: float) -> np.ndarray:
+    """The decode of response ``shares``, decimals: the generic inverse of the
+    channel applied to them, as an object array of 50-digit decimals."""
+    with localcontext(_DIGITS):
+        return _inverse(decimal_channel(eps, len(shares))) @ np.array(shares, dtype=object)
+
+
 def decoded_frequencies(counts, eps: float) -> np.ndarray:
-    """The decode of integer response ``counts``: the generic inverse of the
-    channel applied to their shares, as an object array of 50-digit decimals,
-    so its entries sum to 1 to within those digits."""
+    """The decode of integer response ``counts``: `decoded_shares` of their
+    exact shares, so its entries sum to 1 to within 50 digits."""
     n = sum(int(c) for c in counts)
     with localcontext(_DIGITS):
-        shares = np.array([Decimal(int(c)) / n for c in counts], dtype=object)
-        return _inverse(_decimal_channel(eps, len(counts))) @ shares
+        return decoded_shares([Decimal(int(c)) / n for c in counts], eps)
+
+
+def decoded_binary(ones, n, eps: float) -> np.ndarray:
+    """The decode of ``ones`` ones among ``n`` binary responses (decimals, or
+    floats taken at their exact values): `decoded_shares` of their shares."""
+    with localcontext(_DIGITS):
+        share = (ones if isinstance(ones, Decimal) else Decimal(float(ones))) / Decimal(n)
+        return decoded_shares([1 - share, share], eps)
 
 
 def decoded_covariance(weights, eps: float, n) -> np.ndarray:
@@ -112,12 +125,50 @@ def decoded_covariance(weights, eps: float, n) -> np.ndarray:
     Every step runs in 50-digit decimals from the exact values of the float
     inputs (decimal weights are taken as they are), and only the result is
     rounded to doubles."""
-    channel = _decimal_channel(eps, len(weights))
+    channel = decimal_channel(eps, len(weights))
     inverse = _inverse(channel)
     with localcontext(_DIGITS):
         weights = [w if isinstance(w, Decimal) else Decimal(float(w)) for w in weights]
         cov = sum(w * _one_hot_covariance(p) for w, p in zip(weights, channel.T))
         return (inverse @ cov @ inverse.T / Decimal(n)).astype(float)
+
+
+def _uniform_mix(channel: np.ndarray) -> tuple:
+    """(a, b) of a channel aI + bJ: its diagonal less its off-diagonal entry, and that entry."""
+    with localcontext(_DIGITS):
+        return channel[0, 0] - channel[0, 1], channel[0, 1]
+
+
+def degradation_channel(p1: np.ndarray, p2: np.ndarray) -> np.ndarray:
+    """The channel G with p1 = p2 G, for channels p1 and p2 of the form aI + bJ
+    (object arrays of decimals, indexed [x, o]), in closed form in ``_DIGITS``:
+    with a + m b = 1, p2's inverse is I / a2 - (b2 / a2) J, so G is
+    (a1 / a2) I + ((b1 - b2) / a2) J, indexed [o2, o1]."""
+    (a1, b1), (a2, b2) = _uniform_mix(p1), _uniform_mix(p2)
+    with localcontext(_DIGITS):
+        off = (b1 - b2) / a2
+        g = np.full(p1.shape, off, dtype=object)
+        np.fill_diagonal(g, a1 / a2 + off)
+        return g
+
+
+def reversal_kernel(p1: np.ndarray, p2: np.ndarray) -> np.ndarray:
+    """The Bayes reversal of the degradation from p2 to p1, as an (m, m, m)
+    float array indexed ``[x, o1, o2]``: the law of an output o2 of p2 given
+    x and the output o1 that `degradation_channel` makes of it,
+    p2[x, o2] G[o2, o1] / p1[x, o1], in ``_DIGITS`` and rounded once.  Each
+    factor holds one value on its diagonal and one off it, so the eight
+    products are taken once and gathered by which indices coincide."""
+    g = degradation_channel(p1, p2)
+    m = len(p1)
+    with localcontext(_DIGITS):
+        # [i, j, k]: the factors off the diagonal where i, j, k are 1
+        products = np.array(
+            [[[float(p2[0, i] * g[0, j] / p1[0, k]) for k in (0, 1)] for j in (0, 1)]
+             for i in (0, 1)]
+        )
+    x, o1, o2 = np.ogrid[:m, :m, :m]
+    return products[(x != o2).astype(int), (o2 != o1).astype(int), (x != o1).astype(int)]
 
 
 def kernel_conditional(kernel, x: int, o_prev: int) -> np.ndarray:

@@ -121,6 +121,14 @@ class TestCompositionAudit:
         assert extended.max_log_ratio == pytest.approx(base.max_log_ratio, abs=1e-12)
         assert extended.attained
 
+    def test_any_sequence_gives_the_same_report(self):
+        # the schedule is read once: an iterator is not consumed before its
+        # last entry is taken as the target
+        want = audit_composition_ldp([0.1, 0.2], 2)
+        for schedule in (iter([0.1, 0.2]), (eps for eps in (0.1, 0.2)), np.array([0.1, 0.2])):
+            assert audit_composition_ldp(schedule, 2) == want
+        assert want.epsilon_target == 0.2
+
     def test_exhaustive_small_scope(self):
         for m in (2, 3, 4):
             for n in range(1, 5):

@@ -5,7 +5,7 @@ from itertools import product
 import numpy as np
 import pytest
 
-from dprelax import estimation, rappor
+from dprelax import experiments, rappor
 from dprelax._util import EPSILON_CAP
 from dprelax.errors import IllConditionedError, ParameterError
 from dprelax.estimation import (
@@ -16,7 +16,6 @@ from dprelax.estimation import (
     estimate_poly,
     frequency_estimate_covariance,
     histogram,
-    perturbation_matrix,
     variance_binary_estimate,
 )
 from dprelax.mechanism import rr_distribution, sample_rr_batch
@@ -26,7 +25,8 @@ from dprelax.rappor import (
     simulate_noisy_sampling_batch,
 )
 from oracles import (
-    decoded_covariance, decoded_frequencies, response_covariance, rr_channel, rr_vector,
+    decoded_binary, decoded_covariance, decoded_frequencies, response_covariance, rr_channel,
+    rr_vector,
 )
 
 E = math.e
@@ -58,42 +58,67 @@ class TestEstimateBinary:
             estimate_binary(0.5, 0.0)
 
 
-class TestPerturbationMatrix:
-    def test_large_epsilon_is_identity(self):
-        for m in (2, 5):
-            inverse = perturbation_matrix(40.0, m)
-            np.testing.assert_allclose(inverse, np.eye(m), atol=1e-10)
+# Privacy parameters of the accuracy checks: from where the decode is worst
+# conditioned, about m / g for g = e^eps - 1, to past `EPSILON_CAP`.
+ACCURACY_EPSILONS = (1e-8, 1e-6, 1e-4, 1e-2, 0.3, 1.0, 4.0, 20.0, 60.0)
+# The decode's largest error, in units of the largest entry of its exact value:
+# its three roundings, and those of e^eps - 1 and n * g, stay within 2 ulps.
+DECODE_TOL = 4.5e-16
 
-    def test_log_two_entries(self):
-        # the channel at e^eps = 2, m = 3 is 1/2 on the diagonal, 1/4 off it
-        channel = np.full((3, 3), 0.25) + 0.25 * np.eye(3)
-        inverse = perturbation_matrix(math.log(2.0), 3)
-        np.testing.assert_allclose(inverse, np.linalg.inv(channel), atol=1e-12)
 
-    @pytest.mark.parametrize("m", range(2, 11))
-    @pytest.mark.parametrize("eps", [0.1, 0.5, 1.0, 2.0, 10.0])
-    def test_inverse_contract(self, eps, m):
-        channel = rr_channel(eps, m)
-        inverse = perturbation_matrix(eps, m)
-        np.testing.assert_allclose(channel @ inverse, np.eye(m), atol=1e-10)
-        # closed form agrees with generic inversion
-        np.testing.assert_allclose(inverse, np.linalg.inv(channel), atol=1e-10)
+class TestDecodeAccuracy:
+    """Every decode against the 50-digit generic inverse of the channel, on
+    integer counts: within `DECODE_TOL` times the exact decode's largest entry."""
 
-    def test_columns_sum_to_one(self):
-        # a channel's columns sum to one, so its inverse's columns do too
-        inverse = perturbation_matrix(0.7, 6)
-        np.testing.assert_allclose(inverse.sum(axis=0), 1.0, atol=1e-12)
+    @pytest.mark.parametrize("m", [2, 3, 5, 16])
+    def test_estimate_poly(self, m):
+        rng = np.random.default_rng(200 + m)
+        for eps, n in product(ACCURACY_EPSILONS, (1, 7, 1000, 50_000)):
+            counts = np.bincount(rng.integers(0, m, n), minlength=m)
+            want = decoded_frequencies(counts, eps).astype(float)
+            got = estimate_poly(counts, eps).estimate
+            assert np.abs(got - want).max() <= DECODE_TOL * np.abs(want).max(), (eps, n)
+
+    def test_estimate_binary(self):
+        for eps, n in product(ACCURACY_EPSILONS, (1, 3, 7, 1000, 50_000)):
+            for k in range(0, n + 1, max(1, n // 7)):
+                # the frequency as the caller holds it: the reference takes the
+                # float k / n at its exact value
+                want = decoded_binary(k / n, 1, eps).astype(float)
+                got = estimate_binary(k / n, eps)
+                assert abs(got - want[1]) <= DECODE_TOL * np.abs(want).max(), (eps, n, k)
+
+    def test_decode_noisy_sampling_counts_of_one_client(self):
+        # one client, so no mean stands between the stages; the second stage
+        # multiplies the first's error by its gain, 1 + 2 / g, so the scale is
+        # the second's largest entry plus the first's times that gain
+        for eps_alpha, eps_beta in product(ACCURACY_EPSILONS, repeat=2):
+            params = rappor_params(eps_alpha, eps_beta)
+            gain = 1.0 + 2.0 / math.expm1(min(eps_alpha, EPSILON_CAP))
+            for K, k in [(1, 0), (1, 1), (2, 1), (7, 2), (7, 6), (100, 49), (100, 51), (100, 93)]:
+                first = decoded_binary(k, K, eps_beta)
+                want = decoded_binary(first[1], 1, eps_alpha).astype(float)
+                scale = np.abs(want).max() + gain * np.abs(first.astype(float)).max()
+                got = decode_noisy_sampling_counts([k], K, params)
+                assert abs(got - want[1]) <= DECODE_TOL * scale, (eps_alpha, eps_beta, K, k)
 
 
 class TestEstimatePoly:
-    def test_pure_population_recovers_one_hot(self):
+    @pytest.mark.parametrize("m", range(2, 11))
+    @pytest.mark.parametrize("eps", [0.1, 0.5, 1.0, 2.0, 10.0])
+    def test_pure_population_recovers_one_hot(self, eps, m):
+        # a channel column's expected counts decode to its value's one-hot vector
         n = 1000
-        for m, eps in [(3, 0.5), (5, 1.0)]:
-            for j in range(m):
-                est = estimate_poly(n * rr_vector(eps, m, j), eps).estimate
-                expected = np.zeros(m)
-                expected[j] = 1.0
-                np.testing.assert_allclose(est, expected, atol=1e-9)
+        for j in range(m):
+            est = estimate_poly(n * rr_vector(eps, m, j), eps).estimate
+            np.testing.assert_allclose(est, np.eye(m)[j], atol=1e-10)
+
+    def test_large_epsilon_is_identity(self):
+        rng = np.random.default_rng(2)
+        for m in (2, 5):
+            counts = rng.integers(1, 50, m)
+            est = estimate_poly(counts, 40.0).estimate
+            np.testing.assert_allclose(est, counts / counts.sum(), atol=1e-15)
 
     def test_uniform_counts_give_uniform_estimate(self):
         hist = histogram(np.repeat(np.arange(4), 25), 4)
@@ -114,6 +139,16 @@ class TestEstimatePoly:
         for eps, freq in product((0.1, 0.5, 1.0, 2.0), freqs):
             counts = n * (rr_channel(eps, m) @ freq)
             np.testing.assert_allclose(estimate_poly(counts, eps).estimate, freq, atol=1e-9)
+
+    def test_total_above_two_to_the_53_is_refused(self):
+        # m * counts would overflow near the double limit; no warning on the way
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for counts in ([1e308, 1e307], [2.0**53, 2.0], [2**52, 2**52, 2]):
+                with pytest.raises(ParameterError, match=r"^counts must .* total at most 2\*\*53$"):
+                    estimate_poly(counts, 1.0)
+            est = estimate_poly([2**53 - 1, 1], 1.0).estimate  # the bound is inclusive
+            assert np.all(np.isfinite(est))
 
     def test_estimate_sums_to_one(self):
         rng = np.random.default_rng(4)
@@ -166,16 +201,16 @@ class TestTrustedDecodeCores:
     def _bits(x) -> bytes:
         return np.asarray(x, dtype=float).tobytes()
 
-    def test_histogram_core_equals_decode_histogram(self):
+    def test_block_decode_equals_decode_histogram(self):
         rng = np.random.default_rng(41)
         for m, eps, n in product((2, 3, 5, 11), (1e-3, 0.4, 2.0, 60.0), (1, 7, 1000)):
-            # integer rows of one 2-D count block, as the runner decodes them
-            block = np.stack([histogram(rng.integers(0, m, n), m) for _ in range(4)])
-            inverse = perturbation_matrix(eps, m)
-            for counts in block:
-                public = estimate_poly(counts, eps).estimate
-                core = estimation._decode_counts(counts, n, inverse)
-                assert self._bits(core) == self._bits(public)
+            # 4 trials' values in one trial-major column, as the runner decodes them
+            column = rng.integers(0, m, 4 * n)
+            offsets = np.repeat(np.arange(0, 4 * m, m), n)
+            block = experiments._decode_block(column, offsets, eps, m, n)
+            for row, values in zip(block, column.reshape(4, n)):
+                public = estimate_poly(histogram(values, m), eps).estimate
+                assert self._bits(row) == self._bits(public)
 
     def test_noisy_sampling_core_equals_decode_noisy_sampling_counts(self):
         rng = np.random.default_rng(43)
@@ -335,7 +370,6 @@ class TestVarianceBinaryEstimate:
 # Every estimator, as a function of the privacy parameter it debiases with.
 ESTIMATORS = {
     "estimate_binary": lambda eps: estimate_binary(0.5, eps),
-    "perturbation_matrix": lambda eps: perturbation_matrix(eps, 3),
     "estimate_poly": lambda eps: estimate_poly(histogram([0, 0, 1], 64), eps).covariance,
     "frequency_estimate_covariance": lambda eps: frequency_estimate_covariance([0.5] * 2, eps, 1),
     "estimate_poly-1024": lambda eps: estimate_poly(histogram([0, 0, 1], 1024), eps).covariance,

@@ -9,7 +9,7 @@ import pytest
 
 from dprelax import experiments, mechanism
 from dprelax.errors import ConfigError, ParameterError
-from dprelax.estimation import perturbation_matrix
+from dprelax.estimation import _debias
 from dprelax.experiments import (
     ExperimentConfig,
     compare_noisy_sampling,
@@ -510,14 +510,14 @@ class TestTrialBlocks:
         assert self._block_sizes(config) == [1] * self.TRIALS
         self._assert_identical(self._simulate(config) + self._compare(config), together)
 
-    def test_decode_channels_are_built_as_rounds_come(self, monkeypatch):
-        # no channel is built before sampling (a schedule too small to debias
-        # is refused by the config); each block builds its own as they come
+    def test_rounds_are_decoded_as_they_come(self, monkeypatch):
+        # nothing is decoded before sampling (a schedule too small to debias
+        # is refused by the config); each block decodes its rounds as they come
         events = []
 
-        def built(eps, m):
-            events.append("channel")
-            return perturbation_matrix(eps, m)
+        def decoded(counts, n, eps, m):
+            events.append("decode")
+            return _debias(counts, n, eps, m)
 
         def sampled(*args):
             rounds = iter_chain_rounds(*args)
@@ -526,12 +526,12 @@ class TestTrialBlocks:
             yield first
             yield from rounds
 
-        monkeypatch.setattr(experiments, "perturbation_matrix", built)
+        monkeypatch.setattr(experiments, "_debias", decoded)
         monkeypatch.setattr(experiments, "iter_chain_rounds", sampled)
         monkeypatch.setattr(experiments, "BLOCK_OBJECTS", 1)  # one trial per block
         epsilons = (0.1, 0.2, 0.3, 0.4)
         simulate_experiment(ExperimentConfig(**dict(DIRECT, epsilons=epsilons, trials=2)))
-        block = ["sample"] + ["channel"] * len(epsilons)
+        block = ["sample"] + ["decode"] * len(epsilons)
         assert events == block * 2
 
     def test_compare_holds_one_trial_of_noisy_samples(self, monkeypatch):

@@ -4,7 +4,9 @@ names, the package's exports and the README's quick start.
 `GOLDEN` was recorded from the CLI before the likelihood and sampling paths
 were consolidated, `DEEP_GOLDEN` before attack scoring became one running pass
 per trial, `GUARD_GOLDEN` before a round's MLE skipped the full argmax and its
-sampler drew the moved objects' branch on those objects alone; any change to a
+sampler drew the moved objects' branch on those objects alone; the
+`*_rounds.csv` and RAPPOR digests were re-recorded when every decode became one
+closed form, which moved only their decoded-estimate columns.  Any change to a
 single output byte fails here.  A deleted API cannot stay exported or
 documented: every exported name must resolve and the README's quick start must
 run.
@@ -26,11 +28,11 @@ TRIALS = 3
 
 # sha256 of each CLI output, shipped configs at trials=3 (seed unchanged).
 GOLDEN = {
-    "experiment1_rounds.csv": "f76373c393946d7162035f876b0ce714cdd62c3fe4ad3bdb31166a74ac3b9d0d",
+    "experiment1_rounds.csv": "e8b6f745dcb7b75c5d2fa4c28fe7c06792305554ac25a5b2fd09e1383c086273",
     "experiment1_attacks.csv": "be4854e71169f28bad04e9fb6b6887a3d0e8984586d9b4390d089cbdf59dcbc4",
-    "experiment2_rounds.csv": "9ca08f3f336dd657bb22439a82b2097fffd07ff01f5a05f27426f125ebb9f9be",
+    "experiment2_rounds.csv": "8c130893a51a32213831a44d2d55bd62a0252eed7689736cc5d524d08e3011fa",
     "experiment2_attacks.csv": "6d75dfaaeccb7dfa2e7ae58c2ffec59e04b5e01d78ae0e11fde0cd0414651241",
-    "rappor_comparison_rappor.csv": "8b945a050819a36bb583c4c09c3ee709b82c0b8f9a388e512ed3886c04ce70ed",
+    "rappor_comparison_rappor.csv": "bbed498e03d0749a01cc117865dae968cfd3b3ebfb0d8d10e136a00acd30d932",
     "kernel_table.csv": "75602638f33fd7998229585bb765fdfd12175bb5a3aabbc66afca2807e7ef6c9",
     "audit_report.csv": "7123ae1a14965fc1ed1ce0e737a8c1bf05308e8ffd1071d4c4a00b75a00da15a",
 }
@@ -47,7 +49,7 @@ DEEP_CONFIG = {
     "seed": 20240917,
 }
 DEEP_GOLDEN = {
-    "deep_rounds.csv": "72c1f2f93ac01318e40661e601affe00e63593e001e662d1ed0930017741cba5",
+    "deep_rounds.csv": "f74c57851c26292f7bf0610a17d26cdc7097076aa96f55c17a412e056f1676de",
     "deep_attacks.csv": "6052d47d88fdad3729dc055077fe2b6f44487161e9652f16fc4079f878b61ebb",
 }
 
@@ -86,13 +88,13 @@ GUARD_CONFIGS = {
     },
 }
 GUARD_GOLDEN = {
-    "capped_rounds.csv": "67ad94d530cd7eb3caf79e54984aa24443c5feec9afa62038dead1d1d5d3e564",
+    "capped_rounds.csv": "fcb6fd26d2c80d87655110ee21d52879920357130613699192d4d8e1457aa1df",
     "capped_attacks.csv": "d81dc538f62940502b2a74c62055170da186d9dfa80c579c7ebfb7f794793890",
-    "binary_rounds.csv": "eab8e8d39df4434a9105cfd3c135bd36e8ce494ac15e7c377ad2b34987c59b73",
+    "binary_rounds.csv": "dc276a2d5d83cdf5555c6e1496d297d0f73cc17c63305679129cf543566151a3",
     "binary_attacks.csv": "d8e101555c0c34e19306da0934b3b32c9b81019cb14df1c77d40facffb70bf51",
-    "tiny_rounds.csv": "6fb7713e668c75608584cc54be55317564f056353045c93a74ba0d3d4a03978b",
+    "tiny_rounds.csv": "55e73d7d9db0ab1859285587cc4af00c060276be511a028e7d19be9656a981e8",
     "tiny_attacks.csv": "dcf937fcb48d16c299d9e15f2b81cd7e553e186ecac083d4f4d6d7ec99f0dd01",
-    "wide_rounds.csv": "f53fd9ad9d071b47fe50dc8829a862c128e848920ce6c1228ba92096b5f66f84",
+    "wide_rounds.csv": "483384dc8574c32fb77cbff909d25830aa387082d978b9592821227b5e0f5d35",
     "wide_attacks.csv": "4cdda999e0f51fecd560eff6738454769519ab9ba9092f2d474b5891bb229338",
 }
 

@@ -17,7 +17,6 @@ from dprelax.estimation import (
     estimate_poly,
     frequency_estimate_covariance,
     histogram,
-    perturbation_matrix,
     variance_binary_estimate,
 )
 from dprelax.experiments import ExperimentConfig, kernel_table_rows
@@ -469,7 +468,6 @@ def _covariance_of_uniform(m):
 # largest m taken)
 DOMAIN_SIZED_WORK = {
     "histogram": (lambda m: histogram([0], m), (np, "bincount"), _util.MAX_OBJECT_VALUES),
-    "perturbation_matrix": (lambda m: perturbation_matrix(1.0, m), (np, "full"), 4096),
     "frequency_estimate_covariance": (
         _covariance_of_uniform,
         (estimation, "_decoded_covariance"),
@@ -496,9 +494,9 @@ def test_domain_past_its_work_bound_is_refused_first(monkeypatch, call):
         fn(most)
 
 
-def test_decodes_take_the_decode_matrix_bound(monkeypatch):
+def test_decodes_take_the_covariance_bound(monkeypatch):
     assert MAX_DECODE_DOMAIN**2 == _util.MAX_OBJECT_VALUES
-    monkeypatch.setattr(np, "full", _reached)
+    monkeypatch.setattr(estimation, "_debias", _reached)
     monkeypatch.setattr(estimation, "_decoded_covariance", _reached)
     m = MAX_DECODE_DOMAIN + 1
     for call in (
@@ -507,3 +505,5 @@ def test_decodes_take_the_decode_matrix_bound(monkeypatch):
     ):
         with pytest.raises(ParameterError, match=rf"^m must be at most 4096, got {m}$"):
             call()
+    with pytest.raises(_Reached):  # the bound is inclusive
+        estimate_poly(np.ones(m - 1), 1.0)
