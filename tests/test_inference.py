@@ -145,14 +145,19 @@ class TestOnlineRelease:
         "d9464199991667f73b64ebb81a9c33192b5f569d06d18040baee0524ead05011",
     )
     # m -> schedule of the branches the m = 5 pass misses: no third value
-    # (m = 2), identity steps, and steps at and above `EPSILON_CAP`
+    # (m = 2), identity steps, and steps at and above `EPSILON_CAP`; from 8
+    # values on (m = 9 and 64), numpy sums a posterior's normaliser pairwise
+    # rather than left to right
     BRANCH_CASES = {
         2: (0.1, 0.5, 0.5, 2.0, 2.0),
         3: (0.3, 0.3, 1.0, EPSILON_CAP, EPSILON_CAP + 10.0, 2 * EPSILON_CAP),
+        9: (0.2, 0.7, 0.7, 1.5, 4.0, EPSILON_CAP + 5.0),
+        64: (0.5, 1.0, 1.0, 3.0, EPSILON_CAP + 1.0),
     }
     # the same digests of `_online_pass(20, BRANCH_CASES[m], m, seed=m)`,
     # recorded while each release drew through the batch sampler on one-row
-    # arrays
+    # arrays (m = 2, 3) and while the prior rule reduced the prior with numpy
+    # (m = 9, 64)
     BRANCH_GOLDEN = {
         2: (
             "c4a96727088f60c96a44a5808714812b5a048f5a97a8537be705c2516a43b9a6",
@@ -161,6 +166,14 @@ class TestOnlineRelease:
         3: (
             "da8e3a1ada653807c3548a5b701f01f0ef88cc70a195b350006669c2ee852c05",
             "6e64e626f1cfd520529d58d8c6f0330fa7a1475aaeb5900721ac1a315b3b95d2",
+        ),
+        9: (
+            "9116bd47ba9bd52571ff5cc8c06bd14cbb8cc0483e37281ce1c1a1fd2f9ec612",
+            "381fd8f82d87ba0c0054f218e92f0ce2b63fc3930c548288b79ac1d11bfadd73",
+        ),
+        64: (
+            "4facbebf12ee759dbdd4d8e76ddc88ada31d950a1b10a56e52090f609ec1254a",
+            "c1ceb6818139a96d9c728644170cf09ab456dae7b27587407f6c91e39d898e5e",
         ),
     }
 

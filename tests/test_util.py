@@ -295,6 +295,65 @@ def test_bad_array_is_rejected(call):
         fn()
 
 
+# The one prior rule, shared by `posterior` (of a 3-value chain) and
+# `frequency_estimate_covariance`: each call with its argument name and the
+# shape it asks for.
+PRIOR_RULE_CALLS = {
+    "posterior": (lambda p: posterior(start_chain(0, 3, 0.5, _rng()), p), "prior", "3"),
+    "frequency_estimate_covariance": (
+        lambda p: frequency_estimate_covariance(p, 1.0, 10),
+        "freq",
+        "m >= 2",
+    ),
+}
+
+# test id -> a 3-value prior the rule refuses; None marks a refusal for shape
+REFUSED_PRIORS = {
+    "nan": [math.nan, 0.5, 0.5],
+    "nan-last": [0.5, 0.5, math.nan],
+    "inf": [math.inf, 0.0, 0.0],
+    "negative-1e-300": [-1e-300, 0.5, 0.5],
+    "sum-1-plus-1.1e-12": [0.5, 0.25, 0.25 + 1.1e-12],
+    "sum-1-minus-1.1e-12": [0.5, 0.25, 0.25 - 1.1e-12],
+    # read as float64, the float32 entries sum to 1 + 1.5e-8
+    "float32": np.array([0.2, 0.3, 0.5], dtype=np.float32),
+    "shape-()": np.float64(1.0),
+    "shape-(1, m)": [[0.25, 0.25, 0.5]],
+}
+
+# test id -> a 3-value prior the rule accepts, read as the float64 array of its values
+ACCEPTED_PRIORS = {
+    "negative-zero": [-0.0, 0.5, 0.5],
+    "sum-1-plus-0.9e-12": [0.5, 0.25, 0.25 + 0.9e-12],
+    "sum-1-minus-0.9e-12": [0.5, 0.25, 0.25 - 0.9e-12],
+    "int-array": np.array([0, 1, 0]),
+    "bool-list": [False, True, False],
+    "tuple": (0.25, 0.25, 0.5),
+}
+
+
+@pytest.mark.parametrize("prior", list(REFUSED_PRIORS))
+@pytest.mark.parametrize("call", list(PRIOR_RULE_CALLS))
+def test_prior_rule_refuses(call, prior):
+    fn, name, shape = PRIOR_RULE_CALLS[call]
+    p = REFUSED_PRIORS[prior]
+    if np.ndim(p) == 1:
+        message = f"{name} must be finite, non-negative and sum to 1"
+    else:
+        message = f"{name} must have shape ({shape},), got {np.shape(p)}"
+    with pytest.raises(ParameterError) as refused:
+        fn(p)
+    assert str(refused.value) == message
+
+
+@pytest.mark.parametrize("prior", list(ACCEPTED_PRIORS))
+@pytest.mark.parametrize("call", list(PRIOR_RULE_CALLS))
+def test_prior_rule_accepts(call, prior):
+    fn, _, _ = PRIOR_RULE_CALLS[call]
+    p = ACCEPTED_PRIORS[prior]
+    assert fn(p).tobytes() == fn(np.array(p, dtype=np.float64)).tobytes()
+
+
 def test_uniform_prior_refuses_a_domain_no_chain_takes(monkeypatch):
     def no_full(*args, **kwargs):
         raise AssertionError("allocated a prior for a refused domain")
