@@ -19,6 +19,7 @@ import numpy as np
 from ._util import (
     MAX_OBJECT_VALUES,
     as_float,
+    as_real_array,
     cap_epsilon,
     check_count,
     check_distribution,
@@ -145,11 +146,14 @@ def estimate_poly(counts, eps: float) -> FrequencyEstimate:
 
 
 def frequency_estimate_covariance(freq, eps: float, n: int) -> np.ndarray:
-    """Covariance of the decoded estimate for a population with composition ``freq``."""
+    """Covariance of the decoded estimate for a population with composition
+    ``freq``, read as float64 and summing to 1 within 1e-12 there."""
+    freq = as_real_array(freq, "freq")
+    # bounded before the rule reads each entry; lengths 0 and 1 fail its shape test
+    check_domain_size(max(freq.size, 2), most=MAX_DECODE_DOMAIN)
     freq = check_distribution(freq, None, "freq")
     n = check_count(n, "n")
     eps = check_epsilon(eps)
-    check_domain_size(freq.size, most=MAX_DECODE_DOMAIN)
     return _decoded_covariance(freq, eps, n, math.fsum(freq))
 
 

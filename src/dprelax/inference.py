@@ -53,14 +53,17 @@ def uniform_prior(m: int) -> np.ndarray:
 def posterior(chain: RelaxationChain, prior) -> np.ndarray:
     """Bayesian belief over the true value given every released output.
 
+    ``prior`` is read as float64 and must sum to 1 within 1e-12 there, so a
+    float32 prior is refused unless its float64 values sum to 1 that closely.
     Reads the log-likelihood the chain carries, so a posterior after every
     release costs O(1) in the chain length.  Where the likelihoods underflow,
     the belief is normalised in log space instead.
     """
     _check_chain(chain)
     prior = check_distribution(prior, chain.m, "prior")
-    weighted = np.exp(chain._log_likelihood) * prior
-    z = float(np.add.reduce(weighted))  # `weighted.sum()`, without its Python wrapper
+    weighted = np.exp(chain._log_likelihood)
+    weighted *= prior
+    z = np.add.reduce(weighted)  # `weighted.sum()`, without its Python wrapper
     if z < sys.float_info.min:
         # shift by the largest log-likelihood on the prior's support: each
         # term is then at most its prior, and the largest one equals its prior
@@ -69,8 +72,9 @@ def posterior(chain: RelaxationChain, prior) -> np.ndarray:
         if shift == -math.inf:
             raise ParameterError("observed sequence has zero probability under the prior support")
         weighted = np.exp(loglik - shift) * prior
-        z = float(weighted.sum())
-    return weighted / z
+        z = weighted.sum()
+    weighted /= z
+    return weighted
 
 
 def iter_attack_guesses(outputs, schedule, m: int):

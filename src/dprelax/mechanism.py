@@ -171,15 +171,14 @@ class RelaxationChain:
     def _trusted(cls, true_value, m, schedule, outputs, log_likelihood):
         # Builds a chain from parts already checked (a validated prefix, a
         # checked ε, a sampled output) without re-validating or re-scoring them.
+        log_likelihood.setflags(False)  # write=False, without a keyword to parse
         chain = object.__new__(cls)
-        log_likelihood.setflags(write=False)
-        chain.__dict__.update(
-            true_value=true_value,
-            m=m,
-            schedule=schedule,
-            outputs=outputs,
-            _log_likelihood=log_likelihood,
-        )
+        fields = chain.__dict__
+        fields["true_value"] = true_value
+        fields["m"] = m
+        fields["schedule"] = schedule
+        fields["outputs"] = outputs
+        fields["_log_likelihood"] = log_likelihood
         return chain
 
     def __reduce__(self):
@@ -447,8 +446,9 @@ def _release(x, m, schedule, outputs, loglik, eps_prev, o_prev, eps_next, rng) -
     classes = _entry_classes(m)  # refuses m above MAX_DOMAIN, before the draw
     kernel = _relax_kernel(eps_prev, eps_next, m)
     o = _draw_one(kernel, x, o_prev, rng.random())
-    row = kernel._log_entries[classes[o_prev, o]]
-    return RelaxationChain._trusted(x, m, schedule + (eps_next,), outputs + (o,), loglik + row)
+    loglik_next = kernel._log_entries[classes[o_prev, o]]  # a fresh gather, so added to in place
+    loglik_next += loglik
+    return RelaxationChain._trusted(x, m, schedule + (eps_next,), outputs + (o,), loglik_next)
 
 
 def _check_batch(outputs, schedule, m: int):
