@@ -346,13 +346,14 @@ def _block_rounds(truth, epsilons: tuple, m: int, streams: list):
     return after, iter_chain_rounds(np.tile(truth, len(streams)), epsilons, m, rows)
 
 
-def _decode_block(column, offsets, eps: float, m: int, n: int) -> np.ndarray:
+def _decode_block(column, eps: float, m: int, n: int) -> np.ndarray:
     """Every trial's decoded frequencies at ``eps``, (trials, m), of one round's
-    trial-major column: one `np.bincount`, where ``offsets`` moves trial i's
-    values to the bins [i * m, (i + 1) * m), then `estimate_poly`'s decode of
+    trial-major column of ``n`` values a trial: one `np.bincount` with trial i's
+    values in the bins [i * m, (i + 1) * m), then `estimate_poly`'s decode of
     the whole (trials, m) block at once, on counts valid by construction."""
-    counts = np.bincount(column + offsets, minlength=offsets[-1] + m).reshape(-1, m)
-    return _debias(counts, n, eps, m)
+    trials = column.size // n
+    bins = column.reshape(trials, n) + np.arange(0, trials * m, m)[:, None]
+    return _debias(np.bincount(bins.ravel(), minlength=trials * m).reshape(trials, m), n, eps, m)
 
 
 def _last_is_mle(own, rival) -> np.ndarray:
@@ -413,12 +414,11 @@ def simulate_experiment(config: ExperimentConfig, threads: int = 1) -> Experimen
         # every trial's subset, as indices into the tiled population
         picks = np.concatenate([subset + i * n for i, subset in enumerate(subsets)])
         truth_picked = truth[np.concatenate(subsets)]
-        offsets = np.repeat(np.arange(0, trials * m, m), n)
         est = np.empty((trials, rounds, m))
         errs = np.empty((trials, rounds, len(ATTACK_METHODS)))
         agree = np.ones(trials, dtype=bool)
         for r, (last, own, rival, guesses) in enumerate(_running_guesses(columns, epsilons, m, picks)):
-            est[:, r] = _decode_block(last, offsets, epsilons[r], m, n)
+            est[:, r] = _decode_block(last, epsilons[r], m, n)
             for k, method in enumerate(ATTACK_METHODS):
                 wrong = guesses[method] != truth_picked
                 # a count per slice: with ``axis=1`` one (1, 5000) block takes
@@ -478,21 +478,19 @@ def compare_noisy_sampling(config: ExperimentConfig, threads: int = 1) -> Rappor
     params = rappor_params(config.eps_alpha, config.eps_beta)
     truth = _truth_vector(config)
     n = truth.size
-
-    def decode_noisy(rng):
-        # every round's estimate, decoded as soon as drawn: a block holds no
-        # trial's (n, rounds) counts
-        counts = simulate_noisy_sampling_batch(truth, params, rounds, rng)
-        return [_decode_noisy_counts(counts[:, r], r + 1, params) for r in range(rounds)]
+    reports = n * np.arange(1, rounds + 1)  # noisy samples decoded at each round
 
     def run_block(streams):
-        trials = len(streams)
         after, columns = _block_rounds(truth, epsilons, 2, streams)
-        noisy_est = [decode_noisy(rng) for rng in after]
-        offsets = np.repeat(np.arange(0, trials * 2, 2), n)
-        relax_est = np.empty((trials, rounds))
+        # each trial's every-round total of ones, decoded as soon as drawn: a
+        # block holds no trial's (n, rounds) counts
+        noisy_est = []
+        for rng in after:
+            ones = simulate_noisy_sampling_batch(truth, params, rounds, rng).sum(axis=0)
+            noisy_est.append(_decode_noisy_counts(ones, reports, params))
+        relax_est = np.empty((len(streams), rounds))
         for r, out in enumerate(columns):
-            relax_est[:, r] = _decode_block(out, offsets, epsilons[r], 2, n)[:, 1]
+            relax_est[:, r] = _decode_block(out, epsilons[r], 2, n)[:, 1]
         return relax_est, noisy_est
 
     relax_estimates, noisy_estimates = _run_trials(config, run_block, threads)

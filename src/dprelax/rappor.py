@@ -6,7 +6,7 @@ alpha) and then reports many independent re-perturbations of that stored bit
 implemented, where a noisy sample keeps the stored bit with the same
 probability regardless of its value; bits are treated independently, so no
 Bloom-filter machinery appears here.  Clients are simulated as a batch
-(`simulate_noisy_sampling_batch`) and decoded from their one-bit counts
+(`simulate_noisy_sampling_batch`) and decoded from the clients' total of ones
 (`decode_noisy_sampling_counts`); one client is a one-row batch.
 
 Parameters are specified through the per-stage privacy parameters: alpha is
@@ -125,18 +125,18 @@ def decode_noisy_sampling_counts(k_ones, K: int, params: RapporParams) -> float:
         raise ParameterError("k_ones must hold at least one report")
     check_epsilon(params.eps_beta, "eps_beta")
     check_epsilon(params.eps_alpha, "eps_alpha")
-    return _decode_noisy_counts(k_ones, K, params)
+    return float(_decode_noisy_counts(k_ones.sum(), k_ones.size * K, params))
 
 
-def _decode_noisy_counts(k_ones, K: int, params: RapporParams) -> float:
-    # `decode_noisy_sampling_counts`'s arithmetic, for a non-empty array of counts
-    # in [0, K] and checked parameters: each client's count of ones among its
-    # K samples is debiased at eps_beta, then their mean at eps_alpha, by the
-    # decode of `estimate_binary`.  The per-client stage routinely leaves
-    # [0, 1], so neither stage checks the range `estimate_binary` checks on
-    # raw observed frequencies.
-    per_client = _debias(k_ones, K, params.eps_beta, 2)
-    return _debias(float(per_client.mean()), 1.0, params.eps_alpha, 2)
+def _decode_noisy_counts(ones, reports, params: RapporParams):
+    # `decode_noisy_sampling_counts`'s arithmetic, for checked parameters and
+    # ``ones`` ones among ``reports`` > 0 noisy samples (scalars, or arrays of
+    # one shape): the decode of `estimate_binary` at eps_beta, then at eps_alpha.
+    # The decode is affine, so this is the mean of the clients' own decodes.
+    # The first stage routinely leaves [0, 1], so neither checks the range
+    # `estimate_binary` checks on raw observed frequencies.
+    first = _debias(ones, reports, params.eps_beta, 2)
+    return _debias(first, 1.0, params.eps_alpha, 2)
 
 
 def variance_noisy_sampling(params: RapporParams, N: int, K: int) -> float:

@@ -118,6 +118,14 @@ def decoded_binary(ones, n, eps: float) -> np.ndarray:
         return decoded_shares([1 - share, share], eps)
 
 
+def decoded_noisy_sampling(ones: int, reports: int, eps_alpha: float, eps_beta: float) -> float:
+    """The two-stage decode of ``ones`` ones among ``reports`` noisy samples:
+    `decoded_binary` at eps_beta, then its frequency of ones decoded again at
+    eps_alpha, every step in 50-digit decimals; only the result is rounded."""
+    first = decoded_binary(ones, reports, eps_beta)
+    return float(decoded_binary(first[1], 1, eps_alpha)[1])
+
+
 def decoded_covariance(weights, eps: float, n) -> np.ndarray:
     """Covariance of the decoded frequencies over ``n`` objects of composition
     ``weights``: the weighted sum of each value's `response_covariance`, taken

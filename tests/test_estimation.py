@@ -25,8 +25,8 @@ from dprelax.rappor import (
     simulate_noisy_sampling_batch,
 )
 from oracles import (
-    decoded_binary, decoded_covariance, decoded_frequencies, response_covariance, rr_channel,
-    rr_vector,
+    decoded_binary, decoded_covariance, decoded_frequencies, decoded_noisy_sampling,
+    response_covariance, rr_channel, rr_vector,
 )
 
 E = math.e
@@ -101,6 +101,16 @@ class TestDecodeAccuracy:
                 scale = np.abs(want).max() + gain * np.abs(first.astype(float)).max()
                 got = decode_noisy_sampling_counts([k], K, params)
                 assert abs(got - want[1]) <= DECODE_TOL * scale, (eps_alpha, eps_beta, K, k)
+
+    def test_decode_noisy_sampling_counts_of_many_clients(self):
+        # the clients' counts are decoded from their total: one rounding of
+        # the first stage's value, whatever N, instead of N cancelling in a mean
+        for seed, N, K in product(range(4), (1, 5, 257), range(1, 7)):
+            k_ones = np.random.default_rng(seed).integers(0, K + 1, N)
+            for eps_alpha, eps_beta in product(ACCURACY_EPSILONS, repeat=2):
+                want = decoded_noisy_sampling(int(k_ones.sum()), N * K, eps_alpha, eps_beta)
+                got = decode_noisy_sampling_counts(k_ones, K, rappor_params(eps_alpha, eps_beta))
+                assert abs(got - want) <= 1e-12 * max(1.0, abs(want)), (eps_alpha, eps_beta, N, K, seed)
 
 
 class TestEstimatePoly:
@@ -206,8 +216,7 @@ class TestTrustedDecodeCores:
         for m, eps, n in product((2, 3, 5, 11), (1e-3, 0.4, 2.0, 60.0), (1, 7, 1000)):
             # 4 trials' values in one trial-major column, as the runner decodes them
             column = rng.integers(0, m, 4 * n)
-            offsets = np.repeat(np.arange(0, 4 * m, m), n)
-            block = experiments._decode_block(column, offsets, eps, m, n)
+            block = experiments._decode_block(column, eps, m, n)
             for row, values in zip(block, column.reshape(4, n)):
                 public = estimate_poly(histogram(values, m), eps).estimate
                 assert self._bits(row) == self._bits(public)
@@ -221,8 +230,38 @@ class TestTrustedDecodeCores:
             for k in range(1, 13):
                 column = counts[:, k - 1]  # a strided int64 column, as the runner passes
                 public = decode_noisy_sampling_counts(column, k, params)
-                core = rappor._decode_noisy_counts(column, k, params)
+                core = rappor._decode_noisy_counts(column.sum(), column.size * k, params)
                 assert self._bits(core) == self._bits(public)
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_compare_run_decodes_as_decode_noisy_sampling_counts(self, monkeypatch, threads):
+        # 4000 clients and 5 trials: blocks of 2, 2 and 1 trials
+        config = experiments.config_from_dict(
+            {
+                "m": 2,
+                "counts": [1500, 2500],
+                "schedule": {"kind": "noisy-sampling", "eps_alpha": 0.3, "eps_beta": 0.05, "rounds": 6},
+                "trials": 5,
+                "seed": 45,
+            }
+        )
+        drawn = []
+
+        def recorder(*args, **kwargs):
+            counts = simulate_noisy_sampling_batch(*args, **kwargs)
+            drawn.append(counts)
+            return counts
+
+        monkeypatch.setattr(experiments, "simulate_noisy_sampling_batch", recorder)
+        result = experiments.compare_noisy_sampling(config, threads=threads)
+        params = rappor_params(0.3, 0.05)
+        assert len(drawn) == config.trials
+        # blocks on two threads record in any order: match trials as a multiset
+        want = sorted(
+            self._bits([decode_noisy_sampling_counts(counts[:, k - 1], k, params) for k in range(1, 7)])
+            for counts in drawn
+        )
+        assert sorted(self._bits(row) for row in result.noisy_estimates) == want
 
     @pytest.mark.parametrize(
         "counts",

@@ -6,7 +6,9 @@ were consolidated, `DEEP_GOLDEN` before attack scoring became one running pass
 per trial, `GUARD_GOLDEN` before a round's MLE skipped the full argmax and its
 sampler drew the moved objects' branch on those objects alone; the
 `*_rounds.csv` and RAPPOR digests were re-recorded when every decode became one
-closed form, which moved only their decoded-estimate columns.  Any change to a
+closed form, which moved only their decoded-estimate columns, and the RAPPOR
+digest again when noisy sampling became one decode of the clients' total of
+ones, which moved only its ``var_noisy_empirical`` column.  Any change to a
 single output byte fails here.  A deleted API cannot stay exported or
 documented: every exported name must resolve and the README's quick start must
 run.
@@ -32,7 +34,7 @@ GOLDEN = {
     "experiment1_attacks.csv": "be4854e71169f28bad04e9fb6b6887a3d0e8984586d9b4390d089cbdf59dcbc4",
     "experiment2_rounds.csv": "8c130893a51a32213831a44d2d55bd62a0252eed7689736cc5d524d08e3011fa",
     "experiment2_attacks.csv": "6d75dfaaeccb7dfa2e7ae58c2ffec59e04b5e01d78ae0e11fde0cd0414651241",
-    "rappor_comparison_rappor.csv": "bbed498e03d0749a01cc117865dae968cfd3b3ebfb0d8d10e136a00acd30d932",
+    "rappor_comparison_rappor.csv": "daac503a837db2139203b6786b2d792051a00f6e910ceb52f8600ab99238f7fd",
     "kernel_table.csv": "75602638f33fd7998229585bb765fdfd12175bb5a3aabbc66afca2807e7ef6c9",
     "audit_report.csv": "7123ae1a14965fc1ed1ce0e737a8c1bf05308e8ffd1071d4c4a00b75a00da15a",
 }
