@@ -22,9 +22,9 @@ from itertools import combinations_with_replacement
 
 import numpy as np
 
-from ._util import check_domain_size, check_rounds, check_schedule
+from ._util import cap_epsilon, check_domain_size, check_rounds, check_schedule
 from .errors import EnumerationLimitError
-from .mechanism import _log_tables, relax_kernel, rr_distribution
+from .mechanism import _log_tables, _plan, relax_kernel, rr_distribution
 from .rappor import RapporParams, eps_noisy_sampling, rappor_params
 
 __all__ = [
@@ -101,20 +101,20 @@ def chain_log_probs(schedule, m: int) -> np.ndarray:
         raise EnumerationLimitError(
             f"{m}**{n} sequences exceed the enumeration cap of {MAX_SEQUENCES}"
         )
-    return _chain_log_probs([schedule], m)[0]
+    return _chain_log_probs([_plan(schedule)], m)[0]
 
 
-def _chain_log_probs(schedules, m: int) -> np.ndarray:
-    """`chain_log_probs` of each of ``schedules``, validated and of one
-    length n, stacked: (len(schedules), m, m**n)."""
-    size = len(schedules)
-    # the first output's rows: the step from ε = 0, the same for every o_prev
-    logp = _log_tables([(0.0, schedule[0]) for schedule in schedules], m)[:, :, 0]
-    for i in range(1, len(schedules[0])):
+def _chain_log_probs(plans, m: int) -> np.ndarray:
+    """`chain_log_probs` of each of ``plans``, relaxation plans of valid
+    steps and of one length n, stacked: (len(plans), m, m**n)."""
+    size, rounds = len(plans), zip(*plans)  # each round's step of every plan
+    # a plan's first step is from ε = 0: its rows are the same for every o_prev
+    logp = _log_tables(next(rounds), m)[:, :, 0]
+    for steps in rounds:
         # the last output varies fastest, so each step's [x, o_prev, o_next]
         # table adds along the last axis of (size, m, sequences / m, m)
-        steps = _log_tables([schedule[i - 1 : i + 1] for schedule in schedules], m)
-        logp = (logp.reshape(size, m, -1, m, 1) + steps[:, :, None]).reshape(size, m, -1)
+        tables = _log_tables(steps, m)
+        logp = (logp.reshape(size, m, -1, m, 1) + tables[:, :, None]).reshape(size, m, -1)
     return logp
 
 
@@ -163,25 +163,23 @@ def audit_noisy_sampling_epsilon(params: RapporParams, K: int) -> float:
     """Privacy parameter of K noisy samples by direct mixture enumeration.
 
     Enumerates the distribution of the one-bit count for both original bits
-    and takes the worst log-ratio over all counts (the binomial coefficient
-    cancels).  Independent of the closed form in `rappor.eps_noisy_sampling`.
-    K is at most `MAX_ROUNDS`.
+    and takes the worst log-ratio over all K + 1 counts.  Both mixtures of k
+    ones, divided by their common factor, leave the log-ratio
+    ``logaddexp(0, a + b d) - logaddexp(a, b d)`` at d = 2k - K, with a and b
+    the capped ε_α and ε_β: finite at every K.  Independent of the closed form
+    in `rappor.eps_noisy_sampling`.  K is at most `MAX_ROUNDS`.
     """
     K = check_rounds(K, "K")
-    a, b = params.alpha, params.beta
-    worst = 0.0
-    for k in range(K + 1):
-        given_one = a * b**k * (1 - b) ** (K - k) + (1 - a) * b ** (K - k) * (1 - b) ** k
-        given_zero = a * b ** (K - k) * (1 - b) ** k + (1 - a) * b**k * (1 - b) ** (K - k)
-        worst = max(worst, abs(math.log(given_one / given_zero)))
-    return worst
+    a, b = cap_epsilon(params.eps_alpha), cap_epsilon(params.eps_beta)
+    bd = b * np.arange(-K, K + 1, 2)
+    return float(np.abs(np.logaddexp(0.0, a + bd) - np.logaddexp(a, bd)).max())
 
 
-def _batches(schedules: list, m: int):
-    # ``schedules``, of one length, in runs of at most `_BATCH_DOUBLES` doubles
-    size = max(1, _BATCH_DOUBLES // m ** (len(schedules[0]) + 1))
-    for start in range(0, len(schedules), size):
-        yield schedules[start : start + size]
+def _batches(plans: list, m: int):
+    # ``plans``, of one length, in runs of at most `_BATCH_DOUBLES` doubles
+    size = max(1, _BATCH_DOUBLES // m ** (len(plans[0]) + 1))
+    for start in range(0, len(plans), size):
+        yield plans[start : start + size]
 
 
 def run_standard_audits() -> list:
@@ -196,28 +194,30 @@ def run_standard_audits() -> list:
     checks = []
     grid = [round(0.1 * i, 1) for i in range(1, 21)]
     grid_pairs = [(a, b) for i, a in enumerate(grid) for b in grid[i:]]
+    # an exhaustive small scope, then the dense two-step schedules: the bound
+    # must stay tight on the whole grid
+    levels = (0.1, 0.5, 1.0, 2.0)
+    scopes = [[_plan(s) for s in combinations_with_replacement(levels, n)] for n in range(1, 5)]
+    scopes.append([_plan(pair) for pair in grid_pairs])
     worst_excess = 0.0
     worst_slack = 0.0
     for m in (2, 3, 4):
-        # an exhaustive small scope, then the dense two-step schedules: the
-        # bound must stay tight on the whole grid
-        scopes = [list(combinations_with_replacement((0.1, 0.5, 1.0, 2.0), n)) for n in range(1, 5)]
-        for schedules in scopes + [grid_pairs]:
-            for batch in _batches(schedules, m):
+        for plans in scopes:
+            for batch in _batches(plans, m):
                 worst = _worst_log_ratios(_chain_log_probs(batch, m))
-                target = np.array([schedule[-1] for schedule in batch])
+                target = np.array([plan[-1][1] for plan in batch])
                 worst_excess = max(worst_excess, float((worst - target).max()))
                 worst_slack = max(worst_slack, float((target - worst).max()))
     checks.append(AuditCheck("composition-ldp-bound", worst_excess, BOUND_TOL))
     checks.append(AuditCheck("composition-ldp-tightness", worst_slack, BOUND_TOL))
 
     worst_marginal = 0.0
-    marginal_pairs = [(a, b) for i, a in enumerate(grid) for b in grid[i:] + [10.0]]
+    marginal_plans = [_plan((a, b)) for i, a in enumerate(grid) for b in grid[i:] + [10.0]]
     for m in range(2, 11):
-        for batch in _batches(marginal_pairs, m):
+        for batch in _batches(marginal_plans, m):
             logp = _chain_log_probs(batch, m)
             got = np.exp(logp, out=logp).reshape(-1, m, m, m).sum(axis=2)
-            expected = _rr_matrices([eps_next for _, eps_next in batch], m)
+            expected = _rr_matrices([plan[-1][1] for plan in batch], m)
             worst_marginal = max(worst_marginal, float(np.abs(got - expected).max()))
     checks.append(AuditCheck("marginal-invariance", worst_marginal, 1e-12))
 

@@ -49,7 +49,7 @@ from ._util import (
 from .errors import ConfigError, ParameterError
 from .estimation import _debias, _growth, frequency_estimate_covariance, variance_binary_estimate
 from .inference import ATTACK_METHODS, _balanced_draw, _running_guesses, _value_indices, min_error_rate
-from .mechanism import iter_chain_rounds, relax_kernel
+from .mechanism import _plan, iter_chain_rounds, relax_kernel
 from .rappor import (
     _decode_noisy_counts,
     noisy_sampling_schedule,
@@ -401,7 +401,7 @@ def simulate_experiment(config: ExperimentConfig, threads: int = 1) -> Experimen
     gather.  Results do not depend on how trials fall into blocks.
     """
     m, epsilons = config.m, config.epsilons
-    rounds = len(epsilons)
+    rounds, plan = len(epsilons), _plan(epsilons)
     truth = _truth_vector(config)
     n = truth.size
     indices = _value_indices(truth, m)
@@ -417,7 +417,7 @@ def simulate_experiment(config: ExperimentConfig, threads: int = 1) -> Experimen
         est = np.empty((trials, rounds, m))
         errs = np.empty((trials, rounds, len(ATTACK_METHODS)))
         agree = np.ones(trials, dtype=bool)
-        for r, (last, own, rival, guesses) in enumerate(_running_guesses(columns, epsilons, m, picks)):
+        for r, (last, own, rival, guesses) in enumerate(_running_guesses(columns, plan, m, picks)):
             est[:, r] = _decode_block(last, epsilons[r], m, n)
             for k, method in enumerate(ATTACK_METHODS):
                 wrong = guesses[method] != truth_picked

@@ -88,15 +88,15 @@ def iter_attack_guesses(outputs, schedule, m: int):
     freshly sampled rounds, so scoring every round costs O(n_rounds).
     Validation runs once, when iteration starts.
     """
-    outputs, schedule, m = _check_batch(outputs, schedule, m)
+    outputs, plan, m = _check_batch(outputs, schedule, m)
     rows = np.arange(outputs.shape[0])
-    for *_, guesses in _running_guesses(outputs.T, schedule, m, rows):
+    for *_, guesses in _running_guesses(outputs.T, plan, m, rows):
         yield {method: guess.copy() for method, guess in guesses.items()}
 
 
-def _running_guesses(columns, schedule: tuple, m: int, rows):
-    # The per-round update behind `iter_attack_guesses`, for a validated
-    # schedule and m: takes one (n,) int64 output column in [0, m) per round,
+def _running_guesses(columns, plan: tuple, m: int, rows):
+    # The per-round update behind `iter_attack_guesses`, for a plan of valid
+    # steps and m: takes one (n,) int64 output column in [0, m) per step,
     # as it comes, and yields the column, each object's log-likelihood at its
     # last output (``own``) and the largest at any other value (``rival``),
     # and each method's guesses at the objects ``rows`` only.  The
@@ -106,17 +106,17 @@ def _running_guesses(columns, schedule: tuple, m: int, rows):
     # the yield.  The MLE is the last output wherever ``own > rival``: by
     # collusion-proofness that is almost every row, and only the others (ties,
     # all -inf rows, every row below about ε = 1e-16) take an argmax.  The
-    # per-value counts and the parameter-weighted counts (flat, row-major
-    # (rows, m)), and each count's best value per row, are carried at ``rows``
-    # alone, and the yielded guesses of both counts are that state, updated in
-    # place by the next round.
+    # per-value counts and the counts weighted by each step's eps_next (flat,
+    # row-major (rows, m)), and each count's best value per row, are carried
+    # at ``rows`` alone, and the yielded guesses of both counts are that
+    # state, updated in place by the next round.
     k = len(rows)
     offsets = np.arange(k) * m
     counts = np.zeros(k * m, dtype=np.int64)
     weighted = np.zeros(k * m)
     top_count, top_weighted = np.zeros(k, dtype=np.int64), np.zeros(k, dtype=np.int64)
     best_count, best_weighted = np.zeros(k, dtype=np.int64), np.zeros(k)
-    for eps, (last, loglik) in zip(schedule, _running_log_likelihoods(columns, schedule, m)):
+    for (_, eps), (last, loglik) in zip(plan, _running_log_likelihoods(columns, plan, m)):
         picked = last[rows]
         grown = offsets + picked
         count = counts[grown] + 1

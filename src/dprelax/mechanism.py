@@ -8,7 +8,8 @@ whose marginal law is exactly the weaker randomized response while the whole
 output sequence still leaks no more than the latest parameter allows.  An
 output at ε = 0 says nothing of the true value, so every release is a
 relaxation step: the first is the step from ε = 0, whose output is the
-randomized response at the first parameter.
+randomized response at the first parameter.  `_plan` alone builds a
+schedule's steps, for the sampler, the likelihood, the attacks and the audit.
 
 All sampling takes an explicit ``numpy.random.Generator``; every function here
 is pure and thread-safe.  Kernels are plain values, kept in one bounded
@@ -396,9 +397,8 @@ def iter_chain_rounds(true_values, schedule, m: int, rng):
     """
     m = check_domain_size(m)
     true_values = check_values(true_values, m, "true_values")
-    schedule = check_schedule(schedule)
     out = true_values
-    for eps_prev, eps_next in zip((0.0,) + schedule, schedule):
+    for eps_prev, eps_next in _plan(check_schedule(schedule)):
         out = _draw_step(_relax_kernel(eps_prev, eps_next, m), true_values, out, rng)
         yield out
 
@@ -451,25 +451,30 @@ def _release(x, m, schedule, outputs, loglik, eps_prev, o_prev, eps_next, rng) -
     return RelaxationChain._trusted(x, m, schedule + (eps_next,), outputs + (o,), loglik_next)
 
 
+def _plan(schedule: tuple) -> tuple:
+    # A validated schedule's (eps_prev, eps_next) steps, the first from ε = 0.
+    return tuple(zip((0.0,) + schedule, schedule))
+
+
 def _check_batch(outputs, schedule, m: int):
-    # A batch of chains as (int64 (n_objects, n_rounds) outputs, schedule tuple, m).
+    # A batch of chains as (int64 (n_objects, n_rounds) outputs, its plan, m).
     m = check_domain_size(m)
     outputs = check_values(outputs, m, "outputs")
     schedule = check_schedule(schedule)
     if outputs.ndim != 2 or outputs.shape[1] != len(schedule):
         raise ParameterError("outputs must be (n_objects, n_rounds) matching the schedule")
-    return outputs, schedule, m
+    return outputs, _plan(schedule), m
 
 
-def _running_log_likelihoods(columns, schedule: tuple, m: int):
-    # The likelihood recurrence, for a validated schedule and m.  Takes one
-    # (n_objects,) int64 output column in [0, m) per round, as it comes, and
+def _running_log_likelihoods(columns, plan: tuple, m: int):
+    # The likelihood recurrence, for a plan of valid steps and m.  Takes one
+    # (n_objects,) int64 output column in [0, m) per step, as it comes, and
     # yields each column with the running (n_objects, m) log-likelihood after
     # it, updated in place from the first step's; only the previous column is
-    # kept.  The first step's rows, from ε = 0, are the same for every o_prev.
+    # kept.  A plan's first step, from ε = 0, has the same rows at any o_prev.
     classes = _entry_classes(m)  # refuses m above MAX_DOMAIN, before the memo
     loglik, prev = 0.0, 0
-    for eps_prev, eps_next, out in zip((0.0,) + schedule, schedule, columns):
+    for (eps_prev, eps_next), out in zip(plan, columns):
         # row o_prev * m + o_next: the step's (m,) log entries over the true value
         steps = _relax_kernel(eps_prev, eps_next, m)._log_entries[classes]
         loglik += np.take(steps.reshape(m * m, m), prev * m + out, axis=0)
@@ -491,8 +496,8 @@ def iter_log_likelihoods(outputs, schedule, m: int):
     posteriors scored under one schedule build each step once per process.
     Validation runs once, when iteration starts.
     """
-    outputs, schedule, m = _check_batch(outputs, schedule, m)
-    for _, loglik in _running_log_likelihoods(outputs.T, schedule, m):
+    outputs, plan, m = _check_batch(outputs, schedule, m)
+    for _, loglik in _running_log_likelihoods(outputs.T, plan, m):
         yield loglik
 
 

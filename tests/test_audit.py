@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from dprelax import audit, mechanism
 from dprelax.audit import (
+    BOUND_TOL,
     _chain_log_probs,
     _worst_log_ratios,
     audit_composition_ldp,
@@ -18,13 +19,21 @@ from dprelax.audit import (
     run_standard_audits,
 )
 from dprelax.errors import EnumerationLimitError, ParameterError
-from dprelax.mechanism import EPSILON_CAP, RelaxKernel, relax_kernel, rr_distribution
+from dprelax.mechanism import (
+    EPSILON_CAP,
+    RelaxKernel,
+    _plan,
+    _running_log_likelihoods,
+    relax_kernel,
+    rr_distribution,
+)
 from dprelax.rappor import eps_noisy_sampling, rappor_params
 
 from oracles import (
     enumerate_chain_distribution,
     enumerated_output_marginal,
     kernel_conditional,
+    rr_vector,
     sequence_likelihood,
     unbatched_chain_log_probs,
     worst_log_ratio,
@@ -143,7 +152,7 @@ class TestBatchedEnumeration:
     @given(case=schedule_batches())
     def test_rows_equal_one_schedule_enumeration(self, case):
         m, schedules = case
-        batch = _chain_log_probs(schedules, m)
+        batch = _chain_log_probs([_plan(schedule) for schedule in schedules], m)
         assert batch.shape == (len(schedules), m, m ** len(schedules[0]))
         worst = _worst_log_ratios(batch)
         for schedule, row, row_worst in zip(schedules, batch, worst):
@@ -246,6 +255,45 @@ class TestNoisySamplingAudit:
                     closed = eps_noisy_sampling(K, params)
                     assert enum == pytest.approx(closed, abs=1e-10)
 
+    def test_finite_where_the_mixtures_underflow(self):
+        # at large K a mixture's terms underflow to 0, and above ε ≈ 37 the
+        # noisy sample's flip probability is 0 in double precision: the
+        # enumeration must still hold to the closed form
+        grid = (1e-8, 0.01, 0.5, 1.0, 2.0, 10.0, 40.0, 60.0)
+        for eps_alpha, eps_beta in product(grid, repeat=2):
+            params = rappor_params(eps_alpha, eps_beta)
+            for K in (1, 2, 10, 200, 2000, 100_000):
+                enum = audit_noisy_sampling_epsilon(params, K)
+                closed = eps_noisy_sampling(K, params)
+                assert math.isfinite(enum)
+                assert abs(enum - closed) <= 1e-9, (eps_alpha, eps_beta, K)
+
+
+class TestFreshPlan:
+    # a plan whose every step is from ε = 0 re-randomizes each release afresh:
+    # the enumerator and the likelihood recurrence take it as they take a
+    # relaxation plan, and it composes to the sum of its ε, not the last one
+    schedule = (0.1, 0.5, 1.0)
+    fresh = tuple((0.0, eps) for eps in schedule)
+
+    @pytest.mark.parametrize("m", [2, 3, 4])
+    def test_enumerated_worst_case_is_the_sum(self, m):
+        worst = _worst_log_ratios(_chain_log_probs([self.fresh, _plan(self.schedule)], m))
+        assert abs(worst[0] - sum(self.schedule)) <= BOUND_TOL
+        assert abs(worst[1] - self.schedule[-1]) <= BOUND_TOL
+
+    @pytest.mark.parametrize("m", [2, 3, 4])
+    def test_likelihood_is_the_sum_of_fresh_responses(self, m):
+        outputs = np.array(list(product(range(m), repeat=len(self.schedule))))
+        for _, loglik in _running_log_likelihoods(iter(outputs.T), self.fresh, m):
+            pass
+        for row, sequence in zip(loglik, outputs):
+            for x in range(m):
+                expected = sum(
+                    math.log(rr_vector(eps, m, x)[o]) for eps, o in zip(self.schedule, sequence)
+                )
+                assert row[x] == pytest.approx(expected, abs=1e-12)
+
 
 class TestSequenceRatioIdentity:
     def test_full_sequence_ratio_equals_last_output_ratio(self):
@@ -344,7 +392,8 @@ class TestStandardAudits:
         monkeypatch.setattr(audit, "_rr_matrices", no_matrices)
         for n in (1, 2, 3):
             schedules = [(0.1,) * n, (0.5,) * (n - 1) + (EPSILON_CAP + 1.0,)]
-            for schedule, row in zip(schedules, _chain_log_probs(schedules, 3)):
+            plans = [_plan(schedule) for schedule in schedules]
+            for schedule, row in zip(schedules, _chain_log_probs(plans, 3)):
                 assert np.array_equal(row, unbatched_chain_log_probs(schedule, 3))
 
     def test_memoized_kernels_hold_no_table(self):

@@ -8,8 +8,10 @@ sampler drew the moved objects' branch on those objects alone; the
 `*_rounds.csv` and RAPPOR digests were re-recorded when every decode became one
 closed form, which moved only their decoded-estimate columns, and the RAPPOR
 digest again when noisy sampling became one decode of the clients' total of
-ones, which moved only its ``var_noisy_empirical`` column.  Any change to a
-single output byte fails here.  A deleted API cannot stay exported or
+ones, which moved only its ``var_noisy_empirical`` column.  The audit digest
+was re-recorded when the noisy-sampling enumeration became one log-space
+expression over every count, which moved only that check's ``worst`` field.
+Any change to a single output byte fails here.  A deleted API cannot stay exported or
 documented: every exported name must resolve and the README's quick start must
 run.
 """
@@ -36,7 +38,7 @@ GOLDEN = {
     "experiment2_attacks.csv": "6d75dfaaeccb7dfa2e7ae58c2ffec59e04b5e01d78ae0e11fde0cd0414651241",
     "rappor_comparison_rappor.csv": "daac503a837db2139203b6786b2d792051a00f6e910ceb52f8600ab99238f7fd",
     "kernel_table.csv": "75602638f33fd7998229585bb765fdfd12175bb5a3aabbc66afca2807e7ef6c9",
-    "audit_report.csv": "7123ae1a14965fc1ed1ce0e737a8c1bf05308e8ffd1071d4c4a00b75a00da15a",
+    "audit_report.csv": "abf913f0f590cb37fd547fad7026cbe4f5d73aa5213d225bb3a8f16d9a1afdd9",
 }
 
 # sha256 of `simulate` / `attack-eval` on a 50-round, m=5 linear schedule: long
@@ -172,11 +174,14 @@ def test_benchmark_traced_names_resolve():
 def test_only_inference_reaches_into_mechanism():
     # The step memo and the kernel layer's other private names are known to
     # `mechanism` alone.  `inference` shares its batch checks and recurrence,
-    # and `audit` one gather of stacked step tables; no other module reads the
-    # memo (`_relax_kernel`) or the entry pattern (`_entry_classes`).
+    # `audit` one gather of stacked step tables, and `audit` and `experiments`
+    # the one builder of a schedule's relaxation plan (`_plan`); no other
+    # module reads the memo (`_relax_kernel`) or the entry pattern
+    # (`_entry_classes`).
     shared = {
         "inference": {"_check_batch", "_check_chain", "_running_log_likelihoods"},
-        "audit": {"_log_tables"},
+        "audit": {"_log_tables", "_plan"},
+        "experiments": {"_plan"},
     }
     offenders = []
     for path in sorted((ROOT / "src" / "dprelax").glob("*.py")):

@@ -10,6 +10,7 @@ from dprelax.estimation import MIN_EPSILON, estimate_poly
 from dprelax.inference import ATTACK_METHODS, _running_guesses, balanced_subset, iter_attack_guesses
 from dprelax.mechanism import (
     EPSILON_CAP,
+    _plan,
     chain_log_likelihoods,
     iter_chain_rounds,
     iter_log_likelihoods,
@@ -246,8 +247,8 @@ def test_subset_scoring_equals_full_scoring_at_its_rows(counts, raw, repeat, see
     truth = np.repeat(np.arange(m), counts)
     rows = balanced_subset(truth, m, np.random.default_rng(seed))
     columns = list(iter_chain_rounds(truth, schedule, m, np.random.default_rng(seed + 1)))
-    everyone = _running_guesses(iter(columns), schedule, m, np.arange(truth.size))
-    subset = _running_guesses(iter(columns), schedule, m, rows)
+    everyone = _running_guesses(iter(columns), _plan(schedule), m, np.arange(truth.size))
+    subset = _running_guesses(iter(columns), _plan(schedule), m, rows)
     for r, (full, picked) in enumerate(zip(everyone, subset, strict=True)):
         (last_full, own_full, rival_full, guesses_full), (last, own, rival, guesses) = full, picked
         # the decoded column and the MLE agreement stay population-wide
@@ -287,7 +288,7 @@ def test_running_mle_is_the_argmax_and_keeps_the_likelihood(data, m, n, n_rounds
     kept = [loglik.tobytes() for _, loglik in rounds]
     schedule = tuple(float(r + 1) for r in range(n_rounds))
     with mock.patch.object(inference, "_running_log_likelihoods", lambda *_: iter(rounds)):
-        running = list(_running_guesses(None, schedule, m, rows))
+        running = list(_running_guesses(None, _plan(schedule), m, rows))
     others = [np.where(np.arange(m) == last[:, None], -math.inf, ll) for last, ll in rounds]
     for (last, loglik), before, rest, (_, own, rival, guesses) in zip(
         rounds, kept, others, running, strict=True
@@ -313,7 +314,7 @@ def test_running_mle_below_double_precision_is_the_argmax(data, m, raw, repeat):
     outputs = np.array(data.draw(st.lists(cells, min_size=1, max_size=12)))
     expected = [loglik.copy() for loglik in iter_log_likelihoods(outputs, schedule, m)]
     rows = np.arange(outputs.shape[0])
-    running = _running_guesses(iter(outputs.T), schedule, m, rows)
+    running = _running_guesses(iter(outputs.T), _plan(schedule), m, rows)
     for loglik, (last, own, rival, guesses) in zip(expected, running, strict=True):
         assert np.array_equal(guesses["mle"], np.argmax(loglik, axis=1))
         assert np.array_equal(own, loglik[rows, last])
