@@ -30,7 +30,8 @@ all, are tiled into one population, so each round of a block is one sampler
 call, one scoring update and one histogram count for all of its trials.  Every
 trial still draws its doubles from its own stream, in the order it would
 alone, so a block's results equal those of its trials run one by one.
-``threads`` splits the blocks.
+`_run_trials` is the one block driver: it streams each block's rounds to a
+runner's per-block work, and ``threads`` splits the blocks.
 """
 
 import csv
@@ -329,23 +330,6 @@ class _BlockStreams:
         return u
 
 
-def _block_rounds(truth, epsilons: tuple, m: int, streams: list):
-    """Each trial's generator moved past its rounds' draws, and the rounds.
-
-    The relaxation rounds draw exactly one double, so one PCG64 output, per
-    object and round; a copy of a trial's generator advanced by ``n_objects *
-    rounds`` therefore starts where the trial's draws after its rounds start,
-    so a runner can make those draws before the rounds are streamed.  The
-    rounds are `iter_chain_rounds` over the block's trials tiled into one
-    population: one (trials * n_objects,) column per round, trial-major.
-    """
-    after = [np.random.default_rng(stream) for stream in streams]
-    for rng in after:
-        rng.bit_generator.advance(truth.size * len(epsilons))
-    rows = _BlockStreams([np.random.default_rng(stream) for stream in streams])
-    return after, iter_chain_rounds(np.tile(truth, len(streams)), epsilons, m, rows)
-
-
 def _decode_block(column, eps: float, m: int, n: int) -> np.ndarray:
     """Every trial's decoded frequencies at ``eps``, (trials, m), of one round's
     trial-major column of ``n`` values a trial: one `np.bincount` with trial i's
@@ -356,26 +340,38 @@ def _decode_block(column, eps: float, m: int, n: int) -> np.ndarray:
     return _debias(np.bincount(bins.ravel(), minlength=trials * m).reshape(trials, m), n, eps, m)
 
 
-def _last_is_mle(own, rival) -> np.ndarray:
-    """Whether each object's last output is its MLE: whether its
-    log-likelihood ``own`` is within 1e-12 of ``rival``, the largest at any
-    other value.  Below about ε = 1e-16 every value's likelihood ties to an
-    ulp, and rounding alone would pick the argmax."""
-    return own >= rival - 1e-12
-
-
 def _run_trials(config: ExperimentConfig, run_block, threads: int) -> list:
-    """``run_block`` over every block of trials, split across ``threads``, with
-    each of its per-trial arrays joined across blocks in trial order."""
+    """``run_block(after, rounds)`` over every block of trials, split across
+    ``threads``, with each of its per-trial arrays joined across blocks in
+    trial order.
+
+    ``rounds`` is `iter_chain_rounds` over the block's trials tiled into one
+    population: one (trials * n_objects,) column per round, trial-major, each
+    trial's row drawn from its own generator.  A round draws one double, so one
+    PCG64 output, per object: ``after`` holds each trial's generator advanced
+    by ``n_objects * rounds``, where its draws after the rounds start, so a
+    runner can make those draws before the rounds are streamed.  One thread
+    runs in the caller's, whose `np.errstate` a pool worker does not see.
+    """
     threads = check_count(threads, "threads")
     if threads > MAX_THREADS:
         raise ParameterError(f"threads must be at most {MAX_THREADS}, got {threads}")
+    truth = _truth_vector(config)
+
+    def drive(streams):
+        after = [np.random.default_rng(stream) for stream in streams]
+        for rng in after:
+            rng.bit_generator.advance(truth.size * len(config.epsilons))
+        rows = _BlockStreams([np.random.default_rng(stream) for stream in streams])
+        tiled = np.tile(truth, len(streams))
+        return run_block(after, iter_chain_rounds(tiled, config.epsilons, config.m, rows))
+
     blocks = _trial_blocks(config)
     if threads == 1:
-        results = [run_block(block) for block in blocks]
+        results = [drive(block) for block in blocks]
     else:
         with ThreadPoolExecutor(max_workers=min(threads, len(blocks))) as pool:
-            results = list(pool.map(run_block, blocks))
+            results = list(pool.map(drive, blocks))
     return [np.concatenate(parts) for parts in zip(*results)]
 
 
@@ -406,9 +402,8 @@ def simulate_experiment(config: ExperimentConfig, threads: int = 1) -> Experimen
     n = truth.size
     indices = _value_indices(truth, m)
 
-    def run_block(streams):
-        trials = len(streams)
-        after, columns = _block_rounds(truth, epsilons, m, streams)
+    def run_block(after, columns):
+        trials = len(after)
         subsets = [_balanced_draw(indices, rng) for rng in after]
         size = subsets[0].size  # m * min(counts), the same for every trial
         # every trial's subset, as indices into the tiled population
@@ -417,7 +412,7 @@ def simulate_experiment(config: ExperimentConfig, threads: int = 1) -> Experimen
         est = np.empty((trials, rounds, m))
         errs = np.empty((trials, rounds, len(ATTACK_METHODS)))
         agree = np.ones(trials, dtype=bool)
-        for r, (last, own, rival, guesses) in enumerate(_running_guesses(columns, plan, m, picks)):
+        for r, (last, last_is_mle, guesses) in enumerate(_running_guesses(columns, plan, m, picks)):
             est[:, r] = _decode_block(last, epsilons[r], m, n)
             for k, method in enumerate(ATTACK_METHODS):
                 wrong = guesses[method] != truth_picked
@@ -425,7 +420,7 @@ def simulate_experiment(config: ExperimentConfig, threads: int = 1) -> Experimen
                 # four times as long, and eight trials of 625 no less
                 for i in range(trials):
                     errs[i, r, k] = np.count_nonzero(wrong[i * size : (i + 1) * size]) / size
-            agree &= _last_is_mle(own, rival).reshape(trials, n).all(axis=1)
+            agree &= last_is_mle.reshape(trials, n).all(axis=1)
         return est, errs, agree
 
     estimates, errors, agree = _run_trials(config, run_block, threads)
@@ -480,15 +475,14 @@ def compare_noisy_sampling(config: ExperimentConfig, threads: int = 1) -> Rappor
     n = truth.size
     reports = n * np.arange(1, rounds + 1)  # noisy samples decoded at each round
 
-    def run_block(streams):
-        after, columns = _block_rounds(truth, epsilons, 2, streams)
+    def run_block(after, columns):
         # each trial's every-round total of ones, decoded as soon as drawn: a
         # block holds no trial's (n, rounds) counts
         noisy_est = []
         for rng in after:
             ones = simulate_noisy_sampling_batch(truth, params, rounds, rng).sum(axis=0)
             noisy_est.append(_decode_noisy_counts(ones, reports, params))
-        relax_est = np.empty((len(streams), rounds))
+        relax_est = np.empty((len(after), rounds))
         for r, out in enumerate(columns):
             relax_est[:, r] = _decode_block(out, epsilons[r], 2, n)[:, 1]
         return relax_est, noisy_est

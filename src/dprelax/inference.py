@@ -96,16 +96,19 @@ def iter_attack_guesses(outputs, schedule, m: int):
 
 def _running_guesses(columns, plan: tuple, m: int, rows):
     # The per-round update behind `iter_attack_guesses`, for a plan of valid
-    # steps and m: takes one (n,) int64 output column in [0, m) per step,
-    # as it comes, and yields the column, each object's log-likelihood at its
-    # last output (``own``) and the largest at any other value (``rival``),
-    # and each method's guesses at the objects ``rows`` only.  The
+    # steps and m: takes one (n,) int64 output column in [0, m) per step, as
+    # it comes, and yields the column, whether each object's last output is
+    # its MLE, and each method's guesses at the objects ``rows`` only.  The
     # log-likelihood is carried over the whole population, since
-    # `lo_mle_identical` compares every object.  ``rival`` is m - 1 column
-    # maxima taken with the own entry set to -inf, restored bit for bit before
-    # the yield.  The MLE is the last output wherever ``own > rival``: by
-    # collusion-proofness that is almost every row, and only the others (ties,
-    # all -inf rows, every row below about ε = 1e-16) take an argmax.  The
+    # `lo_mle_identical` compares every object: each object's entry at its
+    # last output (``own``) is held against the largest other (``rival``),
+    # m - 1 column maxima with the own entry set to -inf, restored bit for bit
+    # before the yield.  Two tie rules read the pair.  The MLE guess is
+    # `np.argmax`'s, so it is the last output where ``own > rival`` exactly:
+    # by collusion-proofness almost every row; the others (ties, all -inf
+    # rows, every row below about ε = 1e-16) take an argmax.  ``last_is_mle``
+    # allows 1e-12: below about ε = 1e-16 every value's likelihood ties to an
+    # ulp, and rounding alone must not count the last output as beaten.  The
     # per-value counts and the counts weighted by each step's eps_next (flat,
     # row-major (rows, m)), and each count's best value per row, are carried
     # at ``rows`` alone, and the yielded guesses of both counts are that
@@ -136,7 +139,7 @@ def _running_guesses(columns, plan: tuple, m: int, rows):
         tied = np.flatnonzero((own <= rival)[rows])
         if tied.size:
             mle[tied] = np.argmax(loglik[rows[tied]], axis=1)
-        yield last, own, rival, {
+        yield last, own >= rival - 1e-12, {
             "last_output": picked,
             "mle": mle,
             "highest_frequency": top_count,

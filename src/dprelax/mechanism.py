@@ -157,7 +157,7 @@ class RelaxationChain:
         object.__setattr__(self, "m", m)
         object.__setattr__(self, "true_value", check_value(self.true_value, m, "true_value"))
         schedule = check_schedule(self.schedule)
-        outputs = tuple(check_value(o, m, "output") for o in self.outputs)
+        outputs = tuple(check_value(o, m, "output") for o in as_sequence(self.outputs, "outputs"))
         if len(schedule) != len(outputs):
             raise ParameterError(
                 f"schedule ({len(schedule)}) and outputs ({len(outputs)}) must be of equal length"
@@ -227,8 +227,9 @@ def sample_rr_batch(values, dist: ResponseDistribution, rng: np.random.Generator
     The draw is the relaxation step from ε = 0 to ``dist.epsilon`` over
     ``dist.m`` values; no other field of ``dist`` is read.
     """
-    values = check_values(values, dist.m, "values")
-    return _draw_step(_relax_kernel(0.0, dist.epsilon, dist.m), values, values, rng)
+    m, eps = check_domain_size(dist.m), check_epsilon(dist.epsilon)
+    values = check_values(values, m, "values")
+    return _draw_step(_relax_kernel(0.0, eps, m), values, values, rng)
 
 
 def relax_kernel(eps_prev: float, eps_next: float, m: int) -> RelaxKernel:
@@ -309,7 +310,7 @@ def _log_tables(steps, m: int) -> np.ndarray:
 
 def kernel_tensor(kernel: RelaxKernel) -> np.ndarray:
     """All conditionals of a kernel as an array indexed ``[x, o_prev, o_next]``."""
-    return _entries(kernel)[_entry_classes(kernel.m).transpose(2, 0, 1)]
+    return _entries(kernel)[_entry_classes(check_domain_size(kernel.m)).transpose(2, 0, 1)]
 
 
 def relax_step_batch(
@@ -324,7 +325,7 @@ def relax_step_batch(
     candidate order is [true value][previous output][remaining values
     ascending], which makes runs reproducible from the generator state alone.
     """
-    m = kernel.m
+    m = check_domain_size(kernel.m)
     true_values = check_values(true_values, m, "true_values")
     prev_outputs = check_values(prev_outputs, m, "prev_outputs")
     if true_values.shape != prev_outputs.shape:

@@ -21,8 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._util import (
-    MAX_OBJECT_VALUES, cap_epsilon, check_count, check_epsilon, check_in_range, check_rounds,
-    check_values,
+    MAX_OBJECT_VALUES, as_float, cap_epsilon, check_count, check_epsilon, check_in_range,
+    check_rounds, check_values,
 )
 from .errors import ParameterError
 from .estimation import _debias
@@ -47,6 +47,15 @@ class RapporParams:
     eps_beta: float
     alpha: float
     beta: float
+
+    def __post_init__(self):
+        for name in ("eps_alpha", "eps_beta"):
+            object.__setattr__(self, name, check_epsilon(getattr(self, name), name))
+        for name in ("alpha", "beta"):
+            p = as_float(getattr(self, name), name)
+            if not 0.0 <= p <= 1.0:  # NaN fails too
+                raise ParameterError(f"{name} must be in [0, 1], got {p}")
+            object.__setattr__(self, name, p)
 
 
 def rappor_params(eps_alpha: float, eps_beta: float) -> RapporParams:
@@ -123,8 +132,6 @@ def decode_noisy_sampling_counts(k_ones, K: int, params: RapporParams) -> float:
     k_ones = check_in_range(k_ones, 0, K, "k_ones")
     if k_ones.size == 0:
         raise ParameterError("k_ones must hold at least one report")
-    check_epsilon(params.eps_beta, "eps_beta")
-    check_epsilon(params.eps_alpha, "eps_alpha")
     return float(_decode_noisy_counts(k_ones.sum(), k_ones.size * K, params))
 
 

@@ -374,11 +374,6 @@ class TestSimulateExperiment:
         fields = dict(name="tiny", m=3, counts=(50,) * 3, epsilons=(1e-17, 2e-17), trials=2, seed=1)
         assert simulate_experiment(ExperimentConfig(**fields)).lo_mle_identical
 
-    def test_last_output_below_the_maximum_disagrees(self):
-        # rows [0, -1e-9, -5], [0, -1e-13, -5] and [-5, -1e-9, 0], last outputs 1, 1, 2
-        own, rival = np.array([-1e-9, -1e-13, 0.0]), np.array([0.0, 0.0, -1e-9])
-        assert experiments._last_is_mle(own, rival).tolist() == [False, True, True]
-
     def test_noiseless_schedule_zero_error(self):
         cfg = tiny_config(schedule={"kind": "list", "epsilons": [50.0, 50.0]})
         result = simulate_experiment(cfg)
@@ -509,6 +504,35 @@ class TestTrialBlocks:
         monkeypatch.setattr(experiments, "BLOCK_OBJECTS", config.n_objects - 1)
         assert self._block_sizes(config) == [1] * self.TRIALS
         self._assert_identical(self._simulate(config) + self._compare(config), together)
+
+    @pytest.mark.parametrize("per_block", [1, 3])
+    def test_driver_streams_each_trial_as_if_alone(self, monkeypatch, per_block):
+        # the block driver's stream contract, seen by a `run_block` spy that
+        # consumes every round: each trial's rows of the tiled columns are its
+        # own chains, and its ``after`` generator stands where they leave it
+        config = ExperimentConfig(**dict(DIRECT, epsilons=(0.3, 0.3, 0.8), trials=self.TRIALS))
+        monkeypatch.setattr(experiments, "BLOCK_OBJECTS", per_block * config.n_objects)
+        seen = []
+
+        def spy(after, rounds):
+            seen.append((after, np.stack(list(rounds))))
+            return (np.arange(len(after)),)
+
+        (joined,) = experiments._run_trials(config, spy, 1)
+        assert [len(after) for after, _ in seen] == self._block_sizes(config)
+        assert joined.tolist() == [i for after, _ in seen for i in range(len(after))]
+        truth = experiments._truth_vector(config)
+        trials = [
+            (rng, columns.reshape(len(columns), len(after), truth.size)[:, i])
+            for after, columns in seen
+            for i, rng in enumerate(after)
+        ]
+        streams = np.random.SeedSequence(config.seed).spawn(config.trials)
+        for stream, (after, rows) in zip(streams, trials, strict=True):
+            alone = np.random.default_rng(stream)
+            own = np.stack(list(iter_chain_rounds(truth, config.epsilons, config.m, alone)))
+            assert np.array_equal(rows, own)
+            assert after.bit_generator.state == alone.bit_generator.state
 
     def test_rounds_are_decoded_as_they_come(self, monkeypatch):
         # nothing is decoded before sampling (a schedule too small to debias

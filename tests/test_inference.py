@@ -3,14 +3,16 @@ import hashlib
 import math
 import pickle
 from itertools import product
+from unittest import mock
 
 import numpy as np
 import pytest
 
-from dprelax import mechanism
+from dprelax import inference, mechanism
 from dprelax.errors import ParameterError
 from dprelax.inference import (
     ATTACK_METHODS,
+    _running_guesses,
     attack_guesses_matrix,
     balanced_subset,
     iter_attack_guesses,
@@ -21,6 +23,7 @@ from dprelax.inference import (
 from dprelax.mechanism import (
     EPSILON_CAP,
     RelaxationChain,
+    _plan,
     chain_log_likelihoods,
     iter_log_likelihoods,
     kernel_tensor,
@@ -410,6 +413,17 @@ class TestRunningEngine:
             fresh = attack_guesses_matrix(outputs[:, : r + 1], schedule[: r + 1], 3)
             for method in ATTACK_METHODS:
                 assert np.array_equal(guesses[method], fresh[method]), (method, r)
+
+    def test_last_output_below_the_maximum_disagrees(self):
+        # the recurrence stubbed with rows [0, -1e-9, -5], [0, -1e-13, -5] and
+        # [-5, -1e-9, 0] at last outputs 1, 1, 2: within 1e-12 of the maximum
+        # counts as the MLE, 1e-9 below it does not
+        loglik = np.array([[0.0, -1e-9, -5.0], [0.0, -1e-13, -5.0], [-5.0, -1e-9, 0.0]])
+        rounds = [(np.array([1, 1, 2]), loglik)]
+        with mock.patch.object(inference, "_running_log_likelihoods", lambda *_: iter(rounds)):
+            [(_, last_is_mle, guesses)] = _running_guesses(None, _plan((1.0,)), 3, np.arange(3))
+        assert last_is_mle.tolist() == [False, True, True]
+        assert guesses["mle"].tolist() == [0, 0, 2]  # the guess itself takes no slack
 
     def test_matrix_is_final_round(self):
         schedule = (0.4, 0.9, 0.9, 2.0)

@@ -1,5 +1,6 @@
 """The shared input rules of `_util`, seen through the public calls that apply them."""
 
+import dataclasses
 import math
 from unittest import mock
 
@@ -28,6 +29,7 @@ from dprelax.mechanism import (
     chain_log_likelihoods,
     iter_chain_rounds,
     iter_log_likelihoods,
+    kernel_tensor,
     relax_kernel,
     relax_step,
     relax_step_batch,
@@ -36,6 +38,7 @@ from dprelax.mechanism import (
     start_chain,
 )
 from dprelax.rappor import (
+    RapporParams,
     decode_noisy_sampling_counts,
     eps_noisy_sampling,
     noisy_sampling_schedule,
@@ -224,7 +227,13 @@ VALUE_ARRAYS = {
 }
 
 # test id -> an array argument that holds no real numbers
-NOT_REAL = {"none": None, "string": "ab", "int-beyond-64-bits": 10**400, "nested-none": [[None]]}
+NOT_REAL = {
+    "none": None,
+    "string": "ab",
+    "int-beyond-64-bits": 10**400,
+    "nested-none": [[None]],
+    "ragged": [[0], [0, 1]],
+}
 
 
 @pytest.mark.parametrize("bad", list(NOT_REAL))
@@ -418,6 +427,7 @@ NON_SEQUENCES = {
     "kernel_table_rows-domains": (lambda: kernel_table_rows((0.1, 0.2), 0), "domain_sizes"),
     "iter_chain_rounds": (lambda: next(iter_chain_rounds([0], 0.5, 2, _rng())), "schedule"),
     "RelaxationChain": (lambda: RelaxationChain(0, 2, 0.5, (0,)), "schedule"),
+    "RelaxationChain-outputs": (lambda: RelaxationChain(0, 3, (1.0,), 5), "outputs"),
     "chain_log_probs": (lambda: chain_log_probs(0.5, 2), "schedule"),
 }
 
@@ -426,6 +436,60 @@ NON_SEQUENCES = {
 def test_non_sequence_is_rejected(call):
     fn, name = NON_SEQUENCES[call]
     with pytest.raises(ParameterError, match=rf"^{name} must be a sequence, got "):
+        fn()
+
+
+def _dist(**fields):
+    return dataclasses.replace(rr_distribution(1.0, 3), **fields)
+
+
+def _kernel(**fields):
+    return dataclasses.replace(relax_kernel(0.5, 1.0, 3), **fields)
+
+
+def _rappor(**fields):
+    return RapporParams(**dict(dataclasses.asdict(PARAMS), **fields))
+
+
+# test id -> (call reading a hand-built parameter object with one bad field,
+# the field the error must name)
+HAND_BUILT = {
+    "sample_rr_batch-epsilon-list": (
+        lambda: sample_rr_batch([0, 1], _dist(epsilon=[1.0]), _rng()),
+        "epsilon",
+    ),
+    "sample_rr_batch-m-none": (lambda: sample_rr_batch([0, 1], _dist(m=None), _rng()), "m"),
+    "sample_rr_batch-m-list": (lambda: sample_rr_batch([0, 1], _dist(m=[2, 3]), _rng()), "m"),
+    "relax_step_batch-m-nan": (lambda: relax_step_batch(_kernel(m=math.nan), [0], [1], _rng()), "m"),
+    "kernel_tensor-m-list": (lambda: kernel_tensor(_kernel(m=[2, 3])), "m"),
+    "audit_noisy_sampling_epsilon-nan": (
+        lambda: audit_noisy_sampling_epsilon(RapporParams(math.nan, 0.5, 0.7, 0.6), 3),
+        "eps_alpha",
+    ),
+    "audit_noisy_sampling_epsilon-string": (
+        lambda: audit_noisy_sampling_epsilon(_rappor(eps_alpha="1"), 3),
+        "eps_alpha",
+    ),
+    "eps_noisy_sampling-none": (lambda: eps_noisy_sampling(3, _rappor(eps_beta=None)), "eps_beta"),
+    "variance_noisy_sampling-none": (
+        lambda: variance_noisy_sampling(_rappor(alpha=None), 10, 2),
+        "alpha",
+    ),
+    "simulate_noisy_sampling_batch-none": (
+        lambda: simulate_noisy_sampling_batch([0, 1], _rappor(beta=None), 2, _rng()),
+        "beta",
+    ),
+    "simulate_noisy_sampling_batch-above-one": (
+        lambda: simulate_noisy_sampling_batch([0, 1], _rappor(beta=1.5), 2, _rng()),
+        "beta",
+    ),
+}
+
+
+@pytest.mark.parametrize("call", list(HAND_BUILT))
+def test_hand_built_parameters_are_refused_by_name(call):
+    fn, name = HAND_BUILT[call]
+    with pytest.raises(ParameterError, match=rf"^{name} must "):
         fn()
 
 
