@@ -55,6 +55,12 @@ def as_sequence(x, name: str) -> tuple:
         raise ParameterError(f"{name} must be a sequence, got {x!r}") from None
 
 
+def check_instance(x, cls: type, name: str) -> None:
+    """Refuse, naming the argument, anything but a ``cls``: valid once built."""
+    if not isinstance(x, cls):
+        raise ParameterError(f"{name} must be a {cls.__name__}, got {type(x).__name__}")
+
+
 def check_epsilon(eps: float, name: str = "epsilon") -> float:
     eps = as_float(eps, name)
     if not math.isfinite(eps) or eps <= 0.0:

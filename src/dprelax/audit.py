@@ -22,7 +22,7 @@ from itertools import combinations_with_replacement
 
 import numpy as np
 
-from ._util import cap_epsilon, check_domain_size, check_rounds, check_schedule
+from ._util import cap_epsilon, check_domain_size, check_instance, check_rounds, check_schedule
 from .errors import EnumerationLimitError
 from .mechanism import _log_tables, _plan, relax_kernel, rr_distribution
 from .rappor import RapporParams, eps_noisy_sampling, rappor_params
@@ -169,6 +169,7 @@ def audit_noisy_sampling_epsilon(params: RapporParams, K: int) -> float:
     the capped ε_α and ε_β: finite at every K.  Independent of the closed form
     in `rappor.eps_noisy_sampling`.  K is at most `MAX_ROUNDS`.
     """
+    check_instance(params, RapporParams, "params")
     K = check_rounds(K, "K")
     a, b = cap_epsilon(params.eps_alpha), cap_epsilon(params.eps_beta)
     bd = b * np.arange(-K, K + 1, 2)

@@ -14,7 +14,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from .audit import run_standard_audits
-from .errors import ConfigError, DPRelaxError
+from .errors import ConfigError, DPRelaxError, ParameterError
 from .experiments import (
     DEFAULT_TABLE_DOMAINS,
     DEFAULT_TABLE_EPSILONS,
@@ -60,9 +60,12 @@ def _add_run_flags(sub, run, write, suffix: str):
 
 
 def _cmd_kernel_table(args) -> int:
-    rows = kernel_table_rows(
-        _parse_list(args.epsilons, float, "--epsilons"), _parse_list(args.domains, int, "--domains")
-    )
+    epsilons = _parse_list(args.epsilons, float, "--epsilons")
+    try:
+        rows = kernel_table_rows(epsilons, _parse_list(args.domains, int, "--domains"))
+    except ParameterError as exc:  # naming eps_values or domain_sizes first
+        flag = "--epsilons" if str(exc).startswith("eps_values") else "--domains"
+        raise ConfigError(f"{flag}: {exc}") from None
     path = write_kernel_table_csv(rows, Path(args.out) / "kernel_table.csv")
     print(path)
     return EXIT_OK

@@ -44,8 +44,8 @@ from pathlib import Path
 import numpy as np
 
 from ._util import (
-    MAX_OBJECT_VALUES, MAX_ROUNDS, as_sequence, check_count, check_epsilon, check_rounds,
-    check_schedule, check_table_domain,
+    MAX_OBJECT_VALUES, MAX_ROUNDS, as_sequence, check_count, check_domain_size, check_epsilon,
+    check_instance, check_rounds, check_schedule, check_table_domain,
 )
 from .errors import ConfigError, ParameterError
 from .estimation import _debias, _growth, frequency_estimate_covariance, variance_binary_estimate
@@ -241,12 +241,6 @@ def _build_schedule(raw: dict, path: str):
     except ParameterError as exc:
         key, _, message = str(exc).partition(" ")
         _cfg_fail(f"{path}.{key}", message)
-    if not schedule[0] > 0.0:  # the schedule is non-decreasing: its first entry is its least
-        _cfg_fail(
-            f"{path}.eps_alpha",
-            f"{eps_alpha!r} is too small for the matched schedule: its first round's "
-            f"privacy parameter rounds to {schedule[0]}",
-        )
     return schedule, eps_alpha, eps_beta
 
 
@@ -396,6 +390,7 @@ def simulate_experiment(config: ExperimentConfig, threads: int = 1) -> Experimen
     trials at once, and each method's guesses on every trial's subset are one
     gather.  Results do not depend on how trials fall into blocks.
     """
+    check_instance(config, ExperimentConfig, "config")
     m, epsilons = config.m, config.epsilons
     rounds, plan = len(epsilons), _plan(epsilons)
     truth = _truth_vector(config)
@@ -459,6 +454,7 @@ def compare_noisy_sampling(config: ExperimentConfig, threads: int = 1) -> Rappor
     a copy of its generator moved past the rounds' draws, and decoded for
     every round at once, so only one trial's samples are held at a time.
     """
+    check_instance(config, ExperimentConfig, "config")
     if config.m != 2:
         raise ConfigError("compare-rappor: m must be 2 (per-bit comparison)")
     if config.eps_alpha is None:
@@ -507,11 +503,19 @@ def kernel_table_rows(eps_values=DEFAULT_TABLE_EPSILONS, domain_sizes=DEFAULT_TA
     """Kernel entries for every consecutive parameter pair and domain size.
 
     The first grid value only seeds the first transition; rows are
-    (m, eps_prev, eps_next, p_aa, p_bb, p_ba).
+    (m, eps_prev, eps_next, p_aa, p_bb, p_ba).  ``eps_values`` is a schedule
+    of at least two values and ``domain_sizes`` a non-empty sequence of
+    domain sizes, each checked before any kernel is built.
     """
-    eps_values = as_sequence(eps_values, "eps_values")
+    eps_values = check_schedule(eps_values, "eps_values")
+    if len(eps_values) < 2:
+        raise ParameterError(f"eps_values must hold at least two values, got {len(eps_values)}")
+    domain_sizes = as_sequence(domain_sizes, "domain_sizes")
+    if not domain_sizes:
+        raise ParameterError("domain_sizes must be non-empty")
+    domain_sizes = [check_domain_size(m, f"domain_sizes[{i}]") for i, m in enumerate(domain_sizes)]
     rows = []
-    for m in as_sequence(domain_sizes, "domain_sizes"):
+    for m in domain_sizes:
         for eps_prev, eps_next in zip(eps_values, eps_values[1:]):
             k = relax_kernel(eps_prev, eps_next, m)
             rows.append((m, eps_prev, eps_next, k.p_aa, k.p_bb, k.p_ba))

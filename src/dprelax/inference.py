@@ -19,14 +19,13 @@ import sys
 import numpy as np
 
 from ._util import (
-    cap_epsilon, check_distribution, check_domain_size, check_epsilon, check_table_domain,
-    check_values,
+    cap_epsilon, check_distribution, check_domain_size, check_epsilon, check_instance,
+    check_table_domain, check_values,
 )
 from .errors import ParameterError
 from .mechanism import (
     RelaxationChain,
     _check_batch,
-    _check_chain,
     _running_log_likelihoods,
 )
 
@@ -59,7 +58,7 @@ def posterior(chain: RelaxationChain, prior) -> np.ndarray:
     release costs O(1) in the chain length.  Where the likelihoods underflow,
     the belief is normalised in log space instead.
     """
-    _check_chain(chain)
+    check_instance(chain, RelaxationChain, "chain")
     prior = check_distribution(prior, chain.m, "prior")
     weighted = np.exp(chain._log_likelihood)
     weighted *= prior

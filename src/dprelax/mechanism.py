@@ -12,8 +12,10 @@ randomized response at the first parameter.  `_plan` alone builds a
 schedule's steps, for the sampler, the likelihood, the attacks and the audit.
 
 All sampling takes an explicit ``numpy.random.Generator``; every function here
-is pure and thread-safe.  Kernels are plain values, kept in one bounded
-per-process memo keyed by (eps_prev, eps_next, m).  `relax_kernel` is the
+is pure and thread-safe.  A `ResponseDistribution` or `RelaxKernel` is built
+from its ε and m alone, and checked then: a function given one checks only
+its type.  Kernels are kept in one bounded per-process memo keyed by
+(eps_prev, eps_next, m), which is the class itself.  `relax_kernel` is the
 public way in: it validates its arguments, then returns the memo's kernel.
 The library's own steps are valid by construction, so its samplers, its
 likelihood, its one-object release and, through `_log_tables`, the audit
@@ -42,10 +44,12 @@ import numpy as np
 from ._util import (
     EPSILON_CAP,
     MAX_DOMAIN,
+    as_float,
     as_sequence,
     cap_epsilon,
     check_domain_size,
     check_epsilon,
+    check_instance,
     check_next_epsilon,
     check_schedule,
     check_table_domain,
@@ -75,12 +79,25 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ResponseDistribution:
-    """Retain/other probability pair of a randomized response."""
+    """Randomized-response distribution for privacy parameter ``epsilon`` over ``m`` values.
+
+    ``epsilon`` > 0, in nats, is capped above ``EPSILON_CAP``, where the retain
+    probability is 1.0 anyway; ``m`` >= 2.  Both probabilities are set when built.
+    """
 
     epsilon: float
     m: int
-    p_retain: float
-    p_other: float
+    p_retain: float = field(init=False)
+    p_other: float = field(init=False)
+
+    def __post_init__(self):
+        eps, m = check_epsilon(self.epsilon), check_domain_size(self.m)
+        w = math.exp(-cap_epsilon(eps))
+        denom = 1.0 + (m - 1) * w
+        self.__dict__.update(epsilon=eps, m=m, p_retain=1.0 / denom, p_other=w / denom)
+
+
+rr_distribution = ResponseDistribution
 
 
 @dataclass(frozen=True)
@@ -92,7 +109,7 @@ class RelaxKernel:
     the previous output when it differs from the true value, and ``c`` is any
     remaining value.  ``p_ab`` and ``p_bc`` follow from the named entries by
     symmetry; ``p_bc`` does not exist for m = 2 (there is no third class), in
-    which case it is stored as 0.0.
+    which case it is stored as 0.0.  All five are set when the kernel is built.
 
     A kernel with ``eps_prev == 0`` is the randomized response at
     ``eps_next``, whatever the previous output: a chain's first release, the
@@ -104,11 +121,38 @@ class RelaxKernel:
     eps_prev: float
     eps_next: float
     m: int
-    p_aa: float
-    p_ba: float
-    p_bb: float
-    p_ab: float
-    p_bc: float
+    p_aa: float = field(init=False)
+    p_ba: float = field(init=False)
+    p_bb: float = field(init=False)
+    p_ab: float = field(init=False)
+    p_bc: float = field(init=False)
+
+    def __post_init__(self):
+        eps_prev = as_float(self.eps_prev, "eps_prev")
+        if eps_prev != 0.0:  # zero is the step from ε = 0
+            eps_prev = check_epsilon(eps_prev, "eps_prev")
+        eps_next = check_next_epsilon(eps_prev, self.eps_next, "eps_next", "(eps_prev, eps_next)")
+        m = check_domain_size(self.m)
+        e1, e2 = cap_epsilon(eps_prev), cap_epsilon(eps_next)
+        if e1 == 0.0:
+            # the randomized response at eps_next, from its two probabilities
+            # (the general form below differs in the last bit); tested before
+            # the identity, which a zero eps_next would otherwise be
+            rr = rr_distribution(eps_next, m)
+            entries = rr.p_retain, rr.p_retain, rr.p_other, rr.p_other, rr.p_other if m > 2 else 0.0
+        elif e1 == e2:
+            entries = 1.0, 0.0, 1.0, 0.0, 0.0
+        else:
+            exp1 = math.exp(e1)
+            denom = math.expm1(e2) * (math.exp(e2) + m - 1)
+            # q_ab = (1 - p_aa) / (m - 1); every other entry is a scaled copy
+            # of it except p_bb, which has its own all-positive form.
+            q_ab = math.expm1(e2 - e1) / denom
+            p_aa = 1.0 - (m - 1) * q_ab
+            p_ba = math.exp(e1 + e2) * q_ab
+            p_bb = (exp1 * math.expm1(e2) + (m - 1) * math.expm1(e1)) / denom
+            entries = p_aa, p_ba, p_bb, q_ab, exp1 * q_ab if m > 2 else 0.0
+        self.__dict__.update(zip(self.__dataclass_fields__, (eps_prev, eps_next, m, *entries)))
 
     @property
     def log_table(self) -> np.ndarray:
@@ -201,35 +245,15 @@ def _read_only(array: np.ndarray) -> np.ndarray:
     return array
 
 
-def _check_chain(chain) -> None:
-    if not isinstance(chain, RelaxationChain):
-        raise ParameterError(f"chain must be a RelaxationChain, got {type(chain).__name__}")
-
-
-def rr_distribution(eps: float, m: int) -> ResponseDistribution:
-    """Randomized-response distribution for privacy parameter ``eps`` over ``m`` values.
-
-    Args:
-        eps: Privacy parameter in nats, > 0. Values above ``EPSILON_CAP`` are
-            capped; the retain probability is then 1.0 in double precision.
-        m: Domain size, >= 2.
-    """
-    eps = check_epsilon(eps)
-    m = check_domain_size(m)
-    w = math.exp(-cap_epsilon(eps))
-    denom = 1.0 + (m - 1) * w
-    return ResponseDistribution(epsilon=eps, m=m, p_retain=1.0 / denom, p_other=w / denom)
-
-
 def sample_rr_batch(values, dist: ResponseDistribution, rng: np.random.Generator) -> np.ndarray:
     """Vectorized randomized response; one uniform draw per input value.
 
     The draw is the relaxation step from ε = 0 to ``dist.epsilon`` over
-    ``dist.m`` values; no other field of ``dist`` is read.
+    ``dist.m`` values, whose first-step kernel holds ``dist``'s probabilities.
     """
-    m, eps = check_domain_size(dist.m), check_epsilon(dist.epsilon)
-    values = check_values(values, m, "values")
-    return _draw_step(_relax_kernel(0.0, eps, m), values, values, rng)
+    check_instance(dist, ResponseDistribution, "dist")
+    values = check_values(values, dist.m, "values")
+    return _draw_step(_relax_kernel(0.0, dist.epsilon, dist.m), values, values, rng)
 
 
 def relax_kernel(eps_prev: float, eps_next: float, m: int) -> RelaxKernel:
@@ -253,33 +277,8 @@ def relax_kernel(eps_prev: float, eps_next: float, m: int) -> RelaxKernel:
 # An entry holds a kernel's scalars and its five logs, about 0.7 KB at any m.
 # The audit battery walks 2250 distinct steps, 180 of them from ε = 0, so
 # 4096 entries (2.7 MB) keep a whole battery, or a run of up to 4096 rounds,
-# built once per process.
-@functools.lru_cache(maxsize=4096)
-def _relax_kernel(eps_prev: float, eps_next: float, m: int) -> RelaxKernel:
-    # `relax_kernel`'s memoized body, for a validated step and m, or for the
-    # step from eps_prev = 0: the randomized response at eps_next
-    e1 = cap_epsilon(eps_prev)
-    e2 = cap_epsilon(eps_next)
-    if e1 == 0.0:
-        # the randomized response at eps_next, set from its two probabilities:
-        # the general form below differs from them in the last bit.  Tested
-        # before the identity, so a zero eps_next is refused rather than
-        # releasing the true value
-        rr = rr_distribution(eps_next, m)
-        keep, other = rr.p_retain, rr.p_other
-        return RelaxKernel(eps_prev, eps_next, m, keep, keep, other, other, other if m > 2 else 0.0)
-    if e1 == e2:
-        return RelaxKernel(eps_prev, eps_next, m, 1.0, 0.0, 1.0, 0.0, 0.0)
-    exp1 = math.exp(e1)
-    denom = math.expm1(e2) * (math.exp(e2) + m - 1)
-    # q_ab = (1 - p_aa) / (m - 1); every other entry is a scaled copy of it
-    # except p_bb, which has its own all-positive form.
-    q_ab = math.expm1(e2 - e1) / denom
-    p_aa = 1.0 - (m - 1) * q_ab
-    p_ba = math.exp(e1 + e2) * q_ab
-    p_bb = (exp1 * math.expm1(e2) + (m - 1) * math.expm1(e1)) / denom
-    p_bc = exp1 * q_ab if m > 2 else 0.0
-    return RelaxKernel(eps_prev, eps_next, m, p_aa, p_ba, p_bb, q_ab, p_bc)
+# built once per process.  For a validated step and m, or the step from ε = 0.
+_relax_kernel = functools.lru_cache(maxsize=4096)(RelaxKernel)
 
 
 def _entries(kernel: RelaxKernel) -> np.ndarray:
@@ -310,7 +309,8 @@ def _log_tables(steps, m: int) -> np.ndarray:
 
 def kernel_tensor(kernel: RelaxKernel) -> np.ndarray:
     """All conditionals of a kernel as an array indexed ``[x, o_prev, o_next]``."""
-    return _entries(kernel)[_entry_classes(check_domain_size(kernel.m)).transpose(2, 0, 1)]
+    check_instance(kernel, RelaxKernel, "kernel")
+    return _entries(kernel)[_entry_classes(kernel.m).transpose(2, 0, 1)]
 
 
 def relax_step_batch(
@@ -325,9 +325,9 @@ def relax_step_batch(
     candidate order is [true value][previous output][remaining values
     ascending], which makes runs reproducible from the generator state alone.
     """
-    m = check_domain_size(kernel.m)
-    true_values = check_values(true_values, m, "true_values")
-    prev_outputs = check_values(prev_outputs, m, "prev_outputs")
+    check_instance(kernel, RelaxKernel, "kernel")
+    true_values = check_values(true_values, kernel.m, "true_values")
+    prev_outputs = check_values(prev_outputs, kernel.m, "prev_outputs")
     if true_values.shape != prev_outputs.shape:
         raise ParameterError("true_values and prev_outputs must have the same shape")
     return _draw_step(kernel, true_values, prev_outputs, rng)
@@ -428,7 +428,7 @@ def relax_step(chain: RelaxationChain, eps_next: float, rng: np.random.Generator
     ``outputs`` and ``schedule`` tuples makes a release O(R) in the chain
     length R.
     """
-    _check_chain(chain)
+    check_instance(chain, RelaxationChain, "chain")
     eps_prev = chain.last_epsilon
     eps_next = check_next_epsilon(
         eps_prev, eps_next, "(eps_prev, eps_next)[1]", "(eps_prev, eps_next)"

@@ -9,19 +9,22 @@ Bloom-filter machinery appears here.  Clients are simulated as a batch
 (`simulate_noisy_sampling_batch`) and decoded from the clients' total of ones
 (`decode_noisy_sampling_counts`); one client is a one-row batch.
 
-Parameters are specified through the per-stage privacy parameters: alpha is
-the retain probability of the binary randomized response at ``eps_alpha``
-(`mechanism.rr_distribution`, ``e^eps_alpha / (e^eps_alpha + 1)``), and
-likewise for beta.
+A `RapporParams` is built from the two per-stage privacy parameters alone:
+alpha is the retain probability of the binary randomized response at
+``eps_alpha`` (`mechanism.rr_distribution`,
+``e^eps_alpha / (e^eps_alpha + 1)``), and likewise for beta, each set once
+when the parameters are built.  So the pair a run simulates at is the pair
+it decodes at, and a function given parameters checks only that they are a
+`RapporParams`.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from ._util import (
-    MAX_OBJECT_VALUES, as_float, cap_epsilon, check_count, check_epsilon, check_in_range,
+    MAX_OBJECT_VALUES, cap_epsilon, check_count, check_epsilon, check_in_range, check_instance,
     check_rounds, check_values,
 )
 from .errors import ParameterError
@@ -41,30 +44,22 @@ __all__ = [
 
 @dataclass(frozen=True)
 class RapporParams:
-    """Retain probabilities of the permanent (alpha) and instantaneous (beta) stages."""
+    """Per-stage privacy parameters (both > 0) of the permanent (``eps_alpha``)
+    and instantaneous (``eps_beta``) stages, with the retain probabilities
+    ``alpha`` and ``beta`` they determine, set once when built."""
 
     eps_alpha: float
     eps_beta: float
-    alpha: float
-    beta: float
+    alpha: float = field(init=False)
+    beta: float = field(init=False)
 
     def __post_init__(self):
-        for name in ("eps_alpha", "eps_beta"):
-            object.__setattr__(self, name, check_epsilon(getattr(self, name), name))
-        for name in ("alpha", "beta"):
-            p = as_float(getattr(self, name), name)
-            if not 0.0 <= p <= 1.0:  # NaN fails too
-                raise ParameterError(f"{name} must be in [0, 1], got {p}")
-            object.__setattr__(self, name, p)
+        eps_alpha, eps_beta = (check_epsilon(getattr(self, k), k) for k in ("eps_alpha", "eps_beta"))
+        alpha, beta = (rr_distribution(eps, 2).p_retain for eps in (eps_alpha, eps_beta))
+        self.__dict__.update(eps_alpha=eps_alpha, eps_beta=eps_beta, alpha=alpha, beta=beta)
 
 
-def rappor_params(eps_alpha: float, eps_beta: float) -> RapporParams:
-    """Build parameters from the per-stage privacy parameters (both > 0)."""
-    eps_alpha = check_epsilon(eps_alpha, "eps_alpha")
-    eps_beta = check_epsilon(eps_beta, "eps_beta")
-    alpha = rr_distribution(eps_alpha, 2).p_retain
-    beta = rr_distribution(eps_beta, 2).p_retain
-    return RapporParams(eps_alpha=eps_alpha, eps_beta=eps_beta, alpha=alpha, beta=beta)
+rappor_params = RapporParams
 
 
 def eps_noisy_sampling(K: int, params: RapporParams) -> float:
@@ -75,6 +70,7 @@ def eps_noisy_sampling(K: int, params: RapporParams) -> float:
     cancellation-free form so saturation approaches the bound cleanly.
     """
     K = check_count(K, "K")
+    check_instance(params, RapporParams, "params")
     a = cap_epsilon(params.eps_alpha)
     b = K * cap_epsilon(params.eps_beta)
     value = min(a, b) + math.log1p(math.exp(-(a + b))) - math.log1p(math.exp(-abs(a - b)))
@@ -90,7 +86,8 @@ def noisy_sampling_schedule(eps_alpha: float, eps_beta: float, rounds: int) -> l
 
     Guaranteed non-decreasing: rounding wobble at saturation is absorbed by a
     running maximum (within one ulp of the exact values).  ``rounds`` is at
-    most `MAX_ROUNDS`.
+    most `MAX_ROUNDS`.  An ``eps_alpha`` so small that the first entry
+    cancels to 0.0 (about 1e-20 at ``eps_beta`` 1) is refused, naming it.
     """
     rounds = check_rounds(rounds)
     params = rappor_params(eps_alpha, eps_beta)
@@ -98,6 +95,11 @@ def noisy_sampling_schedule(eps_alpha: float, eps_beta: float, rounds: int) -> l
     for k in range(1, rounds + 1):
         level = max(level, eps_noisy_sampling(k, params))
         schedule.append(level)
+    if not schedule[0] > 0.0:  # the schedule is non-decreasing: its first entry is its least
+        raise ParameterError(
+            f"eps_alpha {params.eps_alpha!r} is too small for the matched schedule: its first "
+            f"round's privacy parameter rounds to {schedule[0]}"
+        )
     return schedule
 
 
@@ -111,6 +113,7 @@ def simulate_noisy_sampling_batch(
     `MAX_ROUNDS`, and the (n_clients, K) samples at most `MAX_OBJECT_VALUES`:
     a larger K is refused before any draw.
     """
+    check_instance(params, RapporParams, "params")
     K = check_rounds(K, "K")
     bits = check_values(bits, 2, "bits")
     if bits.ndim != 1:
@@ -128,6 +131,7 @@ def simulate_noisy_sampling_batch(
 
 def decode_noisy_sampling_counts(k_ones, K: int, params: RapporParams) -> float:
     """Two-stage decode from per-client one-bit counts after K samples."""
+    check_instance(params, RapporParams, "params")
     K = check_count(K, "K")
     k_ones = check_in_range(k_ones, 0, K, "k_ones")
     if k_ones.size == 0:
@@ -148,6 +152,7 @@ def _decode_noisy_counts(ones, reports, params: RapporParams):
 
 def variance_noisy_sampling(params: RapporParams, N: int, K: int) -> float:
     """Variance of the decoded frequency over N clients reporting K samples each."""
+    check_instance(params, RapporParams, "params")
     N = check_count(N, "N")
     K = check_count(K, "K")
     a, b = params.alpha, params.beta

@@ -101,7 +101,17 @@ def test_seed_flag_runs_the_config_under_that_seed(
 
 
 @pytest.mark.parametrize(
-    "flag, value", [("--epsilons", "0.1,x"), ("--domains", "3,4.5")], ids=["epsilons", "domains"]
+    "flag, value",
+    [
+        ("--epsilons", "0.1,x"),
+        ("--domains", "3,4.5"),
+        ("--epsilons", "1.0"),
+        ("--domains", ","),
+        ("--epsilons", "1.0,0.5"),
+        ("--epsilons", "0.5,inf"),
+        ("--domains", "1"),
+    ],
+    ids=["epsilons", "domains", "one-epsilon", "no-domain", "decreasing", "infinite", "domain-1"],
 )
 def test_kernel_table_parse_error_exits_2(tmp_path, capsys, flag, value):
     assert cli.main(["kernel-table", flag, value, "--out", str(tmp_path)]) == 2

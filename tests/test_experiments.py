@@ -230,6 +230,14 @@ class TestDirectConstruction:
         )
         assert direct == tiny_config()
 
+    def test_pair_too_small_for_its_matched_schedule_is_named(self):
+        # the matched schedule of this pair cancels to 0.0; the refusal names
+        # the pair's field, whatever epsilons the config was given
+        fields = dict(DIRECT, epsilons=(0.5, 1.0), eps_alpha=1e-20, eps_beta=1.0)
+        message = r"^ExperimentConfig\.eps_alpha: 1e-20 is too small for the matched schedule"
+        with pytest.raises(ConfigError, match=message):
+            ExperimentConfig(**fields)
+
 
 class TestMemoryBounds:
     """Trials and counts whose run would exhaust memory are refused before any

@@ -173,13 +173,13 @@ def test_benchmark_traced_names_resolve():
 
 def test_only_inference_reaches_into_mechanism():
     # The step memo and the kernel layer's other private names are known to
-    # `mechanism` alone.  `inference` shares its batch checks and recurrence,
+    # `mechanism` alone.  `inference` shares its batch check and recurrence,
     # `audit` one gather of stacked step tables, and `audit` and `experiments`
     # the one builder of a schedule's relaxation plan (`_plan`); no other
     # module reads the memo (`_relax_kernel`) or the entry pattern
     # (`_entry_classes`).
     shared = {
-        "inference": {"_check_batch", "_check_chain", "_running_log_likelihoods"},
+        "inference": {"_check_batch", "_running_log_likelihoods"},
         "audit": {"_log_tables", "_plan"},
         "experiments": {"_plan"},
     }

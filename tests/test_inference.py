@@ -213,12 +213,15 @@ class TestOnlineRelease:
             schedule = tuple(0.1 * k for k in range(1, rounds + 1))
             steps = rounds - 1
             mechanism._relax_kernel.cache_clear()
-            for _ in range(2):  # a cold memo, then a warm one
+            # a cold memo builds, and so checks, each of the rounds' distinct
+            # steps once (the first from ε = 0); a warm one builds none
+            for built in (rounds, 0):
                 calls.update(iter_log_likelihoods=0, check_schedule=0, check_next_epsilon=0)
                 _online_pass(objects, schedule, 4, seed=rounds)
                 assert calls["iter_log_likelihoods"] == 0  # no release re-scores its chain
                 assert calls["check_schedule"] == 0  # nor re-checks the chain's own ε
-                assert calls["check_next_epsilon"] == objects * steps  # one per relax_step
+                # one per relax_step, and one per kernel built
+                assert calls["check_next_epsilon"] == objects * steps + built
 
     def test_carried_likelihood_is_read_only(self):
         rng = np.random.default_rng(5)

@@ -120,18 +120,20 @@ class TestSampleRR:
         with pytest.raises(ParameterError, match="true_value"):
             start_chain(3, 3, 1.0, np.random.default_rng(0))
 
-    def test_reads_only_epsilon_and_m(self):
-        # the draw is the step from ε = 0 to ``dist.epsilon``; a hand-built
-        # distribution at ε = 0 is refused, not drawn as the identity
+    def test_draws_the_distribution_it_is_given(self):
+        # the draw is the step from ε = 0 to ``dist.epsilon``, whose kernel
+        # holds the distribution's own probabilities; a distribution at ε = 0,
+        # which would draw the identity, cannot be built
         truth = np.arange(4)
         dist = rr_distribution(0.5, 4)
-        built = mechanism.ResponseDistribution(0.5, 4, p_retain=1.0, p_other=0.0)
-        got = sample_rr_batch(truth, built, np.random.default_rng(2))
-        assert np.array_equal(got, sample_rr_batch(truth, dist, np.random.default_rng(2)))
+        kernel = mechanism._relax_kernel(0.0, 0.5, 4)
+        assert (kernel.p_aa, kernel.p_ab) == (dist.p_retain, dist.p_other)
+        got = sample_rr_batch(truth, dist, np.random.default_rng(2))
+        expected = relax_step_batch(kernel, truth, truth, np.random.default_rng(2))
+        assert np.array_equal(got, expected)
         for eps in (0.0, -1.0, math.nan):
-            bad = mechanism.ResponseDistribution(eps, 4, 0.5, 0.5)
             with pytest.raises(ParameterError, match="^epsilon must be positive and finite"):
-                sample_rr_batch(truth, bad, np.random.default_rng(0))
+                mechanism.ResponseDistribution(eps, 4)
 
     def test_deterministic_given_seed(self):
         dist = rr_distribution(0.5, 4)

@@ -6,7 +6,6 @@ import pytest
 from dprelax.errors import ParameterError
 from dprelax.estimation import estimate_binary, variance_binary_estimate
 from dprelax.rappor import (
-    RapporParams,
     decode_noisy_sampling_counts,
     eps_noisy_sampling,
     noisy_sampling_schedule,
@@ -54,6 +53,13 @@ class TestEpsNoisySampling:
         assert len(schedule) == 10
         assert schedule[0] == pytest.approx(0.22733629380264575, abs=1e-12)
         assert schedule[-1] == pytest.approx(0.9843257572199207, abs=1e-12)
+
+    def test_schedule_that_cancels_to_zero_is_refused(self):
+        # eps_noisy_sampling cancels to 0.0 at this eps_alpha, and no function
+        # that takes a schedule accepts a zero entry
+        assert eps_noisy_sampling(3, rappor_params(1e-20, 1.0)) == 0.0
+        with pytest.raises(ParameterError, match=r"^eps_alpha 1e-20 is too small for the matched schedule"):
+            noisy_sampling_schedule(1e-20, 1.0, 3)
 
 
 class TestSimulate:
@@ -193,6 +199,8 @@ class TestVarianceNoisySampling:
                 assert var_rr <= var_ns * (1 + 1e-12)
 
     def test_degenerate_parameters_rejected(self):
-        degenerate = RapporParams(eps_alpha=1.0, eps_beta=1.0, alpha=0.5, beta=0.7)
-        with pytest.raises(ParameterError):
+        # e^1e-17 is 1.0 in double precision, so alpha rounds to exactly 0.5
+        degenerate = rappor_params(1e-17, 1.0)
+        assert degenerate.alpha == 0.5
+        with pytest.raises(ParameterError, match="degenerate"):
             variance_noisy_sampling(degenerate, 10, 2)

@@ -1,7 +1,9 @@
 """The shared input rules of `_util`, seen through the public calls that apply them."""
 
+import copy
 import dataclasses
 import math
+import pickle
 from unittest import mock
 
 import numpy as np
@@ -448,11 +450,11 @@ def _kernel(**fields):
 
 
 def _rappor(**fields):
-    return RapporParams(**dict(dataclasses.asdict(PARAMS), **fields))
+    return dataclasses.replace(PARAMS, **fields)
 
 
-# test id -> (call reading a hand-built parameter object with one bad field,
-# the field the error must name)
+# test id -> (call building a parameter object with one bad field, the field
+# the error must name)
 HAND_BUILT = {
     "sample_rr_batch-epsilon-list": (
         lambda: sample_rr_batch([0, 1], _dist(epsilon=[1.0]), _rng()),
@@ -463,7 +465,7 @@ HAND_BUILT = {
     "relax_step_batch-m-nan": (lambda: relax_step_batch(_kernel(m=math.nan), [0], [1], _rng()), "m"),
     "kernel_tensor-m-list": (lambda: kernel_tensor(_kernel(m=[2, 3])), "m"),
     "audit_noisy_sampling_epsilon-nan": (
-        lambda: audit_noisy_sampling_epsilon(RapporParams(math.nan, 0.5, 0.7, 0.6), 3),
+        lambda: audit_noisy_sampling_epsilon(_rappor(eps_alpha=math.nan), 3),
         "eps_alpha",
     ),
     "audit_noisy_sampling_epsilon-string": (
@@ -471,18 +473,6 @@ HAND_BUILT = {
         "eps_alpha",
     ),
     "eps_noisy_sampling-none": (lambda: eps_noisy_sampling(3, _rappor(eps_beta=None)), "eps_beta"),
-    "variance_noisy_sampling-none": (
-        lambda: variance_noisy_sampling(_rappor(alpha=None), 10, 2),
-        "alpha",
-    ),
-    "simulate_noisy_sampling_batch-none": (
-        lambda: simulate_noisy_sampling_batch([0, 1], _rappor(beta=None), 2, _rng()),
-        "beta",
-    ),
-    "simulate_noisy_sampling_batch-above-one": (
-        lambda: simulate_noisy_sampling_batch([0, 1], _rappor(beta=1.5), 2, _rng()),
-        "beta",
-    ),
 }
 
 
@@ -491,6 +481,132 @@ def test_hand_built_parameters_are_refused_by_name(call):
     fn, name = HAND_BUILT[call]
     with pytest.raises(ParameterError, match=rf"^{name} must "):
         fn()
+
+
+# test id -> (call given something other than its parameter object, the
+# argument the error must name, the class it asks for)
+NOT_PARAMETER_OBJECTS = {
+    "sample_rr_batch": (lambda: sample_rr_batch([0], None, _rng()), "dist", "ResponseDistribution"),
+    "relax_step_batch": (lambda: relax_step_batch(1.0, [0], [0], _rng()), "kernel", "RelaxKernel"),
+    "kernel_tensor": (lambda: kernel_tensor((0.5, 1.0, 3)), "kernel", "RelaxKernel"),
+    "relax_step": (lambda: relax_step([0], 1.0, _rng()), "chain", "RelaxationChain"),
+    "posterior": (lambda: posterior(None, [0.5, 0.5]), "chain", "RelaxationChain"),
+    "eps_noisy_sampling": (lambda: eps_noisy_sampling(3, (1.0, 0.5)), "params", "RapporParams"),
+    "simulate_noisy_sampling_batch": (
+        lambda: simulate_noisy_sampling_batch([0, 1], "p", 2, _rng()),
+        "params",
+        "RapporParams",
+    ),
+    "decode_noisy_sampling_counts": (
+        lambda: decode_noisy_sampling_counts([1], 2, 1.0),
+        "params",
+        "RapporParams",
+    ),
+    "variance_noisy_sampling": (lambda: variance_noisy_sampling(None, 10, 2), "params", "RapporParams"),
+    "audit_noisy_sampling_epsilon": (
+        lambda: audit_noisy_sampling_epsilon(rr_distribution(1.0, 2), 3),
+        "params",
+        "RapporParams",
+    ),
+    "simulate_experiment": (
+        lambda: experiments.simulate_experiment({"m": 2}),
+        "config",
+        "ExperimentConfig",
+    ),
+    "compare_noisy_sampling": (
+        lambda: experiments.compare_noisy_sampling(None),
+        "config",
+        "ExperimentConfig",
+    ),
+}
+
+
+@pytest.mark.parametrize("call", list(NOT_PARAMETER_OBJECTS))
+def test_non_parameter_object_is_refused_by_name(call):
+    fn, name, cls = NOT_PARAMETER_OBJECTS[call]
+    with pytest.raises(ParameterError, match=rf"^{name} must be a {cls}, got \w+$"):
+        fn()
+
+
+class TestBuiltFromEpsilon:
+    """A parameter object takes its ε and m alone; what they determine is set
+    when it is built and cannot be given."""
+
+    SETTABLE = {
+        mechanism.ResponseDistribution: ["epsilon", "m"],
+        mechanism.RelaxKernel: ["eps_prev", "eps_next", "m"],
+        RapporParams: ["eps_alpha", "eps_beta"],
+    }
+    BUILT = (
+        lambda: rr_distribution(1.0, 3),
+        lambda: relax_kernel(0.5, 1.0, 3),
+        lambda: mechanism.RelaxKernel(0.0, 1.0, 3),
+        lambda: rappor_params(1.0, 0.5),
+    )
+
+    def test_settable_fields(self):
+        for cls, names in self.SETTABLE.items():
+            assert [f.name for f in dataclasses.fields(cls) if f.init] == names
+
+    def test_derived_fields_cannot_be_given(self):
+        kernel = relax_kernel(0.5, 1.0, 3)
+        for field in ("p_aa", "p_ba", "p_bb", "p_ab", "p_bc"):
+            with pytest.raises(ValueError, match=field):
+                dataclasses.replace(kernel, **{field: 2.0})
+        with pytest.raises(ValueError, match="p_retain"):
+            dataclasses.replace(rr_distribution(1.0, 3), p_retain=1.0)
+        with pytest.raises(ValueError, match="alpha"):
+            dataclasses.replace(PARAMS, alpha=0.9)
+        with pytest.raises(TypeError):
+            RapporParams(1.0, 0.5, 0.9, 0.6)
+
+    def test_replacing_a_parameter_rebuilds_what_it_determines(self):
+        kernel = dataclasses.replace(relax_kernel(0.5, 1.0, 3), eps_next=2.0)
+        assert kernel == relax_kernel(0.5, 2.0, 3)
+        assert dataclasses.replace(rr_distribution(1.0, 3), m=5) == rr_distribution(1.0, 5)
+        assert dataclasses.replace(PARAMS, eps_alpha=2.0) == rappor_params(2.0, 0.5)
+
+    def test_copies_and_pickles_equal_their_originals(self):
+        for build in self.BUILT:
+            built = build()
+            for copied in (copy.copy(built), copy.deepcopy(built), pickle.loads(pickle.dumps(built))):
+                assert copied == built  # every field, the derived ones too
+
+    def test_the_step_memo_is_the_class(self):
+        assert mechanism._relax_kernel.__wrapped__ is mechanism.RelaxKernel
+        assert mechanism._relax_kernel(0.5, 1.0, 3) is relax_kernel(0.5, 1.0, 3)
+
+    def test_first_step_is_the_randomized_response(self):
+        for m in (2, 3, 7):
+            rr = rr_distribution(0.8, m)
+            kernel = mechanism.RelaxKernel(0.0, 0.8, m)
+            assert (kernel.p_aa, kernel.p_ba) == (rr.p_retain, rr.p_retain)
+            assert (kernel.p_bb, kernel.p_ab) == (rr.p_other, rr.p_other)
+            assert kernel.p_bc == (rr.p_other if m > 2 else 0.0)
+
+    def test_a_decreasing_step_is_refused(self):
+        with pytest.raises(BudgetDecreaseError):
+            mechanism.RelaxKernel(1.0, 0.5, 3)
+        with pytest.raises(ParameterError, match="^eps_next must be positive and finite"):
+            mechanism.RelaxKernel(0.0, 0.0, 3)
+
+    # test id -> (a build with one bad parameter, the parameter the error names)
+    BAD = {
+        "distribution-epsilon": (lambda: mechanism.ResponseDistribution(math.nan, 3), "epsilon"),
+        "distribution-m": (lambda: mechanism.ResponseDistribution(1.0, 1), "m"),
+        "kernel-eps_prev-negative": (lambda: mechanism.RelaxKernel(-0.5, 1.0, 3), "eps_prev"),
+        "kernel-eps_prev-string": (lambda: mechanism.RelaxKernel("0", 1.0, 3), "eps_prev"),
+        "kernel-eps_next": (lambda: mechanism.RelaxKernel(0.5, math.inf, 3), "eps_next"),
+        "kernel-m": (lambda: mechanism.RelaxKernel(0.5, 1.0, 2.5), "m"),
+        "rappor-eps_alpha": (lambda: RapporParams(0.0, 0.5), "eps_alpha"),
+        "rappor-eps_beta": (lambda: RapporParams(1.0, None), "eps_beta"),
+    }
+
+    @pytest.mark.parametrize("case", list(BAD))
+    def test_a_bad_parameter_is_refused_by_name(self, case):
+        build, name = self.BAD[case]
+        with pytest.raises(ParameterError, match=rf"^{name} must "):
+            build()
 
 
 # test id -> (call of a scalar rule of `_util` with the name "arg", refused; the
