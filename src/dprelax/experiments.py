@@ -36,6 +36,7 @@ runner's per-block work, and ``threads`` splits the blocks.
 
 import csv
 import json
+import os
 from numbers import Integral
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -47,6 +48,7 @@ from ._util import (
     MAX_OBJECT_VALUES, MAX_ROUNDS, as_sequence, check_count, check_domain_size, check_epsilon,
     check_instance, check_rounds, check_schedule, check_table_domain,
 )
+from .audit import AuditCheck
 from .errors import ConfigError, ParameterError
 from .estimation import _debias, _growth, frequency_estimate_covariance, variance_binary_estimate
 from .inference import ATTACK_METHODS, _balanced_draw, _running_guesses, _value_indices, min_error_rate
@@ -106,52 +108,47 @@ class ExperimentConfig:
 
     def __post_init__(self):
         # The value rules of every config, also those `config_from_dict`
-        # reads from JSON; each failure names its field.  A refusal by a
-        # `_util` rule begins with the name it was given: the field.
-        def fail(field, message):
-            _cfg_fail(f"ExperimentConfig.{field}", message)
-
-        def integer(field, value, low):
-            if not isinstance(value, Integral) or isinstance(value, bool) or value < low:
-                fail(field, f"must be an integer >= {low}, got {value!r}")
-            return int(value)
-
-        name = self.name
-        if not (isinstance(name, str) and name and all(c.isalnum() or c in "-_" for c in name)):
-            fail("name", "must be a non-empty [A-Za-z0-9_-] string")
+        # reads from JSON: the `_util` rules, and this config's own bounds.
+        # Each refusal begins with the name of its field.
         try:
-            m = check_table_domain(integer("m", self.m, 2))
+            name = self.name
+            if not (isinstance(name, str) and name and all(c.isalnum() or c in "-_" for c in name)):
+                raise ParameterError("name must be a non-empty [A-Za-z0-9_-] string")
+            m = check_table_domain(self.m)
             counts = as_sequence(self.counts, "counts")
             if len(counts) != m:
-                fail("counts", f"must list exactly m={m} counts, got {len(counts)}")
-            counts = tuple(integer(f"counts[{i}]", c, 1) for i, c in enumerate(counts))
-            if sum(counts) > MAX_OBJECT_VALUES // m:
-                fail("counts", f"must sum to at most {MAX_OBJECT_VALUES // m}, got {sum(counts)}")
+                raise ParameterError(f"counts must list exactly m={m} counts, got {len(counts)}")
+            counts = tuple(check_count(c, f"counts[{i}]") for i, c in enumerate(counts))
+            most = MAX_OBJECT_VALUES // m
+            if sum(counts) > most:
+                raise ParameterError(f"counts must sum to at most {most}, got {sum(counts)}")
             epsilons = check_schedule(self.epsilons, "epsilons")
             rounds = check_rounds(len(epsilons), "epsilons")
-            trials = integer("trials", self.trials, 1)
+            trials = check_count(self.trials, "trials")
             most = min(MAX_TRIALS, MAX_RESULT_VALUES // (rounds * (m + 4)))
             if trials > most:
-                fail("trials", f"must be at most {most} at {rounds} rounds, got {trials}")
+                raise ParameterError(f"trials must be at most {most} at {rounds} rounds, got {trials}")
             seed = self.seed
             if not isinstance(seed, Integral) or isinstance(seed, bool) or not 0 <= seed < 2**64:
-                fail("seed", f"must be an integer that fits in 64 bits, got {seed!r}")
+                raise ParameterError(f"seed must be an integer that fits in 64 bits, got {seed!r}")
             normalized = dict(m=m, counts=counts, epsilons=epsilons, trials=trials, seed=int(seed))
             if (self.eps_alpha is None) != (self.eps_beta is None):
                 missing = "eps_alpha" if self.eps_alpha is None else "eps_beta"
-                fail(missing, "eps_alpha and eps_beta must be given together")
+                raise ParameterError(f"{missing} eps_alpha and eps_beta must be given together")
             if self.eps_alpha is not None:
                 pair = tuple(check_epsilon(getattr(self, k), k) for k in ("eps_alpha", "eps_beta"))
                 # the pair stands for the matched schedule the JSON path builds;
                 # any other would run the two pipelines at unmatched privacy
                 if epsilons != tuple(noisy_sampling_schedule(*pair, rounds)):
-                    fail("epsilons", "must be the noisy-sampling schedule of eps_alpha and eps_beta")
+                    raise ParameterError(
+                        "epsilons must be the noisy-sampling schedule of eps_alpha and eps_beta"
+                    )
                 normalized.update(eps_alpha=pair[0], eps_beta=pair[1])
             # every run decodes its first round, at the schedule's least ε
             _growth(epsilons[0], "epsilons[0]")
         except ParameterError as exc:
             field, _, message = str(exc).partition(" ")
-            fail(field, message)
+            _cfg_fail(f"ExperimentConfig.{field}", message)
         for field, value in normalized.items():
             object.__setattr__(self, field, value)
 
@@ -195,12 +192,13 @@ def _cfg_fail(path: str, message: str):
     raise ConfigError(f"{path}: {message}")
 
 
-def _require(raw: dict, key: str, kind, path: str):
+def _require(raw: dict, key: str, path: str, kind=object):
+    # Presence, and the JSON kind of a field no value rule reads as a whole:
+    # a number is left to the `_util` rule that reads it.
     if key not in raw:
         _cfg_fail(f"{path}.{key}", "missing required field")
     value = raw[key]
-    accepted = (int, float) if kind is float else kind  # `check_epsilon` converts an int
-    if not isinstance(value, accepted) or isinstance(value, bool):
+    if not isinstance(value, kind):
         _cfg_fail(f"{path}.{key}", f"expected {kind.__name__}, got {type(value).__name__}")
     return value
 
@@ -213,65 +211,60 @@ _SCHEDULE_KEYS = {
 }
 
 
-def _build_schedule(raw: dict, path: str):
-    # A list is checked by `ExperimentConfig`; the generated kinds' parameters
-    # are checked by the `_util` rules before the schedule is built from them,
-    # and a rule's refusal is renamed to the parameter's path.
-    kind = _require(raw, "kind", str, path)
+def _build_schedule(raw: dict, path: str) -> dict:
+    # The config fields a schedule gives.  A list is checked by
+    # `ExperimentConfig`; the generated kinds' parameters are checked by the
+    # `_util` rules as the schedule is built from them, and a rule's refusal
+    # is renamed to the parameter's path.
+    kind = _require(raw, "kind", path, str)
     if kind not in _SCHEDULE_KEYS:
         _cfg_fail(f"{path}.kind", f"unknown schedule kind {kind!r}")
     for key in raw:
         if key != "kind" and key not in _SCHEDULE_KEYS[kind]:
             _cfg_fail(f"{path}.{key}", f"unknown field for schedule kind {kind!r}")
     if kind == "list":
-        return _require(raw, "epsilons", list, path), None, None
+        return {"epsilons": _require(raw, "epsilons", path, list)}
     try:
         if kind == "linear":
             start, stop, stride = (
-                check_epsilon(_require(raw, key, float, path), key) for key in _SCHEDULE_KEYS[kind]
+                check_epsilon(_require(raw, key, path), key) for key in _SCHEDULE_KEYS[kind]
             )
             if stop < start:
                 _cfg_fail(f"{path}.stop", "must be >= start")
             # a float count, infinite if the division overflows
             rounds = check_rounds(np.floor((stop - start) / stride + 1e-9) + 1, "stride")
-            return tuple(start + i * stride for i in range(rounds)), None, None
-        eps_alpha, eps_beta = (_require(raw, key, float, path) for key in ("eps_alpha", "eps_beta"))
-        rounds = _require(raw, "rounds", int, path)
+            return {"epsilons": tuple(start + i * stride for i in range(rounds))}
+        eps_alpha, eps_beta, rounds = (_require(raw, key, path) for key in _SCHEDULE_KEYS[kind])
         schedule = tuple(noisy_sampling_schedule(eps_alpha, eps_beta, rounds))
     except ParameterError as exc:
         key, _, message = str(exc).partition(" ")
         _cfg_fail(f"{path}.{key}", message)
-    return schedule, eps_alpha, eps_beta
+    return {"epsilons": schedule, "eps_alpha": eps_alpha, "eps_beta": eps_beta}
 
 
 def config_from_dict(raw: dict, source: str = "config") -> ExperimentConfig:
     """Validate a parsed JSON object into an ExperimentConfig.
 
-    Checks the JSON shape here (required keys, JSON types, unknown keys,
-    schedule kinds) and leaves the value rules to `ExperimentConfig`; its
-    errors are renamed from ``ExperimentConfig.<field>`` to the field's path
-    in the file.
+    Checks the JSON shape here (required keys, unknown keys, schedule kinds,
+    and that the schedule is an object, its kind a string and counts and a
+    listed schedule arrays) and leaves every number to the `_util` rules:
+    the generated schedules' parameters are read as the schedule is built,
+    and the rest by `ExperimentConfig`, whose errors are renamed from
+    ``ExperimentConfig.<field>`` to the field's path in the file.
     """
     if not isinstance(raw, dict):
         _cfg_fail(source, "top-level value must be an object")
     fields = {
-        key: _require(raw, key, kind, source)
-        for key, kind in (("m", int), ("counts", list), ("trials", int), ("seed", int))
+        key: _require(raw, key, source, kind)
+        for key, kind in (("m", object), ("counts", list), ("trials", object), ("seed", object))
     }
-    schedule = _require(raw, "schedule", dict, source)
-    epsilons, eps_alpha, eps_beta = _build_schedule(schedule, f"{source}.schedule")
     known = {"name", "schedule", *fields}
+    fields.update(_build_schedule(_require(raw, "schedule", source, dict), f"{source}.schedule"))
     for key in raw:
         if key not in known:
             _cfg_fail(f"{source}.{key}", "unknown field")
     try:
-        return ExperimentConfig(
-            name=raw.get("name", "experiment"),
-            epsilons=epsilons,
-            eps_alpha=eps_alpha,
-            eps_beta=eps_beta,
-            **fields,
-        )
+        return ExperimentConfig(name=raw.get("name", "experiment"), **fields)
     except ConfigError as exc:
         field = str(exc).removeprefix("ExperimentConfig.")
         where = "schedule." if field.startswith("epsilons") else ""
@@ -280,6 +273,8 @@ def config_from_dict(raw: dict, source: str = "config") -> ExperimentConfig:
 
 def load_config(path) -> ExperimentConfig:
     """Load and validate a JSON experiment config file."""
+    if not isinstance(path, (str, os.PathLike)):
+        raise ParameterError(f"path must be a str or os.PathLike, got {type(path).__name__}")
     path = Path(path)
     try:
         text = path.read_text(encoding="utf-8")
@@ -289,9 +284,14 @@ def load_config(path) -> ExperimentConfig:
         raw = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
-    except ValueError as exc:  # an integer literal longer than Python's digit limit
+    # an integer literal longer than Python's digit limit, or arrays or
+    # objects nested deeper than the recursion limit
+    except (ValueError, RecursionError) as exc:
         raise ConfigError(f"{path}: {exc}") from exc
-    return config_from_dict(raw, source=str(path))
+    try:
+        return config_from_dict(raw, source=str(path))
+    except RecursionError as exc:  # a refusal's repr of a value nested almost that deep
+        raise ConfigError(f"{path}: {exc}") from exc
 
 
 def _truth_vector(config: ExperimentConfig) -> np.ndarray:
@@ -531,17 +531,19 @@ def _fmt(value) -> str:
 
 
 def _write_csv(path, header, rows):
+    # every row is formatted before the file is opened: a failure leaves no file
+    rows = [[_fmt(v) for v in row] for row in rows]
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(v) for v in row])
+        writer.writerows(rows)
     return path
 
 
 def _rounds_table(result: ExperimentResult):
+    check_instance(result, ExperimentResult, "result")
     m = result.config.m
     header = ["round", "epsilon"]
     for j in range(m):
@@ -574,6 +576,7 @@ def write_attacks_csv(result: ExperimentResult, path) -> Path:
 
 
 def write_rappor_csv(comparison: RapporComparison, path) -> Path:
+    check_instance(comparison, RapporComparison, "comparison")
     columns = {
         "eps_ns": comparison.eps_ns,
         "var_relax_empirical": comparison.var_relax_emp,
@@ -586,9 +589,17 @@ def write_rappor_csv(comparison: RapporComparison, path) -> Path:
 
 
 def write_kernel_table_csv(rows, path) -> Path:
-    return _write_csv(path, ["m", "eps_prev", "eps_next", "p_aa", "p_bb", "p_ba"], rows)
+    header = ["m", "eps_prev", "eps_next", "p_aa", "p_bb", "p_ba"]
+    rows = [as_sequence(row, f"rows[{i}]") for i, row in enumerate(as_sequence(rows, "rows"))]
+    for i, row in enumerate(rows):
+        if len(row) != len(header):
+            raise ParameterError(f"rows[{i}] must hold {len(header)} values, got {len(row)}")
+    return _write_csv(path, header, rows)
 
 
 def write_audit_csv(checks, path) -> Path:
+    checks = as_sequence(checks, "checks")
+    for i, check in enumerate(checks):
+        check_instance(check, AuditCheck, f"checks[{i}]")
     rows = [(c.name, c.worst, c.bound, "pass" if c.passed else "fail") for c in checks]
     return _write_csv(path, ["check", "worst", "bound", "status"], rows)

@@ -1,11 +1,14 @@
 import json
 import math
+import re
+import sys
 from dataclasses import replace
 
 import pytest
 
 from dprelax import cli, experiments
 from dprelax.audit import AuditCheck
+from dprelax.errors import ConfigError
 from dprelax.experiments import (
     compare_noisy_sampling,
     load_config,
@@ -223,6 +226,41 @@ def test_config_that_is_not_utf8_exits_2(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith(f"error: {bad}: ") and "utf-8" in err
     assert not list(tmp_path.glob("*.csv"))
+
+
+def _nested_config(tmp_path, field: str, depth: int):
+    # ``depth`` nested arrays: the whole file, or CONFIG with them in ``field``
+    nesting = "[" * depth + "]" * depth
+    if field == "file":
+        text = nesting
+    elif field == "epsilons":
+        text = json.dumps({**CONFIG, "schedule": {"kind": "list", "epsilons": None}})
+    else:
+        text = json.dumps({**CONFIG, field: None})
+    path = tmp_path / f"nested-{field}.json"
+    path.write_text(text.replace("null", nesting))
+    return path
+
+
+@pytest.mark.parametrize("field, depth", [("file", 100_000), ("epsilons", 50_000), ("m", 50_000)])
+def test_config_nested_beyond_the_recursion_limit_exits_2(tmp_path, capsys, field, depth):
+    path = _nested_config(tmp_path, field, depth)
+    with pytest.raises(ConfigError, match=r"^.*nested-\w+\.json: maximum recursion depth exceeded"):
+        load_config(path)
+    assert cli.main(["simulate", "--config", str(path), "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {path}: maximum recursion depth exceeded")
+    assert not list(tmp_path.glob("*.csv"))
+
+
+@pytest.mark.parametrize("field", ["epsilons", "m"])
+def test_config_nested_just_within_the_recursion_limit_is_a_config_error(tmp_path, field):
+    # `json.loads` decodes a nesting a few levels short of the limit, and a
+    # refusal's repr of it, made deeper in the stack, can then exceed it
+    limit = sys.getrecursionlimit()
+    for depth in range(limit - 100, limit + 1):
+        path = _nested_config(tmp_path, field, depth)
+        with pytest.raises(ConfigError, match=f"^{re.escape(str(path))}"):
+            load_config(path)
 
 
 @pytest.mark.parametrize("seed", ["-1", str(2**64)])

@@ -18,6 +18,7 @@ from dprelax.experiments import (
     load_config,
     simulate_experiment,
     write_attacks_csv,
+    write_audit_csv,
     write_kernel_table_csv,
     write_rappor_csv,
     write_rounds_csv,
@@ -111,7 +112,7 @@ class TestConfigValidation:
         assert len(tiny_config(schedule=schedule).epsilons) == 100_000
 
     def test_field_of_wrong_json_type_is_named(self):
-        with pytest.raises(ConfigError, match=r"^config\.m: expected int, got str$"):
+        with pytest.raises(ConfigError, match=r"^config\.m: must be a real number, got '3'$"):
             tiny_config(m="3")
 
     def test_linear_schedule_stop_below_start(self):
@@ -128,9 +129,21 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match=r"config\.typo"):
             tiny_config(typo=1)
 
-    def test_bad_seed(self):
-        with pytest.raises(ConfigError, match="64 bits"):
-            tiny_config(seed=-1)
+    @pytest.mark.parametrize("seed", [-1, 7.0])
+    def test_bad_seed(self, seed):
+        with pytest.raises(ConfigError, match=r"^config\.seed: .*64 bits"):
+            tiny_config(seed=seed)
+
+    def test_integral_floats_read_as_integers(self):
+        schedule = dict(TINY["schedule"], rounds=3.0)
+        config = tiny_config(m=2.0, trials=4.0, counts=[3.0, 4.0], schedule=schedule)
+        assert config == tiny_config()
+        assert all(type(v) is int for v in (config.m, config.trials, *config.counts))
+
+    @pytest.mark.parametrize("path", [None, 0, b"config.json"])
+    def test_path_of_wrong_type_is_named(self, path):
+        with pytest.raises(ParameterError, match=r"^path must be a str or os\.PathLike"):
+            load_config(path)
 
     def test_bad_name(self):
         with pytest.raises(ConfigError, match=r"config\.name"):
@@ -725,6 +738,25 @@ class TestCsvWriters:
                 )
             )
         assert paths[0] == paths[1]
+
+    @pytest.mark.parametrize(
+        "write, argument, name",
+        [
+            (write_kernel_table_csv, None, "rows"),
+            (write_kernel_table_csv, [[1, 2]], r"rows\[0\]"),
+            (write_kernel_table_csv, [(3, 0.5, 1.0, 0.7, 0.8, 0.1), 1], r"rows\[1\]"),
+            (write_rounds_csv, None, "result"),
+            (write_attacks_csv, 1, "result"),
+            (write_rappor_csv, None, "comparison"),
+            (write_audit_csv, [1], r"checks\[0\]"),
+            (write_audit_csv, None, "checks"),
+        ],
+    )
+    def test_wrong_argument_is_named_and_writes_no_file(self, tmp_path, write, argument, name):
+        path = tmp_path / "out.csv"
+        with pytest.raises(ParameterError, match=rf"^{name} must "):
+            write(argument, path)
+        assert not path.exists()
 
     def test_kernel_table_csv(self, tmp_path):
         path = write_kernel_table_csv(kernel_table_rows(), tmp_path / "kt.csv")

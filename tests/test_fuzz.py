@@ -6,20 +6,25 @@ drained) or raise a `DPRelaxError`, within `TIME_LIMIT` seconds and with no
 `RuntimeWarning`.  Generators are left valid: they are duck-typed, read
 only through their ``random`` and ``choice`` methods, and not checked.  No
 value is a size between the shipped ones and a bound, so every size is small
-and valid or refused before any allocation.
+and valid or refused before any allocation.  Each test runs in its own
+temporary directory, where ``fuzz.json`` holds a valid config: the file
+reader and writers are called there.
 """
 
 import inspect
+import json
 import math
 import signal
 import types
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from dprelax import audit, estimation, experiments, inference, mechanism, rappor
-from dprelax.errors import DPRelaxError
+from dprelax._util import check_count, check_epsilon, check_rounds, check_table_domain
+from dprelax.errors import ConfigError, DPRelaxError, ParameterError
 
 TIME_LIMIT = 2.0
 
@@ -62,7 +67,13 @@ RAW = {
     "trials": 2,
     "seed": 1,
 }
+RESULT = experiments.simulate_experiment(CONFIG)
+COMPARISON = experiments.compare_noisy_sampling(RAPPOR_CONFIG)
 RNG = object()  # stands for a fresh generator, never replaced by a value
+# A writer's output path, in the test's directory, is never replaced by a
+# value either: an unwritable path is an `OSError`, which the CLI reports
+# with exit code 2 as it does a library error.
+OUT = Path("fuzz.csv")
 
 # module.name -> valid arguments, in order
 VALID = {
@@ -110,26 +121,31 @@ VALID = {
     "experiments.simulate_experiment": (CONFIG, 1),
     "experiments.compare_noisy_sampling": (RAPPOR_CONFIG, 1),
     "experiments.kernel_table_rows": ((0.5, 1.0), (3,)),
+    "experiments.load_config": ("fuzz.json",),
+    "experiments.write_rounds_csv": (RESULT, OUT),
+    "experiments.write_attacks_csv": (RESULT, OUT),
+    "experiments.write_rappor_csv": (COMPARISON, OUT),
+    "experiments.write_kernel_table_csv": ([(3, 0.5, 1.0, 0.7, 0.8, 0.1)], OUT),
+    "experiments.write_audit_csv": ([audit.AuditCheck("fuzz", 0.0, 1e-9)], OUT),
 }
 
 # Public names the harness does not call: result containers, which hold what
-# a runner or an auditor computed and check nothing, and the file readers and
-# writers, which take paths.
+# a runner or an auditor computed and check nothing.
 NOT_CALLED = {
     "estimation.FrequencyEstimate",
     "audit.CompositionAudit",
     "audit.AuditCheck",
     "experiments.ExperimentResult",
     "experiments.RapporComparison",
-    "experiments.load_config",
-    "experiments.write_rounds_csv",
-    "experiments.write_attacks_csv",
-    "experiments.write_rappor_csv",
-    "experiments.write_kernel_table_csv",
-    "experiments.write_audit_csv",
 }
 
 MODULES = (mechanism, estimation, rappor, inference, audit, experiments)
+
+
+@pytest.fixture(autouse=True)
+def _in_tmp_dir(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "fuzz.json").write_text(json.dumps(RAW))
 
 
 def _public_callables() -> dict:
@@ -189,10 +205,92 @@ def test_adversarial_values_return_or_raise_a_library_error(key):
     assert _outcome(fn, args) is None  # the valid call itself
     failures = []
     for i, valid in enumerate(args):
-        if valid is RNG:
+        if valid is RNG or valid is OUT:
             continue
         for value in VALUES:
             found = _outcome(fn, args[:i] + (value,) + args[i + 1 :])
             if found is not None:
                 failures.append(f"argument {i} = {value!r}: {found}")
+    assert not failures
+
+
+def _accepted(rule, value, name: str):
+    # what a `_util` rule reads ``value`` as, or None where it refuses it
+    try:
+        return rule(value, name)
+    except ParameterError:
+        return None
+
+
+# A config's integer fields, each with the `_util` rule that reads it
+INTEGER_RULES = {
+    "m": check_table_domain,
+    "trials": check_count,
+    "counts[1]": check_count,
+    "schedule.rounds": check_rounds,
+}
+
+
+@pytest.mark.parametrize("field", list(INTEGER_RULES))
+def test_a_config_reads_an_integer_as_the_library_does(field):
+    # through `config_from_dict` and, but for the schedule's rounds, a config
+    # built in code: accepted, as its rule reads it, exactly when the rule
+    # accepts it, and otherwise refused naming the field
+    failures = []
+    for value in VALUES:
+        expected = _accepted(INTEGER_RULES[field], value, field)
+        m = expected if field == "m" and expected is not None else 2
+        fields = {"m": m, "counts": [3] * m, "trials": 2, "seed": 1}
+        schedule = {"kind": "noisy-sampling", "eps_alpha": 1.0, "eps_beta": 0.5, "rounds": 2}
+        if field == "counts[1]":
+            fields["counts"] = [3, value]
+        elif field == "schedule.rounds":
+            schedule["rounds"] = value
+        else:
+            fields[field] = value
+        builds = {"config": lambda: experiments.config_from_dict({**fields, "schedule": schedule})}
+        if field != "schedule.rounds":
+            epsilons = tuple(rappor.noisy_sampling_schedule(1.0, 0.5, 2))
+            builds["ExperimentConfig"] = lambda: experiments.ExperimentConfig(
+                "fuzz", epsilons=epsilons, eps_alpha=1.0, eps_beta=0.5, **fields
+            )
+        for prefix, build in builds.items():
+            try:
+                config = build()
+            except ConfigError as exc:
+                if expected is not None or not str(exc).startswith(f"{prefix}.{field}: "):
+                    failures.append(f"{value!r} via {prefix}: {exc}")
+                continue
+            read = {
+                "m": config.m,
+                "trials": config.trials,
+                "counts[1]": config.counts[1],
+                "schedule.rounds": len(config.epsilons),
+            }[field]
+            if expected is None or read != expected or type(read) is not int:
+                failures.append(f"{value!r} via {prefix}: read as {read!r}")
+    assert not failures
+
+
+@pytest.mark.parametrize(
+    "key, schedule",
+    [
+        ("start", {"kind": "linear", "start": 0.5, "stop": 1.0, "stride": 0.5}),
+        ("stop", {"kind": "linear", "start": 0.5, "stop": 1.0, "stride": 0.5}),
+        ("stride", {"kind": "linear", "start": 0.5, "stop": 1.0, "stride": 0.5}),
+        ("eps_alpha", {"kind": "noisy-sampling", "eps_alpha": 1.0, "eps_beta": 0.5, "rounds": 2}),
+        ("eps_beta", {"kind": "noisy-sampling", "eps_alpha": 1.0, "eps_beta": 0.5, "rounds": 2}),
+    ],
+)
+def test_a_config_refuses_every_epsilon_the_library_refuses(key, schedule):
+    failures = []
+    for value in VALUES:
+        if _accepted(check_epsilon, value, key) is not None:
+            continue
+        try:
+            experiments.config_from_dict({**RAW, "schedule": {**schedule, key: value}})
+            failures.append(f"{value!r}: accepted")
+        except ConfigError as exc:
+            if not str(exc).startswith(f"config.schedule.{key}: "):
+                failures.append(f"{value!r}: {exc}")
     assert not failures
