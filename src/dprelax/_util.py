@@ -4,6 +4,7 @@ Each input rule lives here once; public functions apply it once per call.
 """
 
 import math
+import reprlib
 
 import numpy as np
 
@@ -30,6 +31,17 @@ def cap_epsilon(eps: float) -> float:
     return min(eps, EPSILON_CAP)
 
 
+def shown(x) -> str:
+    """``repr(x)`` cut short by `reprlib`, so a refusal can print any value:
+    a long string, int or list is elided in the middle or at its end, and a
+    nesting deeper than six levels as ``[...]``.  An int too long for
+    Python's digit limit is shown by its type alone."""
+    try:
+        return reprlib.repr(x)
+    except ValueError:
+        return f"<{type(x).__name__} too long to print>"
+
+
 def as_float(x, name: str) -> float:
     """``float(x)`` of a real number, with one beyond double range (a large
     Python int) read as ±inf; a string, a boolean, or anything ``float``
@@ -43,7 +55,7 @@ def as_float(x, name: str) -> float:
             return math.inf if x > 0 else -math.inf
         except (TypeError, ValueError):
             pass
-    raise ParameterError(f"{name} must be a real number, got {x!r}")
+    raise ParameterError(f"{name} must be a real number, got {shown(x)}")
 
 
 def as_sequence(x, name: str) -> tuple:
@@ -52,7 +64,7 @@ def as_sequence(x, name: str) -> tuple:
     try:
         return tuple(x)
     except TypeError:
-        raise ParameterError(f"{name} must be a sequence, got {x!r}") from None
+        raise ParameterError(f"{name} must be a sequence, got {shown(x)}") from None
 
 
 def check_instance(x, cls: type, name: str) -> None:

@@ -39,14 +39,15 @@ import json
 import os
 from numbers import Integral
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from ._util import (
-    MAX_OBJECT_VALUES, MAX_ROUNDS, as_sequence, check_count, check_domain_size, check_epsilon,
-    check_instance, check_rounds, check_schedule, check_table_domain,
+    MAX_OBJECT_VALUES, MAX_ROUNDS, as_float, as_real_array, as_sequence, check_count,
+    check_domain_size, check_epsilon, check_instance, check_rounds, check_schedule,
+    check_table_domain, shown,
 )
 from .audit import AuditCheck
 from .errors import ConfigError, ParameterError
@@ -130,7 +131,7 @@ class ExperimentConfig:
                 raise ParameterError(f"trials must be at most {most} at {rounds} rounds, got {trials}")
             seed = self.seed
             if not isinstance(seed, Integral) or isinstance(seed, bool) or not 0 <= seed < 2**64:
-                raise ParameterError(f"seed must be an integer that fits in 64 bits, got {seed!r}")
+                raise ParameterError(f"seed must be an integer that fits in 64 bits, got {shown(seed)}")
             normalized = dict(m=m, counts=counts, epsilons=epsilons, trials=trials, seed=int(seed))
             if (self.eps_alpha is None) != (self.eps_beta is None):
                 missing = "eps_alpha" if self.eps_alpha is None else "eps_beta"
@@ -147,45 +148,117 @@ class ExperimentConfig:
             # every run decodes its first round, at the schedule's least ε
             _growth(epsilons[0], "epsilons[0]")
         except ParameterError as exc:
-            field, _, message = str(exc).partition(" ")
-            _cfg_fail(f"ExperimentConfig.{field}", message)
-        for field, value in normalized.items():
-            object.__setattr__(self, field, value)
+            name, _, message = str(exc).partition(" ")
+            _cfg_fail(f"ExperimentConfig.{name}", message)
+        self.__dict__.update(normalized)
 
     @property
     def n_objects(self) -> int:
         return sum(self.counts)
 
 
+def _check_rappor_config(config: ExperimentConfig) -> ExperimentConfig:
+    """``config`` if both pipelines of `compare_noisy_sampling` can run it."""
+    check_instance(config, ExperimentConfig, "config")
+    if config.m != 2:
+        raise ConfigError("compare-rappor: m must be 2 (per-bit comparison)")
+    if config.eps_alpha is None:
+        raise ConfigError('compare-rappor: schedule kind must be "noisy-sampling"')
+    rounds = len(config.epsilons)
+    if config.n_objects * rounds > MAX_OBJECT_VALUES:  # a trial's noisy samples: one such array
+        raise ConfigError(
+            f"compare-rappor: counts ({config.n_objects} objects) times the schedule's "
+            f"rounds ({rounds}) must be at most {MAX_OBJECT_VALUES}"
+        )
+    return config
+
+
+def _per_trial(x, name: str, shape: tuple) -> np.ndarray:
+    # a result's per-trial array: real numbers, of the shape its config fixes
+    x = as_real_array(x, name)
+    if x.shape != shape:
+        raise ParameterError(f"{name} must have shape {shape}, got {x.shape}")
+    return x
+
+
+def _trial_var(per_trial: np.ndarray) -> np.ndarray:
+    # the variance across trials (axis 0): ddof=1, or 0 for a single trial
+    return per_trial.var(axis=0, ddof=1 if len(per_trial) > 1 else 0)
+
+
 @dataclass(frozen=True)
 class ExperimentResult:
-    """Per-round aggregates across trials, plus the raw per-trial arrays."""
+    """A run's per-trial arrays, and the per-round aggregates across trials
+    and theory columns they and the config determine, set when it is built."""
 
     config: ExperimentConfig
-    epsilons: tuple
-    est_mean: np.ndarray        # (rounds, m)
-    est_var: np.ndarray         # (rounds, m), across trials, ddof=1
-    var_theory: np.ndarray      # (rounds, m)
-    err_mean: np.ndarray        # (rounds, methods)
-    err_std: np.ndarray         # (rounds, methods), ddof=1
-    floor: np.ndarray           # (rounds,)
+    estimates: np.ndarray                          # (trials, rounds, m)
+    errors: np.ndarray                             # (trials, rounds, methods)
     lo_mle_identical: bool
-    estimates: np.ndarray       # (trials, rounds, m)
-    errors: np.ndarray          # (trials, rounds, methods)
+    epsilons: tuple = field(init=False)
+    est_mean: np.ndarray = field(init=False)       # (rounds, m)
+    est_var: np.ndarray = field(init=False)        # (rounds, m), across trials, ddof=1
+    var_theory: np.ndarray = field(init=False)     # (rounds, m)
+    err_mean: np.ndarray = field(init=False)       # (rounds, methods)
+    err_std: np.ndarray = field(init=False)        # (rounds, methods), ddof=1
+    floor: np.ndarray = field(init=False)          # (rounds,)
+
+    def __post_init__(self):
+        config = self.config
+        check_instance(config, ExperimentConfig, "config")
+        epsilons, n = config.epsilons, config.n_objects
+        size = (config.trials, len(epsilons))
+        estimates = _per_trial(self.estimates, "estimates", (*size, config.m))
+        errors = _per_trial(self.errors, "errors", (*size, len(ATTACK_METHODS)))
+        check_instance(self.lo_mle_identical, bool, "lo_mle_identical")
+        true_freq = np.asarray(config.counts, dtype=float) / n
+        self.__dict__.update(
+            estimates=estimates,
+            errors=errors,
+            epsilons=epsilons,
+            est_mean=estimates.mean(axis=0),
+            est_var=_trial_var(estimates),
+            var_theory=np.stack(
+                [np.diag(frequency_estimate_covariance(true_freq, eps, n)) for eps in epsilons]
+            ),
+            err_mean=errors.mean(axis=0),
+            err_std=np.sqrt(_trial_var(errors)),
+            floor=np.array([min_error_rate(eps, config.m) for eps in epsilons]),
+        )
 
 
 @dataclass(frozen=True)
 class RapporComparison:
-    """Relaxation vs repeated noisy sampling at matched privacy, per round."""
+    """Relaxation vs repeated noisy sampling at matched privacy: each trial's
+    estimates, and the per-round columns they and the config determine, set
+    when it is built."""
 
     config: ExperimentConfig
-    eps_ns: np.ndarray            # (rounds,)
-    var_relax_emp: np.ndarray     # (rounds,), ddof=1 across trials
-    var_relax_theory: np.ndarray
-    var_noisy_emp: np.ndarray
-    var_noisy_theory: np.ndarray
-    relax_estimates: np.ndarray   # (trials, rounds)
-    noisy_estimates: np.ndarray   # (trials, rounds)
+    relax_estimates: np.ndarray                    # (trials, rounds)
+    noisy_estimates: np.ndarray                    # (trials, rounds)
+    eps_ns: np.ndarray = field(init=False)         # (rounds,)
+    var_relax_emp: np.ndarray = field(init=False)  # (rounds,), ddof=1 across trials
+    var_relax_theory: np.ndarray = field(init=False)
+    var_noisy_emp: np.ndarray = field(init=False)
+    var_noisy_theory: np.ndarray = field(init=False)
+
+    def __post_init__(self):
+        config = _check_rappor_config(self.config)
+        n, rounds = config.n_objects, len(config.epsilons)
+        relax = _per_trial(self.relax_estimates, "relax_estimates", (config.trials, rounds))
+        noisy = _per_trial(self.noisy_estimates, "noisy_estimates", (config.trials, rounds))
+        params = rappor_params(config.eps_alpha, config.eps_beta)
+        self.__dict__.update(
+            relax_estimates=relax,
+            noisy_estimates=noisy,
+            eps_ns=np.asarray(config.epsilons),
+            var_relax_emp=_trial_var(relax),
+            var_relax_theory=np.array([variance_binary_estimate(e, n) for e in config.epsilons]),
+            var_noisy_emp=_trial_var(noisy),
+            var_noisy_theory=np.array(
+                [variance_noisy_sampling(params, n, k) for k in range(1, rounds + 1)]
+            ),
+        )
 
 
 def _cfg_fail(path: str, message: str):
@@ -254,21 +327,21 @@ def config_from_dict(raw: dict, source: str = "config") -> ExperimentConfig:
     """
     if not isinstance(raw, dict):
         _cfg_fail(source, "top-level value must be an object")
-    fields = {
+    given = {
         key: _require(raw, key, source, kind)
         for key, kind in (("m", object), ("counts", list), ("trials", object), ("seed", object))
     }
-    known = {"name", "schedule", *fields}
-    fields.update(_build_schedule(_require(raw, "schedule", source, dict), f"{source}.schedule"))
+    known = {"name", "schedule", *given}
+    given.update(_build_schedule(_require(raw, "schedule", source, dict), f"{source}.schedule"))
     for key in raw:
         if key not in known:
             _cfg_fail(f"{source}.{key}", "unknown field")
     try:
-        return ExperimentConfig(name=raw.get("name", "experiment"), **fields)
+        return ExperimentConfig(name=raw.get("name", "experiment"), **given)
     except ConfigError as exc:
-        field = str(exc).removeprefix("ExperimentConfig.")
-        where = "schedule." if field.startswith("epsilons") else ""
-        raise ConfigError(f"{source}.{where}{field}") from None
+        refusal = str(exc).removeprefix("ExperimentConfig.")
+        where = "schedule." if refusal.startswith("epsilons") else ""
+        raise ConfigError(f"{source}.{where}{refusal}") from None
 
 
 def load_config(path) -> ExperimentConfig:
@@ -288,10 +361,7 @@ def load_config(path) -> ExperimentConfig:
     # objects nested deeper than the recursion limit
     except (ValueError, RecursionError) as exc:
         raise ConfigError(f"{path}: {exc}") from exc
-    try:
-        return config_from_dict(raw, source=str(path))
-    except RecursionError as exc:  # a refusal's repr of a value nested almost that deep
-        raise ConfigError(f"{path}: {exc}") from exc
+    return config_from_dict(raw, source=str(path))
 
 
 def _truth_vector(config: ExperimentConfig) -> np.ndarray:
@@ -419,28 +489,7 @@ def simulate_experiment(config: ExperimentConfig, threads: int = 1) -> Experimen
         return est, errs, agree
 
     estimates, errors, agree = _run_trials(config, run_block, threads)
-
-    true_freq = np.asarray(config.counts, dtype=float) / config.n_objects
-    var_theory = np.stack(
-        [
-            np.diag(frequency_estimate_covariance(true_freq, eps, config.n_objects))
-            for eps in epsilons
-        ]
-    )
-    ddof = 1 if config.trials > 1 else 0
-    return ExperimentResult(
-        config=config,
-        epsilons=epsilons,
-        est_mean=estimates.mean(axis=0),
-        est_var=estimates.var(axis=0, ddof=ddof),
-        var_theory=var_theory,
-        err_mean=errors.mean(axis=0),
-        err_std=errors.std(axis=0, ddof=ddof),
-        floor=np.array([min_error_rate(eps, m) for eps in epsilons]),
-        lo_mle_identical=bool(agree.all()),
-        estimates=estimates,
-        errors=errors,
-    )
+    return ExperimentResult(config, estimates, errors, bool(agree.all()))
 
 
 def compare_noisy_sampling(config: ExperimentConfig, threads: int = 1) -> RapporComparison:
@@ -454,18 +503,8 @@ def compare_noisy_sampling(config: ExperimentConfig, threads: int = 1) -> Rappor
     a copy of its generator moved past the rounds' draws, and decoded for
     every round at once, so only one trial's samples are held at a time.
     """
-    check_instance(config, ExperimentConfig, "config")
-    if config.m != 2:
-        raise ConfigError("compare-rappor: m must be 2 (per-bit comparison)")
-    if config.eps_alpha is None:
-        raise ConfigError('compare-rappor: schedule kind must be "noisy-sampling"')
-    epsilons = config.epsilons
+    epsilons = _check_rappor_config(config).epsilons
     rounds = len(epsilons)
-    if config.n_objects * rounds > MAX_OBJECT_VALUES:  # a trial's noisy samples: one such array
-        raise ConfigError(
-            f"compare-rappor: counts ({config.n_objects} objects) times the schedule's "
-            f"rounds ({rounds}) must be at most {MAX_OBJECT_VALUES}"
-        )
     params = rappor_params(config.eps_alpha, config.eps_beta)
     truth = _truth_vector(config)
     n = truth.size
@@ -483,20 +522,7 @@ def compare_noisy_sampling(config: ExperimentConfig, threads: int = 1) -> Rappor
             relax_est[:, r] = _decode_block(out, epsilons[r], 2, n)[:, 1]
         return relax_est, noisy_est
 
-    relax_estimates, noisy_estimates = _run_trials(config, run_block, threads)
-    ddof = 1 if config.trials > 1 else 0
-    return RapporComparison(
-        config=config,
-        eps_ns=np.asarray(epsilons),
-        var_relax_emp=relax_estimates.var(axis=0, ddof=ddof),
-        var_relax_theory=np.array([variance_binary_estimate(e, n) for e in epsilons]),
-        var_noisy_emp=noisy_estimates.var(axis=0, ddof=ddof),
-        var_noisy_theory=np.array(
-            [variance_noisy_sampling(params, n, k) for k in range(1, rounds + 1)]
-        ),
-        relax_estimates=relax_estimates,
-        noisy_estimates=noisy_estimates,
-    )
+    return RapporComparison(config, *_run_trials(config, run_block, threads))
 
 
 def kernel_table_rows(eps_values=DEFAULT_TABLE_EPSILONS, domain_sizes=DEFAULT_TABLE_DOMAINS) -> list:
@@ -542,37 +568,35 @@ def _write_csv(path, header, rows):
     return path
 
 
-def _rounds_table(result: ExperimentResult):
+def _write_columns(path, index: str, columns: dict):
+    # one row a round, numbered from 1 in its ``index`` column
+    rows = ((k, *values) for k, values in enumerate(zip(*columns.values()), start=1))
+    return _write_csv(path, [index, *columns], rows)
+
+
+def _round_columns(result: ExperimentResult) -> dict:
     check_instance(result, ExperimentResult, "result")
-    m = result.config.m
-    header = ["round", "epsilon"]
-    for j in range(m):
-        header += [f"est_mean_{j}", f"est_var_{j}", f"est_var_theory_{j}"]
-    for method in ATTACK_METHODS:
-        header += [f"err_{method}_mean", f"err_{method}_std"]
-    header.append("min_error_rate")
-    rows = []
-    for r, eps in enumerate(result.epsilons):
-        row = [r + 1, eps]
-        for j in range(m):
-            row += [result.est_mean[r, j], result.est_var[r, j], result.var_theory[r, j]]
-        for k in range(len(ATTACK_METHODS)):
-            row += [result.err_mean[r, k], result.err_std[r, k]]
-        row.append(result.floor[r])
-        rows.append(row)
-    return header, rows
+    columns = {"epsilon": result.epsilons}
+    for j in range(result.config.m):
+        columns[f"est_mean_{j}"] = result.est_mean[:, j]
+        columns[f"est_var_{j}"] = result.est_var[:, j]
+        columns[f"est_var_theory_{j}"] = result.var_theory[:, j]
+    for k, method in enumerate(ATTACK_METHODS):
+        columns[f"err_{method}_mean"] = result.err_mean[:, k]
+        columns[f"err_{method}_std"] = result.err_std[:, k]
+    columns["min_error_rate"] = result.floor
+    return columns
 
 
 def write_rounds_csv(result: ExperimentResult, path) -> Path:
     """Full per-round table: estimates, variances, attack errors, floor."""
-    return _write_csv(path, *_rounds_table(result))
+    return _write_columns(path, "round", _round_columns(result))
 
 
 def write_attacks_csv(result: ExperimentResult, path) -> Path:
     """Attack-only view: the per-round table without its ``est_*`` columns."""
-    header, rows = _rounds_table(result)
-    keep = [i for i, name in enumerate(header) if not name.startswith("est_")]
-    return _write_csv(path, [header[i] for i in keep], ([row[i] for i in keep] for row in rows))
+    columns = {k: v for k, v in _round_columns(result).items() if not k.startswith("est_")}
+    return _write_columns(path, "round", columns)
 
 
 def write_rappor_csv(comparison: RapporComparison, path) -> Path:
@@ -584,8 +608,7 @@ def write_rappor_csv(comparison: RapporComparison, path) -> Path:
         "var_noisy_empirical": comparison.var_noisy_emp,
         "var_noisy_theory": comparison.var_noisy_theory,
     }
-    rows = ((k, *values) for k, values in enumerate(zip(*columns.values()), start=1))
-    return _write_csv(path, ["K", *columns], rows)
+    return _write_columns(path, "K", columns)
 
 
 def write_kernel_table_csv(rows, path) -> Path:
@@ -594,6 +617,8 @@ def write_kernel_table_csv(rows, path) -> Path:
     for i, row in enumerate(rows):
         if len(row) != len(header):
             raise ParameterError(f"rows[{i}] must hold {len(header)} values, got {len(row)}")
+        for j, value in enumerate(row):
+            as_float(value, f"rows[{i}][{j}]")
     return _write_csv(path, header, rows)
 
 

@@ -255,7 +255,7 @@ def test_config_nested_beyond_the_recursion_limit_exits_2(tmp_path, capsys, fiel
 @pytest.mark.parametrize("field", ["epsilons", "m"])
 def test_config_nested_just_within_the_recursion_limit_is_a_config_error(tmp_path, field):
     # `json.loads` decodes a nesting a few levels short of the limit, and a
-    # refusal's repr of it, made deeper in the stack, can then exceed it
+    # refusal prints it cut short (`_util.shown`), deeper in the stack
     limit = sys.getrecursionlimit()
     for depth in range(limit - 100, limit + 1):
         path = _nested_config(tmp_path, field, depth)

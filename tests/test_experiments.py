@@ -12,6 +12,8 @@ from dprelax.errors import ConfigError, ParameterError
 from dprelax.estimation import _debias
 from dprelax.experiments import (
     ExperimentConfig,
+    ExperimentResult,
+    RapporComparison,
     compare_noisy_sampling,
     config_from_dict,
     kernel_table_rows,
@@ -468,6 +470,112 @@ def test_epsilon_too_small_to_debias_is_refused_before_any_draw(monkeypatch, run
         run(ExperimentConfig(**fields, eps_alpha=1.0, eps_beta=0.5))
 
 
+class TestResults:
+    """A result holds what its run measured; the rest is set when it is built."""
+
+    def test_replaced_arrays_rebuild_the_aggregates(self):
+        result = simulate_experiment(tiny_config())
+        other = simulate_experiment(tiny_config(seed=100))
+        replaced = replace(result, estimates=other.estimates, errors=other.errors)
+        for name in ("est_mean", "est_var", "err_mean", "err_std"):
+            np.testing.assert_array_equal(getattr(replaced, name), getattr(other, name))
+        np.testing.assert_array_equal(replaced.est_var, other.estimates.var(axis=0, ddof=1))
+        np.testing.assert_array_equal(replaced.err_std, other.errors.std(axis=0, ddof=1))
+        estimates_only = replace(result, estimates=other.estimates)
+        np.testing.assert_array_equal(estimates_only.est_mean, other.est_mean)
+        np.testing.assert_array_equal(estimates_only.err_mean, result.err_mean)
+        comparison = compare_noisy_sampling(tiny_config())
+        other = compare_noisy_sampling(tiny_config(seed=100))
+        replaced = replace(comparison, relax_estimates=other.relax_estimates)
+        np.testing.assert_array_equal(replaced.var_relax_emp, other.var_relax_emp)
+        np.testing.assert_array_equal(replaced.var_noisy_emp, comparison.var_noisy_emp)
+
+    def test_replaced_config_rebuilds_the_theory(self):
+        # the same shape of run at other counts and another matched schedule
+        schedule = {"kind": "noisy-sampling", "eps_alpha": 2.0, "eps_beta": 1.0, "rounds": 3}
+        config = tiny_config(counts=[6, 1], schedule=schedule)
+        result = replace(simulate_experiment(tiny_config()), config=config)
+        want = simulate_experiment(config)
+        assert result.epsilons == want.epsilons
+        np.testing.assert_array_equal(result.var_theory, want.var_theory)
+        np.testing.assert_array_equal(result.floor, want.floor)
+        comparison = replace(compare_noisy_sampling(tiny_config()), config=config)
+        want = compare_noisy_sampling(config)
+        for name in ("eps_ns", "var_relax_theory", "var_noisy_theory"):
+            np.testing.assert_array_equal(getattr(comparison, name), getattr(want, name))
+
+    def test_a_derived_field_cannot_be_given(self):
+        result = simulate_experiment(tiny_config())
+        with pytest.raises(TypeError, match="est_mean"):
+            ExperimentResult(result.config, result.estimates, result.errors, True, est_mean=0)
+        comparison = compare_noisy_sampling(tiny_config())
+        args = comparison.config, comparison.relax_estimates, comparison.noisy_estimates
+        with pytest.raises(TypeError, match="var_noisy_theory"):
+            RapporComparison(*args, var_noisy_theory=0)
+
+    @pytest.mark.parametrize(
+        "argument, value, message",
+        [
+            ("config", lambda r: None, "config must be a ExperimentConfig, got NoneType"),
+            (
+                "estimates",
+                lambda r: r.estimates[:2],
+                r"estimates must have shape \(4, 3, 2\), got \(2, 3, 2\)",
+            ),
+            (
+                "estimates",
+                lambda r: r.estimates[..., :1],
+                r"estimates must have shape \(4, 3, 2\), got \(4, 3, 1\)",
+            ),
+            ("estimates", lambda r: None, "estimates must be real numbers, got dtype object"),
+            ("errors", lambda r: np.full(r.errors.shape, "a"), "errors must be real numbers, got dtype <U1"),
+            ("errors", lambda r: 0.5, r"errors must have shape \(4, 3, 4\), got \(\)"),
+            ("lo_mle_identical", lambda r: 1, "lo_mle_identical must be a bool, got int"),
+            ("lo_mle_identical", lambda r: np.True_, "lo_mle_identical must be a bool, got bool"),
+        ],
+        ids=["config", "trials", "m", "none", "strings", "scalar", "int-flag", "numpy-flag"],
+    )
+    def test_a_wrong_result_argument_is_named(self, argument, value, message):
+        result = simulate_experiment(tiny_config())
+        with pytest.raises(ParameterError, match=f"^{message}$"):
+            replace(result, **{argument: value(result)})
+
+    @pytest.mark.parametrize(
+        "argument, value, message",
+        [
+            ("config", 1, "config must be a ExperimentConfig, got int"),
+            (
+                "relax_estimates",
+                [[0.5] * 3] * 3,
+                r"relax_estimates must have shape \(4, 3\), got \(3, 3\)",
+            ),
+            ("noisy_estimates", [["0.5"] * 3] * 4, "noisy_estimates must be real numbers, got dtype <U3"),
+        ],
+        ids=["config", "trials", "strings"],
+    )
+    def test_a_wrong_comparison_argument_is_named(self, argument, value, message):
+        comparison = compare_noisy_sampling(tiny_config())
+        with pytest.raises(ParameterError, match=f"^{message}$"):
+            replace(comparison, **{argument: value})
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"m": 3, "counts": [1, 2, 3]},
+            {"schedule": {"kind": "list", "epsilons": [0.5, 1.0, 1.0]}},
+            {"counts": [2**22, 2**22]},  # 2**23 objects times 3 rounds: beyond the object bound
+        ],
+        ids=["m", "schedule", "object-bound"],
+    )
+    def test_a_comparison_refuses_what_the_run_refuses(self, overrides):
+        config = tiny_config(**overrides)
+        with pytest.raises(ConfigError) as run:
+            compare_noisy_sampling(config)
+        with pytest.raises(ConfigError) as built:
+            RapporComparison(config, np.zeros((4, 3)), np.zeros((4, 3)))
+        assert str(built.value) == str(run.value)
+
+
 class TestTrialBlocks:
     """A run's results do not depend on how its trials fall into blocks."""
 
@@ -750,6 +858,10 @@ class TestCsvWriters:
             (write_rappor_csv, None, "comparison"),
             (write_audit_csv, [1], r"checks\[0\]"),
             (write_audit_csv, None, "checks"),
+            (write_kernel_table_csv, [[None] * 6], r"rows\[0\]\[0\]"),
+            (write_kernel_table_csv, [["a"] * 6], r"rows\[0\]\[0\]"),
+            (write_kernel_table_csv, [(3, 0.5, 1.0, 0.7, 0.8, 0.1), (3, 0.5, 1.0, 0.7, 0.8, "a")],
+             r"rows\[1\]\[5\]"),
         ],
     )
     def test_wrong_argument_is_named_and_writes_no_file(self, tmp_path, write, argument, name):

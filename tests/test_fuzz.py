@@ -117,6 +117,12 @@ VALID = {
     "audit.audit_noisy_sampling_epsilon": (PARAMS, 3),
     "audit.run_standard_audits": (),
     "experiments.ExperimentConfig": ("fuzz", 2, (3, 4), (0.5, 1.0), 2, 1, None, None),
+    "experiments.ExperimentResult": (CONFIG, RESULT.estimates, RESULT.errors, True),
+    "experiments.RapporComparison": (
+        RAPPOR_CONFIG,
+        COMPARISON.relax_estimates,
+        COMPARISON.noisy_estimates,
+    ),
     "experiments.config_from_dict": (RAW, "fuzz.json"),
     "experiments.simulate_experiment": (CONFIG, 1),
     "experiments.compare_noisy_sampling": (RAPPOR_CONFIG, 1),
@@ -130,13 +136,11 @@ VALID = {
 }
 
 # Public names the harness does not call: result containers, which hold what
-# a runner or an auditor computed and check nothing.
+# an estimator or an auditor computed and check nothing.
 NOT_CALLED = {
     "estimation.FrequencyEstimate",
     "audit.CompositionAudit",
     "audit.AuditCheck",
-    "experiments.ExperimentResult",
-    "experiments.RapporComparison",
 }
 
 MODULES = (mechanism, estimation, rappor, inference, audit, experiments)

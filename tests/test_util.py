@@ -4,6 +4,7 @@ import copy
 import dataclasses
 import math
 import pickle
+import re
 from unittest import mock
 
 import numpy as np
@@ -420,6 +421,47 @@ def test_config_refuses_a_boolean(field, boolean):
     fields = dict(name="direct", m=2, counts=(2, 3), epsilons=(0.5, 1.0), trials=2, seed=1)
     with pytest.raises(ConfigError, match=rf"^ExperimentConfig\.{field}: must be "):
         ExperimentConfig(**dict(fields, **overrides))
+
+
+def _nested(depth: int) -> list:
+    deep = []
+    for _ in range(depth):
+        deep = [deep]
+    return deep
+
+
+def test_a_refusal_prints_a_value_nested_past_the_recursion_limit():
+    deep = _nested(5000)
+    shown = r"\[\[\[\[\[\[\[\.\.\.\]\]\]\]\]\]\]"
+    with pytest.raises(ParameterError, match=rf"^\(eps_prev, eps_next\)\[0\] must be a real number, got {shown}$"):
+        relax_kernel(deep, 1.0, 3)
+    raw = {"m": 2, "counts": [2, 3], "schedule": {"kind": "list", "epsilons": [deep]}, "trials": 2, "seed": 1}
+    with pytest.raises(ConfigError, match=rf"^config\.schedule\.epsilons\[0\]: must be a real number, got {shown}$"):
+        experiments.config_from_dict(raw)
+    fields = dict(name="direct", m=2, counts=(2, 3), epsilons=(0.5, 1.0), trials=2)
+    with pytest.raises(ConfigError, match=rf"^ExperimentConfig\.seed: must be an integer .* got {shown}$"):
+        ExperimentConfig(**fields, seed=deep)
+
+
+@pytest.mark.parametrize(
+    "value, shown",
+    [
+        ("3", "'3'"),
+        ([1, 2], "[1, 2]"),
+        (None, "None"),
+        ("a" * 50, "'aaaaaaaaaaaa...aaaaaaaaaaaaa'"),
+        (10**400, "100000000000000000...0000000000000000000"),
+        (10**5000, "<int too long to print>"),
+        (list(range(10)), "[0, 1, 2, 3, 4, 5, ...]"),
+    ],
+    ids=["short-string", "short-list", "none", "long-string", "long-int", "int-past-digit-limit", "long-list"],
+)
+def test_a_refusal_prints_a_value_cut_short(value, shown):
+    assert _util.shown(value) == shown
+    fields = dict(name="direct", m=2, counts=(2, 3), epsilons=(0.5, 1.0), trials=2)
+    message = rf"^ExperimentConfig\.seed: must be an integer that fits in 64 bits, got {re.escape(shown)}$"
+    with pytest.raises(ConfigError, match=message):
+        ExperimentConfig(**fields, seed=value)
 
 
 # test id -> (call with an argument that is no sequence, argument the error must name)
