@@ -42,6 +42,12 @@ def shown(x) -> str:
         return f"<{type(x).__name__} too long to print>"
 
 
+def read_only(array: np.ndarray) -> np.ndarray:
+    """``array``, its write flag cleared."""
+    array.setflags(write=False)
+    return array
+
+
 def as_float(x, name: str) -> float:
     """``float(x)`` of a real number, with one beyond double range (a large
     Python int) read as ±inf; a string, a boolean, or anything ``float``

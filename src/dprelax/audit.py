@@ -22,7 +22,10 @@ from itertools import combinations_with_replacement
 
 import numpy as np
 
-from ._util import cap_epsilon, check_domain_size, check_instance, check_rounds, check_schedule
+from ._util import (
+    as_float, cap_epsilon, check_domain_size, check_epsilon, check_instance, check_rounds,
+    check_schedule,
+)
 from .errors import EnumerationLimitError
 from .mechanism import _log_tables, _plan, relax_kernel, rr_distribution
 from .rappor import RapporParams, eps_noisy_sampling, rappor_params
@@ -51,10 +54,20 @@ _BATCH_DOUBLES = 2**14
 
 @dataclass(frozen=True)
 class CompositionAudit:
-    """Worst-case log-ratio of a whole output sequence across inputs."""
+    """Worst-case log-ratio of a whole output sequence across inputs.
+
+    ``epsilon_target`` is a privacy parameter and ``max_log_ratio`` a real
+    number (``inf`` where the supports differ), each checked when built.
+    """
 
     epsilon_target: float
     max_log_ratio: float
+
+    def __post_init__(self):
+        self.__dict__.update(
+            epsilon_target=check_epsilon(self.epsilon_target, "epsilon_target"),
+            max_log_ratio=as_float(self.max_log_ratio, "max_log_ratio"),
+        )
 
     @property
     def attained(self) -> bool:
@@ -64,11 +77,16 @@ class CompositionAudit:
 
 @dataclass(frozen=True)
 class AuditCheck:
-    """One named check of the standard audit battery."""
+    """One named check of the standard audit battery: a string name, and its
+    worst value and bound as real numbers, each checked when built."""
 
     name: str
     worst: float
     bound: float
+
+    def __post_init__(self):
+        check_instance(self.name, str, "name")
+        self.__dict__.update(worst=as_float(self.worst, "worst"), bound=as_float(self.bound, "bound"))
 
     @property
     def passed(self) -> bool:

@@ -44,12 +44,34 @@ __all__ = [
 
 @dataclass(frozen=True)
 class FrequencyEstimate:
-    """Debiased frequency vector with its plug-in covariance."""
+    """Debiased frequency vector with its plug-in covariance.
+
+    Checked when built: ``estimate`` is 1-D with at least two real numbers,
+    ``covariance`` real and square over them, ``epsilon`` a privacy parameter
+    and ``n`` positive and at most 2**53.
+    """
 
     estimate: np.ndarray
     covariance: np.ndarray
     epsilon: float
     n: float  # the decoded counts' total
+
+    def __post_init__(self):
+        estimate = as_real_array(self.estimate, "estimate")
+        if estimate.ndim != 1 or estimate.size < 2:
+            raise ParameterError(
+                f"estimate must be 1-D with at least 2 values, got shape {estimate.shape}"
+            )
+        covariance = as_real_array(self.covariance, "covariance")
+        if covariance.shape != estimate.shape * 2:
+            raise ParameterError(
+                f"covariance must have shape {estimate.shape * 2}, got {covariance.shape}"
+            )
+        eps = check_epsilon(self.epsilon)
+        n = as_float(self.n, "n")
+        if not 0.0 < n <= 2**53:
+            raise ParameterError(f"n must be positive and at most 2**53, got {n}")
+        self.__dict__.update(estimate=estimate, covariance=covariance, epsilon=eps, n=n)
 
 
 def histogram(responses, m: int) -> np.ndarray:

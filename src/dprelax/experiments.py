@@ -47,7 +47,7 @@ import numpy as np
 from ._util import (
     MAX_OBJECT_VALUES, MAX_ROUNDS, as_float, as_real_array, as_sequence, check_count,
     check_domain_size, check_epsilon, check_instance, check_rounds, check_schedule,
-    check_table_domain, shown,
+    check_table_domain, read_only, shown,
 )
 from .audit import AuditCheck
 from .errors import ConfigError, ParameterError
@@ -83,7 +83,9 @@ DEFAULT_TABLE_DOMAINS = tuple(range(3, 11))
 # Bounds on a config, each refused before the run's first allocation, beside
 # `MAX_DOMAIN`, `MAX_ROUNDS` and `MAX_OBJECT_VALUES` (objects * m) of `_util`:
 MAX_TRIALS = 100_000  # every trial's seed is spawned up front: 1 s and 40 MB at this bound
-MAX_RESULT_VALUES = 2**27  # trials * rounds * (m + 4) result doubles: 1 GiB
+# trials * rounds * (m + 4) result doubles: 1 GiB, and as much again while the
+# result takes its read-only copy of the run's arrays
+MAX_RESULT_VALUES = 2**27
 # Workers beyond a large machine's cores gain nothing, and a run may have
 # `MAX_TRIALS` blocks: unbounded, ``threads`` could start 100000 OS threads.
 MAX_THREADS = 64
@@ -174,11 +176,12 @@ def _check_rappor_config(config: ExperimentConfig) -> ExperimentConfig:
 
 
 def _per_trial(x, name: str, shape: tuple) -> np.ndarray:
-    # a result's per-trial array: real numbers, of the shape its config fixes
+    # a result's per-trial array: real numbers, of the shape its config fixes,
+    # kept as a read-only copy, so no write can leave its columns stale
     x = as_real_array(x, name)
     if x.shape != shape:
         raise ParameterError(f"{name} must have shape {shape}, got {x.shape}")
-    return x
+    return read_only(x.copy())
 
 
 def _trial_var(per_trial: np.ndarray) -> np.ndarray:
@@ -212,10 +215,7 @@ class ExperimentResult:
         errors = _per_trial(self.errors, "errors", (*size, len(ATTACK_METHODS)))
         check_instance(self.lo_mle_identical, bool, "lo_mle_identical")
         true_freq = np.asarray(config.counts, dtype=float) / n
-        self.__dict__.update(
-            estimates=estimates,
-            errors=errors,
-            epsilons=epsilons,
+        columns = dict(
             est_mean=estimates.mean(axis=0),
             est_var=_trial_var(estimates),
             var_theory=np.stack(
@@ -224,6 +224,12 @@ class ExperimentResult:
             err_mean=errors.mean(axis=0),
             err_std=np.sqrt(_trial_var(errors)),
             floor=np.array([min_error_rate(eps, config.m) for eps in epsilons]),
+        )
+        self.__dict__.update(
+            estimates=estimates,
+            errors=errors,
+            epsilons=epsilons,
+            **{name: read_only(column) for name, column in columns.items()},
         )
 
 
@@ -248,9 +254,7 @@ class RapporComparison:
         relax = _per_trial(self.relax_estimates, "relax_estimates", (config.trials, rounds))
         noisy = _per_trial(self.noisy_estimates, "noisy_estimates", (config.trials, rounds))
         params = rappor_params(config.eps_alpha, config.eps_beta)
-        self.__dict__.update(
-            relax_estimates=relax,
-            noisy_estimates=noisy,
+        columns = dict(
             eps_ns=np.asarray(config.epsilons),
             var_relax_emp=_trial_var(relax),
             var_relax_theory=np.array([variance_binary_estimate(e, n) for e in config.epsilons]),
@@ -258,6 +262,11 @@ class RapporComparison:
             var_noisy_theory=np.array(
                 [variance_noisy_sampling(params, n, k) for k in range(1, rounds + 1)]
             ),
+        )
+        self.__dict__.update(
+            relax_estimates=relax,
+            noisy_estimates=noisy,
+            **{name: read_only(column) for name, column in columns.items()},
         )
 
 
@@ -480,6 +489,10 @@ def simulate_experiment(config: ExperimentConfig, threads: int = 1) -> Experimen
         for r, (last, last_is_mle, guesses) in enumerate(_running_guesses(columns, plan, m, picks)):
             est[:, r] = _decode_block(last, epsilons[r], m, n)
             for k, method in enumerate(ATTACK_METHODS):
+                if method == "mle" and guesses["mle"] is guesses["last_output"]:
+                    # every MLE guess is the last output: the same errors
+                    errs[:, r, k] = errs[:, r, ATTACK_METHODS.index("last_output")]
+                    continue
                 wrong = guesses[method] != truth_picked
                 # a count per slice: with ``axis=1`` one (1, 5000) block takes
                 # four times as long, and eight trials of 625 no less

@@ -104,44 +104,57 @@ def _running_guesses(columns, plan: tuple, m: int, rows):
     # m - 1 column maxima with the own entry set to -inf, restored bit for bit
     # before the yield.  Two tie rules read the pair.  The MLE guess is
     # `np.argmax`'s, so it is the last output where ``own > rival`` exactly:
-    # by collusion-proofness almost every row; the others (ties, all -inf
-    # rows, every row below about ε = 1e-16) take an argmax.  ``last_is_mle``
-    # allows 1e-12: below about ε = 1e-16 every value's likelihood ties to an
-    # ulp, and rounding alone must not count the last output as beaten.  The
-    # per-value counts and the counts weighted by each step's eps_next (flat,
-    # row-major (rows, m)), and each count's best value per row, are carried
-    # at ``rows`` alone, and the yielded guesses of both counts are that
-    # state, updated in place by the next round.
+    # by collusion-proofness almost every row, and where every row is, the
+    # yielded MLE guess is the last-output array itself; the others (ties, all
+    # -inf rows, every row below about ε = 1e-16) take an argmax.
+    # ``last_is_mle`` allows 1e-12: below about ε = 1e-16 every value's
+    # likelihood ties to an ulp, and rounding alone must not count the last
+    # output as beaten.
+    #
+    # The count attacks are carried at ``rows`` alone, flat and row-major
+    # (rows, m).  A count is packed with its value into one int64 key,
+    # count * w + (w - 1 - v) for w the least power of two >= m, so a larger
+    # count wins and, among equal counts, the smaller value: each row's
+    # largest key is its `np.argmax` of the counts.  A round grows one key a
+    # row and keys never shrink, so that largest key is a running maximum, and
+    # its value is w - 1 less its low bits.  The counts weighted by each step's
+    # eps_next tie as floats, so their best value per row is `_running_argmax`,
+    # whose yielded state the next round updates in place.
     k = len(rows)
     offsets = np.arange(k) * m
-    counts = np.zeros(k * m, dtype=np.int64)
+    w = 1 << (m - 1).bit_length()
+    keys = np.tile(np.arange(w - 1, w - 1 - m, -1), k)  # every count 0
+    best_key = np.zeros(k, dtype=np.int64)
     weighted = np.zeros(k * m)
-    top_count, top_weighted = np.zeros(k, dtype=np.int64), np.zeros(k, dtype=np.int64)
-    best_count, best_weighted = np.zeros(k, dtype=np.int64), np.zeros(k)
+    top_weighted, best_weighted = np.zeros(k, dtype=np.int64), np.zeros(k)
+    starts = None  # each object's first entry in the flat (n, m) log-likelihood
     for (_, eps), (last, loglik) in zip(plan, _running_log_likelihoods(columns, plan, m)):
         picked = last[rows]
         grown = offsets + picked
-        count = counts[grown] + 1
-        counts[grown] = count
+        key = keys[grown] + w
+        keys[grown] = key
+        np.maximum(best_key, key, out=best_key)
         weight = weighted[grown] + eps
         weighted[grown] = weight
-        _running_argmax(count, picked, top_count, best_count)
         _running_argmax(weight, picked, top_weighted, best_weighted)
-        flat, at = loglik.reshape(-1), np.arange(0, loglik.size, m) + last  # loglik is C order
+        if starts is None:
+            starts = np.arange(0, loglik.size, m)
+        flat, at = loglik.reshape(-1), starts + last  # loglik is C order
         own = flat[at]
         flat[at] = -math.inf
         rival = np.maximum(loglik[:, 0], loglik[:, 1])
         for value in range(2, m):
             np.maximum(rival, loglik[:, value], out=rival)
         flat[at] = own
-        mle = picked.copy()
-        tied = np.flatnonzero((own <= rival)[rows])
-        if tied.size:
+        mle, beaten = picked, own <= rival
+        if beaten.any():
+            tied = np.flatnonzero(beaten[rows])
+            mle = picked.copy()
             mle[tied] = np.argmax(loglik[rows[tied]], axis=1)
         yield last, own >= rival - 1e-12, {
             "last_output": picked,
             "mle": mle,
-            "highest_frequency": top_count,
+            "highest_frequency": (w - 1) - (best_key & (w - 1)),
             "weighted_highest_frequency": top_weighted,
         }
 

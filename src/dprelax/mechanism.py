@@ -28,7 +28,11 @@ never re-walk its earlier outputs.
 Every batch is drawn by one inverse CDF, `relax_step_batch`'s: a randomized
 response (`sample_rr_batch`) is the step from ε = 0, and `iter_chain_rounds`
 draws a batch's whole chains round by round through it, checking its inputs
-once.  The one-object releases, `start_chain` and `relax_step`, share one
+once.  The draw is by jump levels: an object whose uniform falls below its
+branch's first level past x and o_prev (p_aa where o_prev is x, p_ba + p_bb
+where it is not) keeps x or o_prev, read off one comparison with p_ba for the
+whole batch, and only the objects at or above it compute the value they jump
+to.  The one-object releases, `start_chain` and `relax_step`, share one
 release body that draws through a scalar form of the same inverse CDF: the
 same float operations in the same order, proven equal to the batch sampler on
 generated and boundary uniforms.  A chain and its likelihoods take m up to
@@ -55,6 +59,7 @@ from ._util import (
     check_table_domain,
     check_value,
     check_values,
+    read_only,
 )
 from .errors import ParameterError
 
@@ -161,13 +166,13 @@ class RelaxKernel:
         Impossible transitions hold -inf.  Gathered fresh from the kernel's
         five logs on each access; refused above ``MAX_DOMAIN`` values.
         """
-        return _read_only(self._log_entries[_entry_classes(self.m).transpose(2, 0, 1)])
+        return read_only(self._log_entries[_entry_classes(self.m).transpose(2, 0, 1)])
 
     @functools.cached_property
     def _log_entries(self) -> np.ndarray:
         # read-only logs of the five entries, in `_entry_classes` code order
         with np.errstate(divide="ignore"):
-            return _read_only(np.log(_entries(self)))
+            return read_only(np.log(_entries(self)))
 
     def __getstate__(self):
         # copies and unpickled kernels take their logs afresh, read-only
@@ -240,11 +245,6 @@ class RelaxationChain:
         return self.schedule[-1]
 
 
-def _read_only(array: np.ndarray) -> np.ndarray:
-    array.setflags(write=False)
-    return array
-
-
 def sample_rr_batch(values, dist: ResponseDistribution, rng: np.random.Generator) -> np.ndarray:
     """Vectorized randomized response; one uniform draw per input value.
 
@@ -295,7 +295,7 @@ def _entry_classes(m: int) -> np.ndarray:
     check_table_domain(m)
     o_prev, o_next, x = np.ogrid[:m, :m, :m]
     same, hit = o_prev == x, o_next == x
-    return _read_only(np.select([same & hit, same, hit, o_next == o_prev], [0, 3, 1, 2], 4))
+    return read_only(np.select([same & hit, same, hit, o_next == o_prev], [0, 3, 1, 2], 4))
 
 
 def _log_tables(steps, m: int) -> np.ndarray:
@@ -334,35 +334,33 @@ def relax_step_batch(
 
 
 def _draw_step(kernel: RelaxKernel, true_values, prev_outputs, rng) -> np.ndarray:
-    # The sampler of `relax_step_batch`, for int64 arrays of one shape in [0, m).
-    # Every object is drawn as if its previous output were its true value; the
-    # objects whose previous output moved away are then redrawn, from the same
-    # uniforms, by the other branch, computed on those objects alone.
-    m = kernel.m
-    u = rng.random(true_values.shape)
-
-    # Previous output equals the true value: [p_aa at x][p_ab each other value].
-    if kernel.p_ab > 0.0:
-        idx = np.clip((u - kernel.p_aa) / kernel.p_ab, 0.0, m - 2).astype(np.int64)
-        others = idx + (idx >= true_values)
-    else:
-        others = true_values
-    out = np.where(u < kernel.p_aa, true_values, others)
-    moved = np.flatnonzero(prev_outputs != true_values)
-    if not moved.size:  # a first release, or no object has moved yet
-        return out
-
-    # Previous output differs: [p_ba at x][p_bb at o_prev][p_bc each remaining].
-    x, o_prev, u = np.take(true_values, moved), np.take(prev_outputs, moved), np.take(u, moved)
+    # The sampler of `relax_step_batch`, for int64 arrays of one shape in [0, m),
+    # worked on flat views.  Each branch of the inverse CDF is a run of levels:
+    #   o_prev == x: [p_aa at x][p_ab each other value];
+    #   o_prev != x: [p_ba at x][p_bb at o_prev][p_bc each remaining value].
+    # Below its branch's jump level (p_aa, or p_ba + p_bb) an object takes x or
+    # o_prev, which one `np.where` on p_ba gives every object at once (where
+    # o_prev == x both are x).  Only the objects at or above it jump to another
+    # value, computed on those objects alone by each branch's float operations.
+    m, shape = kernel.m, true_values.shape
+    x, o_prev = true_values.reshape(-1), prev_outputs.reshape(-1)
+    u = rng.random(shape).reshape(-1)
     stay_level = kernel.p_ba + kernel.p_bb
-    if kernel.p_bc > 0.0:  # 0.0 at m = 2, where no third value exists
-        idx = np.clip((u - stay_level) / kernel.p_bc, 0.0, m - 3).astype(np.int64)
-        third = idx + (idx >= np.minimum(x, o_prev))
-        third += third >= np.maximum(x, o_prev)
-    else:
-        third = o_prev
-    np.put(out, moved, np.where(u < kernel.p_ba, x, np.where(u < stay_level, o_prev, third)))
-    return out
+    jump = np.flatnonzero(u >= np.where(o_prev != x, stay_level, kernel.p_aa))
+    out = np.where(u < kernel.p_ba, x, o_prev)
+    if jump.size:
+        x, o_prev, u = x[jump], o_prev[jump], u[jump]
+        # p_ab is 0.0 only on an identity step, whose levels are 1.0: no jumps
+        idx = np.clip((u - kernel.p_aa) / kernel.p_ab, 0.0, m - 2).astype(np.int64)
+        other = idx + (idx >= x)
+        if kernel.p_bc > 0.0:  # 0.0 at m = 2, where no third value exists
+            idx = np.clip((u - stay_level) / kernel.p_bc, 0.0, m - 3).astype(np.int64)
+            third = idx + (idx >= np.minimum(x, o_prev))
+            third += third >= np.maximum(x, o_prev)
+        else:
+            third = o_prev
+        out[jump] = np.where(o_prev == x, other, third)
+    return out.reshape(shape)
 
 
 def _draw_one(kernel: RelaxKernel, x: int, o_prev: int, u: float) -> int:

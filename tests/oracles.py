@@ -6,7 +6,9 @@ with the package's stable-form implementations.  The enumeration code at the
 end is the exception.  Its two views read `audit.chain_log_probs`, so that
 tests can compare the package's one enumerator against the references above.
 Its two one-schedule forms repeat the audit's arithmetic without a batch axis,
-so that tests can hold the batched enumeration to it bit for bit.
+so that tests can hold the batched enumeration to it bit for bit.  So does
+`two_branch_draw_step`, the batch sampler in the form the library used before
+its jump-level draw, which the tests hold that draw to bit for bit.
 """
 
 import math
@@ -208,6 +210,41 @@ def dense_kernel_tensor(kernel) -> np.ndarray:
     t[ar, ar, :] = kernel.p_ab
     t[ar, ar, ar] = kernel.p_aa
     return t
+
+
+def two_branch_draw_step(kernel, true_values, prev_outputs, rng) -> np.ndarray:
+    """One relaxation step of a batch by the inverse CDF, branch by branch.
+
+    Every object is drawn as if its previous output were its true value; the
+    objects whose previous output moved away are then redrawn, from the same
+    uniforms, by the other branch, computed on those objects alone.  Takes
+    int64 arrays of one shape in [0, m) and one ``rng.random(shape)`` draw.
+    """
+    m = kernel.m
+    u = rng.random(true_values.shape)
+
+    # Previous output equals the true value: [p_aa at x][p_ab each other value].
+    if kernel.p_ab > 0.0:
+        idx = np.clip((u - kernel.p_aa) / kernel.p_ab, 0.0, m - 2).astype(np.int64)
+        others = idx + (idx >= true_values)
+    else:
+        others = true_values
+    out = np.where(u < kernel.p_aa, true_values, others)
+    moved = np.flatnonzero(prev_outputs != true_values)
+    if not moved.size:  # a first release, or no object has moved yet
+        return out
+
+    # Previous output differs: [p_ba at x][p_bb at o_prev][p_bc each remaining].
+    x, o_prev, u = np.take(true_values, moved), np.take(prev_outputs, moved), np.take(u, moved)
+    stay_level = kernel.p_ba + kernel.p_bb
+    if kernel.p_bc > 0.0:  # 0.0 at m = 2, where no third value exists
+        idx = np.clip((u - stay_level) / kernel.p_bc, 0.0, m - 3).astype(np.int64)
+        third = idx + (idx >= np.minimum(x, o_prev))
+        third += third >= np.maximum(x, o_prev)
+    else:
+        third = o_prev
+    np.put(out, moved, np.where(u < kernel.p_ba, x, np.where(u < stay_level, o_prev, third)))
+    return out
 
 
 def fold_marginal(kernel, x: int, prev_vector: np.ndarray) -> np.ndarray:

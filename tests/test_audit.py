@@ -10,6 +10,8 @@ from hypothesis import strategies as st
 from dprelax import audit, mechanism
 from dprelax.audit import (
     BOUND_TOL,
+    AuditCheck,
+    CompositionAudit,
     _chain_log_probs,
     _worst_log_ratios,
     audit_composition_ldp,
@@ -145,6 +147,41 @@ class TestCompositionAudit:
                     report = audit_composition_ldp(schedule, m)
                     assert report.max_log_ratio <= schedule[-1] + 1e-10
                     assert report.attained
+
+
+class TestReportFields:
+    """A report or a battery row checks its fields when built, naming the one at fault."""
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            ((None, 1.0), "epsilon_target must be a real number, got None"),
+            ((0.0, 1.0), "epsilon_target must be positive and finite, got 0.0"),
+            ((1.0, "x"), "max_log_ratio must be a real number, got 'x'"),
+        ],
+    )
+    def test_composition_audit(self, args, message):
+        with pytest.raises(ParameterError, match=f"^{message}$"):
+            CompositionAudit(*args)
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            ((1, 0.0, 1.0), "name must be a str, got int"),
+            (("x", None, 1.0), "worst must be a real number, got None"),
+            (("x", 0.0, [1.0]), r"bound must be a real number, got \[1.0\]"),
+        ],
+    )
+    def test_audit_check(self, args, message):
+        with pytest.raises(ParameterError, match=f"^{message}$"):
+            AuditCheck(*args)
+
+    def test_fields_are_read_as_floats(self):
+        report = CompositionAudit(np.float64(1.0), math.inf)
+        assert type(report.epsilon_target) is float and not report.attained
+        check = AuditCheck("x", np.float32(0.5), 10**400)
+        assert (check.worst, check.bound, check.passed) == (0.5, math.inf, True)
+        assert type(check.worst) is float
 
 
 class TestBatchedEnumeration:

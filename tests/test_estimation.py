@@ -10,6 +10,7 @@ from dprelax._util import EPSILON_CAP
 from dprelax.errors import IllConditionedError, ParameterError
 from dprelax.estimation import (
     MIN_EPSILON,
+    FrequencyEstimate,
     discretize_mean,
     estimate_binary,
     estimate_mean,
@@ -114,6 +115,24 @@ class TestDecodeAccuracy:
 
 
 class TestEstimatePoly:
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("estimate", None, "estimate must be real numbers, got dtype object"),
+            ("estimate", [0.5], r"estimate must be 1-D with at least 2 values, got shape \(1,\)"),
+            ("covariance", np.eye(3), r"covariance must have shape \(2, 2\), got \(3, 3\)"),
+            ("epsilon", -1.0, "epsilon must be positive and finite, got -1.0"),
+            ("n", 0, "n must be positive and at most 2\\*\\*53, got 0.0"),
+            ("n", "10", "n must be a real number, got '10'"),
+        ],
+    )
+    def test_estimate_fields_are_checked_when_built(self, field, value, message):
+        fields = dict(estimate=[0.4, 0.6], covariance=np.eye(2), epsilon=1.0, n=10)
+        with pytest.raises(ParameterError, match=f"^{message}$"):
+            FrequencyEstimate(**{**fields, field: value})
+        built = FrequencyEstimate(**fields)
+        assert built.n == 10.0 and type(built.n) is float
+
     @pytest.mark.parametrize("m", range(2, 11))
     @pytest.mark.parametrize("eps", [0.1, 0.5, 1.0, 2.0, 10.0])
     def test_pure_population_recovers_one_hot(self, eps, m):

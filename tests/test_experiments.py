@@ -504,6 +504,33 @@ class TestResults:
         for name in ("eps_ns", "var_relax_theory", "var_noisy_theory"):
             np.testing.assert_array_equal(getattr(comparison, name), getattr(want, name))
 
+    def test_arrays_are_read_only_copies(self):
+        # a write into any array of a result or a comparison raises, so no
+        # column set from it can go stale; the arrays a caller passed stay
+        # writable and unchanged
+        result = simulate_experiment(tiny_config())
+        comparison = compare_noisy_sampling(tiny_config())
+        given = {
+            name: owner.__dict__[name].copy()
+            for owner, names in ((result, ("estimates", "errors")),
+                                 (comparison, ("relax_estimates", "noisy_estimates")))
+            for name in names
+        }
+        kept = {name: array.copy() for name, array in given.items()}
+        built = [
+            ExperimentResult(result.config, given["estimates"], given["errors"], True),
+            RapporComparison(comparison.config, given["relax_estimates"], given["noisy_estimates"]),
+        ]
+        for container, count in zip([result, comparison, *built], [8, 7, 8, 7]):
+            arrays = [v for v in vars(container).values() if isinstance(v, np.ndarray)]
+            assert len(arrays) == count
+            for array in arrays:
+                with pytest.raises(ValueError, match="read-only"):
+                    array[...] = 0.0
+        for name, array in given.items():
+            assert array.flags.writeable
+            np.testing.assert_array_equal(array, kept[name])
+
     def test_a_derived_field_cannot_be_given(self):
         result = simulate_experiment(tiny_config())
         with pytest.raises(TypeError, match="est_mean"):

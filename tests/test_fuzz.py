@@ -91,6 +91,7 @@ VALID = {
     "mechanism.iter_log_likelihoods": ([[0, 2]], (0.5, 1.0), 3),
     "mechanism.chain_log_likelihoods": ([[0, 2]], (0.5, 1.0), 3),
     "mechanism.chain_likelihood": ([0, 2], (0.5, 1.0), 3, 1),
+    "estimation.FrequencyEstimate": (np.array([0.4, 0.6]), np.eye(2), 1.0, 10.0),
     "estimation.histogram": ([0, 2, 2], 3),
     "estimation.estimate_binary": (0.6, 1.0),
     "estimation.estimate_poly": ([3, 4, 5], 1.0),
@@ -111,6 +112,8 @@ VALID = {
     "inference.attack_guesses_matrix": ([[0, 2]], (0.5, 1.0), 3),
     "inference.min_error_rate": (1.0, 3),
     "inference.balanced_subset": ([0, 1, 2, 2], 3, RNG),
+    "audit.CompositionAudit": (1.0, 1.0),
+    "audit.AuditCheck": ("fuzz", 0.0, 1e-9),
     "audit.chain_log_probs": ((0.5, 1.0), 3),
     "audit.audit_composition_ldp": ((0.5, 1.0), 3),
     "audit.audit_step_epsilon": (0.5, 1.0, 3),
@@ -135,13 +138,8 @@ VALID = {
     "experiments.write_audit_csv": ([audit.AuditCheck("fuzz", 0.0, 1e-9)], OUT),
 }
 
-# Public names the harness does not call: result containers, which hold what
-# an estimator or an auditor computed and check nothing.
-NOT_CALLED = {
-    "estimation.FrequencyEstimate",
-    "audit.CompositionAudit",
-    "audit.AuditCheck",
-}
+# Public names the harness does not call: none, every container checks its fields.
+NOT_CALLED = set()
 
 MODULES = (mechanism, estimation, rappor, inference, audit, experiments)
 

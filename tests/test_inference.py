@@ -381,6 +381,27 @@ class TestRunningEngine:
         guesses = list(iter_attack_guesses(outputs, (0.1, 0.2, 0.3), 3))[-1]
         assert guesses["weighted_highest_frequency"].tolist() == [2, 1, 1]
 
+    @pytest.mark.parametrize("m", [2, 3, 4, 5, 8, 9, 33, 63, 64])
+    def test_highest_frequency_is_the_argmax_of_the_counts(self, m):
+        # the packed count key against `np.argmax` of counts tallied afresh,
+        # after every round of chains built to tie: the values in turn, up,
+        # down and from the middle, so each round ties every value seen;
+        # random orders of each value twice; two values in turn, tied at every
+        # other round; and the largest value alone
+        rounds = 2 * m
+        rng = np.random.default_rng(m)
+        up = np.arange(rounds) % m
+        rows = [up, m - 1 - up, (up + m // 2) % m]
+        rows += [rng.permutation(np.repeat(np.arange(m), 2)) for _ in range(6)]
+        rows += [np.resize(rng.choice(m, size=2, replace=False), rounds) for _ in range(6)]
+        rows.append(np.full(rounds, m - 1))
+        outputs = np.array(rows)
+        schedule = tuple(0.05 * (k + 1) for k in range(rounds))
+        counts = np.zeros((len(rows), m), dtype=np.int64)
+        for r, guesses in enumerate(iter_attack_guesses(outputs, schedule, m)):
+            counts[np.arange(len(rows)), outputs[:, r]] += 1
+            assert np.array_equal(guesses["highest_frequency"], np.argmax(counts, axis=1)), r
+
     def test_memoized_states_equal_a_freshly_built_loop(self):
         schedule = (0.2, 0.2, 0.7, 1.3, 60.0)
         outputs = _sampled_chains(4, schedule, 30, seed=3)

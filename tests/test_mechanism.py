@@ -36,6 +36,7 @@ from oracles import (
     rr_channel,
     rr_vector,
     sequence_likelihood,
+    two_branch_draw_step,
 )
 
 E = math.e
@@ -707,6 +708,145 @@ class TestScalarDrawEqualsBatch:
                     for x, o, v in zip(truth.tolist(), prev.tolist(), uniforms.tolist())
                 ]
                 self._assert_equal(batch, scalar)
+
+
+class _UniformsInTurn:
+    """A stand-in generator whose ``random`` returns the given uniforms in
+    turn, each array read in C order into the shape asked for."""
+
+    def __init__(self, arrays):
+        self.arrays = iter(arrays)
+
+    def random(self, shape):
+        u = np.asarray(next(self.arrays), dtype=float)
+        assert u.size == math.prod(shape)
+        return u.reshape(shape)
+
+
+def _non_contiguous(a, rows=4):
+    """``a`` as a (rows, a.size // rows) view that is neither C- nor
+    F-contiguous: every other column of a transposed buffer."""
+    grid = np.zeros((a.size // rows, 2 * rows), dtype=a.dtype)
+    grid[:, ::2] = a.reshape(rows, -1).T
+    view = grid[:, ::2].T
+    assert not (view.flags.c_contiguous or view.flags.f_contiguous)
+    return view
+
+
+class TestJumpLevelDraw:
+    """`_draw_step` finds the objects at or above their branch's jump level
+    and draws only those; every other object takes x or o_prev from one
+    comparison.  It equals the two-branch sampler of `oracles` bit for bit,
+    through `relax_step_batch`, `sample_rr_batch` and `iter_chain_rounds`, on
+    0-d, 1-D and non-contiguous 2-D inputs, at each threshold of the inverse
+    CDF and the doubles on either side of it."""
+
+    DOMAINS = (2, 3, 5, 64, 2**40)
+    # (eps_prev, eps_next): plain steps, identity steps below, at and above
+    # the cap, and steps onto and across it
+    STEPS = (
+        (0.1, 0.2),
+        (0.5, 1.0),
+        (1.0, 1.0),
+        (2.0, EPSILON_CAP),
+        (1.0, EPSILON_CAP + 10.0),
+        (EPSILON_CAP, EPSILON_CAP),
+        (EPSILON_CAP, EPSILON_CAP + 10.0),
+        (EPSILON_CAP + 1.0, EPSILON_CAP + 9.0),
+    )
+    # first releases, below, at and above the cap
+    FIRST = (0.05, 1.0, EPSILON_CAP, EPSILON_CAP + 10.0)
+    RANDOM = np.random.default_rng(31).random(40)
+
+    @staticmethod
+    def _values(m):
+        # every value of a small domain; the ends and middle of a large one
+        return list(range(m)) if m <= 5 else [0, 1, 2, m // 2, m - 2, m - 1]
+
+    @classmethod
+    def _uniforms(cls, k):
+        # random uniforms, then each level of both branches' inverse CDF, its
+        # neighbouring doubles and the ends of [0, 1)
+        js = [j for j in (0, 1, 2, k.m // 2, k.m - 3, k.m - 2, k.m - 1) if j >= 0]
+        stay = k.p_ba + k.p_bb
+        levels = [k.p_aa + j * k.p_ab for j in js] + [k.p_ba] + [stay + j * k.p_bc for j in js]
+        u = _with_neighbours([0.0, np.nextafter(1.0, 0.0), *levels])
+        return np.concatenate([cls.RANDOM, u])
+
+    @classmethod
+    def _objects(cls, k, moved=True):
+        # (true values, previous outputs, uniforms): every uniform at every
+        # pair of values, padded by repetition to a multiple of 4 objects
+        values = cls._values(k.m)
+        pairs = [(x, o) for x in values for o in (values if moved else [x])]
+        u = cls._uniforms(k)
+        x = np.repeat([x for x, _ in pairs], u.size)
+        o = np.repeat([o for _, o in pairs], u.size)
+        u = np.tile(u, len(pairs))
+        pad = -x.size % 4
+        return tuple(np.concatenate([a, a[:pad]]) for a in (x, o, u))
+
+    @staticmethod
+    def _assert_equal(got, want):
+        assert got.dtype == want.dtype == np.int64
+        assert got.shape == want.shape
+        assert np.array_equal(got, want)
+
+    def _check_layouts(self, draw, reference, arrays):
+        # ``draw(*inputs, rng)`` against ``reference(*inputs, rng)``: the 1-D
+        # arrays, a non-contiguous 2-D view of them, and a sample of 0-d ones
+        *inputs, u = arrays
+        cases = [(inputs, u), ([_non_contiguous(a) for a in inputs], u)]
+        cases += [([np.array(a[i]) for a in inputs], u[i : i + 1]) for i in range(0, u.size, 7)]
+        for args, uniforms in cases:
+            got = draw(*args, _UniformsInTurn([uniforms]))
+            self._assert_equal(got, reference(*args, _UniformsInTurn([uniforms])))
+
+    @pytest.mark.parametrize("m", DOMAINS)
+    def test_relax_step_batch(self, m):
+        for eps_prev, eps_next in self.STEPS:
+            k = relax_kernel(eps_prev, eps_next, m)
+            draw = lambda x, o, rng: relax_step_batch(k, x, o, rng)
+            oracle = lambda x, o, rng: two_branch_draw_step(k, x, o, rng)
+            self._check_layouts(draw, oracle, self._objects(k))
+
+    @pytest.mark.parametrize("m", DOMAINS)
+    def test_sample_rr_batch(self, m):
+        for eps in self.FIRST:
+            dist = rr_distribution(eps, m)
+            first = mechanism._relax_kernel(0.0, eps, m)
+            x, _, u = self._objects(first, moved=False)
+            draw = lambda x, rng: sample_rr_batch(x, dist, rng)
+            oracle = lambda x, rng: two_branch_draw_step(first, x, x, rng)
+            self._check_layouts(draw, oracle, (x, u))
+
+    @pytest.mark.parametrize("m", DOMAINS)
+    def test_iter_chain_rounds(self, m):
+        # every round's uniforms are its own step's levels, shuffled over the
+        # objects, so moved and unmoved objects meet every threshold
+        schedule = (0.3, 0.3, 0.9, 2.0, EPSILON_CAP, EPSILON_CAP + 5.0, EPSILON_CAP + 5.0)
+        plan = mechanism._plan(schedule)
+        kernels = [mechanism._relax_kernel(a, b, m) for a, b in plan]
+        shuffle = np.random.default_rng(m)
+        truth = np.repeat(self._values(m), 200)
+        truth = np.concatenate([truth, truth[: -truth.size % 4]])
+        rounds = [shuffle.permutation(np.resize(self._uniforms(k), truth.size)) for k in kernels]
+
+        def oracle(x, rounds):
+            rng, out = _UniformsInTurn(rounds), x
+            for k in kernels:
+                out = two_branch_draw_step(k, x, out, rng)
+                yield out
+
+        # the whole batch, flat and as a non-contiguous view, then a sample of
+        # its objects one at a time, each with its column of every round
+        cases = [(truth, rounds), (_non_contiguous(truth), rounds)]
+        for i in range(0, truth.size, 11):
+            cases.append((np.array(truth[i]), [u[i : i + 1] for u in rounds]))
+        for x, uniforms in cases:
+            got = iter_chain_rounds(x, schedule, m, _UniformsInTurn(uniforms))
+            for got_round, want_round in zip(got, oracle(x, uniforms), strict=True):
+                self._assert_equal(got_round, want_round)
 
 
 class TestStepMemo:
