@@ -60,6 +60,7 @@ from .mechanism import (
     start_chain,
 )
 from .rappor import (
+    NoisySamplingSchedule,
     RapporParams,
     eps_noisy_sampling,
     noisy_sampling_schedule,

@@ -53,8 +53,8 @@ def _add_run_flags(sub, run, write, suffix: str):
         metavar="N",
         help="split the run's blocks of trials across N threads (at most 64); output is "
         "byte-identical for any N. Small trials already share numpy calls in "
-        "blocks, so N > 1 gains nothing on the shipped configs and slows "
-        "compare-rappor; it helps when each trial has many objects (thousands)",
+        "blocks, so N > 1 slows every shipped config; it helps only when each "
+        "trial has thousands of objects",
     )
     sub.set_defaults(func=_cmd_run, run=run, write=write, suffix=suffix)
 

@@ -12,7 +12,7 @@ decoded frequencies in as the composition, while
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -27,6 +27,7 @@ from ._util import (
     check_epsilon,
     check_in_range,
     check_values,
+    read_only,
 )
 from .errors import IllConditionedError, ParameterError
 
@@ -41,20 +42,25 @@ __all__ = [
     "estimate_mean",
 ]
 
+# The largest domain of an (m, m) covariance: 128 MiB.
+MAX_DECODE_DOMAIN = math.isqrt(MAX_OBJECT_VALUES)
+
 
 @dataclass(frozen=True)
 class FrequencyEstimate:
-    """Debiased frequency vector with its plug-in covariance.
+    """Debiased frequency vector with the plug-in covariance it determines.
 
-    Checked when built: ``estimate`` is 1-D with at least two real numbers,
-    ``covariance`` real and square over them, ``epsilon`` a privacy parameter
-    and ``n`` positive and at most 2**53.
+    Checked when built: ``estimate`` is 1-D with 2 to `MAX_DECODE_DOMAIN` real
+    numbers, ``epsilon`` a privacy parameter and ``n`` positive and at most
+    2**53.  ``estimate`` is kept as a read-only float copy, and the read-only
+    ``covariance``, that of the decoded frequencies over ``n`` objects of
+    composition ``estimate``, is set once when built.
     """
 
     estimate: np.ndarray
-    covariance: np.ndarray
     epsilon: float
     n: float  # the decoded counts' total
+    covariance: np.ndarray = field(init=False)
 
     def __post_init__(self):
         estimate = as_real_array(self.estimate, "estimate")
@@ -62,16 +68,23 @@ class FrequencyEstimate:
             raise ParameterError(
                 f"estimate must be 1-D with at least 2 values, got shape {estimate.shape}"
             )
-        covariance = as_real_array(self.covariance, "covariance")
-        if covariance.shape != estimate.shape * 2:
+        if estimate.size > MAX_DECODE_DOMAIN:
             raise ParameterError(
-                f"covariance must have shape {estimate.shape * 2}, got {covariance.shape}"
+                f"estimate must hold at most {MAX_DECODE_DOMAIN} values, got {estimate.size}"
             )
         eps = check_epsilon(self.epsilon)
         n = as_float(self.n, "n")
         if not 0.0 < n <= 2**53:
             raise ParameterError(f"n must be positive and at most 2**53, got {n}")
-        self.__dict__.update(estimate=estimate, covariance=covariance, epsilon=eps, n=n)
+        estimate = read_only(estimate.astype(float))
+        # The composition's total is taken as 1, which a decode preserves and
+        # its float sum may lose: decoded entries of size about m / g cancel,
+        # to 0.0 at m = 2 below ε = 1e-16.  A total far below one count, or an
+        # entry near double range, which no decode of counts gives, puts the
+        # covariance beyond double range: it reads inf or nan, unwarned.
+        with np.errstate(over="ignore", invalid="ignore"):
+            covariance = read_only(_decoded_covariance(estimate, eps, n, 1.0))
+        self.__dict__.update(estimate=estimate, epsilon=eps, n=n, covariance=covariance)
 
 
 def histogram(responses, m: int) -> np.ndarray:
@@ -121,10 +134,6 @@ def estimate_binary(lambda_b, eps: float):
     return float(out) if lam.ndim == 0 else out
 
 
-# The largest domain of an (m, m) covariance: 128 MiB.
-MAX_DECODE_DOMAIN = math.isqrt(MAX_OBJECT_VALUES)
-
-
 def _decoded_covariance(weights, eps: float, n: float, total: float) -> np.ndarray:
     # Covariance of the decoded frequencies over n objects of composition w.
     # The responses' covariance, (diag(D*S + g*m*w) - S*J - g*(w 1' + 1 w')) / D**2
@@ -160,11 +169,7 @@ def estimate_poly(counts, eps: float) -> FrequencyEstimate:
         raise ParameterError("counts must be non-negative, not all zero and total at most 2**53")
     eps = check_epsilon(eps)
     m = check_domain_size(counts.size, most=MAX_DECODE_DOMAIN)
-    est = _debias(counts, n, eps, m)
-    # the decode preserves the total, 1, which its float sum may lose: decoded
-    # entries of size about m / g cancel, to 0.0 at m = 2 below ε = 1e-16
-    cov = _decoded_covariance(est, eps, n, 1.0)
-    return FrequencyEstimate(estimate=est, covariance=cov, epsilon=eps, n=n)
+    return FrequencyEstimate(estimate=_debias(counts, n, eps, m), epsilon=eps, n=n)
 
 
 def frequency_estimate_covariance(freq, eps: float, n: int) -> np.ndarray:

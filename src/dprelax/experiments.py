@@ -17,6 +17,13 @@ with three schedule kinds::
     {"kind": "linear",         "start": 0.1, "stop": 1.0, "stride": 0.1}
     {"kind": "noisy-sampling", "eps_alpha": 1.0, "eps_beta": 0.5, "rounds": 10}
 
+An `ExperimentConfig` holds ``(name, m, counts, schedule, trials, seed)``.  A
+list schedule is its ε, and a linear one is expanded to its ε when loaded; a
+noisy-sampling one is a `rappor.NoisySamplingSchedule`, whose RAPPOR
+parameters `compare_noisy_sampling` runs at, built once per load.  A config
+built in code takes either form of ``schedule``, and ``epsilons`` is set from
+it.
+
 Reproducibility contract: a run is a pure function of its config, seed
 included (`dataclasses.replace` runs a config under another seed).  Each
 trial draws from its own stream split off the master seed, trials are reduced
@@ -55,8 +62,8 @@ from .estimation import _debias, _growth, frequency_estimate_covariance, varianc
 from .inference import ATTACK_METHODS, _balanced_draw, _running_guesses, _value_indices, min_error_rate
 from .mechanism import _plan, iter_chain_rounds, relax_kernel
 from .rappor import (
+    NoisySamplingSchedule,
     _decode_noisy_counts,
-    noisy_sampling_schedule,
     rappor_params,
     simulate_noisy_sampling_batch,
     variance_noisy_sampling,
@@ -98,16 +105,21 @@ BLOCK_OBJECTS = 8192
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Validated experiment description; see the module docstring for the JSON form."""
+    """Validated experiment description; see the module docstring for the JSON form.
+
+    ``schedule`` is a sequence of ε or a `NoisySamplingSchedule`, which keeps
+    the RAPPOR parameters `compare_noisy_sampling` runs at.  ``epsilons``, the
+    schedule's ε, is set when built: a `NoisySamplingSchedule`'s own, checked
+    when it was built, so `dataclasses.replace` builds no schedule.
+    """
 
     name: str
     m: int
     counts: tuple
-    epsilons: tuple
+    schedule: object
     trials: int
     seed: int
-    eps_alpha: float = None
-    eps_beta: float = None
+    epsilons: tuple = field(init=False)
 
     def __post_init__(self):
         # The value rules of every config, also those `config_from_dict`
@@ -125,7 +137,11 @@ class ExperimentConfig:
             most = MAX_OBJECT_VALUES // m
             if sum(counts) > most:
                 raise ParameterError(f"counts must sum to at most {most}, got {sum(counts)}")
-            epsilons = check_schedule(self.epsilons, "epsilons")
+            schedule = self.schedule
+            if isinstance(schedule, NoisySamplingSchedule):
+                epsilons = schedule.epsilons
+            else:
+                schedule = epsilons = check_schedule(schedule, "epsilons")
             rounds = check_rounds(len(epsilons), "epsilons")
             trials = check_count(self.trials, "trials")
             most = min(MAX_TRIALS, MAX_RESULT_VALUES // (rounds * (m + 4)))
@@ -134,25 +150,14 @@ class ExperimentConfig:
             seed = self.seed
             if not isinstance(seed, Integral) or isinstance(seed, bool) or not 0 <= seed < 2**64:
                 raise ParameterError(f"seed must be an integer that fits in 64 bits, got {shown(seed)}")
-            normalized = dict(m=m, counts=counts, epsilons=epsilons, trials=trials, seed=int(seed))
-            if (self.eps_alpha is None) != (self.eps_beta is None):
-                missing = "eps_alpha" if self.eps_alpha is None else "eps_beta"
-                raise ParameterError(f"{missing} eps_alpha and eps_beta must be given together")
-            if self.eps_alpha is not None:
-                pair = tuple(check_epsilon(getattr(self, k), k) for k in ("eps_alpha", "eps_beta"))
-                # the pair stands for the matched schedule the JSON path builds;
-                # any other would run the two pipelines at unmatched privacy
-                if epsilons != tuple(noisy_sampling_schedule(*pair, rounds)):
-                    raise ParameterError(
-                        "epsilons must be the noisy-sampling schedule of eps_alpha and eps_beta"
-                    )
-                normalized.update(eps_alpha=pair[0], eps_beta=pair[1])
             # every run decodes its first round, at the schedule's least ε
             _growth(epsilons[0], "epsilons[0]")
         except ParameterError as exc:
             name, _, message = str(exc).partition(" ")
             _cfg_fail(f"ExperimentConfig.{name}", message)
-        self.__dict__.update(normalized)
+        self.__dict__.update(
+            m=m, counts=counts, schedule=schedule, epsilons=epsilons, trials=trials, seed=int(seed)
+        )
 
     @property
     def n_objects(self) -> int:
@@ -164,7 +169,7 @@ def _check_rappor_config(config: ExperimentConfig) -> ExperimentConfig:
     check_instance(config, ExperimentConfig, "config")
     if config.m != 2:
         raise ConfigError("compare-rappor: m must be 2 (per-bit comparison)")
-    if config.eps_alpha is None:
+    if not isinstance(config.schedule, NoisySamplingSchedule):
         raise ConfigError('compare-rappor: schedule kind must be "noisy-sampling"')
     rounds = len(config.epsilons)
     if config.n_objects * rounds > MAX_OBJECT_VALUES:  # a trial's noisy samples: one such array
@@ -253,14 +258,13 @@ class RapporComparison:
         n, rounds = config.n_objects, len(config.epsilons)
         relax = _per_trial(self.relax_estimates, "relax_estimates", (config.trials, rounds))
         noisy = _per_trial(self.noisy_estimates, "noisy_estimates", (config.trials, rounds))
-        params = rappor_params(config.eps_alpha, config.eps_beta)
         columns = dict(
             eps_ns=np.asarray(config.epsilons),
             var_relax_emp=_trial_var(relax),
             var_relax_theory=np.array([variance_binary_estimate(e, n) for e in config.epsilons]),
             var_noisy_emp=_trial_var(noisy),
             var_noisy_theory=np.array(
-                [variance_noisy_sampling(params, n, k) for k in range(1, rounds + 1)]
+                [variance_noisy_sampling(config.schedule.params, n, k) for k in range(1, rounds + 1)]
             ),
         )
         self.__dict__.update(
@@ -293,11 +297,11 @@ _SCHEDULE_KEYS = {
 }
 
 
-def _build_schedule(raw: dict, path: str) -> dict:
-    # The config fields a schedule gives.  A list is checked by
-    # `ExperimentConfig`; the generated kinds' parameters are checked by the
-    # `_util` rules as the schedule is built from them, and a rule's refusal
-    # is renamed to the parameter's path.
+def _build_schedule(raw: dict, path: str):
+    # The config's schedule: a list, checked by `ExperimentConfig`; a linear
+    # ramp, expanded to its ε; or a `NoisySamplingSchedule`.  The generated
+    # kinds' parameters are checked by the `_util` rules as the schedule is
+    # built from them, and a rule's refusal is renamed to the parameter's path.
     kind = _require(raw, "kind", path, str)
     if kind not in _SCHEDULE_KEYS:
         _cfg_fail(f"{path}.kind", f"unknown schedule kind {kind!r}")
@@ -305,7 +309,7 @@ def _build_schedule(raw: dict, path: str) -> dict:
         if key != "kind" and key not in _SCHEDULE_KEYS[kind]:
             _cfg_fail(f"{path}.{key}", f"unknown field for schedule kind {kind!r}")
     if kind == "list":
-        return {"epsilons": _require(raw, "epsilons", path, list)}
+        return _require(raw, "epsilons", path, list)
     try:
         if kind == "linear":
             start, stop, stride = (
@@ -315,13 +319,13 @@ def _build_schedule(raw: dict, path: str) -> dict:
                 _cfg_fail(f"{path}.stop", "must be >= start")
             # a float count, infinite if the division overflows
             rounds = check_rounds(np.floor((stop - start) / stride + 1e-9) + 1, "stride")
-            return {"epsilons": tuple(start + i * stride for i in range(rounds))}
-        eps_alpha, eps_beta, rounds = (_require(raw, key, path) for key in _SCHEDULE_KEYS[kind])
-        schedule = tuple(noisy_sampling_schedule(eps_alpha, eps_beta, rounds))
+            return tuple(start + i * stride for i in range(rounds))
+        *pair, rounds = (_require(raw, key, path) for key in _SCHEDULE_KEYS[kind])
+        # rounds is read before the pair, so a refusal of both names rounds
+        return NoisySamplingSchedule(rounds=check_rounds(rounds), params=rappor_params(*pair))
     except ParameterError as exc:
         key, _, message = str(exc).partition(" ")
         _cfg_fail(f"{path}.{key}", message)
-    return {"epsilons": schedule, "eps_alpha": eps_alpha, "eps_beta": eps_beta}
 
 
 def config_from_dict(raw: dict, source: str = "config") -> ExperimentConfig:
@@ -341,7 +345,7 @@ def config_from_dict(raw: dict, source: str = "config") -> ExperimentConfig:
         for key, kind in (("m", object), ("counts", list), ("trials", object), ("seed", object))
     }
     known = {"name", "schedule", *given}
-    given.update(_build_schedule(_require(raw, "schedule", source, dict), f"{source}.schedule"))
+    given["schedule"] = _build_schedule(_require(raw, "schedule", source, dict), f"{source}.schedule")
     for key in raw:
         if key not in known:
             _cfg_fail(f"{source}.{key}", "unknown field")
@@ -517,8 +521,7 @@ def compare_noisy_sampling(config: ExperimentConfig, threads: int = 1) -> Rappor
     every round at once, so only one trial's samples are held at a time.
     """
     epsilons = _check_rappor_config(config).epsilons
-    rounds = len(epsilons)
-    params = rappor_params(config.eps_alpha, config.eps_beta)
+    rounds, params = len(epsilons), config.schedule.params
     truth = _truth_vector(config)
     n = truth.size
     reports = n * np.arange(1, rounds + 1)  # noisy samples decoded at each round

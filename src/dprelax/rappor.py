@@ -15,11 +15,13 @@ alpha is the retain probability of the binary randomized response at
 ``e^eps_alpha / (e^eps_alpha + 1)``), and likewise for beta, each set once
 when the parameters are built.  So the pair a run simulates at is the pair
 it decodes at, and a function given parameters checks only that they are a
-`RapporParams`.
+`RapporParams`.  A `NoisySamplingSchedule` holds such parameters and a round
+count, and sets the relaxation schedule matched to them once when built.
 """
 
 import math
 from dataclasses import dataclass, field
+from itertools import accumulate
 
 import numpy as np
 
@@ -35,6 +37,7 @@ __all__ = [
     "RapporParams",
     "rappor_params",
     "eps_noisy_sampling",
+    "NoisySamplingSchedule",
     "noisy_sampling_schedule",
     "simulate_noisy_sampling_batch",
     "decode_noisy_sampling_counts",
@@ -66,8 +69,17 @@ def eps_noisy_sampling(K: int, params: RapporParams) -> float:
     """Privacy parameter of the original bit after K noisy samples.
 
     Strictly increasing in K and bounded above by ``eps_alpha``, which it
-    saturates to in double precision for large K.  Evaluated in a
-    cancellation-free form so saturation approaches the bound cleanly.
+    saturates to in double precision for large K.  With a = ``eps_alpha``
+    and b = K * ``eps_beta`` (each capped), it is evaluated as
+    min(a, b) + log1p(e^-(a+b)) - log1p(e^-|a-b|), which is not free of
+    cancellation: for a small ``eps_alpha`` the value, about a * tanh(b / 2),
+    is min(a, b) plus two logarithms that nearly cancel, and it keeps their
+    rounding error (about 1e-17 at b = 3) whatever its own size.  At
+    ``eps_alpha`` 1e-12 (``eps_beta`` 1, K 3) it is 1.2e-5 off relatively,
+    and at 1e-20 it is 0.0; `noisy_sampling_schedule` (`NoisySamplingSchedule`)
+    refuses a pair whose first entry cancels to 0.0.  The arithmetic is kept
+    as it is: shipped schedule entries, and so the runs' outputs, depend on
+    it bit for bit.
     """
     K = check_count(K, "K")
     check_instance(params, RapporParams, "params")
@@ -81,26 +93,39 @@ def eps_noisy_sampling(K: int, params: RapporParams) -> float:
     return value
 
 
-def noisy_sampling_schedule(eps_alpha: float, eps_beta: float, rounds: int) -> list:
-    """Relaxation schedule matching the leak rate of repeated noisy sampling.
+@dataclass(frozen=True)
+class NoisySamplingSchedule:
+    """Relaxation schedule matching the leak rate of repeated noisy sampling at
+    ``params`` over ``rounds`` (at most `MAX_ROUNDS`): round k's ε is
+    `eps_noisy_sampling` after k samples, and ``epsilons`` is set once when
+    built.
 
     Guaranteed non-decreasing: rounding wobble at saturation is absorbed by a
-    running maximum (within one ulp of the exact values).  ``rounds`` is at
-    most `MAX_ROUNDS`.  An ``eps_alpha`` so small that the first entry
-    cancels to 0.0 (about 1e-20 at ``eps_beta`` 1) is refused, naming it.
+    running maximum from 0.0 (within one ulp of the exact values).  An
+    ``eps_alpha`` so small that the first entry cancels to 0.0 (about 1e-20
+    at ``eps_beta`` 1) is refused, naming it.
     """
-    rounds = check_rounds(rounds)
-    params = rappor_params(eps_alpha, eps_beta)
-    schedule, level = [], 0.0
-    for k in range(1, rounds + 1):
-        level = max(level, eps_noisy_sampling(k, params))
-        schedule.append(level)
-    if not schedule[0] > 0.0:  # the schedule is non-decreasing: its first entry is its least
-        raise ParameterError(
-            f"eps_alpha {params.eps_alpha!r} is too small for the matched schedule: its first "
-            f"round's privacy parameter rounds to {schedule[0]}"
-        )
-    return schedule
+
+    params: RapporParams
+    rounds: int
+    epsilons: tuple = field(init=False)
+
+    def __post_init__(self):
+        rounds, params = check_rounds(self.rounds), self.params
+        check_instance(params, RapporParams, "params")
+        leaks = (eps_noisy_sampling(k, params) for k in range(1, rounds + 1))
+        epsilons = tuple(accumulate(leaks, max, initial=0.0))[1:]
+        if not epsilons[0] > 0.0:  # the schedule is non-decreasing: its first entry is its least
+            raise ParameterError(
+                f"eps_alpha {params.eps_alpha!r} is too small for the matched schedule: its first "
+                f"round's privacy parameter rounds to {epsilons[0]}"
+            )
+        self.__dict__.update(rounds=rounds, epsilons=epsilons)
+
+
+def noisy_sampling_schedule(eps_alpha: float, eps_beta: float, rounds: int) -> list:
+    """The ε of ``NoisySamplingSchedule(rappor_params(eps_alpha, eps_beta), rounds)``, as a list."""
+    return list(NoisySamplingSchedule(rappor_params(eps_alpha, eps_beta), rounds).epsilons)
 
 
 def simulate_noisy_sampling_batch(

@@ -5,7 +5,7 @@ from itertools import product
 import numpy as np
 import pytest
 
-from dprelax import experiments, rappor
+from dprelax import estimation, experiments, rappor
 from dprelax._util import EPSILON_CAP
 from dprelax.errors import IllConditionedError, ParameterError
 from dprelax.estimation import (
@@ -31,6 +31,14 @@ from oracles import (
 )
 
 E = math.e
+
+
+class _Reached(Exception):
+    pass
+
+
+def _reached(*args, **kwargs):
+    raise _Reached
 
 
 class TestEstimateBinary:
@@ -120,18 +128,51 @@ class TestEstimatePoly:
         [
             ("estimate", None, "estimate must be real numbers, got dtype object"),
             ("estimate", [0.5], r"estimate must be 1-D with at least 2 values, got shape \(1,\)"),
-            ("covariance", np.eye(3), r"covariance must have shape \(2, 2\), got \(3, 3\)"),
             ("epsilon", -1.0, "epsilon must be positive and finite, got -1.0"),
             ("n", 0, "n must be positive and at most 2\\*\\*53, got 0.0"),
             ("n", "10", "n must be a real number, got '10'"),
         ],
     )
     def test_estimate_fields_are_checked_when_built(self, field, value, message):
-        fields = dict(estimate=[0.4, 0.6], covariance=np.eye(2), epsilon=1.0, n=10)
+        fields = dict(estimate=[0.4, 0.6], epsilon=1.0, n=10)
         with pytest.raises(ParameterError, match=f"^{message}$"):
             FrequencyEstimate(**{**fields, field: value})
         built = FrequencyEstimate(**fields)
         assert built.n == 10.0 and type(built.n) is float
+
+    def test_covariance_is_set_from_the_estimate_when_built(self):
+        for counts, eps in (([3, 4, 5], 1.0), ([1, 0], MIN_EPSILON), ([0, 4, 1, 1], 1e-17)):
+            est = estimate_poly(counts, eps)
+            want = estimation._decoded_covariance(est.estimate, eps, est.n, 1.0)
+            assert est.covariance.tobytes() == want.tobytes()
+            built = FrequencyEstimate(np.array(est.estimate), eps, est.n)
+            assert built.covariance.tobytes() == want.tobytes()
+        with pytest.raises(TypeError):
+            FrequencyEstimate([0.4, 0.6], np.eye(2), 1.0, 10)
+
+    def test_estimate_is_a_read_only_float_copy(self):
+        given = np.array([2, -1])
+        built = FrequencyEstimate(given, 1.0, 10)
+        given[0] = 5
+        assert built.estimate.dtype == float and built.estimate.tolist() == [2.0, -1.0]
+        for array in (built.estimate, built.covariance):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0.0
+
+    def test_covariance_beyond_double_range_reads_inf(self):
+        # counts totalling far below one: the variances leave double range,
+        # with no overflow warning from the constructor
+        cov = estimate_poly([1e-320, 1e-320], 1.0).covariance
+        assert np.isinf(cov).all() and (np.sign(cov) == [[1, -1], [-1, 1]]).all()
+
+    def test_estimate_past_the_decode_bound_is_refused_before_its_covariance(self, monkeypatch):
+        monkeypatch.setattr(estimation, "_decoded_covariance", _reached)
+        too_many = np.broadcast_to(0.5, (estimation.MAX_DECODE_DOMAIN + 1,))
+        message = r"^estimate must hold at most 4096 values, got 4097$"
+        with pytest.raises(ParameterError, match=message):
+            FrequencyEstimate(too_many, 1.0, 10)
+        with pytest.raises(_Reached):  # the bound is inclusive
+            FrequencyEstimate(too_many[1:], 1.0, 10)
 
     @pytest.mark.parametrize("m", range(2, 11))
     @pytest.mark.parametrize("eps", [0.1, 0.5, 1.0, 2.0, 10.0])

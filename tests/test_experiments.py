@@ -1,5 +1,7 @@
+import copy
 import csv
 import json
+import pickle
 import tracemalloc
 from dataclasses import replace
 from pathlib import Path
@@ -7,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dprelax import experiments, mechanism
+from dprelax import cli, experiments, mechanism
 from dprelax.errors import ConfigError, ParameterError
 from dprelax.estimation import _debias
 from dprelax.experiments import (
@@ -27,7 +29,7 @@ from dprelax.experiments import (
 )
 from dprelax.inference import balanced_subset
 from dprelax.mechanism import iter_chain_rounds
-from dprelax.rappor import noisy_sampling_schedule
+from dprelax.rappor import NoisySamplingSchedule, rappor_params
 
 TINY = {
     "name": "tiny",
@@ -51,7 +53,7 @@ class TestConfigValidation:
         assert cfg.m == 2
         assert cfg.n_objects == 7
         assert len(cfg.epsilons) == 3
-        assert cfg.eps_alpha == 1.0
+        assert cfg.schedule.params == rappor_params(1.0, 0.5)
 
     def test_missing_field_names_path(self):
         raw = dict(TINY)
@@ -80,7 +82,7 @@ class TestConfigValidation:
         assert len(cfg.epsilons) == 10
         assert cfg.epsilons[0] == pytest.approx(0.1)
         assert cfg.epsilons[-1] == pytest.approx(1.0)
-        assert cfg.eps_alpha is None
+        assert cfg.schedule == cfg.epsilons  # expanded to a list when loaded
 
     def test_linear_schedule_stops_below_partial_stride(self):
         cfg = tiny_config(schedule={"kind": "linear", "start": 0.1, "stop": 0.35, "stride": 0.1})
@@ -200,26 +202,23 @@ class TestConfigValidation:
         assert load_config(path) == tiny_config()
 
 
-DIRECT = dict(name="direct", m=3, counts=(2, 3, 4), epsilons=(0.5, 1.0), trials=2, seed=1)
+DIRECT = dict(name="direct", m=3, counts=(2, 3, 4), schedule=(0.5, 1.0), trials=2, seed=1)
 
 # test id -> (fields overriding DIRECT, field the error must name)
 BAD_FIELDS = {
     "zero-trials": ({"trials": 0}, "trials"),
     "counts-not-m": ({"counts": (2, 3)}, "counts"),
-    "no-epsilons": ({"epsilons": ()}, "epsilons"),
+    "no-epsilons": ({"schedule": ()}, "epsilons"),
     "negative-seed": ({"seed": -1}, "seed"),
     "seed-over-64-bits": ({"seed": 2**64}, "seed"),
     "m-below-2": ({"m": 1, "counts": (2,)}, "m"),
     "m-above-table-limit": ({"m": 65, "counts": (1,) * 65}, "m"),
     "zero-count": ({"counts": (2, 0, 4)}, r"counts\[1\]"),
-    "decreasing-epsilons": ({"epsilons": (1.0, 0.5)}, "epsilons"),
-    "infinite-epsilon": ({"epsilons": (0.5, float("inf"))}, r"epsilons\[1\]"),
-    "too-many-rounds": ({"epsilons": (0.5,) * 100_001}, "epsilons"),
-    "epsilon-beyond-double": ({"epsilons": (0.5, 10**400)}, r"epsilons\[1\]"),
-    "alpha-beyond-double": ({"eps_alpha": 10**400, "eps_beta": 0.5}, "eps_alpha"),
+    "decreasing-epsilons": ({"schedule": (1.0, 0.5)}, "epsilons"),
+    "infinite-epsilon": ({"schedule": (0.5, float("inf"))}, r"epsilons\[1\]"),
+    "too-many-rounds": ({"schedule": (0.5,) * 100_001}, "epsilons"),
+    "epsilon-beyond-double": ({"schedule": (0.5, 10**400)}, r"epsilons\[1\]"),
     "bad-name": ({"name": "bad name!"}, "name"),
-    "alpha-without-beta": ({"eps_alpha": 1.0}, "eps_beta"),
-    "schedule-not-matched": ({"eps_alpha": 1.0, "eps_beta": 0.5}, "epsilons"),
 }
 
 
@@ -233,25 +232,66 @@ class TestDirectConstruction:
             ExperimentConfig(**dict(DIRECT, **overrides))
 
     def test_normalized_like_json_path(self):
-        direct = ExperimentConfig(
-            name="tiny",
-            m=2,
-            counts=[3, 4],
-            epsilons=list(tiny_config().epsilons),
-            trials=4,
-            seed=99,
-            eps_alpha=1,
-            eps_beta=0.5,
-        )
+        schedule = NoisySamplingSchedule(rappor_params(1, 0.5), 3.0)
+        direct = ExperimentConfig(name="tiny", m=2, counts=[3, 4], schedule=schedule, trials=4, seed=99)
         assert direct == tiny_config()
 
-    def test_pair_too_small_for_its_matched_schedule_is_named(self):
-        # the matched schedule of this pair cancels to 0.0; the refusal names
-        # the pair's field, whatever epsilons the config was given
-        fields = dict(DIRECT, epsilons=(0.5, 1.0), eps_alpha=1e-20, eps_beta=1.0)
-        message = r"^ExperimentConfig\.eps_alpha: 1e-20 is too small for the matched schedule"
-        with pytest.raises(ConfigError, match=message):
-            ExperimentConfig(**fields)
+
+class TestScheduleBuilds:
+    """A noisy-sampling schedule is built once when its config is loaded, and
+    kept: replacing, copying or pickling the config builds none."""
+
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        counted = [0]
+        build = NoisySamplingSchedule.__post_init__
+
+        def counting(schedule):
+            counted[0] += 1
+            build(schedule)
+
+        monkeypatch.setattr(NoisySamplingSchedule, "__post_init__", counting)
+        return counted
+
+    def test_load_builds_once_and_replace_never(self, builds, tmp_path):
+        path = tmp_path / "tiny.json"
+        path.write_text(json.dumps(TINY))
+        config = load_config(path)
+        assert builds == [1]
+        for seed in (0, 11, 2**64 - 1):
+            assert replace(config, seed=seed).schedule is config.schedule
+        assert builds == [1]
+
+    def test_cli_seed_builds_once(self, builds, tmp_path):
+        path = tmp_path / "tiny.json"
+        path.write_text(json.dumps(TINY))
+        for command in ("simulate", "compare-rappor"):
+            builds[0] = 0
+            argv = [command, "--config", str(path), "--seed", "11", "--out", str(tmp_path)]
+            assert cli.main(argv) == 0
+            assert builds == [1], command
+
+    def test_copies_and_pickles_keep_the_schedule(self, builds):
+        config = tiny_config()
+        for copied in (copy.deepcopy(config), pickle.loads(pickle.dumps(config)), replace(config)):
+            assert copied == config and copied.epsilons == config.epsilons
+            assert copied.schedule.params == rappor_params(1.0, 0.5)
+        assert builds == [1]
+
+    @pytest.mark.parametrize(
+        "schedule, given",
+        [
+            ({"kind": "list", "epsilons": [0.5, 1.0]}, [0.5, 1]),
+            ({"kind": "linear", "start": 0.1, "stop": 0.35, "stride": 0.1}, (0.1, 0.1 + 0.1, 0.1 + 2 * 0.1)),
+            (TINY["schedule"], NoisySamplingSchedule(rappor_params(1.0, 0.5), 3)),
+        ],
+        ids=["list", "linear", "noisy-sampling"],
+    )
+    def test_built_in_code_equals_built_from_json(self, schedule, given):
+        direct = ExperimentConfig(name="tiny", m=2, counts=(3, 4), schedule=given, trials=4, seed=99)
+        loaded = tiny_config(schedule=schedule)
+        assert direct == loaded
+        assert direct.epsilons == loaded.epsilons and type(direct.epsilons) is tuple
 
 
 class TestMemoryBounds:
@@ -278,15 +318,14 @@ class TestMemoryBounds:
             ({"counts": (10**12, 1, 1)}, "counts"),
             ({"counts": (experiments.MAX_OBJECT_VALUES // 9 + 1,) * 3}, "counts"),
             # 100000 rounds of 7 result values: the results bound the trials
-            ({"epsilons": (0.5,) * 100_000, "trials": 192}, "trials"),
+            ({"schedule": (0.5,) * 100_000, "trials": 192}, "trials"),
         ],
         ids=["trials-1e12", "trials-over-limit", "counts-1e12", "counts-over-limit", "results"],
     )
     @pytest.mark.parametrize("run", [simulate_experiment, compare_noisy_sampling])
     def test_refused_before_any_work(self, overrides, field, run):
-        fields = dict(DIRECT, **overrides, eps_alpha=1.0, eps_beta=0.5)
         with pytest.raises(ConfigError, match=rf"^ExperimentConfig\.{field}: must "):
-            run(ExperimentConfig(**fields))
+            run(ExperimentConfig(**dict(DIRECT, **overrides)))
 
     @pytest.mark.parametrize(
         "overrides, field", [({"trials": 10**12}, "trials"), ({"counts": [10**12, 1]}, "counts")]
@@ -297,9 +336,9 @@ class TestMemoryBounds:
 
     def test_bounds_are_inclusive_and_admit_the_scaled_runs(self):
         # DIRECT has m=3: 2**24 // 3 objects, and 2**27 // (100000 * 7) = 191 trials
-        ExperimentConfig(**dict(DIRECT, epsilons=(0.5,), trials=experiments.MAX_TRIALS))
+        ExperimentConfig(**dict(DIRECT, schedule=(0.5,), trials=experiments.MAX_TRIALS))
         ExperimentConfig(**dict(DIRECT, counts=(experiments.MAX_OBJECT_VALUES // 9,) * 3))
-        ExperimentConfig(**dict(DIRECT, epsilons=(0.5,) * 100_000, trials=191))
+        ExperimentConfig(**dict(DIRECT, schedule=(0.5,) * 100_000, trials=191))
         # m=5, 15000 objects: 50 rounds over 10 trials and 1000 rounds over 2
         for stride, trials in ((0.2, 10), (0.01, 2)):
             schedule = {"kind": "linear", "start": stride, "stop": 10.0, "stride": stride}
@@ -336,11 +375,12 @@ class TestSimulateExperiment:
         cfg = tiny_config()
         result = compare_noisy_sampling(replace(cfg, seed=2**64 - 1))
         assert result.config.seed == 2**64 - 1
-        assert (result.config.name, result.config.counts, result.config.eps_alpha) == (
+        assert (result.config.name, result.config.counts, result.config.epsilons) == (
             cfg.name,
             cfg.counts,
-            cfg.eps_alpha,
+            cfg.epsilons,
         )
+        assert result.config.schedule is cfg.schedule  # kept, not rebuilt
         with pytest.raises(ConfigError):
             replace(cfg, seed=2**64)
 
@@ -350,7 +390,7 @@ class TestSimulateExperiment:
         for rounds in (8, 16):
             built = mechanism._relax_kernel.cache_info().misses
             epsilons = tuple(0.1 * k for k in range(1, rounds + 1))
-            config = ExperimentConfig(**dict(DIRECT, epsilons=epsilons, trials=trials))
+            config = ExperimentConfig(**dict(DIRECT, schedule=epsilons, trials=trials))
             simulate_experiment(config)
             bound = (trials + 1) * (rounds - 1)
             assert mechanism._relax_kernel.cache_info().misses - built <= bound
@@ -360,7 +400,7 @@ class TestSimulateExperiment:
         n, peaks = 3000, {}
         for rounds in (100, 1000):
             epsilons = tuple(0.01 * k for k in range(1, rounds + 1))
-            config = ExperimentConfig(**dict(DIRECT, counts=(n // 3,) * 3, epsilons=epsilons, trials=1))
+            config = ExperimentConfig(**dict(DIRECT, counts=(n // 3,) * 3, schedule=epsilons, trials=1))
             tracemalloc.start()
             try:
                 simulate_experiment(config)
@@ -394,7 +434,7 @@ class TestSimulateExperiment:
     def test_mle_ties_below_double_precision_agree(self):
         # near ε = 1e-17 every value's likelihood ties to an ulp, and rounding
         # alone picks the argmax
-        fields = dict(name="tiny", m=3, counts=(50,) * 3, epsilons=(1e-17, 2e-17), trials=2, seed=1)
+        fields = dict(name="tiny", m=3, counts=(50,) * 3, schedule=(1e-17, 2e-17), trials=2, seed=1)
         assert simulate_experiment(ExperimentConfig(**fields)).lo_mle_identical
 
     def test_noiseless_schedule_zero_error(self):
@@ -435,9 +475,8 @@ class TestCompareNoisySampling:
         monkeypatch.setattr(experiments, "_truth_vector", truth)
 
         def config(n, rounds):
-            epsilons = tuple(noisy_sampling_schedule(1.0, 0.5, rounds))
-            fields = dict(m=2, counts=(n // 2, n - n // 2), epsilons=epsilons)
-            return ExperimentConfig(**dict(DIRECT, **fields, eps_alpha=1.0, eps_beta=0.5))
+            schedule = NoisySamplingSchedule(rappor_params(1.0, 0.5), rounds)
+            return ExperimentConfig(**dict(DIRECT, m=2, counts=(n // 2, n - n // 2), schedule=schedule))
 
         # (2**23 objects, 1000 rounds) would be one 62.5 GiB draw per trial
         with pytest.raises(ConfigError, match=r"counts \(8388608 objects\).*rounds \(1000\)"):
@@ -457,17 +496,13 @@ def test_epsilon_too_small_to_debias_is_refused_before_any_draw(monkeypatch, run
     monkeypatch.setattr(experiments._BlockStreams, "random", drawn)
     for name in ("_balanced_draw", "simulate_noisy_sampling_batch"):
         monkeypatch.setattr(experiments, name, drawn)
-    fields = dict(DIRECT, m=2, counts=(3, 4), epsilons=(1e-200, 1.0))
-    if run is simulate_experiment:
-        # every run decodes its first round: the config refuses it when built
-        with pytest.raises(ConfigError, match=r"^ExperimentConfig\.epsilons\[0\]: .*too small to debias"):
-            ExperimentConfig(**fields)
-        return
+    # every run decodes its first round: the config refuses it when built.
     # compare-rappor runs only a matched schedule, whose computed first entry
-    # is 0.0 or at least about 1e-60 (the cancellation in eps_noisy_sampling),
-    # never below MIN_EPSILON: such a schedule is refused as the config is built
-    with pytest.raises(ConfigError, match=r"^ExperimentConfig\.epsilons: must be the noisy"):
-        run(ExperimentConfig(**fields, eps_alpha=1.0, eps_beta=0.5))
+    # is 0.0 (refused as it is built) or at least about 1e-60 (the
+    # cancellation in eps_noisy_sampling), never below MIN_EPSILON
+    fields = dict(DIRECT, m=2, counts=(3, 4), schedule=(1e-200, 1.0))
+    with pytest.raises(ConfigError, match=r"^ExperimentConfig\.epsilons\[0\]: .*too small to debias"):
+        run(ExperimentConfig(**fields))
 
 
 class TestResults:
@@ -646,7 +681,7 @@ class TestTrialBlocks:
     def test_simulate_is_independent_of_blocks(self, monkeypatch):
         # m=3 with a repeated parameter: identity steps and third-value draws
         epsilons = (0.3, 0.3, 0.8, 2.0)
-        config = ExperimentConfig(**dict(DIRECT, epsilons=epsilons, trials=self.TRIALS, seed=17))
+        config = ExperimentConfig(**dict(DIRECT, schedule=epsilons, trials=self.TRIALS, seed=17))
         self._assert_independent_of_blocks(monkeypatch, self._simulate, config)
 
     def test_compare_is_independent_of_blocks(self, monkeypatch):
@@ -666,7 +701,7 @@ class TestTrialBlocks:
         # the block driver's stream contract, seen by a `run_block` spy that
         # consumes every round: each trial's rows of the tiled columns are its
         # own chains, and its ``after`` generator stands where they leave it
-        config = ExperimentConfig(**dict(DIRECT, epsilons=(0.3, 0.3, 0.8), trials=self.TRIALS))
+        config = ExperimentConfig(**dict(DIRECT, schedule=(0.3, 0.3, 0.8), trials=self.TRIALS))
         monkeypatch.setattr(experiments, "BLOCK_OBJECTS", per_block * config.n_objects)
         seen = []
 
@@ -710,7 +745,7 @@ class TestTrialBlocks:
         monkeypatch.setattr(experiments, "iter_chain_rounds", sampled)
         monkeypatch.setattr(experiments, "BLOCK_OBJECTS", 1)  # one trial per block
         epsilons = (0.1, 0.2, 0.3, 0.4)
-        simulate_experiment(ExperimentConfig(**dict(DIRECT, epsilons=epsilons, trials=2)))
+        simulate_experiment(ExperimentConfig(**dict(DIRECT, schedule=epsilons, trials=2)))
         block = ["sample"] + ["decode"] * len(epsilons)
         assert events == block * 2
 
@@ -739,7 +774,7 @@ class TestTrialBlocks:
         seen = {}
         for rounds in (2, 20):
             epsilons = tuple(0.1 * k for k in range(1, rounds + 1))
-            simulated = ExperimentConfig(**dict(DIRECT, epsilons=epsilons, trials=blocks))
+            simulated = ExperimentConfig(**dict(DIRECT, schedule=epsilons, trials=blocks))
             schedule = dict(TINY["schedule"], rounds=rounds)
             compared = tiny_config(trials=blocks, schedule=schedule)
             assert self._block_sizes(simulated) == self._block_sizes(compared) == [1] * blocks
@@ -758,7 +793,7 @@ class TestTrialBlocks:
         # 1000 steps, the first round's from ε = 0 included
         monkeypatch.setattr(experiments, "BLOCK_OBJECTS", 2 * sum(DIRECT["counts"]))
         epsilons = tuple(0.01 * k for k in range(1, 1001))
-        config = ExperimentConfig(**dict(DIRECT, epsilons=epsilons, trials=5))
+        config = ExperimentConfig(**dict(DIRECT, schedule=epsilons, trials=5))
         assert self._block_sizes(config) == [2, 2, 1]
         simulate_experiment(config)
         assert mechanism._relax_kernel.cache_info().misses == 1000

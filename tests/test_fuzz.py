@@ -57,9 +57,8 @@ VALUES = (
 CHAIN = mechanism.RelaxationChain(0, 3, (0.5, 1.0), (0, 2))
 PARAMS = rappor.rappor_params(1.0, 0.5)
 CONFIG = experiments.ExperimentConfig("fuzz", 2, (3, 4), (0.5, 1.0), 2, 1)
-RAPPOR_CONFIG = experiments.ExperimentConfig(
-    "fuzz", 2, (3, 4), tuple(rappor.noisy_sampling_schedule(1.0, 0.5, 2)), 2, 1, 1.0, 0.5
-)
+SCHEDULE = rappor.NoisySamplingSchedule(PARAMS, 2)
+RAPPOR_CONFIG = experiments.ExperimentConfig("fuzz", 2, (3, 4), SCHEDULE, 2, 1)
 RAW = {
     "m": 2,
     "counts": [3, 4],
@@ -91,7 +90,7 @@ VALID = {
     "mechanism.iter_log_likelihoods": ([[0, 2]], (0.5, 1.0), 3),
     "mechanism.chain_log_likelihoods": ([[0, 2]], (0.5, 1.0), 3),
     "mechanism.chain_likelihood": ([0, 2], (0.5, 1.0), 3, 1),
-    "estimation.FrequencyEstimate": (np.array([0.4, 0.6]), np.eye(2), 1.0, 10.0),
+    "estimation.FrequencyEstimate": (np.array([0.4, 0.6]), 1.0, 10.0),
     "estimation.histogram": ([0, 2, 2], 3),
     "estimation.estimate_binary": (0.6, 1.0),
     "estimation.estimate_poly": ([3, 4, 5], 1.0),
@@ -102,6 +101,7 @@ VALID = {
     "rappor.RapporParams": (1.0, 0.5),
     "rappor.rappor_params": (1.0, 0.5),
     "rappor.eps_noisy_sampling": (3, PARAMS),
+    "rappor.NoisySamplingSchedule": (PARAMS, 3),
     "rappor.noisy_sampling_schedule": (1.0, 0.5, 3),
     "rappor.simulate_noisy_sampling_batch": ([0, 1], PARAMS, 3, RNG),
     "rappor.decode_noisy_sampling_counts": ([1, 2], 3, PARAMS),
@@ -119,7 +119,7 @@ VALID = {
     "audit.audit_step_epsilon": (0.5, 1.0, 3),
     "audit.audit_noisy_sampling_epsilon": (PARAMS, 3),
     "audit.run_standard_audits": (),
-    "experiments.ExperimentConfig": ("fuzz", 2, (3, 4), (0.5, 1.0), 2, 1, None, None),
+    "experiments.ExperimentConfig": ("fuzz", 2, (3, 4), (0.5, 1.0), 2, 1),
     "experiments.ExperimentResult": (CONFIG, RESULT.estimates, RESULT.errors, True),
     "experiments.RapporComparison": (
         RAPPOR_CONFIG,
@@ -252,9 +252,8 @@ def test_a_config_reads_an_integer_as_the_library_does(field):
             fields[field] = value
         builds = {"config": lambda: experiments.config_from_dict({**fields, "schedule": schedule})}
         if field != "schedule.rounds":
-            epsilons = tuple(rappor.noisy_sampling_schedule(1.0, 0.5, 2))
             builds["ExperimentConfig"] = lambda: experiments.ExperimentConfig(
-                "fuzz", epsilons=epsilons, eps_alpha=1.0, eps_beta=0.5, **fields
+                "fuzz", schedule=SCHEDULE, **fields
             )
         for prefix, build in builds.items():
             try:

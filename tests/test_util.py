@@ -41,6 +41,7 @@ from dprelax.mechanism import (
     start_chain,
 )
 from dprelax.rappor import (
+    NoisySamplingSchedule,
     RapporParams,
     decode_noisy_sampling_counts,
     eps_noisy_sampling,
@@ -411,14 +412,13 @@ def test_boolean_is_not_a_number(call, boolean):
 
 
 @pytest.mark.parametrize("boolean", [True, np.True_], ids=["bool", "numpy-bool"])
-@pytest.mark.parametrize("field", [r"epsilons\[1\]", "eps_alpha", "m"])
+@pytest.mark.parametrize("field", [r"epsilons\[1\]", "m"])
 def test_config_refuses_a_boolean(field, boolean):
     overrides = {
-        r"epsilons\[1\]": {"epsilons": (0.5, boolean)},
-        "eps_alpha": {"eps_alpha": boolean, "eps_beta": 0.5},
+        r"epsilons\[1\]": {"schedule": (0.5, boolean)},
         "m": {"m": boolean},
     }[field]
-    fields = dict(name="direct", m=2, counts=(2, 3), epsilons=(0.5, 1.0), trials=2, seed=1)
+    fields = dict(name="direct", m=2, counts=(2, 3), schedule=(0.5, 1.0), trials=2, seed=1)
     with pytest.raises(ConfigError, match=rf"^ExperimentConfig\.{field}: must be "):
         ExperimentConfig(**dict(fields, **overrides))
 
@@ -438,7 +438,7 @@ def test_a_refusal_prints_a_value_nested_past_the_recursion_limit():
     raw = {"m": 2, "counts": [2, 3], "schedule": {"kind": "list", "epsilons": [deep]}, "trials": 2, "seed": 1}
     with pytest.raises(ConfigError, match=rf"^config\.schedule\.epsilons\[0\]: must be a real number, got {shown}$"):
         experiments.config_from_dict(raw)
-    fields = dict(name="direct", m=2, counts=(2, 3), epsilons=(0.5, 1.0), trials=2)
+    fields = dict(name="direct", m=2, counts=(2, 3), schedule=(0.5, 1.0), trials=2)
     with pytest.raises(ConfigError, match=rf"^ExperimentConfig\.seed: must be an integer .* got {shown}$"):
         ExperimentConfig(**fields, seed=deep)
 
@@ -458,7 +458,7 @@ def test_a_refusal_prints_a_value_nested_past_the_recursion_limit():
 )
 def test_a_refusal_prints_a_value_cut_short(value, shown):
     assert _util.shown(value) == shown
-    fields = dict(name="direct", m=2, counts=(2, 3), epsilons=(0.5, 1.0), trials=2)
+    fields = dict(name="direct", m=2, counts=(2, 3), schedule=(0.5, 1.0), trials=2)
     message = rf"^ExperimentConfig\.seed: must be an integer that fits in 64 bits, got {re.escape(shown)}$"
     with pytest.raises(ConfigError, match=message):
         ExperimentConfig(**fields, seed=value)
@@ -571,19 +571,23 @@ def test_non_parameter_object_is_refused_by_name(call):
 
 
 class TestBuiltFromEpsilon:
-    """A parameter object takes its ε and m alone; what they determine is set
-    when it is built and cannot be given."""
+    """A parameter object takes what determines it alone, its ε and m; what
+    they determine is set when it is built and cannot be given."""
 
     SETTABLE = {
         mechanism.ResponseDistribution: ["epsilon", "m"],
         mechanism.RelaxKernel: ["eps_prev", "eps_next", "m"],
         RapporParams: ["eps_alpha", "eps_beta"],
+        NoisySamplingSchedule: ["params", "rounds"],
+        ExperimentConfig: ["name", "m", "counts", "schedule", "trials", "seed"],
+        estimation.FrequencyEstimate: ["estimate", "epsilon", "n"],
     }
     BUILT = (
         lambda: rr_distribution(1.0, 3),
         lambda: relax_kernel(0.5, 1.0, 3),
         lambda: mechanism.RelaxKernel(0.0, 1.0, 3),
         lambda: rappor_params(1.0, 0.5),
+        lambda: NoisySamplingSchedule(PARAMS, 3),
     )
 
     def test_settable_fields(self):
@@ -599,6 +603,8 @@ class TestBuiltFromEpsilon:
             dataclasses.replace(rr_distribution(1.0, 3), p_retain=1.0)
         with pytest.raises(ValueError, match="alpha"):
             dataclasses.replace(PARAMS, alpha=0.9)
+        with pytest.raises(ValueError, match="epsilons"):
+            dataclasses.replace(NoisySamplingSchedule(PARAMS, 3), epsilons=(1.0,))
         with pytest.raises(TypeError):
             RapporParams(1.0, 0.5, 0.9, 0.6)
 
@@ -607,6 +613,8 @@ class TestBuiltFromEpsilon:
         assert kernel == relax_kernel(0.5, 2.0, 3)
         assert dataclasses.replace(rr_distribution(1.0, 3), m=5) == rr_distribution(1.0, 5)
         assert dataclasses.replace(PARAMS, eps_alpha=2.0) == rappor_params(2.0, 0.5)
+        schedule = dataclasses.replace(NoisySamplingSchedule(PARAMS, 3), rounds=5)
+        assert schedule.epsilons == tuple(noisy_sampling_schedule(1.0, 0.5, 5))
 
     def test_copies_and_pickles_equal_their_originals(self):
         for build in self.BUILT:
